@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test verify lint racecheck bench benchsim benchserve benchcluster benchadvise fuzz golden faultcheck servecheck clustercheck tracecheck storecheck advisecheck
+.PHONY: build test verify lint racecheck bench benchsim benchserve benchcluster benchadvise fuzz golden faultcheck servecheck clustercheck tracecheck storecheck advisecheck perfcheck
 
 build:
 	$(GO) build ./...
@@ -30,7 +30,7 @@ lint:
 racecheck:
 	$(GO) test -race -short ./internal/serve/... ./internal/store ./internal/retry ./cmd/mtserve ./internal/cluster ./internal/obs
 
-verify: faultcheck servecheck clustercheck tracecheck storecheck advisecheck
+verify: faultcheck servecheck clustercheck tracecheck storecheck advisecheck perfcheck
 	$(GO) vet ./...
 	$(GO) run ./cmd/mtlint ./...
 	$(GO) run ./cmd/mtlint -census ./internal/serve/... ./internal/store ./internal/retry ./internal/cluster ./internal/obs ./internal/advise
@@ -55,7 +55,7 @@ benchserve:
 	$(GO) run ./cmd/mtserve -loadgen -clients 64 -rounds 4 -bench BENCH_serve.json >/dev/null
 
 # Cluster tier (DESIGN.md §11): build mtcoord, run the coordinator's
-# differential suite (cluster sweep vs direct library, both engines),
+# differential suite (cluster sweep vs direct library),
 # the chaos matrix (kill / partition / restart a worker mid-sweep with
 # zero lost or duplicated cells), the shard-key goldens, and the
 # experiments-level artifact byte-identity test against a coordinator
@@ -84,12 +84,12 @@ tracecheck:
 
 # Robustness drills (DESIGN.md §9): the fault-injection matrix (every
 # corruption class at every byte offset must be detected, never silently
-# simulated), journal crash/resume behaviour, the engine-fallback guard,
-# and the kill-and-resume byte-identity test.
+# simulated), journal crash/resume behaviour, the engine guard's
+# watchdog, and the kill-and-resume byte-identity test.
 faultcheck:
 	$(GO) test ./internal/resilience
 	$(GO) test ./internal/trace -run 'TestMTT2|TestReadRejects|TestWriteFile'
-	$(GO) test ./cmd/experiments -run 'TestKillAndResume|TestResume|TestFreshRun|TestRunDegraded|TestRunStepBudget'
+	$(GO) test ./cmd/experiments -run 'TestKillAndResume|TestResume|TestFreshRun|TestRunStepBudget'
 
 # Durability tier (DESIGN.md "Durable results & delivery"): the MTS1
 # store suite (format goldens, recovery, quarantine, compaction,
@@ -113,7 +113,8 @@ bench:
 # both engines) and checkpoint round-trips, the guard's online path, the
 # /v1/advise API differentials on worker and coordinator, and the phased
 # crossover smoke — online must beat the best static placement on the
-# phase-changing workload with the migration penalty charged.
+# phase-changing workload with the migration penalty charged, and every
+# cell of its grid must match the reference engine.
 advisecheck:
 	$(GO) test ./internal/advise
 	$(GO) test ./internal/sim -run 'TestOnline|TestCheckpoint|TestRunOnline'
@@ -129,10 +130,16 @@ advisecheck:
 benchadvise:
 	$(GO) run ./cmd/experiments -advise BENCH_advise.json -scale 0.25
 
-# Regenerate BENCH_sim.json: reference vs fast engine throughput plus the
-# memoized-sweep timings.
+# Regenerate BENCH_sim.json: engine throughput bare and probed, plus the
+# memoized and guarded sweep timings and the journal cost.
 benchsim:
 	$(GO) run ./cmd/experiments -benchsim BENCH_sim.json
+
+# The benchmark of record (perfbench/, its own Go module, so the root
+# `go build ./...` and `go test ./...` never compile it): vet it and run
+# its smoke tests against the current APIs.
+perfcheck:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Quick fuzz pass over the simulation engines (CI smoke; crank -fuzztime
 # for a real session).

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
-	"reflect"
 	"time"
 
 	"repro/internal/advise"
@@ -295,8 +294,9 @@ func phasedGrid() []advise.OnlineSpec {
 }
 
 // phasedCrossover measures every static algorithm and the full online
-// grid on the phased workload, locates the migration-cost crossover, and
-// differentially checks every online cell across both engines.
+// grid on the phased workload and locates the migration-cost crossover.
+// (advise_test.go checks every online cell of the grid against the
+// reference engine.)
 func phasedCrossover(seed int64) (*phasedReport, error) {
 	tr := phasedTrace()
 	cfg := sim.DefaultConfig(adviseProcs)
@@ -308,7 +308,7 @@ func phasedCrossover(seed int64) (*phasedReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("advise: phased %s placement: %w", alg.Name, err)
 		}
-		res, err := sim.RunObserved(tr, pl, cfg, sim.FastEngine, nil)
+		res, err := sim.Run(tr, pl, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("advise: phased %s run: %w", alg.Name, err)
 		}
@@ -333,16 +333,9 @@ func phasedCrossover(seed int64) (*phasedReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := sim.RunOnlineObserved(tr, seedPl, cfg, sim.FastEngine, opts, nil)
+		res, err := sim.RunOnline(tr, seedPl, cfg, opts)
 		if err != nil {
 			return nil, fmt.Errorf("advise: phased %s run: %w", spec.String(), err)
-		}
-		ref, err := sim.RunOnlineObserved(tr, seedPl, cfg, sim.ReferenceEngine, opts, nil)
-		if err != nil {
-			return nil, fmt.Errorf("advise: phased %s reference run: %w", spec.String(), err)
-		}
-		if !reflect.DeepEqual(res, ref) {
-			return nil, fmt.Errorf("advise: engines diverge on %s: fast exec %d vs reference %d", spec.String(), res.ExecTime, ref.ExecTime)
 		}
 		if res.Online == nil {
 			return nil, fmt.Errorf("advise: %s ran without online stats", spec.String())

@@ -22,41 +22,37 @@ type engineBench struct {
 	CyclesPerSec    float64 `json:"cycles_per_sec"`
 }
 
-// benchSimReport is the BENCH_sim.json schema: throughput of the
-// reference and fast engines over the same cells, their speedup, the
-// fast engine's throughput with a probe attached (the observability
-// layer's measured cost), and the memoized sweep's first-vs-second-call
-// wall time.
+// benchSimReport is the BENCH_sim.json schema: the engine's throughput
+// over the cells, its throughput with a probe attached (the
+// observability layer's measured cost), and the memoized sweep's
+// first-vs-second-call wall time. The engine-vs-oracle ratio lives in
+// bench_test.go (BenchmarkEngineReference), not here: no production
+// path runs the reference engine.
 type benchSimReport struct {
 	App              string      `json:"app"`
 	Scale            float64     `json:"scale"`
 	Seed             int64       `json:"seed"`
 	ProcCounts       []int       `json:"proc_counts"`
 	Algorithms       []string    `json:"algorithms"`
-	Reference        engineBench `json:"reference"`
 	Fast             engineBench `json:"fast"`
 	FastProbeOn      engineBench `json:"fast_probe_on"`
-	Speedup          float64     `json:"speedup"`
 	ProbeOverheadPct float64     `json:"probe_overhead_pct"`
 	MemoFirstSecs    float64     `json:"memoized_figure_first_call_seconds"`
 	MemoSecondSecs   float64     `json:"memoized_figure_second_call_seconds"`
 	MemoSpeedup      float64     `json:"memoized_figure_speedup"`
 	// Resilience costs on the memoized sweep path: the engine guard with
-	// its watchdog armed but cross-checking off (the wrapper itself), the
-	// guard cross-checking every 4th cell on the reference engine, and
+	// its watchdog armed (the wrapper and the per-event step count), and
 	// the per-section journal writes of a -journal sweep.
 	GuardMemoSecs      float64 `json:"guarded_figure_first_call_seconds"`
 	GuardOverheadPct   float64 `json:"guard_overhead_pct"`
-	CrossCheckSecs     float64 `json:"crosscheck_figure_first_call_seconds"`
-	CrossCheckPct      float64 `json:"crosscheck_overhead_pct"`
 	JournalSecs        float64 `json:"journal_seconds"`
 	JournalOverheadPct float64 `json:"journal_overhead_pct"`
 	GeneratedBy        string  `json:"generated_by"`
 }
 
-// benchSim times both engines sequentially over every (algorithm,
-// processor-count) cell of the Figure 2 application and writes the
-// comparison to path. Engine calls bypass the suite's memoization so each
+// benchSim times the engine sequentially over every (algorithm,
+// processor-count) cell of the Figure 2 application, bare and probed, and
+// writes the numbers to path. Engine calls bypass the suite's memoization so each
 // cell is genuinely re-simulated; a separate pass times the memoized
 // ExecutionFigure sweep itself (first call simulates, second is served
 // from cache).
@@ -87,7 +83,7 @@ func benchSim(scale float64, seed int64, procsSpec, path string) error {
 	// newProbe, when non-nil, supplies a fresh probe per cell (a counter
 	// plus a 10k-cycle sampler — the stack a telemetry-enabled sweep
 	// would attach).
-	measure := func(eng sim.Engine, newProbe func() obs.Probe) (engineBench, error) {
+	measure := func(newProbe func() obs.Probe) (engineBench, error) {
 		var b engineBench
 		t0 := time.Now()
 		for _, procs := range pcs {
@@ -104,7 +100,7 @@ func benchSim(scale float64, seed int64, procsSpec, path string) error {
 				if newProbe != nil {
 					probe = newProbe()
 				}
-				res, err := sim.RunObserved(tr, pl, cfg, eng, probe)
+				res, err := sim.RunObserved(tr, pl, cfg, sim.FastEngine, probe)
 				if err != nil {
 					return b, err
 				}
@@ -118,22 +114,12 @@ func benchSim(scale float64, seed int64, procsSpec, path string) error {
 	}
 
 	fmt.Printf("benchsim: %s, %d algorithms x %v processors, scale %g\n", app, len(rep.Algorithms), pcs, scale)
-	if rep.Reference, err = measure(sim.ReferenceEngine, nil); err != nil {
-		return err
-	}
-	fmt.Printf("  reference: %d cells in %.2fs (%.3g cycles/s)\n", rep.Reference.Cells, rep.Reference.Seconds, rep.Reference.CyclesPerSec)
-	if rep.Fast, err = measure(sim.FastEngine, nil); err != nil {
+	if rep.Fast, err = measure(nil); err != nil {
 		return err
 	}
 	fmt.Printf("  fast:      %d cells in %.2fs (%.3g cycles/s)\n", rep.Fast.Cells, rep.Fast.Seconds, rep.Fast.CyclesPerSec)
-	if rep.Reference.CyclesSimulated != rep.Fast.CyclesSimulated {
-		return fmt.Errorf("engines disagree: reference simulated %d cycles, fast %d",
-			rep.Reference.CyclesSimulated, rep.Fast.CyclesSimulated)
-	}
-	rep.Speedup = rep.Fast.CyclesPerSec / rep.Reference.CyclesPerSec
-	fmt.Printf("  speedup:   %.2fx\n", rep.Speedup)
 
-	if rep.FastProbeOn, err = measure(sim.FastEngine, func() obs.Probe {
+	if rep.FastProbeOn, err = measure(func() obs.Probe {
 		return obs.Multi(&obs.Counter{}, obs.NewSampler(10_000))
 	}); err != nil {
 		return err
@@ -165,35 +151,20 @@ func benchSim(scale float64, seed int64, procsSpec, path string) error {
 	fmt.Printf("  memoized ExecutionFigure: first %.2fs, second %.6fs\n", rep.MemoFirstSecs, rep.MemoSecondSecs)
 
 	// Guarded sweep: the identical fresh-suite sweep with the engine
-	// guard's watchdog armed but cross-checking off, pricing the per-event
-	// guard check and the wrapper itself.
-	guardSweep := func(sampleEvery int) (float64, error) {
-		g := &resilience.EngineGuard{
-			SampleEvery: sampleEvery,
-			Guard:       sim.Guard{MaxSteps: 1 << 62},
-		}
-		gopts := opts
-		gopts.Runner = g.Run
-		gopts.DynRunner = g.RunDynamic
-		gs := core.NewSuite(gopts)
-		t0 := time.Now()
-		if _, err := gs.ExecutionFigure(app); err != nil {
-			return 0, err
-		}
-		return time.Since(t0).Seconds(), nil
-	}
-	if rep.GuardMemoSecs, err = guardSweep(0); err != nil {
+	// guard's watchdog armed, pricing the per-event step count and the
+	// wrapper itself.
+	g := &resilience.EngineGuard{Guard: sim.Guard{MaxSteps: 1 << 62}}
+	gopts := opts
+	gopts.Runner = g.Run
+	gopts.DynRunner = g.RunDynamic
+	t0 = time.Now()
+	if _, err := core.NewSuite(gopts).ExecutionFigure(app); err != nil {
 		return err
 	}
+	rep.GuardMemoSecs = time.Since(t0).Seconds()
 	rep.GuardOverheadPct = (rep.GuardMemoSecs/rep.MemoFirstSecs - 1) * 100
-	fmt.Printf("  guarded ExecutionFigure (watchdog only): %.2fs (%.1f%% overhead)\n",
+	fmt.Printf("  guarded ExecutionFigure (watchdog): %.2fs (%.1f%% overhead)\n",
 		rep.GuardMemoSecs, rep.GuardOverheadPct)
-	if rep.CrossCheckSecs, err = guardSweep(4); err != nil {
-		return err
-	}
-	rep.CrossCheckPct = (rep.CrossCheckSecs/rep.MemoFirstSecs - 1) * 100
-	fmt.Printf("  guarded ExecutionFigure (crosscheck 4): %.2fs (%.1f%% overhead)\n",
-		rep.CrossCheckSecs, rep.CrossCheckPct)
 
 	// Journal cost: the synced per-section records a -all -journal sweep
 	// writes (about ten sections), priced against the sweep itself.

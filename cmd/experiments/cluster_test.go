@@ -36,7 +36,7 @@ func startExperimentCluster(t *testing.T, n int) *experimentCluster {
 	}
 	ec := &experimentCluster{coord: coord, coordTS: httptest.NewServer(coord.Handler())}
 	for i := 0; i < n; i++ {
-		srv := serve.NewServer(serve.Options{Workers: 2, SampleEvery: -1})
+		srv := serve.NewServer(serve.Options{Workers: 2})
 		ts := httptest.NewServer(srv.Handler())
 		ec.workers = append(ec.workers, srv)
 		ec.servers = append(ec.servers, ts)
@@ -95,7 +95,7 @@ func TestClusterSweepArtifactsMatchLocal(t *testing.T) {
 	artifacts := []string{"table3.txt", "table3.csv", "figure2.txt", "figure2.csv", "figure2.svg"}
 
 	localDir := t.TempDir()
-	if _, err := run(resumeSweep(localDir)); err != nil {
+	if err := run(resumeSweep(localDir)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -104,7 +104,7 @@ func TestClusterSweepArtifactsMatchLocal(t *testing.T) {
 	clusterDir := t.TempDir()
 	rcfg := resumeSweep(clusterDir)
 	rcfg.remote = ec.coordTS.URL
-	if _, err := run(rcfg); err != nil {
+	if err := run(rcfg); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range artifacts {
@@ -132,7 +132,7 @@ func TestClusterSweepArtifactsMatchLocal(t *testing.T) {
 	chaosDir := t.TempDir()
 	ccfg := resumeSweep(chaosDir)
 	ccfg.remote = ec.coordTS.URL
-	if _, err := run(ccfg); err != nil {
+	if err := run(ccfg); err != nil {
 		t.Fatalf("sweep with a killed worker: %v", err)
 	}
 	for _, name := range artifacts {

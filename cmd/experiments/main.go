@@ -10,12 +10,8 @@
 //	experiments -all -journal sweep.journal            # journal progress
 //	experiments -all -journal sweep.journal -resume    # skip finished sections
 //	experiments -all -timeout 30m -maxsteps 2000000000 # watchdogs
-//	experiments -all -crosscheck 4                     # engine cross-checking
 //
-// Exit codes: 0 success, 1 error, 2 usage, 3 completed degraded (the
-// fast engine diverged from the reference engine mid-sweep and was
-// benched; the emitted numbers come from the reference engine and are
-// correct).
+// Exit codes: 0 success, 1 error, 2 usage.
 package main
 
 import (
@@ -131,7 +127,6 @@ type sweepCfg struct {
 	resume      bool          // skip sections the journal records complete
 	timeout     time.Duration // cancel all simulations after this long (0 = off)
 	maxSteps    uint64        // per-simulation event budget (0 = unbounded)
-	crossCheck  int           // cross-check every Nth cell on the reference engine (0 = off)
 
 	// remote, when set, sends every static-placement simulation to an
 	// mtserve instance at this base URL instead of running it in-process.
@@ -158,29 +153,28 @@ func (cfg *sweepCfg) binding() string {
 
 func main() {
 	var (
-		all        = flag.Bool("all", false, "run every table and figure")
-		table      = flag.Int("table", 0, "run one table (1-5)")
-		figure     = flag.Int("figure", 0, "run one figure (2-5)")
-		scale      = flag.Float64("scale", 1.0, "workload scale factor")
-		seed       = flag.Int64("seed", 1994, "generation seed")
-		procs      = flag.String("procs", "2,4,8,16", "processor counts, comma separated")
-		fig5       = flag.String("fig5app", "MP3D", "application for the Figure 5 miss-component graph")
-		abl        = flag.String("ablation", "", "ablation study: assoc, cachesize, contexts, uniformity, writeruns, protocol, latency, contention, dynamic or all")
-		outdir     = flag.String("outdir", "", "also write each artifact as .txt/.csv/.svg into this directory")
-		jsonF      = flag.String("json", "", "regenerate all tables/figures and save them as one JSON bundle")
-		journal    = flag.String("journal", "", "journal completed sections to this file (crash-safe)")
-		resume     = flag.Bool("resume", false, "skip sections the -journal file records as complete")
-		timeout    = flag.Duration("timeout", 0, "abort all in-flight simulations after this long (e.g. 30m)")
-		maxSteps   = flag.Uint64("maxsteps", 0, "abort any single simulation after this many events (livelock watchdog)")
-		crossCheck = flag.Int("crosscheck", 0, "cross-check every Nth simulation against the reference engine (0 = off)")
-		remote     = flag.String("remote", "", "run simulations on the mtserve instance at this base URL (e.g. http://127.0.0.1:8080)")
-		bsim       = flag.String("benchsim", "", "benchmark the reference vs fast simulation engines and save the comparison as JSON")
-		badvise    = flag.String("advise", "", "evaluate online adaptive placement (static-vs-online kernel sweep + phased crossover) and save the gated report as JSON")
-		timeline   = flag.String("timeline", "", "simulate one representative run and write its Perfetto timeline JSON to this file")
-		progress   = flag.Duration("progress", 0, "log a progress heartbeat at this interval (e.g. 10s) while sweeps run")
-		verbose    = flag.Bool("v", false, "verbose diagnostics")
-		cpuprof    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof    = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		all      = flag.Bool("all", false, "run every table and figure")
+		table    = flag.Int("table", 0, "run one table (1-5)")
+		figure   = flag.Int("figure", 0, "run one figure (2-5)")
+		scale    = flag.Float64("scale", 1.0, "workload scale factor")
+		seed     = flag.Int64("seed", 1994, "generation seed")
+		procs    = flag.String("procs", "2,4,8,16", "processor counts, comma separated")
+		fig5     = flag.String("fig5app", "MP3D", "application for the Figure 5 miss-component graph")
+		abl      = flag.String("ablation", "", "ablation study: assoc, cachesize, contexts, uniformity, writeruns, protocol, latency, contention, dynamic or all")
+		outdir   = flag.String("outdir", "", "also write each artifact as .txt/.csv/.svg into this directory")
+		jsonF    = flag.String("json", "", "regenerate all tables/figures and save them as one JSON bundle")
+		journal  = flag.String("journal", "", "journal completed sections to this file (crash-safe)")
+		resume   = flag.Bool("resume", false, "skip sections the -journal file records as complete")
+		timeout  = flag.Duration("timeout", 0, "abort all in-flight simulations after this long (e.g. 30m)")
+		maxSteps = flag.Uint64("maxsteps", 0, "abort any single simulation after this many events (livelock watchdog)")
+		remote   = flag.String("remote", "", "run simulations on the mtserve instance at this base URL (e.g. http://127.0.0.1:8080)")
+		bsim     = flag.String("benchsim", "", "benchmark the simulation engine (bare, probed, memoized and guarded sweeps) and save the numbers as JSON")
+		badvise  = flag.String("advise", "", "evaluate online adaptive placement (static-vs-online kernel sweep + phased crossover) and save the gated report as JSON")
+		timeline = flag.String("timeline", "", "simulate one representative run and write its Perfetto timeline JSON to this file")
+		progress = flag.Duration("progress", 0, "log a progress heartbeat at this interval (e.g. 10s) while sweeps run")
+		verbose  = flag.Bool("v", false, "verbose diagnostics")
+		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memprof  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 	log := obs.NewLogger(os.Stderr, *verbose)
@@ -227,7 +221,6 @@ func main() {
 	defer stop()
 
 	var err error
-	var degraded bool
 	switch {
 	case *bsim != "":
 		err = benchSim(*scale, *seed, *procs, *bsim)
@@ -236,11 +229,11 @@ func main() {
 	case *timeline != "":
 		err = timelineRun(*scale, *seed, *procs, *timeline, log)
 	default:
-		degraded, err = run(sweepCfg{
+		err = run(sweepCfg{
 			all: *all, table: *table, figure: *figure, ablation: *abl, jsonPath: *jsonF,
 			scale: *scale, seed: *seed, procs: *procs, fig5app: *fig5, outdir: *outdir,
 			journalPath: *journal, resume: *resume,
-			timeout: *timeout, maxSteps: *maxSteps, crossCheck: *crossCheck,
+			timeout: *timeout, maxSteps: *maxSteps,
 			remote: *remote,
 			log:    log,
 		})
@@ -248,11 +241,6 @@ func main() {
 	if err != nil {
 		stop()
 		fail(err)
-	}
-	if degraded {
-		stop()
-		log.Error("sweep completed DEGRADED: the fast engine diverged and was benched; results come from the reference engine")
-		os.Exit(obs.CodeDegraded)
 	}
 }
 
@@ -268,10 +256,8 @@ func parseProcs(s string) ([]int, error) {
 	return out, nil
 }
 
-// run regenerates the selected sections. It reports degraded=true when
-// the sweep finished but the engine guard benched the fast engine — the
-// caller should exit with obs.CodeDegraded.
-func run(cfg sweepCfg) (degraded bool, err error) {
+// run regenerates the selected sections.
+func run(cfg sweepCfg) error {
 	if cfg.out == nil {
 		cfg.out = os.Stdout
 	}
@@ -280,14 +266,14 @@ func run(cfg sweepCfg) (degraded bool, err error) {
 	}
 	pcs, err := parseProcs(cfg.procs)
 	if err != nil {
-		return false, err
+		return err
 	}
 	if cfg.resume && cfg.journalPath == "" {
-		return false, obs.Usagef("-resume requires -journal")
+		return obs.Usagef("-resume requires -journal")
 	}
 	if cfg.outdir != "" {
 		if err := os.MkdirAll(cfg.outdir, 0o755); err != nil {
-			return false, err
+			return err
 		}
 	}
 
@@ -297,12 +283,12 @@ func run(cfg sweepCfg) (degraded bool, err error) {
 			// A fresh run must start a fresh journal, or stale records
 			// from an earlier sweep would silently skip live sections.
 			if err := os.Remove(cfg.journalPath); err != nil && !os.IsNotExist(err) {
-				return false, err
+				return err
 			}
 		}
 		j, err = resilience.OpenJournal(cfg.journalPath, cfg.binding())
 		if err != nil {
-			return false, err
+			return err
 		}
 		defer j.Close()
 	}
@@ -312,17 +298,16 @@ func run(cfg sweepCfg) (degraded bool, err error) {
 	opts.Params = workload.Params{Scale: cfg.scale, Seed: cfg.seed}
 	opts.ProcCounts = pcs
 
-	if cfg.remote != "" && (cfg.crossCheck > 0 || cfg.maxSteps > 0 || cfg.timeout > 0) {
-		// The server owns its watchdogs and engine guard; layering the
-		// local ones on top would double-guard remote cells.
-		return false, obs.Usagef("-remote cannot be combined with -crosscheck, -maxsteps or -timeout (configure them on mtserve instead)")
+	if cfg.remote != "" && (cfg.maxSteps > 0 || cfg.timeout > 0) {
+		// The server owns its watchdogs; layering the local ones on top
+		// would double-guard remote cells.
+		return obs.Usagef("-remote cannot be combined with -maxsteps or -timeout (configure them on mtserve instead)")
 	}
 	if cfg.remote != "" {
 		opts.Runner = remoteRunner(cfg.remote, opts.Params)
 	}
 
-	var guard *resilience.EngineGuard
-	if cfg.crossCheck > 0 || cfg.maxSteps > 0 || cfg.timeout > 0 {
+	if cfg.maxSteps > 0 || cfg.timeout > 0 {
 		var cancel atomic.Bool
 		if cfg.timeout > 0 {
 			timer := time.AfterFunc(cfg.timeout, func() {
@@ -331,10 +316,8 @@ func run(cfg sweepCfg) (degraded bool, err error) {
 			})
 			defer timer.Stop()
 		}
-		guard = &resilience.EngineGuard{
-			SampleEvery: cfg.crossCheck,
-			Guard:       sim.Guard{MaxSteps: cfg.maxSteps, Cancel: &cancel},
-			OnFallback:  func(rep resilience.DivergenceReport) { cfg.log.Error(rep.String()) },
+		guard := &resilience.EngineGuard{
+			Guard: sim.Guard{MaxSteps: cfg.maxSteps, Cancel: &cancel},
 		}
 		opts.Runner = guard.Run
 		opts.DynRunner = guard.RunDynamic
@@ -382,7 +365,7 @@ func run(cfg sweepCfg) (degraded bool, err error) {
 			}
 			return em.table("table1", core.Table1Report(rows))
 		}); err != nil {
-			return false, err
+			return err
 		}
 	}
 	if want(2, 0) {
@@ -394,7 +377,7 @@ func run(cfg sweepCfg) (degraded bool, err error) {
 			}
 			return em.table("table2", core.Table2Report(rows))
 		}); err != nil {
-			return false, err
+			return err
 		}
 	}
 	if want(3, 0) {
@@ -402,7 +385,7 @@ func run(cfg sweepCfg) (degraded bool, err error) {
 		if err := section("Table 3", func() error {
 			return em.table("table3", core.Table3Report())
 		}); err != nil {
-			return false, err
+			return err
 		}
 	}
 	for _, fig := range []struct {
@@ -422,7 +405,7 @@ func run(cfg sweepCfg) (degraded bool, err error) {
 			return em.chart(fmt.Sprintf("figure%d", fig.n),
 				f.Chart(fmt.Sprintf("Figure %d: Execution time for %s", fig.n, fig.app)))
 		}); err != nil {
-			return false, err
+			return err
 		}
 	}
 	if want(0, 5) {
@@ -434,7 +417,7 @@ func run(cfg sweepCfg) (degraded bool, err error) {
 			}
 			return em.table("figure5", core.MissComponentReport(cfg.fig5app, cells))
 		}); err != nil {
-			return false, err
+			return err
 		}
 	}
 	if want(4, 0) {
@@ -446,7 +429,7 @@ func run(cfg sweepCfg) (degraded bool, err error) {
 			}
 			return em.table("table4", core.Table4Report(rows))
 		}); err != nil {
-			return false, err
+			return err
 		}
 	}
 	if want(5, 0) {
@@ -458,7 +441,7 @@ func run(cfg sweepCfg) (degraded bool, err error) {
 			}
 			return em.table("table5", core.Table5Report(cells, opts.ProcCounts))
 		}); err != nil {
-			return false, err
+			return err
 		}
 	}
 	wantAbl := func(name string) bool {
@@ -473,7 +456,7 @@ func run(cfg sweepCfg) (degraded bool, err error) {
 			}
 			return em.table("ablation_assoc", core.AssocReport("Patch", "LOAD-BAL", 16, rows))
 		}); err != nil {
-			return false, err
+			return err
 		}
 	}
 	if wantAbl("cachesize") {
@@ -486,7 +469,7 @@ func run(cfg sweepCfg) (degraded bool, err error) {
 			}
 			return em.table("ablation_cachesize", core.CacheSizeReport("Water", "LOAD-BAL", 8, rows))
 		}); err != nil {
-			return false, err
+			return err
 		}
 	}
 	if wantAbl("contexts") {
@@ -498,7 +481,7 @@ func run(cfg sweepCfg) (degraded bool, err error) {
 			}
 			return em.table("ablation_contexts", core.ContextReport("Water", 4, rows))
 		}); err != nil {
-			return false, err
+			return err
 		}
 	}
 	if wantAbl("uniformity") {
@@ -510,7 +493,7 @@ func run(cfg sweepCfg) (degraded bool, err error) {
 			}
 			return em.table("ablation_uniformity", core.UniformityReport(rows))
 		}); err != nil {
-			return false, err
+			return err
 		}
 	}
 	if wantAbl("protocol") {
@@ -522,7 +505,7 @@ func run(cfg sweepCfg) (degraded bool, err error) {
 			}
 			return em.table("ablation_protocol", core.ProtocolReport("Fullconn", 8, rows))
 		}); err != nil {
-			return false, err
+			return err
 		}
 	}
 	if wantAbl("latency") {
@@ -534,7 +517,7 @@ func run(cfg sweepCfg) (degraded bool, err error) {
 			}
 			return em.table("ablation_latency", core.LatencyReport("FFT", 8, rows))
 		}); err != nil {
-			return false, err
+			return err
 		}
 	}
 	if wantAbl("contention") {
@@ -546,7 +529,7 @@ func run(cfg sweepCfg) (degraded bool, err error) {
 			}
 			return em.table("ablation_contention", core.ContentionReport("MP3D", "LOAD-BAL", 16, rows))
 		}); err != nil {
-			return false, err
+			return err
 		}
 	}
 	if wantAbl("dynamic") {
@@ -559,7 +542,7 @@ func run(cfg sweepCfg) (degraded bool, err error) {
 			}
 			return em.table("ablation_dynamic", core.DynamicReport(8, 2, rows))
 		}); err != nil {
-			return false, err
+			return err
 		}
 	}
 	if wantAbl("writeruns") {
@@ -571,7 +554,7 @@ func run(cfg sweepCfg) (degraded bool, err error) {
 			}
 			return em.table("ablation_writeruns", core.WriteRunReport(rows))
 		}); err != nil {
-			return false, err
+			return err
 		}
 	}
 	if cfg.jsonPath != "" {
@@ -587,15 +570,11 @@ func run(cfg sweepCfg) (degraded bool, err error) {
 			fmt.Fprintf(cfg.out, "wrote %s\n", cfg.jsonPath)
 			return nil
 		}); err != nil {
-			return false, err
+			return err
 		}
 	}
 	if !ran {
-		return false, obs.Usagef("nothing selected: use -all, -table N, -figure N, -ablation NAME, -json FILE, -benchsim FILE, -advise FILE or -timeline FILE")
+		return obs.Usagef("nothing selected: use -all, -table N, -figure N, -ablation NAME, -json FILE, -benchsim FILE, -advise FILE or -timeline FILE")
 	}
-	if guard != nil && guard.Degraded() {
-		fmt.Fprintf(cfg.out, "WARNING: %s\n", guard.Report())
-		return true, nil
-	}
-	return false, nil
+	return nil
 }

@@ -40,11 +40,11 @@ func testSweep() sweepCfg {
 
 func TestRunRejectsEmptySelection(t *testing.T) {
 	cfg := testSweep()
-	if _, err := run(cfg); err == nil {
+	if err := run(cfg); err == nil {
 		t.Error("empty selection accepted")
 	}
 	cfg.procs = "bogus"
-	if _, err := run(cfg); err == nil {
+	if err := run(cfg); err == nil {
 		t.Error("bad procs accepted")
 	}
 }
@@ -53,25 +53,25 @@ func TestRunSingleTable(t *testing.T) {
 	cfg := testSweep()
 	cfg.table = 3
 	cfg.outdir = t.TempDir()
-	if _, err := run(cfg); err != nil {
+	if err := run(cfg); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunUsageErrors(t *testing.T) {
 	cfg := testSweep()
-	if _, err := run(cfg); !obs.IsUsage(err) {
+	if err := run(cfg); !obs.IsUsage(err) {
 		t.Errorf("empty selection: err = %v, want usage error", err)
 	}
 	bad := testSweep()
 	bad.procs = "bogus"
-	if _, err := run(bad); !obs.IsUsage(err) {
+	if err := run(bad); !obs.IsUsage(err) {
 		t.Errorf("bad procs: err = %v, want usage error", err)
 	}
 	noJournal := testSweep()
 	noJournal.table = 3
 	noJournal.resume = true
-	if _, err := run(noJournal); !obs.IsUsage(err) {
+	if err := run(noJournal); !obs.IsUsage(err) {
 		t.Errorf("-resume without -journal: err = %v, want usage error", err)
 	}
 }

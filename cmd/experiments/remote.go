@@ -41,6 +41,6 @@ func remoteRunner(baseURL string, params workload.Params) func(*trace.Trace, *pl
 		if _, err := workload.ByName(tr.App); err != nil {
 			return sim.Run(tr, pl, cfg)
 		}
-		return cl.SimulateCell(p, tr.App, pl.Algorithm, pl.Clusters, cfg, "")
+		return cl.SimulateCell(p, tr.App, pl.Algorithm, pl.Clusters, cfg)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // Figure 2 data.
 func TestRemoteSweepMatchesLocal(t *testing.T) {
 	localDir := t.TempDir()
-	if _, err := run(resumeSweep(localDir)); err != nil {
+	if err := run(resumeSweep(localDir)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -31,7 +31,7 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 	remoteDir := t.TempDir()
 	rcfg := resumeSweep(remoteDir)
 	rcfg.remote = ts.URL
-	if _, err := run(rcfg); err != nil {
+	if err := run(rcfg); err != nil {
 		t.Fatal(err)
 	}
 
@@ -60,7 +60,7 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 	cachedDir := t.TempDir()
 	ccfg := resumeSweep(cachedDir)
 	ccfg.remote = ts.URL
-	if _, err := run(ccfg); err != nil {
+	if err := run(ccfg); err != nil {
 		t.Fatal(err)
 	}
 	if st := srv.CacheStats(); st.Misses != missesBefore {
@@ -83,8 +83,8 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 func TestRemoteRejectsLocalWatchdogFlags(t *testing.T) {
 	cfg := resumeSweep(t.TempDir())
 	cfg.remote = "http://127.0.0.1:1"
-	cfg.crossCheck = 2
-	if _, err := run(cfg); err == nil {
-		t.Fatal("remote + crosscheck accepted")
+	cfg.maxSteps = 2
+	if err := run(cfg); err == nil {
+		t.Fatal("remote + maxsteps accepted")
 	}
 }

@@ -88,7 +88,6 @@ func startBenchCluster(n int, minCell time.Duration) (*benchCluster, error) {
 	for i := 0; i < n; i++ {
 		srv := serve.NewServer(serve.Options{
 			Workers:     1, // one simulation slot: a worker is one machine
-			SampleEvery: -1,
 			MinCellTime: minCell,
 		})
 		ts := httptest.NewServer(srv.Handler())

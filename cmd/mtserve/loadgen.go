@@ -207,7 +207,7 @@ func runLoadgen(log *slog.Logger, cfg loadgenConfig) error {
 	if err != nil {
 		return fmt.Errorf("loadgen: /healthz: %w", err)
 	}
-	if h.Status != "ok" && h.Status != "degraded" {
+	if h.Status != "ok" {
 		return fmt.Errorf("loadgen: /healthz status %q after load", h.Status)
 	}
 	if h.Jobs.Accepted == 0 || h.Jobs.Completed == 0 {

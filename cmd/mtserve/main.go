@@ -1,8 +1,6 @@
 // Command mtserve is the simulation-as-a-service daemon: the paper's
 // simulator behind a JSON HTTP API with a bounded job queue, a worker
-// pool, a content-addressed result cache and an engine guard that keeps
-// the server answering (on the reference engine) if the fast engine is
-// ever caught diverging.
+// pool, a content-addressed result cache and a per-cell watchdog.
 //
 // Usage:
 //
@@ -16,8 +14,7 @@
 // Shutdown is graceful: SIGTERM stops accepting work, in-flight cells
 // finish, queued jobs are handed back as retriable (their
 // content-addressed IDs make resubmission to a restarted server
-// idempotent), then the process exits — 0 healthy, 3 if the run was
-// degraded (fast engine benched).
+// idempotent), then the process exits 0.
 package main
 
 import (
@@ -62,14 +59,13 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("mtserve", flag.ContinueOnError)
 	var (
-		addr       = fs.String("addr", "127.0.0.1:8080", "listen address")
-		workers    = fs.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-		queue      = fs.Int("queue", 0, "job queue depth (0 = default, fits one maximal sweep)")
-		cacheSize  = fs.Int("cache", 4096, "result cache capacity (entries)")
-		maxSteps   = fs.Uint64("maxsteps", 0, "per-cell simulation step budget (0 = unlimited)")
-		timeout    = fs.Duration("timeout", 0, "per-cell wall-clock budget (0 = none)")
-		crossCheck = fs.Int("crosscheck", 16, "cross-check every Nth guarded run against the reference engine (0 = off)")
-		verbose    = fs.Bool("v", false, "verbose logging")
+		addr      = fs.String("addr", "127.0.0.1:8080", "listen address")
+		workers   = fs.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
+		queue     = fs.Int("queue", 0, "job queue depth (0 = default, fits one maximal sweep)")
+		cacheSize = fs.Int("cache", 4096, "result cache capacity (entries)")
+		maxSteps  = fs.Uint64("maxsteps", 0, "per-cell simulation step budget (0 = unlimited)")
+		timeout   = fs.Duration("timeout", 0, "per-cell wall-clock budget (0 = none)")
+		verbose   = fs.Bool("v", false, "verbose logging")
 
 		storeDir       = fs.String("store-dir", "", "durable result store directory: results persist across restarts and warm-start the cache (empty = memory only)")
 		webhookJournal = fs.String("webhook-journal", "", "journal path for webhook delivery state; pending deliveries survive restarts (empty = ephemeral)")
@@ -101,7 +97,6 @@ func run(args []string) int {
 		CacheEntries:     *cacheSize,
 		MaxSteps:         *maxSteps,
 		RequestTimeout:   *timeout,
-		SampleEvery:      *crossCheck,
 		StreamWindow:     *streamWindow,
 		DisableTelemetry: *noTelemetry,
 		Log:              log,
@@ -261,10 +256,6 @@ func serveMain(log *slog.Logger, addr string, opts serve.Options, cc coordConfig
 	defer cancel()
 	_ = hs.Shutdown(ctx)
 
-	if srv.Guard().Degraded() {
-		log.Info("exiting degraded: fast engine was benched during this run")
-		return obs.CodeDegraded
-	}
 	log.Info("mtserve exited cleanly")
 	return obs.CodeOK
 }

@@ -41,7 +41,6 @@ func startDaemon(t *testing.T, dir string) *daemon {
 		"-addr", "127.0.0.1:0",
 		"-store-dir", dir,
 		"-workers", "2",
-		"-crosscheck", "0",
 	}, "\x1f"))
 	stderr, err := cmd.StderrPipe()
 	if err != nil {

@@ -279,7 +279,7 @@ func pairedTrace() *trace.Trace {
 
 func TestMeasurePairTrafficAndLengths(t *testing.T) {
 	tr := pairedTrace()
-	pair, res, err := MeasurePairTraffic(tr, sim.DefaultConfig(1), sim.FastEngine)
+	pair, res, err := MeasurePairTraffic(tr, sim.DefaultConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestMeasurePairTrafficAndLengths(t *testing.T) {
 		t.Fatalf("lengths: %v", lengths)
 	}
 	// Measurement must refuse an empty trace.
-	if _, _, err := MeasurePairTraffic(trace.New("empty", 0), sim.DefaultConfig(1), sim.FastEngine); err == nil {
+	if _, _, err := MeasurePairTraffic(trace.New("empty", 0), sim.DefaultConfig(1)); err == nil {
 		t.Fatal("empty trace accepted")
 	}
 }

@@ -66,7 +66,7 @@ func Recommend(pair [][]uint64, lengths []uint64, procs int, current *placement.
 // trace by a one-thread-per-processor run (the paper's §4.2 measurement
 // step), returning the symmetrized matrix and the measurement Result.
 // cfg.Processors is overridden to the thread count.
-func MeasurePairTraffic(tr *trace.Trace, cfg sim.Config, eng sim.Engine) ([][]uint64, *sim.Result, error) {
+func MeasurePairTraffic(tr *trace.Trace, cfg sim.Config) ([][]uint64, *sim.Result, error) {
 	n := tr.NumThreads()
 	if n == 0 {
 		return nil, nil, fmt.Errorf("advise: trace has no threads")
@@ -78,7 +78,7 @@ func MeasurePairTraffic(tr *trace.Trace, cfg sim.Config, eng sim.Engine) ([][]ui
 	pl := &placement.Placement{Algorithm: "ONE-THREAD-PER-PROC", Clusters: clusters}
 	cfg.Processors = n
 	cfg.MaxContexts = 0
-	res, err := sim.RunEngine(tr, pl, cfg, eng)
+	res, err := sim.Run(tr, pl, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

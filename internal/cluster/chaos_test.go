@@ -92,9 +92,8 @@ func TestClusterChaos(t *testing.T) {
 			// Worker 0 is a single-slot straggler: when the disruption
 			// lands it is still mid-cell with a leased tail behind it.
 			tc.addWorker("w0", serve.Options{
-				Workers:     1,
-				SampleEvery: -1,
-				BeforeCell:  func() { time.Sleep(100 * time.Millisecond) },
+				Workers:    1,
+				BeforeCell: func() { time.Sleep(100 * time.Millisecond) },
 			})
 			for _, id := range []string{"w1", "w2", "w3"} {
 				tc.addWorker(id, serve.Options{Workers: 1})

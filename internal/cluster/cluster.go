@@ -287,7 +287,6 @@ type cellIdent struct {
 type cjob struct {
 	id       string
 	params   serve.Params
-	engine   string
 	infinite bool
 	cells    []cellIdent
 
@@ -390,14 +389,6 @@ var errNoWorkers = errors.New("no live workers registered")
 // errDraining refuses work during shutdown.
 var errDraining = errors.New("coordinator is draining")
 
-// normalizeEngine maps "" to the default engine label.
-func normalizeEngine(e string) string {
-	if e == "" {
-		return serve.EngineGuarded
-	}
-	return e
-}
-
 // resolveParams fills nil request params with the library defaults,
 // exactly as the workers do — coordinator and worker must agree on cell
 // identity.
@@ -429,8 +420,7 @@ func (c *Coordinator) SubmitSweepTraced(req *serve.SweepRequest, ctx obs.SpanCon
 		return serve.JobStatus{}, false, errNoWorkers
 	}
 	params := resolveParams(req.Params)
-	engine := normalizeEngine(req.Engine)
-	id := serve.SweepJobID(params, req, engine)
+	id := serve.SweepJobID(params, req)
 
 	c.mu.Lock()
 	if prev, ok := c.jobs[id]; ok {
@@ -444,7 +434,6 @@ func (c *Coordinator) SubmitSweepTraced(req *serve.SweepRequest, ctx obs.SpanCon
 	j := &cjob{
 		id:         id,
 		params:     params,
-		engine:     engine,
 		infinite:   req.Infinite,
 		webhookURL: req.WebhookURL,
 		status:     serve.StatusQueued,
@@ -455,7 +444,7 @@ func (c *Coordinator) SubmitSweepTraced(req *serve.SweepRequest, ctx obs.SpanCon
 			for _, p := range req.Procs {
 				j.cells = append(j.cells, cellIdent{
 					app: app, alg: alg, procs: p,
-					shard: CellShardKey(params, app, alg, p, req.Infinite, engine),
+					shard: CellShardKey(params, app, alg, p, req.Infinite),
 				})
 			}
 		}
@@ -484,7 +473,7 @@ func (c *Coordinator) SubmitSweepTraced(req *serve.SweepRequest, ctx obs.SpanCon
 	c.metrics.cellsTotal.Add(int64(len(j.cells)))
 	c.metrics.pendingCells.Add(int64(len(j.cells)))
 	if c.journal != nil {
-		if jerr := c.journal.jobAccepted(id, len(j.cells), engine); jerr != nil && c.opts.Log != nil {
+		if jerr := c.journal.jobAccepted(id, len(j.cells)); jerr != nil && c.opts.Log != nil {
 			c.opts.Log.Warn("journal write failed", "job", id, "err", jerr.Error())
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
+	"repro/internal/serve/rescache"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -86,9 +87,6 @@ func startCoordinator(t *testing.T, opts Options) *testCluster {
 // addWorker starts one worker and joins it to the cluster.
 func (tc *testCluster) addWorker(id string, wopts serve.Options) *testWorker {
 	tc.t.Helper()
-	if wopts.SampleEvery == 0 {
-		wopts.SampleEvery = -1
-	}
 	// Mirror production (cmd/mtserve): a clustered worker's spans carry
 	// its worker ID, so merged traces attribute work per worker.
 	if wopts.ServiceName == "" {
@@ -163,14 +161,14 @@ func groundTruth(t *testing.T) (map[loadgen.Cell]*sim.Result, []loadgen.Cell) {
 	return want, cells
 }
 
-// runSweep submits the testDims sweep with the given engine and waits it
-// to done, failing the test otherwise.
-func runSweep(t *testing.T, cl *client.Client, engine string) *serve.JobStatus {
+// runSweep submits the testDims sweep and waits it to done, failing the
+// test otherwise.
+func runSweep(t *testing.T, cl *client.Client) *serve.JobStatus {
 	t.Helper()
 	apps, algs, procs := testDims()
 	params := serve.Params{Scale: testScale, Seed: testSeed}
 	acc, err := cl.Sweep(&serve.SweepRequest{
-		Params: &params, Apps: apps, Algorithms: algs, Procs: procs, Engine: engine,
+		Params: &params, Apps: apps, Algorithms: algs, Procs: procs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,37 +207,36 @@ func assertResults(t *testing.T, st *serve.JobStatus, cells []loadgen.Cell, want
 
 // TestClusterSweepMatchesLocal: the tentpole differential — the same
 // sweep through a coordinator and 4 workers must deep-equal the direct
-// library results, cell for cell, on both engines.
+// library results, cell for cell. The subtest is named for the engine
+// label every sweep records (rescache.EngineLabel).
 func TestClusterSweepMatchesLocal(t *testing.T) {
 	want, cells := groundTruth(t)
-	for _, engine := range []string{serve.EngineGuarded, serve.EngineReference} {
-		t.Run(engine, func(t *testing.T) {
-			// Journaled, per the clustering acceptance bar: the journal's
-			// per-cell divergence tripwire rides along the differential.
-			opts := testCoordOptions()
-			opts.Journal = filepath.Join(t.TempDir(), "coord.mtj")
-			tc := startCoordinator(t, opts)
-			for i := 0; i < 4; i++ {
-				tc.addWorker(fmt.Sprintf("w%d", i), serve.Options{Workers: 2})
-			}
-			tc.waitLive(4)
-			st := runSweep(t, tc.client(), engine)
-			assertResults(t, st, cells, want)
+	t.Run(rescache.EngineLabel, func(t *testing.T) {
+		// Journaled, per the clustering acceptance bar: the journal's
+		// per-cell divergence tripwire rides along the differential.
+		opts := testCoordOptions()
+		opts.Journal = filepath.Join(t.TempDir(), "coord.mtj")
+		tc := startCoordinator(t, opts)
+		for i := 0; i < 4; i++ {
+			tc.addWorker(fmt.Sprintf("w%d", i), serve.Options{Workers: 2})
+		}
+		tc.waitLive(4)
+		st := runSweep(t, tc.client())
+		assertResults(t, st, cells, want)
 
-			snap := tc.coord.Metrics().Snapshot()
-			if got := snap["coordinator_cells_completed_total"]; got != int64(len(cells)) {
-				t.Errorf("coordinator recorded %d completions for %d cells", got, len(cells))
-			}
-			if snap["coordinator_pending_cells"] != 0 {
-				t.Errorf("pending cells gauge %d after completion", snap["coordinator_pending_cells"])
-			}
-		})
-	}
+		snap := tc.coord.Metrics().Snapshot()
+		if got := snap["coordinator_cells_completed_total"]; got != int64(len(cells)) {
+			t.Errorf("coordinator recorded %d completions for %d cells", got, len(cells))
+		}
+		if snap["coordinator_pending_cells"] != 0 {
+			t.Errorf("pending cells gauge %d after completion", snap["coordinator_pending_cells"])
+		}
+	})
 }
 
 // TestClusterSimulateProxyMatchesWorker: /v1/simulate through the
-// coordinator — including explicit placements, on both engines — returns
-// exactly what a worker returns directly.
+// coordinator — including explicit placements — returns exactly what a
+// worker returns directly.
 func TestClusterSimulateProxyMatchesWorker(t *testing.T) {
 	tc := startCluster(t, 3, serve.Options{Workers: 2})
 	params := serve.Params{Scale: testScale, Seed: testSeed}
@@ -257,7 +254,7 @@ func TestClusterSimulateProxyMatchesWorker(t *testing.T) {
 
 	reqs := []*serve.SimulateRequest{
 		{Params: &params, App: "MP3D", Algorithm: "LOAD-BAL", Procs: 4},
-		{Params: &params, App: "Gauss", Algorithm: "RANDOM", Procs: 2, Engine: serve.EngineReference},
+		{Params: &params, App: "Gauss", Algorithm: "RANDOM", Procs: 2},
 		{Params: &params, App: "MP3D", Procs: 4,
 			Placement: &serve.PlacementSpec{Algorithm: pl.Algorithm, Clusters: pl.Clusters}},
 	}
@@ -380,7 +377,7 @@ func TestClusterSimulateAffinity(t *testing.T) {
 func TestClusterIdempotentResubmit(t *testing.T) {
 	tc := startCluster(t, 2, serve.Options{Workers: 2})
 	cl := tc.client()
-	st := runSweep(t, cl, "")
+	st := runSweep(t, cl)
 
 	apps, algs, procs := testDims()
 	params := serve.Params{Scale: testScale, Seed: testSeed}
@@ -425,9 +422,8 @@ func TestWorkStealingDrainsStraggler(t *testing.T) {
 
 	tc := startCoordinator(t, testCoordOptions())
 	tc.addWorker("slow", serve.Options{
-		Workers:     1,
-		SampleEvery: -1,
-		BeforeCell:  func() { time.Sleep(150 * time.Millisecond) },
+		Workers:    1,
+		BeforeCell: func() { time.Sleep(150 * time.Millisecond) },
 	})
 	tc.addWorker("fast0", serve.Options{Workers: 2})
 	tc.addWorker("fast1", serve.Options{Workers: 2})
@@ -461,7 +457,7 @@ func TestWorkStealingDrainsStraggler(t *testing.T) {
 // series.
 func TestClusterHealthAndMetrics(t *testing.T) {
 	tc := startCluster(t, 2, serve.Options{Workers: 2})
-	runSweep(t, tc.client(), "")
+	runSweep(t, tc.client())
 
 	h, err := tc.client().Health()
 	if err != nil {
@@ -532,9 +528,8 @@ func TestCoordinatorJournalRecovery(t *testing.T) {
 	opts.Journal = journal
 	tc := startCoordinator(t, opts)
 	tc.addWorker("w0", serve.Options{
-		Workers:     1,
-		SampleEvery: -1,
-		BeforeCell:  func() { time.Sleep(100 * time.Millisecond) },
+		Workers:    1,
+		BeforeCell: func() { time.Sleep(100 * time.Millisecond) },
 	})
 	tc.waitLive(1)
 
@@ -577,7 +572,7 @@ func TestCoordinatorJournalRecovery(t *testing.T) {
 	// identical sweep, and the rerun completes byte-identical.
 	tc2.addWorker("w0", serve.Options{Workers: 2})
 	tc2.waitLive(1)
-	st2 := runSweep(t, tc2.client(), "")
+	st2 := runSweep(t, tc2.client())
 	if st2.Job != acc.Job {
 		t.Fatalf("resubmission mapped to %s, want %s", st2.Job, acc.Job)
 	}
@@ -596,7 +591,7 @@ func TestJournalDivergenceDetected(t *testing.T) {
 	if len(interrupted) != 0 {
 		t.Fatalf("fresh journal replayed %d interrupted jobs", len(interrupted))
 	}
-	if err := cj.jobAccepted("sw-x", 2, "guarded"); err != nil {
+	if err := cj.jobAccepted("sw-x", 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := cj.cellDone("sw-x", 0, "key-A"); err != nil {
@@ -611,6 +606,11 @@ func TestJournalDivergenceDetected(t *testing.T) {
 	defer cj2.close()
 	if len(interrupted) != 1 || interrupted[0] != "sw-x" {
 		t.Fatalf("interrupted jobs %v, want [sw-x]", interrupted)
+	}
+	// The job/ record's value is the cell count and the fixed engine
+	// label: the bytes existing journals hold.
+	if v, ok := cj2.j.Done("job/sw-x"); !ok || v != "2 guarded" {
+		t.Errorf("job record %q, want %q", v, "2 guarded")
 	}
 	if err := cj2.cellDone("sw-x", 0, "key-A"); err != nil {
 		t.Errorf("matching re-execution rejected: %v", err)

@@ -30,7 +30,7 @@ func TestClusterStoreRestoresResubmittedSweep(t *testing.T) {
 	tc1 := startCoordinator(t, opts1)
 	tc1.addWorker("w0", serve.Options{Workers: 2})
 	tc1.waitLive(1)
-	first := runSweep(t, tc1.client(), "")
+	first := runSweep(t, tc1.client())
 	assertResults(t, first, cells, want)
 	for _, w := range tc1.workers {
 		w.kill()
@@ -53,7 +53,7 @@ func TestClusterStoreRestoresResubmittedSweep(t *testing.T) {
 	tc2 := startCoordinator(t, opts2)
 	tc2.addWorker("w1", serve.Options{Workers: 2})
 	tc2.waitLive(1)
-	second := runSweep(t, tc2.client(), "")
+	second := runSweep(t, tc2.client())
 	assertResults(t, second, cells, want)
 
 	for i, r := range second.Results {
@@ -141,7 +141,7 @@ func TestStoredCellResultEnvelope(t *testing.T) {
 	want, cells := groundTruth(t)
 	c := cells[0]
 	params := serve.Params{Scale: testScale, Seed: testSeed}
-	shard := CellShardKey(params, c.App, c.Alg, c.Procs, false, serve.EngineGuarded)
+	shard := CellShardKey(params, c.App, c.Alg, c.Procs, false)
 	cell := cellIdent{shard: shard, app: c.App, alg: c.Alg, procs: c.Procs}
 	cr := serve.CellResult{
 		App: c.App, Algorithm: c.Alg, Procs: c.Procs,

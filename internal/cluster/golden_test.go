@@ -20,32 +20,26 @@ func TestShardKeyGolden(t *testing.T) {
 		app, alg string
 		procs    int
 		infinite bool
-		engine   string
 		want     string
 	}{
 		{
 			name: "baseline cell", params: p,
-			app: "MP3D", alg: "LOAD-BAL", procs: 4, engine: serve.EngineGuarded,
+			app: "MP3D", alg: "LOAD-BAL", procs: 4,
 			want: "bcd927c80050348a8d800736925555f74cdadb84268954ee314c224897eccd44",
 		},
 		{
-			name: "engine changes the key", params: p,
-			app: "MP3D", alg: "LOAD-BAL", procs: 4, engine: serve.EngineReference,
-			want: "6a3537878fb147bd8a36dd3003672ecb28222cb851ea1fb020b95fe698486bba",
-		},
-		{
 			name: "infinite cache mode changes the key", params: p,
-			app: "MP3D", alg: "LOAD-BAL", procs: 4, infinite: true, engine: serve.EngineGuarded,
+			app: "MP3D", alg: "LOAD-BAL", procs: 4, infinite: true,
 			want: "14806be521e12ed7cee4f86bbfca3b0bc67d1b443eaece6b0bd0d29c1baf2f5b",
 		},
 		{
 			name: "params change the key", params: serve.Params{Scale: 0.25, Seed: 7},
-			app: "Gauss", alg: "SHARE-ADDR", procs: 8, engine: serve.EngineGuarded,
+			app: "Gauss", alg: "SHARE-ADDR", procs: 8,
 			want: "090c5b4d6c491b79bb6a41361692a29d1a3ca6e6f397d4fd3abec8df03fbfe31",
 		},
 	}
 	for _, c := range cases {
-		got := CellShardKey(c.params, c.app, c.alg, c.procs, c.infinite, c.engine).String()
+		got := CellShardKey(c.params, c.app, c.alg, c.procs, c.infinite).String()
 		if got != c.want {
 			t.Errorf("%s:\n  got  %s\n  want %s", c.name, got, c.want)
 		}
@@ -69,7 +63,7 @@ func TestRendezvousGolden(t *testing.T) {
 		{"Water", "SHARE-ADDR", 8, "w0"},
 	}
 	for _, c := range cases {
-		key := CellShardKey(p, c.app, c.alg, c.procs, false, serve.EngineGuarded)
+		key := CellShardKey(p, c.app, c.alg, c.procs, false)
 		if got := pickWorker(key, workers); got != c.want {
 			t.Errorf("%s/%s/p%d routed to %s, want %s", c.app, c.alg, c.procs, got, c.want)
 		}
@@ -82,7 +76,7 @@ func TestRendezvousGolden(t *testing.T) {
 	}
 	// Minimal-reshuffle property: removing a non-winning worker leaves
 	// the choice intact.
-	key := CellShardKey(p, "MP3D", "LOAD-BAL", 4, false, serve.EngineGuarded)
+	key := CellShardKey(p, "MP3D", "LOAD-BAL", 4, false)
 	winner := pickWorker(key, workers)
 	var without []string
 	for _, w := range workers {

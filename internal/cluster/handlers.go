@@ -126,8 +126,7 @@ func (c *Coordinator) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		procs = req.Config.Processors
 	}
 	params := resolveParams(req.Params)
-	engine := normalizeEngine(req.Engine)
-	key := CellShardKey(params, req.App, alg, procs, req.Infinite, engine)
+	key := CellShardKey(params, req.App, alg, procs, req.Infinite)
 
 	now := time.Now()
 	live := c.liveWorkerIDs(now)
@@ -191,7 +190,7 @@ func (c *Coordinator) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	}
 
 	params := resolveParams(req.Params)
-	key := CellShardKey(params, req.App, "ADVISE", req.Procs, false, normalizeEngine(req.Engine))
+	key := CellShardKey(params, req.App, "ADVISE", req.Procs, false)
 
 	now := time.Now()
 	live := c.liveWorkerIDs(now)
@@ -241,7 +240,6 @@ func (c *Coordinator) handlePlacements(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, serve.PlacementsResponse{
 		Apps:       workload.Names(),
 		Algorithms: placement.Names(),
-		Engines:    serve.Engines(),
 	})
 }
 

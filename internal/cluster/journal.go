@@ -6,12 +6,14 @@ import (
 	"sync"
 
 	"repro/internal/resilience"
+	"repro/internal/serve/rescache"
 )
 
 // Crash recovery reuses the MTJ1 journal from internal/resilience. The
 // coordinator records three kinds of keys:
 //
-//	job/<id>            accepted sweep (value: "<cells> <engine>")
+//	job/<id>            accepted sweep (value: "<cells> guarded", the
+//	                    fixed rescache.EngineLabel)
 //	cell/<id>/<idx>     finished cell (value: its result-cache key)
 //	done/<id>           terminal job (value: final status)
 //
@@ -58,14 +60,14 @@ func openCoordJournal(path string) (*coordJournal, []string, error) {
 }
 
 // jobAccepted records a sweep acceptance (idempotent per ID).
-func (cj *coordJournal) jobAccepted(id string, cells int, engine string) error {
+func (cj *coordJournal) jobAccepted(id string, cells int) error {
 	cj.mu.Lock()
 	defer cj.mu.Unlock()
 	key := "job/" + id
 	if _, ok := cj.j.Done(key); ok {
 		return nil
 	}
-	return cj.j.Record(key, fmt.Sprintf("%d %s", cells, engine))
+	return cj.j.Record(key, fmt.Sprintf("%d %s", cells, rescache.EngineLabel))
 }
 
 // cellDone records one finished cell's result key, cross-checking any

@@ -267,7 +267,6 @@ func (c *Coordinator) grantLease(j *cjob, w *worker, cells []int, leaseSeq *int)
 	req := &serve.LeaseRequest{
 		Lease:    leaseID,
 		Params:   &j.params,
-		Engine:   j.engine,
 		Infinite: j.infinite,
 		Cells:    make([]serve.LeaseCell, len(cells)),
 	}

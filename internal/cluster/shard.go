@@ -34,12 +34,13 @@ const shardKeyVersion = "mtcoord-shard-v1"
 
 // CellShardKey derives the routing content address of one sweep cell.
 // It folds in everything that identifies the cell at the request level —
-// workload params, app, placement algorithm, machine size, cache mode
-// and engine — mirroring the inputs of the workers' own result-cache
-// keys (rescache.KeyOf needs the resolved placement, which only the
-// worker derives; the request-level identity is a strict function of
-// these fields, so equal shard keys imply equal result-cache keys).
-func CellShardKey(params serve.Params, app, algorithm string, procs int, infinite bool, engine string) rescache.Key {
+// workload params, app, placement algorithm, machine size and cache mode,
+// plus the fixed rescache.EngineLabel — mirroring the inputs of the
+// workers' own result-cache keys (rescache.KeyOf needs the resolved
+// placement, which only the worker derives; the request-level identity
+// is a strict function of these fields, so equal shard keys imply equal
+// result-cache keys).
+func CellShardKey(params serve.Params, app, algorithm string, procs int, infinite bool) rescache.Key {
 	return rescache.SumStrings(shardKeyVersion,
 		fmt.Sprintf("scale=%g", params.Scale),
 		fmt.Sprintf("seed=%d", params.Seed),
@@ -47,7 +48,7 @@ func CellShardKey(params serve.Params, app, algorithm string, procs int, infinit
 		"alg="+algorithm,
 		fmt.Sprintf("procs=%d", procs),
 		fmt.Sprintf("infinite=%t", infinite),
-		"engine="+engine,
+		"engine="+rescache.EngineLabel,
 	)
 }
 

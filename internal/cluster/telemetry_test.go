@@ -94,9 +94,8 @@ func fetchTraceSpans(t *testing.T, base, trace string) serve.TraceSpans {
 func TestClusterTracePropagation(t *testing.T) {
 	tc := startCoordinator(t, testCoordOptions())
 	tc.addWorker("slow", serve.Options{
-		Workers:     1,
-		SampleEvery: -1,
-		BeforeCell:  func() { time.Sleep(150 * time.Millisecond) },
+		Workers:    1,
+		BeforeCell: func() { time.Sleep(150 * time.Millisecond) },
 	})
 	tc.addWorker("fast0", serve.Options{Workers: 2})
 	tc.addWorker("fast1", serve.Options{Workers: 2})
@@ -187,9 +186,8 @@ func TestClusterTraceChaos(t *testing.T) {
 	// w0 is a single-slot straggler so it reliably holds leased cells
 	// when the kill lands.
 	tc.addWorker("w0", serve.Options{
-		Workers:     1,
-		SampleEvery: -1,
-		BeforeCell:  func() { time.Sleep(100 * time.Millisecond) },
+		Workers:    1,
+		BeforeCell: func() { time.Sleep(100 * time.Millisecond) },
 	})
 	for _, id := range []string{"w1", "w2", "w3"} {
 		tc.addWorker(id, serve.Options{Workers: 1})

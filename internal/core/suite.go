@@ -32,8 +32,8 @@ type Options struct {
 	Parallelism int
 	// Runner, when non-nil, replaces sim.Run for every static-placement
 	// simulation the suite performs. Installing a runner — typically a
-	// resilience.EngineGuard's Run method — threads watchdogs and
-	// runtime engine cross-checking through every cell of a sweep.
+	// resilience.EngineGuard's Run method — threads a watchdog through
+	// every cell of a sweep.
 	Runner func(*trace.Trace, *placement.Placement, sim.Config) (*sim.Result, error)
 	// DynRunner is the same hook for dynamic-scheduling simulations;
 	// nil means sim.RunDynamic.

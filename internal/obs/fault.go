@@ -1,11 +1,9 @@
 package obs
 
-// Resilience events: the robustness layer (internal/resilience, the sim
-// watchdog) reports faults through the same probe plumbing as
-// architectural events, so a timeline or counter view of a run also shows
-// when a watchdog fired or an engine was benched. Faults are rare,
-// cold-path events — none of the emission sites sit on the per-event hot
-// loop.
+// Resilience events: the sim watchdog reports faults through the same
+// probe plumbing as architectural events, so a timeline or counter view
+// of a run also shows when a watchdog fired. Faults are rare, cold-path
+// events — none of the emission sites sit on the per-event hot loop.
 
 // FaultKind classifies a resilience event.
 type FaultKind uint8
@@ -13,12 +11,6 @@ type FaultKind uint8
 const (
 	// FaultWatchdog: a run exceeded its step budget or was canceled.
 	FaultWatchdog FaultKind = iota
-	// FaultDivergence: a runtime cross-check caught the fast engine
-	// disagreeing with the reference engine.
-	FaultDivergence
-	// FaultFallback: the sweep switched to the reference engine for the
-	// remainder of the run.
-	FaultFallback
 	// FaultInjected: a deliberately injected fault (tests only).
 	FaultInjected
 	// NumFaultKinds is the number of fault kinds.
@@ -30,10 +22,6 @@ func (k FaultKind) String() string {
 	switch k {
 	case FaultWatchdog:
 		return "watchdog"
-	case FaultDivergence:
-		return "divergence"
-	case FaultFallback:
-		return "fallback"
 	case FaultInjected:
 		return "injected"
 	}

@@ -13,19 +13,19 @@ func TestSamplerFaultMarks(t *testing.T) {
 	s.RunBegin(RunMeta{App: "toy", Threads: 1, Processors: 1})
 	s.CacheHit(10, 0, 0)
 	s.Fault(42, FaultWatchdog)
-	s.Fault(190, FaultFallback)
+	s.Fault(190, FaultInjected)
 	s.RunEnd(200)
 
 	marks := s.Faults()
 	if len(marks) != 2 {
 		t.Fatalf("got %d marks, want 2", len(marks))
 	}
-	if marks[0] != (FaultMark{T: 42, Kind: FaultWatchdog}) || marks[1] != (FaultMark{T: 190, Kind: FaultFallback}) {
+	if marks[0] != (FaultMark{T: 42, Kind: FaultWatchdog}) || marks[1] != (FaultMark{T: 190, Kind: FaultInjected}) {
 		t.Errorf("marks = %+v", marks)
 	}
 
 	tab := s.Table()
-	if !strings.Contains(tab.Note, "watchdog@t=42") || !strings.Contains(tab.Note, "fallback@t=190") {
+	if !strings.Contains(tab.Note, "watchdog@t=42") || !strings.Contains(tab.Note, "injected@t=190") {
 		t.Errorf("table note %q missing fault marks", tab.Note)
 	}
 	if len(tab.Columns) != 18 {

@@ -33,17 +33,12 @@ func NewLogger(w io.Writer, verbose bool) *slog.Logger {
 	}))
 }
 
-// Process exit codes shared by the commands. Scripts driving long sweeps
-// branch on these: 0/1/2 are the conventional success/error/usage trio,
-// and CodeDegraded distinguishes "the numbers are correct but were
-// produced in degraded mode" (e.g. the fast engine was benched after a
-// divergence and the sweep finished on the reference engine) from both
-// clean success and hard failure.
+// Process exit codes shared by the commands: the conventional
+// success/error/usage trio scripts driving long sweeps branch on.
 const (
-	CodeOK       = 0
-	CodeError    = 1
-	CodeUsage    = 2
-	CodeDegraded = 3
+	CodeOK    = 0
+	CodeError = 1
+	CodeUsage = 2
 )
 
 // UsageError marks a command-line validation failure: the command should

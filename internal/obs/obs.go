@@ -109,10 +109,9 @@ type Probe interface {
 	// bookkeeping: the two engines agree on every architectural event
 	// above, but may momentarily disagree on stale-entry counts here.
 	QueueDepth(t uint64, depth int)
-	// Fault: a resilience event (watchdog trip, engine divergence,
-	// fallback engagement) at time t. Fault events are emitted by the
-	// robustness layer, not the architectural simulation, and are always
-	// cold-path.
+	// Fault: a resilience event (a watchdog trip) at time t. Fault
+	// events are emitted by the robustness layer, not the architectural
+	// simulation, and are always cold-path.
 	Fault(t uint64, kind FaultKind)
 	// Migrate: online adaptive placement moved a thread from processor
 	// from to processor to at a detection boundary at time t. Emitted

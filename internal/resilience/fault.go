@@ -1,13 +1,12 @@
 // Package resilience is the simulator's robustness layer: deterministic
 // I/O fault injection for proving the trace pipeline detects corruption
 // (fault.go), a crash-safe journal of completed sweep sections behind
-// cmd/experiments' -resume (journal.go), and a runtime divergence guard
-// that benches the fast engine and falls back to the reference engine if
-// the two ever disagree on a sampled cell (guard.go).
+// cmd/experiments' -resume (journal.go), and the engine guard that runs
+// every sweep and service cell under a shared watchdog (guard.go).
 //
 // Nothing here sits on a simulation hot path: faults are injected at I/O
 // boundaries, the journal is touched once per sweep section, and the
-// divergence guard adds work only on the sampled cells it re-simulates.
+// guard adds one counter increment per cell.
 package resilience
 
 import (

@@ -1,9 +1,7 @@
 package resilience
 
 import (
-	"fmt"
-	"reflect"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/placement"
@@ -11,236 +9,50 @@ import (
 	"repro/internal/trace"
 )
 
-// EngineGuard runs simulation cells on the fast engine while
-// cross-checking a deterministic sample of them against the reference
-// engine at runtime. The differential test suite already proves the two
-// engines agree on the checked-in workloads; the guard covers the gap the
-// suite cannot — the exact traces, configs and placements of a production
-// sweep — and turns "the fast engine silently produced wrong numbers" into
-// "the sweep finished on the reference engine and told you".
-//
-// On the first divergence the guard trips permanently: the divergent
-// cell's reference result is returned (the reference engine is the
-// oracle), OnFallback fires once with the report, and every subsequent
-// run uses the reference engine. The sweep completes with correct
-// numbers, slower, and the driver exits with the distinct "degraded"
-// code.
+// EngineGuard runs simulation cells on the fast engine under one shared
+// watchdog (step budget and cancellation) and counts them. It is the
+// hook a sweep installs as core.Suite's Runner and DynRunner, and the
+// runner behind every mtserve cell. Correctness of the fast engine is
+// proven at test time (the differential, property and fuzz suites against
+// the reference engine), not re-checked at runtime.
 //
 // The guard is safe for concurrent use; core.Suite runs cells in
 // parallel.
 type EngineGuard struct {
-	// SampleEvery cross-checks every Nth run (1 = every run, 0 disables
-	// cross-checking; the guard then only forwards to the fast engine,
-	// which makes the overhead of the wrapper itself measurable).
-	SampleEvery int
-	// Guard is the watchdog applied to every run (zero = unbounded).
+	// Guard is the watchdog applied by Run and RunDynamic (zero =
+	// unbounded); RunOnline takes its own per call.
 	Guard sim.Guard
-	// Probe, when non-nil, receives Fault events on divergence and
-	// fallback. It is invoked under the guard's lock — cold path only.
-	Probe obs.Probe
-	// OnFallback, when non-nil, fires exactly once, on the run that
-	// detected the divergence.
-	OnFallback func(DivergenceReport)
 
-	mu          sync.Mutex
-	runs        uint64
-	crossChecks uint64
-	degraded    bool
-	report      *DivergenceReport
+	runs atomic.Uint64
 }
 
-// DivergenceReport describes a caught fast-engine divergence.
-type DivergenceReport struct {
-	// App, Algorithm and Processors identify the divergent cell.
-	App, Algorithm string
-	Processors     int
-	// RunIndex is the 1-based guarded-run count at detection.
-	RunIndex uint64
-	// FastExec and RefExec are the two engines' execution times.
-	FastExec, RefExec uint64
-	// Detail summarizes where the results differ.
-	Detail string
-}
-
-// String renders the report for logs.
-func (r DivergenceReport) String() string {
-	return fmt.Sprintf("engine divergence on %s/%s (%d procs, run %d): fast exec %d vs reference %d; %s",
-		r.App, r.Algorithm, r.Processors, r.RunIndex, r.FastExec, r.RefExec, r.Detail)
-}
-
-// Degraded reports whether the guard has benched the fast engine.
-func (g *EngineGuard) Degraded() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.degraded
-}
-
-// Report returns the divergence report, or nil while healthy.
-func (g *EngineGuard) Report() *DivergenceReport {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.report == nil {
-		return nil
-	}
-	rep := *g.report
-	return &rep
-}
-
-// Stats returns the number of guarded runs and of reference cross-checks
-// performed so far.
+// Stats returns the number of guarded runs and of reference-engine cross
+// checks, which is always 0: the guard never re-runs a cell on the
+// reference engine. The method keeps its two-value shape because the
+// benchmark of record (perfbench) reads it.
 func (g *EngineGuard) Stats() (runs, crossChecks uint64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.runs, g.crossChecks
+	return g.runs.Load(), 0
 }
 
 // Run simulates one cell through the guard. It matches sim.Run's
 // signature, so core.Suite can adopt it as its Runner unchanged.
 func (g *EngineGuard) Run(tr *trace.Trace, pl *placement.Placement, cfg sim.Config) (*sim.Result, error) {
-	return g.RunCell(tr, pl, cfg, nil, g.Guard)
+	return g.RunOnline(tr, pl, cfg, sim.OnlineOptions{}, nil, g.Guard)
 }
 
-// RunCell is Run with a per-call probe and watchdog: the serving layer
-// gives every HTTP request its own cancellation flag and step budget
-// while all requests share one guard (and therefore one degraded/benched
-// state). The probe attaches to the authoritative run — the fast engine
-// while healthy, the reference engine once benched — never to the sampled
-// cross-check run, so probe counts always describe the result returned.
-func (g *EngineGuard) RunCell(tr *trace.Trace, pl *placement.Placement, cfg sim.Config, probe obs.Probe, guard sim.Guard) (*sim.Result, error) {
-	g.mu.Lock()
-	g.runs++
-	run := g.runs
-	degraded := g.degraded
-	check := !degraded && g.SampleEvery > 0 && run%uint64(g.SampleEvery) == 0
-	if check {
-		g.crossChecks++
-	}
-	g.mu.Unlock()
-
-	if degraded {
-		return sim.RunGuarded(tr, pl, cfg, sim.ReferenceEngine, probe, guard)
-	}
-	fast, err := sim.RunGuarded(tr, pl, cfg, sim.FastEngine, probe, guard)
-	if err != nil {
-		return nil, err
-	}
-	if !check {
-		return fast, nil
-	}
-	ref, err := sim.RunGuarded(tr, pl, cfg, sim.ReferenceEngine, nil, guard)
-	if err != nil {
-		return nil, err
-	}
-	if reflect.DeepEqual(fast, ref) {
-		return fast, nil
-	}
-
-	// Divergence: the reference engine is the oracle — its result stands,
-	// the fast engine is benched for the rest of the process.
-	rep := DivergenceReport{
-		App: tr.App, Algorithm: pl.Algorithm, Processors: cfg.Processors,
-		RunIndex: run, FastExec: fast.ExecTime, RefExec: ref.ExecTime,
-		Detail: divergenceDetail(fast, ref),
-	}
-	g.mu.Lock()
-	first := !g.degraded
-	if first {
-		g.degraded = true
-		g.report = &rep
-	}
-	if g.Probe != nil {
-		g.Probe.Fault(ref.ExecTime, obs.FaultDivergence)
-		if first {
-			g.Probe.Fault(ref.ExecTime, obs.FaultFallback)
-		}
-	}
-	g.mu.Unlock()
-	if first && g.OnFallback != nil {
-		g.OnFallback(rep)
-	}
-	return ref, nil
-}
-
-// RunOnline is RunCell for online adaptive-placement cells: the same
-// fast-first/cross-check/bench discipline, with sim.RunOnlineGuarded on
-// both sides so the sampled reference run replays the identical
-// boundary decisions and migrations. With opts disabled this is exactly
-// RunCell — sim.RunOnlineGuarded delegates to sim.RunGuarded.
+// RunOnline runs one cell, static or online adaptive, with a per-call
+// probe and watchdog: the serving layer gives every HTTP request its own
+// cancellation flag and step budget while all requests share one guard.
+// With opts disabled it is a static run, exactly like Run.
 func (g *EngineGuard) RunOnline(tr *trace.Trace, pl *placement.Placement, cfg sim.Config, opts sim.OnlineOptions, probe obs.Probe, guard sim.Guard) (*sim.Result, error) {
-	g.mu.Lock()
-	g.runs++
-	run := g.runs
-	degraded := g.degraded
-	check := !degraded && g.SampleEvery > 0 && run%uint64(g.SampleEvery) == 0
-	if check {
-		g.crossChecks++
-	}
-	g.mu.Unlock()
-
-	if degraded {
-		return sim.RunOnlineGuarded(tr, pl, cfg, sim.ReferenceEngine, opts, probe, guard)
-	}
-	fast, err := sim.RunOnlineGuarded(tr, pl, cfg, sim.FastEngine, opts, probe, guard)
-	if err != nil {
-		return nil, err
-	}
-	if !check {
-		return fast, nil
-	}
-	ref, err := sim.RunOnlineGuarded(tr, pl, cfg, sim.ReferenceEngine, opts, nil, guard)
-	if err != nil {
-		return nil, err
-	}
-	if reflect.DeepEqual(fast, ref) {
-		return fast, nil
-	}
-
-	rep := DivergenceReport{
-		App: tr.App, Algorithm: pl.Algorithm, Processors: cfg.Processors,
-		RunIndex: run, FastExec: fast.ExecTime, RefExec: ref.ExecTime,
-		Detail: divergenceDetail(fast, ref),
-	}
-	g.mu.Lock()
-	first := !g.degraded
-	if first {
-		g.degraded = true
-		g.report = &rep
-	}
-	if g.Probe != nil {
-		g.Probe.Fault(ref.ExecTime, obs.FaultDivergence)
-		if first {
-			g.Probe.Fault(ref.ExecTime, obs.FaultFallback)
-		}
-	}
-	g.mu.Unlock()
-	if first && g.OnFallback != nil {
-		g.OnFallback(rep)
-	}
-	return ref, nil
+	g.runs.Add(1)
+	return sim.RunOnlineGuarded(tr, pl, cfg, sim.FastEngine, opts, probe, guard)
 }
 
 // RunDynamic simulates a dynamic-scheduling cell under the guard's
-// watchdog. Dynamic runs always execute on the reference machine, so
-// there is no engine pair to cross-check — only the step budget applies.
+// watchdog. It matches sim.RunDynamic's signature (core.Suite's
+// DynRunner).
 func (g *EngineGuard) RunDynamic(tr *trace.Trace, cfg sim.Config, policy sim.SchedulePolicy) (*sim.Result, error) {
-	g.mu.Lock()
-	g.runs++
-	g.mu.Unlock()
+	g.runs.Add(1)
 	return sim.RunDynamicGuarded(tr, cfg, policy, nil, g.Guard)
-}
-
-// divergenceDetail points at the first field the two results disagree on.
-func divergenceDetail(fast, ref *sim.Result) string {
-	switch {
-	case fast.ExecTime != ref.ExecTime:
-		return "execution times differ"
-	case !reflect.DeepEqual(fast.Procs, ref.Procs):
-		return "per-processor statistics differ"
-	case !reflect.DeepEqual(fast.PairTraffic, ref.PairTraffic):
-		return "pairwise traffic matrices differ"
-	case !reflect.DeepEqual(fast.ThreadFinish, ref.ThreadFinish):
-		return "thread finish times differ"
-	default:
-		return "results differ outside the headline fields"
-	}
 }

@@ -49,11 +49,6 @@ type AdviseRequest struct {
 	// Current, when set, is the caller's current placement; the reply's
 	// predicted savings compare the recommendation against it.
 	Current *PlacementSpec `json:"current,omitempty"`
-	// Engine selects the measurement engine for the trace_mtt2 source
-	// ("reference" forces the reference engine; anything else measures on
-	// the fast engine). The app source always measures through the
-	// suite's memoized pipeline.
-	Engine string `json:"engine,omitempty"`
 	// MemLatency overrides the cycle value of one avoided remote
 	// coherence event in the savings prediction (0 = the server's
 	// configured memory latency).
@@ -98,9 +93,6 @@ func DecodeAdviseRequest(r io.Reader) (*AdviseRequest, error) {
 // is the complete acceptance predicate for untrusted input.
 func (r *AdviseRequest) Validate() error {
 	if err := validateParams(r.Params); err != nil {
-		return err
-	}
-	if err := validateEngine(r.Engine); err != nil {
 		return err
 	}
 	sources := 0
@@ -235,12 +227,8 @@ func (s *Server) advise(req *AdviseRequest, sctx obs.SpanContext) (*AdviseRespon
 		} else {
 			memLat = cfg.MemLatency
 		}
-		eng := sim.FastEngine
-		if req.Engine == EngineReference {
-			eng = sim.ReferenceEngine
-		}
 		measureStart := time.Now()
-		pair, _, err = advise.MeasurePairTraffic(tr, cfg, eng)
+		pair, _, err = advise.MeasurePairTraffic(tr, cfg)
 		if err != nil {
 			return nil, err
 		}

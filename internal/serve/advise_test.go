@@ -101,7 +101,7 @@ func TestAdviseTraceSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sim.DefaultConfig(tr.NumThreads())
-	pair, _, err := advise.MeasurePairTraffic(tr, cfg, sim.FastEngine)
+	pair, _, err := advise.MeasurePairTraffic(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

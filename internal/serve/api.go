@@ -5,18 +5,17 @@
 //	POST /v1/sweep      a cell cross-product, asynchronous: returns a job ID
 //	POST /v1/advise     recommend a placement from measured sharing, synchronous
 //	GET  /v1/jobs/{id}  poll a sweep job's status and results
-//	GET  /v1/placements catalog of apps, placement algorithms, engines
-//	GET  /healthz       liveness, queue/worker/cache state, degradation
+//	GET  /v1/placements catalog of apps and placement algorithms
+//	GET  /healthz       liveness, queue/worker/cache state
 //	GET  /metrics       process counters in Prometheus text format
 //
 // Every simulation flows through a bounded job queue drained by a worker
 // pool; a full queue answers 429 with Retry-After (backpressure, never
 // unbounded buffering). Results are memoized in a content-addressed LRU
 // (internal/serve/rescache) keyed exactly the way core.Suite memoizes
-// locally, so repeated and overlapping sweeps are served from cache. The
-// default runner is a resilience.EngineGuard: a fast-engine divergence
-// benches the engine but the server keeps answering (correctly, slower)
-// and reports "degraded" in /healthz.
+// locally, so repeated and overlapping sweeps are served from cache. Every
+// cell runs on the fast engine through a resilience.EngineGuard, which
+// applies the per-cell watchdog.
 package serve
 
 import (
@@ -43,7 +42,7 @@ const (
 	MaxProcs = 512
 	// MaxScale caps workload scale (trace memory is linear in it).
 	MaxScale = 4.0
-	// MaxNameLen caps app/algorithm/engine name lengths.
+	// MaxNameLen caps app and algorithm name lengths.
 	MaxNameLen = 128
 	// MaxClusterThreads caps the total thread count of an explicit
 	// placement.
@@ -55,18 +54,6 @@ const (
 	// MaxWebhookURLLen caps a sweep's webhook_url.
 	MaxWebhookURLLen = 2048
 )
-
-// Engine labels accepted by the API. EngineGuarded (the default) runs the
-// fast engine under the server's EngineGuard; the explicit labels bypass
-// cross-checking and force one engine.
-const (
-	EngineGuarded   = "guarded"
-	EngineFast      = "fast"
-	EngineReference = "reference"
-)
-
-// Engines lists the accepted engine labels.
-func Engines() []string { return []string{EngineGuarded, EngineFast, EngineReference} }
 
 // Params selects the workload generation parameters of a request. A nil
 // Params in a request means the server's defaults.
@@ -173,7 +160,6 @@ type SimulateRequest struct {
 	Procs     int            `json:"procs,omitempty"`
 	Infinite  bool           `json:"infinite,omitempty"`
 	Config    *ConfigSpec    `json:"config,omitempty"`
-	Engine    string         `json:"engine,omitempty"`
 	Counters  bool           `json:"counters,omitempty"`
 }
 
@@ -185,7 +171,6 @@ type SweepRequest struct {
 	Algorithms []string `json:"algorithms"`
 	Procs      []int    `json:"procs"`
 	Infinite   bool     `json:"infinite,omitempty"`
-	Engine     string   `json:"engine,omitempty"`
 	// WebhookURL, when set, is POSTed the job's terminal state (a
 	// JobEvent body) with journaled at-least-once delivery: retried with
 	// backoff across endpoint flaps and server restarts, deduplicated by
@@ -204,11 +189,6 @@ type SimulateResponse struct {
 	Key string `json:"key"`
 	// Cached reports whether the result came from the result cache.
 	Cached bool `json:"cached"`
-	// Engine echoes the effective engine label.
-	Engine string `json:"engine"`
-	// Degraded reports whether the server's engine guard has benched the
-	// fast engine (the result is then reference-engine, still correct).
-	Degraded bool `json:"degraded,omitempty"`
 	// Result is the full simulation result, deeply equal to the
 	// corresponding direct sim.Run / core.Suite library call.
 	Result *sim.Result `json:"result"`
@@ -315,8 +295,8 @@ type JobsHealth struct {
 
 // HealthResponse is the GET /healthz reply.
 type HealthResponse struct {
-	// Status is "ok", "degraded" (fast engine benched, still answering)
-	// or "draining" (shutdown in progress, new work refused).
+	// Status is "ok" or "draining" (shutdown in progress, new work
+	// refused).
 	Status string `json:"status"`
 	// Role distinguishes a worker daemon from a cluster coordinator
 	// serving the same API; mtserve leaves it empty (a bare worker),
@@ -326,8 +306,6 @@ type HealthResponse struct {
 	QueueDepth    int         `json:"queue_depth"`
 	QueueCapacity int         `json:"queue_capacity"`
 	InFlight      int         `json:"in_flight"`
-	Degraded      bool        `json:"degraded"`
-	Divergence    string      `json:"divergence,omitempty"`
 	Cache         CacheHealth `json:"cache"`
 	Jobs          JobsHealth  `json:"jobs"`
 	// Store reports the durable result store when one is attached.
@@ -341,7 +319,6 @@ type HealthResponse struct {
 type PlacementsResponse struct {
 	Apps       []string `json:"apps"`
 	Algorithms []string `json:"algorithms"`
-	Engines    []string `json:"engines"`
 }
 
 // ErrorResponse is the body of every non-2xx reply.
@@ -405,14 +382,6 @@ func validateParams(p *Params) error {
 	return nil
 }
 
-func validateEngine(e string) error {
-	switch e {
-	case "", EngineGuarded, EngineFast, EngineReference:
-		return nil
-	}
-	return fmt.Errorf("unknown engine %q (want one of %v)", e, Engines())
-}
-
 // validateAlgorithmName accepts a server-side algorithm name: a static
 // algorithm from the placement registry, or a virtual ONLINE/… name (see
 // the advise package) naming an online adaptive-placement configuration.
@@ -449,9 +418,6 @@ func (r *SimulateRequest) Validate() error {
 		return err
 	}
 	if err := validateApp(r.App); err != nil {
-		return err
-	}
-	if err := validateEngine(r.Engine); err != nil {
 		return err
 	}
 	switch {
@@ -516,9 +482,6 @@ func (p *PlacementSpec) validate() error {
 // Validate checks shape and bounds of a sweep request.
 func (r *SweepRequest) Validate() error {
 	if err := validateParams(r.Params); err != nil {
-		return err
-	}
-	if err := validateEngine(r.Engine); err != nil {
 		return err
 	}
 	if len(r.Apps) == 0 || len(r.Algorithms) == 0 || len(r.Procs) == 0 {

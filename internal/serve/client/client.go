@@ -391,14 +391,13 @@ func (c *Client) Steal(id string, max int) (*serve.StealResponse, error) {
 // explicit placement and full config (so COHERENCE placements and
 // ablation configs survive the wire exactly) and returns the bare
 // result.
-func (c *Client) SimulateCell(params serve.Params, app string, placementAlg string, clusters [][]int, cfg sim.Config, engine string) (*sim.Result, error) {
+func (c *Client) SimulateCell(params serve.Params, app string, placementAlg string, clusters [][]int, cfg sim.Config) (*sim.Result, error) {
 	spec := serve.ConfigSpecOf(cfg)
 	resp, err := c.Simulate(&serve.SimulateRequest{
 		Params:    &params,
 		App:       app,
 		Placement: &serve.PlacementSpec{Algorithm: placementAlg, Clusters: clusters},
 		Config:    &spec,
-		Engine:    engine,
 	})
 	if err != nil {
 		return nil, err

@@ -15,13 +15,13 @@ func FuzzDecodeRequest(f *testing.F) {
 	seeds := []string{
 		// Valid simulate bodies.
 		`{"app":"MP3D","algorithm":"LATENCY","procs":4}`,
-		`{"app":"Gauss","algorithm":"IDEAL","procs":2,"infinite":true,"engine":"reference","counters":true}`,
+		`{"app":"Gauss","algorithm":"IDEAL","procs":2,"infinite":true,"counters":true}`,
 		`{"params":{"scale":0.25,"seed":1994},"app":"Water","algorithm":"RANDOM","procs":8}`,
 		`{"app":"MP3D","placement":{"algorithm":"CUSTOM","clusters":[[0,1],[2,3]]},"procs":4}`,
 		`{"app":"MP3D","algorithm":"LATENCY","config":{"processors":4,"max_contexts":2,"protocol":"update"}}`,
 		// Valid sweep bodies (also fed to the sweep decoder below).
 		`{"apps":["MP3D","Gauss"],"algorithms":["LATENCY","IDEAL"],"procs":[2,4]}`,
-		`{"apps":["FFT"],"algorithms":["RANDOM"],"procs":[2],"infinite":true,"engine":"fast"}`,
+		`{"apps":["FFT"],"algorithms":["RANDOM"],"procs":[2],"infinite":true}`,
 		// Invalid shapes the decoder must reject gracefully.
 		``,
 		`null`,
@@ -73,7 +73,7 @@ func FuzzDecodeAdviseRequest(f *testing.F) {
 	seeds := []string{
 		// Valid bodies, one per sharing source.
 		`{"app":"MP3D","procs":4}`,
-		`{"params":{"scale":0.25,"seed":1994},"app":"Water","procs":8,"engine":"reference"}`,
+		`{"params":{"scale":0.25,"seed":1994},"app":"Water","procs":8}`,
 		`{"pair":[[0,5],[5,0]],"lengths":[10,12],"procs":2}`,
 		`{"pair":[[0,1],[1,0]],"lengths":[1,1],"procs":2,` +
 			`"current":{"algorithm":"X","clusters":[[0],[1]]},"mem_latency":30}`,

@@ -110,7 +110,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 	cell := cellSpec{
 		app:      req.App,
-		engine:   normalizeEngine(req.Engine),
 		infinite: req.Infinite,
 		counters: req.Counters,
 	}
@@ -180,8 +179,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, SimulateResponse{
 		Key:      res.key,
 		Cached:   res.cached,
-		Engine:   cell.engine,
-		Degraded: s.guard.Degraded(),
 		Result:   res.res,
 		Counters: res.counters,
 		Trace:    j.trace.Trace,
@@ -200,9 +197,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error(), false)
 		return
 	}
-	engine := normalizeEngine(req.Engine)
 	params := resolveParams(req.Params)
-	j := newJob(SweepJobID(params, req, engine), params, sweepCells(req, engine))
+	j := newJob(SweepJobID(params, req), params, sweepCells(req))
 	j.webhookURL = req.WebhookURL
 	if s.spans != nil {
 		// Root span for the whole sweep, ended when the job reaches a
@@ -258,7 +254,6 @@ func (s *Server) handlePlacements(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, PlacementsResponse{
 		Apps:       workload.Names(),
 		Algorithms: placement.Names(),
-		Engines:    Engines(),
 	})
 }
 

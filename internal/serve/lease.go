@@ -52,7 +52,6 @@ type LeaseRequest struct {
 	// network).
 	Lease    string      `json:"lease"`
 	Params   *Params     `json:"params,omitempty"`
-	Engine   string      `json:"engine,omitempty"`
 	Infinite bool        `json:"infinite,omitempty"`
 	Cells    []LeaseCell `json:"cells"`
 	// Trace optionally carries the coordinator's span context in
@@ -126,9 +125,6 @@ func (r *LeaseRequest) Validate() error {
 	if err := validateParams(r.Params); err != nil {
 		return err
 	}
-	if err := validateEngine(r.Engine); err != nil {
-		return err
-	}
 	if len(r.Cells) == 0 {
 		return errors.New("lease has no cells")
 	}
@@ -190,12 +186,12 @@ func DecodeStealRequest(r io.Reader) (*StealRequest, error) {
 }
 
 // leaseCells expands a lease into cellSpecs in the granted order.
-func leaseCells(req *LeaseRequest, engine string) []cellSpec {
+func leaseCells(req *LeaseRequest) []cellSpec {
 	cells := make([]cellSpec, len(req.Cells))
 	for i, c := range req.Cells {
 		cells[i] = cellSpec{
 			app: c.App, algorithm: c.Algorithm, procs: c.Procs,
-			infinite: req.Infinite, engine: engine,
+			infinite: req.Infinite,
 		}
 	}
 	return cells
@@ -244,8 +240,7 @@ func (s *Server) handleLeaseGrant(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error(), false)
 		return
 	}
-	engine := normalizeEngine(req.Engine)
-	j := newJob(leaseJobPrefix+req.Lease, resolveParams(req.Params), leaseCells(req, engine))
+	j := newJob(leaseJobPrefix+req.Lease, resolveParams(req.Params), leaseCells(req))
 	if s.spans != nil {
 		if ctx, ok := obs.ParseTrace(req.Trace); ok {
 			// Join the coordinator's trace; the lease span ends when the

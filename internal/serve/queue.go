@@ -18,7 +18,6 @@ type cellSpec struct {
 	algorithm string // server-side algorithm name; "" when explicit
 	procs     int
 	infinite  bool
-	engine    string // normalized: guarded/fast/reference
 
 	// Explicit-cell fields (POST /v1/simulate with "placement"/"config").
 	explicitPlacement *PlacementSpec
@@ -260,12 +259,14 @@ func (j *job) finishCell(cell int, r cellResultInternal) bool {
 	return last
 }
 
-// finish closes the done channel and ends the job's root span, exactly
-// once across the three terminal paths (finishCell, steal, drain).
+// finish ends the job's root span and closes the done channel, exactly
+// once across the three terminal paths (finishCell, steal, drain). The
+// span ends first, so a caller woken by done (the simulate handler, then
+// its client) always finds the complete trace.
 func (j *job) finish() {
 	j.doneOnce.Do(func() {
-		close(j.done)
 		j.span.End()
+		close(j.done)
 	})
 }
 

@@ -1,7 +1,7 @@
 // Package rescache is mtserve's content-addressed result cache: a
 // bounded LRU keyed by a canonical SHA-256 hash of everything that
 // determines a simulation result — workload generation parameters, the
-// exact placement, the full simulator configuration and the engine label.
+// exact placement and the full simulator configuration.
 // Because the simulator is deterministic, two requests with equal keys
 // would compute bit-identical results; the cache returns the first
 // computation's *sim.Result (shared, read-only) instead.
@@ -39,12 +39,18 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // build-stopping event, not a silent cache collision.
 const KeyConfigFields = 13
 
+// EngineLabel is the engine field every content address still carries.
+// Cells were once simulated on a selectable engine; "guarded", the former
+// default label, is now a fixed literal so that existing MTS1 stores, MTJ1
+// journals, sweep job IDs and cluster shard affinity keep their bytes.
+const EngineLabel = "guarded"
+
 // KeyOf derives the content address of one cell. Every input that can
 // change the simulation result is folded into the hash in a fixed order
 // with explicit field tags and NUL separators, so no two distinct cells
 // can produce the same pre-image. placementKey must be an exact placement
 // encoding (core.PlacementKey), not a lossy name.
-func KeyOf(scale float64, seed int64, app, placementKey string, cfg sim.Config, engine string) Key {
+func KeyOf(scale float64, seed int64, app, placementKey string, cfg sim.Config) Key {
 	h := sha256.New()
 	fmt.Fprintf(h, "mtserve-cell-v1\x00scale=%g\x00seed=%d\x00app=%s\x00pl=%s\x00", scale, seed, app, placementKey)
 	fmt.Fprintf(h, "procs=%d\x00maxctx=%d\x00cachesize=%d\x00assoc=%d\x00line=%d\x00hit=%d\x00mem=%d\x00switch=%d\x00proto=%s\x00chans=%d\x00occ=%d\x00writeruns=%t\x00infcache=%t\x00",
@@ -52,7 +58,7 @@ func KeyOf(scale float64, seed int64, app, placementKey string, cfg sim.Config, 
 		cfg.LineSize, cfg.HitCycles, cfg.MemLatency, cfg.SwitchCycles,
 		cfg.Protocol, cfg.NetworkChannels, cfg.NetworkOccupancy,
 		cfg.TrackWriteRuns, cfg.InfiniteCache)
-	fmt.Fprintf(h, "engine=%s", engine)
+	fmt.Fprintf(h, "engine=%s", EngineLabel)
 	var k Key
 	h.Sum(k[:0])
 	return k

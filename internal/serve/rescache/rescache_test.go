@@ -12,8 +12,8 @@ func testConfig() sim.Config { return sim.DefaultConfig(4) }
 
 // TestKeyDeterministic: equal inputs hash to equal keys, across calls.
 func TestKeyDeterministic(t *testing.T) {
-	a := KeyOf(1, 1994, "MP3D", "LOAD-BAL|0,1|2,3", testConfig(), "guarded")
-	b := KeyOf(1, 1994, "MP3D", "LOAD-BAL|0,1|2,3", testConfig(), "guarded")
+	a := KeyOf(1, 1994, "MP3D", "LOAD-BAL|0,1|2,3", testConfig())
+	b := KeyOf(1, 1994, "MP3D", "LOAD-BAL|0,1|2,3", testConfig())
 	if a != b {
 		t.Fatalf("same cell hashed to different keys: %s vs %s", a, b)
 	}
@@ -22,11 +22,21 @@ func TestKeyDeterministic(t *testing.T) {
 	}
 }
 
+// TestKeyGolden pins KeyOf's bytes: MTS1 stores persist results under
+// these addresses, so a change here would silently cold-start every
+// store written before it.
+func TestKeyGolden(t *testing.T) {
+	const want = "691a9dc26c6f96dec12a0a8e489316e8d020a56a26f567ae49bacf2e8c204694"
+	if got := KeyOf(1, 1994, "MP3D", "LOAD-BAL|0,1|2,3", testConfig()).String(); got != want {
+		t.Errorf("KeyOf bytes moved:\n  got  %s\n  want %s", got, want)
+	}
+}
+
 // TestKeySensitivity: changing any single input changes the key. A cache
 // collision between distinct cells would silently serve wrong results, so
 // every field of the canonical encoding is exercised.
 func TestKeySensitivity(t *testing.T) {
-	base := KeyOf(1, 1994, "MP3D", "LOAD-BAL|0,1|2,3", testConfig(), "guarded")
+	base := KeyOf(1, 1994, "MP3D", "LOAD-BAL|0,1|2,3", testConfig())
 	seen := map[Key]string{base: "base"}
 	add := func(name string, k Key) {
 		t.Helper()
@@ -35,11 +45,10 @@ func TestKeySensitivity(t *testing.T) {
 		}
 		seen[k] = name
 	}
-	add("scale", KeyOf(0.5, 1994, "MP3D", "LOAD-BAL|0,1|2,3", testConfig(), "guarded"))
-	add("seed", KeyOf(1, 1, "MP3D", "LOAD-BAL|0,1|2,3", testConfig(), "guarded"))
-	add("app", KeyOf(1, 1994, "FFT", "LOAD-BAL|0,1|2,3", testConfig(), "guarded"))
-	add("placement", KeyOf(1, 1994, "MP3D", "LOAD-BAL|0,2|1,3", testConfig(), "guarded"))
-	add("engine", KeyOf(1, 1994, "MP3D", "LOAD-BAL|0,1|2,3", testConfig(), "reference"))
+	add("scale", KeyOf(0.5, 1994, "MP3D", "LOAD-BAL|0,1|2,3", testConfig()))
+	add("seed", KeyOf(1, 1, "MP3D", "LOAD-BAL|0,1|2,3", testConfig()))
+	add("app", KeyOf(1, 1994, "FFT", "LOAD-BAL|0,1|2,3", testConfig()))
+	add("placement", KeyOf(1, 1994, "MP3D", "LOAD-BAL|0,2|1,3", testConfig()))
 
 	mutate := []func(*sim.Config){
 		func(c *sim.Config) { c.Processors = 8 },
@@ -62,7 +71,7 @@ func TestKeySensitivity(t *testing.T) {
 	for i, m := range mutate {
 		cfg := testConfig()
 		m(&cfg)
-		add(reflect.TypeOf(sim.Config{}).Field(i).Name, KeyOf(1, 1994, "MP3D", "LOAD-BAL|0,1|2,3", cfg, "guarded"))
+		add(reflect.TypeOf(sim.Config{}).Field(i).Name, KeyOf(1, 1994, "MP3D", "LOAD-BAL|0,1|2,3", cfg))
 	}
 }
 

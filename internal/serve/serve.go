@@ -37,9 +37,6 @@ type Options struct {
 	// (0 = no timeout). Enforced via the job's cancel flag, which the
 	// simulator polls, so a stuck cell aborts with a BudgetError.
 	RequestTimeout time.Duration
-	// SampleEvery cross-checks every Nth guarded run against the
-	// reference engine (default 16; 0 disables cross-checking).
-	SampleEvery int
 	// MinCellTime pads every simulated (non-cached) cell to a minimum
 	// wall-clock service time. Zero in production; the cluster
 	// self-benchmark sets it so shrunken benchmark cells model the
@@ -97,9 +94,6 @@ func (o Options) withDefaults() Options {
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 4096
 	}
-	if o.SampleEvery < 0 {
-		o.SampleEvery = 0
-	}
 	if o.ServiceName == "" {
 		o.ServiceName = "mtserve"
 	}
@@ -155,7 +149,6 @@ type serverMetrics struct {
 	queueDepth    *obs.Metric
 	inFlight      *obs.Metric
 	workers       *obs.Metric
-	degraded      *obs.Metric
 	streamDropped *obs.Metric
 
 	storeHits        *obs.Metric
@@ -198,7 +191,6 @@ func newServerMetrics() *serverMetrics {
 		queueDepth:    s.Gauge("serve_queue_depth", "tasks waiting in the queue"),
 		inFlight:      s.Gauge("serve_inflight_cells", "cells currently simulating"),
 		workers:       s.Gauge("serve_workers", "worker pool size"),
-		degraded:      s.Gauge("serve_degraded", "1 once the fast engine is benched"),
 		streamDropped: s.Counter("serve_stream_dropped_events_total", "SSE events dropped on slow subscribers"),
 
 		storeHits:        s.Counter("serve_store_hits_total", "durable result store hits"),
@@ -218,9 +210,9 @@ func newServerMetrics() *serverMetrics {
 }
 
 // Server is the simulation service: a worker pool draining a bounded
-// queue of cells, backed by a content-addressed result cache and an
-// engine guard. Create with NewServer, serve via Handler, stop with
-// Drain.
+// queue of cells, backed by a content-addressed result cache, running
+// every cell through an engine guard (the per-cell watchdog). Create
+// with NewServer, serve via Handler, stop with Drain.
 type Server struct {
 	opts    Options
 	queue   *taskQueue
@@ -267,18 +259,7 @@ func NewServer(opts Options) *Server {
 		s.spans = obs.NewSpanStore(opts.SpanCapacity)
 		s.bus = obs.NewBus(s.metrics.streamDropped)
 	}
-	s.guard = &resilience.EngineGuard{
-		SampleEvery: opts.SampleEvery,
-		OnFallback: func(rep resilience.DivergenceReport) {
-			s.metrics.degraded.Set(1)
-			if opts.Log != nil {
-				opts.Log.Warn("fast engine benched", "divergence", rep.String())
-			}
-		},
-	}
-	if s.guard.SampleEvery == 0 && opts.SampleEvery == 0 {
-		s.guard.SampleEvery = 16
-	}
+	s.guard = &resilience.EngineGuard{}
 	s.metrics.workers.Set(int64(opts.Workers))
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
@@ -287,8 +268,8 @@ func NewServer(opts Options) *Server {
 	return s
 }
 
-// Guard exposes the server's engine guard (for health reporting and
-// tests).
+// Guard exposes the server's engine guard; its Stats count the cells
+// simulated (the benchmark of record reads them).
 func (s *Server) Guard() *resilience.EngineGuard { return s.guard }
 
 // Metrics exposes the server's metric registry.
@@ -376,14 +357,6 @@ func resolveParams(p *Params) Params {
 	}
 	d := workload.DefaultParams()
 	return Params{Scale: d.Scale, Seed: d.Seed}
-}
-
-// normalizeEngine maps "" to the default engine label.
-func normalizeEngine(e string) string {
-	if e == "" {
-		return EngineGuarded
-	}
-	return e
 }
 
 // errServerDraining is returned for work refused because of shutdown.
@@ -567,7 +540,7 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 	if err != nil {
 		return cellResultInternal{err: err}
 	}
-	key := rescache.KeyOf(j.params.Scale, j.params.Seed, c.app, core.PlacementKey(pl), cfg, c.engine)
+	key := rescache.KeyOf(j.params.Scale, j.params.Seed, c.app, core.PlacementKey(pl), cfg)
 	keyHex := key.String()
 
 	if s.cellStarted != nil {
@@ -622,7 +595,8 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 
 	var engineSpan *obs.ActiveSpan
 	if s.spans != nil && sctx.Valid() {
-		engineSpan = s.spans.Start(sctx, s.opts.ServiceName, "engine "+c.engine)
+		// The engine run under the server's guard.
+		engineSpan = s.spans.Start(sctx, s.opts.ServiceName, "engine guarded")
 	}
 	t0 := time.Now()
 	res, counters, err := s.simulate(j, c, cell, tr, pl, cfg)
@@ -653,11 +627,11 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 	return cellResultInternal{key: keyHex, res: res, counters: counters}
 }
 
-// simulate runs the cell on its engine under the job's guard. When the
-// job has a live SSE subscriber and sample streaming is configured, a
+// simulate runs the cell on the fast engine under the job's guard. When
+// the job has a live SSE subscriber and sample streaming is configured, a
 // Sampler rides along and its windows are published as "sample" events
 // after the run (zero cost for unwatched jobs: the probe is nil and the
-// engines skip every hook).
+// engine skips every hook).
 func (s *Server) simulate(j *job, c cellSpec, cell int, tr *trace.Trace, pl *placement.Placement, cfg sim.Config) (*sim.Result, *obs.Counter, error) {
 	guard := sim.Guard{MaxSteps: s.opts.MaxSteps, Cancel: &j.cancel}
 	var timer *time.Timer
@@ -690,16 +664,7 @@ func (s *Server) simulate(j *job, c cellSpec, cell int, tr *trace.Trace, pl *pla
 	}
 
 	s.metrics.simRuns.Inc()
-	var res *sim.Result
-	var err error
-	switch c.engine {
-	case EngineFast:
-		res, err = sim.RunOnlineGuarded(tr, pl, cfg, sim.FastEngine, online, probe, guard)
-	case EngineReference:
-		res, err = sim.RunOnlineGuarded(tr, pl, cfg, sim.ReferenceEngine, online, probe, guard)
-	default: // EngineGuarded
-		res, err = s.guard.RunOnline(tr, pl, cfg, online, probe, guard)
-	}
+	res, err := s.guard.RunOnline(tr, pl, cfg, online, probe, guard)
 	if timer != nil {
 		timer.Stop()
 	}
@@ -730,7 +695,6 @@ func (s *Server) Health() HealthResponse {
 		QueueDepth:    s.queue.Depth(),
 		QueueCapacity: s.opts.QueueDepth,
 		InFlight:      inFlight,
-		Degraded:      s.guard.Degraded(),
 		Cache: CacheHealth{
 			Entries: cs.Entries, Capacity: cs.Capacity,
 			Hits: cs.Hits, Misses: cs.Misses, Evictions: cs.Evictions,
@@ -743,12 +707,6 @@ func (s *Server) Health() HealthResponse {
 			Retriable: s.metrics.jobsRetriable.Value(),
 			Canceled:  s.metrics.jobsCanceled.Value(),
 		},
-	}
-	if h.Degraded {
-		h.Status = "degraded"
-		if rep := s.guard.Report(); rep != nil {
-			h.Divergence = rep.String()
-		}
 	}
 	if s.opts.Store != nil {
 		ss := s.opts.Store.Stats()
@@ -778,16 +736,16 @@ func (s *Server) Health() HealthResponse {
 }
 
 // SweepJobID derives the content-addressed ID of a sweep: the same sweep
-// (params, dimensions, engine) always maps to the same ID, on this
-// server, a restarted one, or a cluster coordinator — a drained client
-// simply resubmits, and coordinator and worker agree on job identity.
-func SweepJobID(params Params, req *SweepRequest, engine string) string {
+// (params, dimensions) always maps to the same ID, on this server, a
+// restarted one, or a cluster coordinator — a drained client simply
+// resubmits, and coordinator and worker agree on job identity.
+func SweepJobID(params Params, req *SweepRequest) string {
 	parts := make([]string, 0, 5+len(req.Apps)+len(req.Algorithms)+len(req.Procs))
 	parts = append(parts,
 		fmt.Sprintf("scale=%g", params.Scale),
 		fmt.Sprintf("seed=%d", params.Seed),
 		fmt.Sprintf("infinite=%t", req.Infinite),
-		fmt.Sprintf("engine=%s", engine),
+		"engine="+rescache.EngineLabel,
 	)
 	parts = append(parts, "apps")
 	parts = append(parts, req.Apps...)
@@ -803,14 +761,14 @@ func SweepJobID(params Params, req *SweepRequest, engine string) string {
 
 // sweepCells expands a sweep request into its deterministic cell order
 // (apps outermost, procs innermost).
-func sweepCells(req *SweepRequest, engine string) []cellSpec {
+func sweepCells(req *SweepRequest) []cellSpec {
 	cells := make([]cellSpec, 0, req.Cells())
 	for _, app := range req.Apps {
 		for _, alg := range req.Algorithms {
 			for _, p := range req.Procs {
 				cells = append(cells, cellSpec{
 					app: app, algorithm: alg, procs: p,
-					infinite: req.Infinite, engine: engine,
+					infinite: req.Infinite,
 				})
 			}
 		}

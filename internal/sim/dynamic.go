@@ -47,39 +47,67 @@ func (p SchedulePolicy) String() string {
 // static runs. Because context-free events occur in deterministic global
 // time order, the simulation is reproducible.
 func RunDynamic(tr *trace.Trace, cfg Config, policy SchedulePolicy) (*Result, error) {
-	return RunDynamicObserved(tr, cfg, policy, nil)
+	return RunDynamicGuarded(tr, cfg, policy, nil, Guard{})
 }
 
 // RunDynamicObserved is RunDynamic with an observation probe attached (see
 // RunObserved). A nil probe is exactly RunDynamic.
 func RunDynamicObserved(tr *trace.Trace, cfg Config, policy SchedulePolicy, probe obs.Probe) (*Result, error) {
-	m, pl, err := newDynamicMachine(tr, cfg, policy)
+	return RunDynamicGuarded(tr, cfg, policy, probe, Guard{})
+}
+
+// RunDynamicGuarded is RunDynamicObserved with a watchdog attached (see
+// RunGuarded). Dynamic schedules are where the watchdog earns its keep:
+// the online scheduler's feedback loop is the one place a bad
+// configuration can livelock rather than merely finish slowly.
+func RunDynamicGuarded(tr *trace.Trace, cfg Config, policy SchedulePolicy, probe obs.Probe, guard Guard) (*Result, error) {
+	pl, queue, err := dynamicSeed(tr, cfg, policy)
 	if err != nil {
 		return nil, err
 	}
+	m := buildFastMachine(tr, pl.Clusters, cfg)
+	m.dynamic = true
+	m.dynQueue = queuedContexts(tr, queue)
 	m.probe = probe
-	return m.run(tr, pl, 0)
+	m.guard = newGuardState(guard)
+	return m.run(tr, pl)
 }
 
-// newDynamicMachine builds the self-scheduling machine and its seed
-// placement (shared by RunDynamicObserved and RunDynamicGuarded).
+// newDynamicMachine is RunDynamicGuarded's set-up on the reference
+// engine, the oracle the dynamic differential suite compares against.
 func newDynamicMachine(tr *trace.Trace, cfg Config, policy SchedulePolicy) (*machine, *placement.Placement, error) {
+	pl, queue, err := dynamicSeed(tr, cfg, policy)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := buildMachine(tr, pl.Clusters, cfg)
+	m.dynamic = true
+	m.dynQueue = queuedContexts(tr, queue)
+	return m, pl, nil
+}
+
+// dynamicSeed is the thread ordering and seeding both engines share. It
+// orders the threads for policy, seeds each processor with up to
+// ContextsPerProc of them (the returned placement) and returns the rest,
+// in order, as the global ready queue. Empty threads take no part: they
+// finish at cycle 0, so a context given to one would sit done while a
+// real thread waited for it.
+func dynamicSeed(tr *trace.Trace, cfg Config, policy SchedulePolicy) (*placement.Placement, []int, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
 	n := tr.NumThreads()
-	perProc := cfg.MaxContexts
-	if perProc <= 0 {
-		perProc = 1
-	}
+	perProc := max(cfg.MaxContexts, 1)
 	if cfg.Processors*perProc > n {
 		return nil, nil, fmt.Errorf("sim: dynamic run needs at least %d threads to seed %d processors x %d contexts, got %d",
 			cfg.Processors*perProc, cfg.Processors, perProc, n)
 	}
 
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	order := make([]int, 0, n)
+	for i, th := range tr.Threads {
+		if th.Refs() > 0 {
+			order = append(order, i)
+		}
 	}
 	if policy == LongestFirst {
 		sort.SliceStable(order, func(a, b int) bool {
@@ -91,75 +119,43 @@ func newDynamicMachine(tr *trace.Trace, cfg Config, policy SchedulePolicy) (*mac
 		})
 	}
 
-	// Seed each processor with its initial contexts; the rest form the
-	// global ready queue.
 	clusters := make([][]int, cfg.Processors)
-	pos := 0
-	for q := 0; q < cfg.Processors; q++ {
-		clusters[q] = append(clusters[q], order[pos:pos+perProc]...)
-		pos += perProc
+	for q := range clusters {
+		k := min(perProc, len(order))
+		clusters[q], order = order[:k:k], order[k:]
 	}
-	queue := append([]int(nil), order[pos:]...)
-
 	pl := &placement.Placement{
 		Algorithm: "DYNAMIC/" + policy.String(),
 		Clusters:  clusters,
 	}
-	// The engine treats queue as shared: newMachine wires it through
-	// cfg-independent state below.
-	m, err := newMachineDynamic(tr, pl, cfg, queue)
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, pl, nil
+	return pl, order, nil
 }
 
-// newMachineDynamic builds a machine whose processors pull additional
-// threads from a shared queue when contexts free.
-func newMachineDynamic(tr *trace.Trace, pl *placement.Placement, cfg Config, queue []int) (*machine, error) {
-	// The seeded clusters do not cover all threads, so the standard
-	// placement validation does not apply; check the basics directly.
-	if len(pl.Clusters) != cfg.Processors {
-		return nil, fmt.Errorf("sim: %d clusters for %d processors", len(pl.Clusters), cfg.Processors)
-	}
-	// Build via a full placement covering every thread, then strip the
-	// queued threads back out of the per-processor context lists.
-	full := &placement.Placement{Algorithm: pl.Algorithm, Clusters: make([][]int, len(pl.Clusters))}
-	for i, c := range pl.Clusters {
-		full.Clusters[i] = append([]int(nil), c...)
-	}
-	full.Clusters[0] = append(full.Clusters[0], queue...)
-	cfgAll := cfg
-	cfgAll.MaxContexts = 0
-	m, err := newMachine(tr, full, cfgAll)
-	if err != nil {
-		return nil, err
-	}
-	m.cfg = cfg
-	// Detach the queued threads from processor 0: they wait in the
-	// global queue instead.
-	p0 := m.procs[0]
-	seeded := len(pl.Clusters[0])
-	for _, c := range p0.ctxs[seeded:] {
-		if c.state == ctxDone {
-			// Empty thread: leave it accounted as done on p0.
-			continue
-		}
+// queuedContexts builds the global ready queue's waiting contexts, each
+// positioned at its thread's first reference.
+func queuedContexts(tr *trace.Trace, queue []int) []context {
+	q := make([]context, len(queue))
+	for i, tid := range queue {
+		c := &q[i]
+		c.thread = tid
+		c.cur = tr.Threads[tid].Cursor()
+		c.pending, _ = c.cur.Next() // dynamicSeed queues no empty thread
 		c.state = ctxUnloaded
-		m.dynQueue = append(m.dynQueue, dynThread{thread: c.thread, cur: c.cur, pending: c.pending})
 	}
-	p0.ctxs = p0.ctxs[:seeded]
-	p0.nextLoad = len(p0.ctxs)
-	p0.rr = len(p0.ctxs) - 1
-	m.dynamic = true
-	return m, nil
+	return q
 }
 
-// dynThread is a thread waiting in the dynamic scheduler's global queue.
-type dynThread struct {
-	thread  int
-	cur     *trace.Cursor
-	pending trace.Event
+// nextQueued pops the head of a dynamic run's ready queue as a ready
+// context that will sit at index idx of its new processor.
+func nextQueued(queue *[]context, idx int) (context, bool) {
+	if len(*queue) == 0 {
+		return context{}, false
+	}
+	c := (*queue)[0]
+	*queue = (*queue)[1:]
+	c.idx = int32(idx)
+	c.state = ctxReady
+	return c, true
 }
 
 // ---- mid-run checkpoint/restore ----
@@ -255,20 +251,19 @@ func DecodeOnlineCheckpoint(b []byte) (*OnlineCheckpoint, error) {
 
 // pullDynamic hands the processor the next queued thread, if any,
 // installing it in a fresh hardware context.
-func (m *machine) pullDynamic(p *proc) bool {
-	if len(m.dynQueue) == 0 {
-		return false
+func (m *machine) pullDynamic(p *proc) {
+	if c, ok := nextQueued(&m.dynQueue, len(p.ctxs)); ok {
+		p.ctxs = append(p.ctxs, &c)
+		p.nextLoad = len(p.ctxs)
 	}
-	dt := m.dynQueue[0]
-	m.dynQueue = m.dynQueue[1:]
-	c := &context{
-		idx:     int32(len(p.ctxs)),
-		thread:  dt.thread,
-		cur:     dt.cur,
-		pending: dt.pending,
-		state:   ctxReady,
+}
+
+// pullDynamic is the fast engine's twin of the reference pull above. It
+// runs only when a thread completes, never per event. Growing the slab
+// may move it; no caller holds a context pointer across the pull.
+func (m *fastMachine) pullDynamic(p *fastProc) {
+	if c, ok := nextQueued(&m.dynQueue, len(p.ctxs)); ok {
+		p.ctxs = append(p.ctxs, c)
+		p.nextLoad = len(p.ctxs)
 	}
-	p.ctxs = append(p.ctxs, c)
-	p.nextLoad = len(p.ctxs)
-	return true
 }

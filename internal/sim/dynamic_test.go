@@ -1,10 +1,14 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // skewedTrace builds threads of strongly unequal lengths.
@@ -128,5 +132,120 @@ func TestDynamicErrors(t *testing.T) {
 func TestSchedulePolicyString(t *testing.T) {
 	if FIFO.String() != "fifo" || LongestFirst.String() != "longest-first" {
 		t.Error("policy names wrong")
+	}
+}
+
+// runDynamicReference is RunDynamic on the reference engine, the oracle
+// the dynamic differential compares the fast engine against.
+func runDynamicReference(tr *trace.Trace, cfg Config, policy SchedulePolicy) (*Result, error) {
+	m, pl, err := newDynamicMachine(tr, cfg, policy)
+	if err != nil {
+		return nil, err
+	}
+	return m.run(tr, pl, 0)
+}
+
+// TestDynamicEnginesAgree is the dynamic differential: on every
+// application, both policies, 2 and 8 processors and one or two contexts
+// per processor, the fast engine's self-scheduled run must deeply equal
+// the reference engine's, and attaching probes must not perturb it.
+func TestDynamicEnginesAgree(t *testing.T) {
+	params := workload.Params{Scale: 0.25, Seed: 1994}
+	for _, a := range workload.Apps() {
+		a := a
+		t.Run(a.Name, func(t *testing.T) {
+			t.Parallel()
+			tr, err := a.Build(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, policy := range []SchedulePolicy{FIFO, LongestFirst} {
+				for _, procs := range []int{2, 8} {
+					for _, maxCtx := range []int{0, 2} {
+						cfg := DefaultConfig(procs)
+						cfg.CacheSize = a.CacheSize
+						cfg.MaxContexts = maxCtx
+						cell := fmt.Sprintf("%v/%dp/ctx%d", policy, procs, maxCtx)
+						ref, rerr := runDynamicReference(tr, cfg, policy)
+						fast, ferr := RunDynamic(tr, cfg, policy)
+						if (rerr == nil) != (ferr == nil) {
+							t.Fatalf("%s: engines disagree on validity: reference %v, fast %v", cell, rerr, ferr)
+						}
+						if rerr != nil {
+							continue
+						}
+						if !reflect.DeepEqual(ref, fast) {
+							t.Errorf("%s: engines diverge: reference exec %d, fast exec %d", cell, ref.ExecTime, fast.ExecTime)
+						}
+						probed, err := RunDynamicObserved(tr, cfg, policy, obs.Multi(&obs.Counter{}, obs.NewSampler(10_000)))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(fast, probed) {
+							t.Errorf("%s: probe perturbed the fast dynamic Result", cell)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDynamicEmptyThreadStillSeedsWork is the regression for an empty
+// thread in the ready queue: it used to leave processor 0 counted as
+// finished before it ran its seeded thread. Empty threads now take no
+// context at all, on both engines and under both policies.
+func TestDynamicEmptyThreadStillSeedsWork(t *testing.T) {
+	tr := trace.New("empty-queued", 3)
+	for th := 0; th < 2; th++ {
+		r := trace.NewRecorder(tr, th)
+		for j := 0; j < 50; j++ {
+			r.Compute(2)
+			r.Load(trace.SharedBase + uint64(th*64+j)*DefaultLineSize)
+		}
+	}
+	cfg := DefaultConfig(2)
+	for _, policy := range []SchedulePolicy{FIFO, LongestFirst} {
+		fast, err := RunDynamic(tr, cfg, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := runDynamicReference(tr, cfg, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fast, ref) {
+			t.Errorf("%v: engines diverge", policy)
+		}
+		if got := fast.Totals().Refs; got != 100 {
+			t.Errorf("%v: ran %d of 100 references", policy, got)
+		}
+		for th := 0; th < 2; th++ {
+			if fast.ThreadFinish[th] == 0 {
+				t.Errorf("%v: thread %d never ran", policy, th)
+			}
+		}
+		if fast.ThreadFinish[2] != 0 {
+			t.Errorf("%v: the empty thread finished at %d, want 0", policy, fast.ThreadFinish[2])
+		}
+	}
+}
+
+// TestDynamicModelsContention: a dynamic run with interconnect channels
+// and no explicit occupancy takes the default occupancy, like a static
+// run, so channel queueing is charged.
+func TestDynamicModelsContention(t *testing.T) {
+	tr := skewedTrace(t, 8)
+	cfg := DefaultConfig(4)
+	cfg.NetworkChannels = 1
+	res, err := RunDynamic(tr, cfg, FIFO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Config.NetworkOccupancy != DefaultNetworkOccupancy {
+		t.Errorf("occupancy %d, want the default %d", res.Config.NetworkOccupancy, DefaultNetworkOccupancy)
+	}
+	if res.Totals().NetworkWait == 0 {
+		t.Error("one shared channel charged no network wait")
 	}
 }

@@ -110,7 +110,7 @@ type machine struct {
 	// dynamic self-scheduling state (RunDynamic): threads waiting for a
 	// processor to free a context.
 	dynamic  bool
-	dynQueue []dynThread
+	dynQueue []context
 	// probe, when non-nil, receives observability events. Probes never
 	// influence simulation state: probe-on and probe-off runs produce
 	// deeply equal Results (asserted by the differential suite).
@@ -137,8 +137,9 @@ const (
 	// directory with reusable sharer scratch buffers.
 	FastEngine Engine = iota
 	// ReferenceEngine is the original straightforward implementation,
-	// kept as the oracle for differential testing and for RunChecked's
-	// protocol-invariant verification.
+	// kept only as the oracle for differential testing and for
+	// RunChecked's protocol-invariant verification. No production path
+	// outside this package may select it (TestReferenceEngineIsTestOnly).
 	ReferenceEngine
 )
 
@@ -172,24 +173,7 @@ func RunEngine(tr *trace.Trace, pl *placement.Placement, cfg Config, eng Engine)
 // beyond one nil check per emission site); any probe leaves the Result
 // bit-identical to the unobserved run.
 func RunObserved(tr *trace.Trace, pl *placement.Placement, cfg Config, eng Engine, probe obs.Probe) (*Result, error) {
-	switch eng {
-	case ReferenceEngine:
-		m, err := newMachine(tr, pl, cfg)
-		if err != nil {
-			return nil, err
-		}
-		m.probe = probe
-		return m.run(tr, pl, 0)
-	case FastEngine:
-		m, err := newFastMachine(tr, pl, cfg)
-		if err != nil {
-			return nil, err
-		}
-		m.probe = probe
-		return m.run(tr, pl)
-	default:
-		return nil, fmt.Errorf("sim: unknown engine %d", eng)
-	}
+	return RunGuarded(tr, pl, cfg, eng, probe, Guard{})
 }
 
 // RunChecked is Run with the global coherence-protocol invariants verified
@@ -204,13 +188,27 @@ func RunChecked(tr *trace.Trace, pl *placement.Placement, cfg Config, checkEvery
 }
 
 func newMachine(tr *trace.Trace, pl *placement.Placement, cfg Config) (*machine, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkRun(tr, pl, cfg); err != nil {
 		return nil, err
 	}
-	if err := pl.Validate(tr.NumThreads(), cfg.Processors); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
+	return buildMachine(tr, pl.Clusters, cfg), nil
+}
 
+// checkRun validates a static run's configuration and placement (both
+// engines).
+func checkRun(tr *trace.Trace, pl *placement.Placement, cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if err := pl.Validate(tr.NumThreads(), cfg.Processors); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	return nil
+}
+
+// buildMachine loads each processor's cluster of threads into its
+// hardware contexts; the caller has validated cfg and the clusters.
+func buildMachine(tr *trace.Trace, clusters [][]int, cfg Config) *machine {
 	m := &machine{
 		cfg:          cfg,
 		dir:          newDirectory(cfg.Processors),
@@ -229,7 +227,7 @@ func newMachine(tr *trace.Trace, pl *placement.Placement, cfg Config) (*machine,
 			m.cfg.NetworkOccupancy = DefaultNetworkOccupancy
 		}
 	}
-	for pid, cluster := range pl.Clusters {
+	for pid, cluster := range clusters {
 		p := &proc{id: pid, cache: newCache(cfg), running: -1}
 		for i, tid := range cluster {
 			c := &context{idx: int32(i), thread: tid, cur: tr.Threads[tid].Cursor()}
@@ -261,7 +259,7 @@ func newMachine(tr *trace.Trace, pl *placement.Placement, cfg Config) (*machine,
 		p.rr = len(p.ctxs) - 1
 		m.procs = append(m.procs, p)
 	}
-	return m, nil
+	return m
 }
 
 // admitNext loads the next waiting thread into the hardware context a

@@ -10,9 +10,10 @@ import (
 
 // FuzzEngine feeds arbitrary traces (truncated, empty, single-thread) and
 // degenerate configurations (1 processor, tiny context caps, a cache of a
-// single line) to both engines. The engines must either reject the input
-// with an error or finish — never hang or panic — and when they finish
-// they must agree bit for bit.
+// single line) to both engines, as static runs or as dynamic
+// self-scheduled ones (maxCtx/4%3 picks static, FIFO or longest-first).
+// The engines must either reject the input with an error or finish —
+// never hang or panic — and when they finish they must agree bit for bit.
 func FuzzEngine(f *testing.F) {
 	f.Add([]byte{}, uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), false, false)
 	f.Add([]byte{0, 0, 0, 0}, uint8(1), uint8(1), uint8(1), uint8(0), uint8(0), false, false)
@@ -20,6 +21,10 @@ func FuzzEngine(f *testing.F) {
 	f.Add([]byte{0, 3, 128, 7, 0, 0, 129, 7}, uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), false, false)
 	// Several threads ping-ponging one shared block across processors.
 	f.Add([]byte{0, 1, 128, 0, 1, 1, 128, 0, 2, 1, 128, 0, 3, 1, 128, 0}, uint8(4), uint8(3), uint8(2), uint8(1), uint8(2), true, true)
+	// The same ping-pong self-scheduled, FIFO with two contexts per
+	// processor; then longest-first with one context and an empty thread.
+	f.Add([]byte{0, 1, 128, 0, 1, 1, 128, 0, 2, 1, 128, 0, 3, 1, 128, 0}, uint8(4), uint8(1), uint8(6), uint8(1), uint8(2), false, false)
+	f.Add([]byte{0, 3, 128, 0, 1, 2, 129, 0, 0, 5, 130, 0, 1, 1, 128, 0}, uint8(2), uint8(1), uint8(8), uint8(0), uint8(0), false, false)
 
 	f.Fuzz(func(t *testing.T, data []byte, nthreads, nprocs, maxCtx, assoc, channels uint8, update, infinite bool) {
 		threads := 1 + int(nthreads)%8
@@ -73,8 +78,16 @@ func FuzzEngine(f *testing.F) {
 			cfg.Protocol = Update
 		}
 
-		ref, rerr := RunEngine(tr, pl, cfg, ReferenceEngine)
-		fast, ferr := RunEngine(tr, pl, cfg, FastEngine)
+		var ref, fast *Result
+		var rerr, ferr error
+		if mode := int(maxCtx) / 4 % 3; mode == 0 {
+			ref, rerr = RunEngine(tr, pl, cfg, ReferenceEngine)
+			fast, ferr = RunEngine(tr, pl, cfg, FastEngine)
+		} else {
+			policy := SchedulePolicy(mode - 1)
+			ref, rerr = runDynamicReference(tr, cfg, policy)
+			fast, ferr = RunDynamic(tr, cfg, policy)
+		}
 		if (rerr == nil) != (ferr == nil) {
 			t.Fatalf("engines disagree on validity: reference err %v, fast err %v", rerr, ferr)
 		}

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/trace"
@@ -42,9 +40,7 @@ type fastProc struct {
 	stats ProcStats
 }
 
-// fastMachine is the whole simulated system (fast engine). It does not
-// implement dynamic self-scheduling; RunDynamic uses the reference
-// machine.
+// fastMachine is the whole simulated system (fast engine).
 type fastMachine struct {
 	cfg          Config
 	procs        []fastProc
@@ -69,16 +65,22 @@ type fastMachine struct {
 	// RunOnlineGuarded). Nil for static runs: the hot loop pays one nil
 	// check and nothing else.
 	online *onlineState
+	// dynamic self-scheduling state (RunDynamic): threads waiting for a
+	// processor to free a context. Last in the struct, so static runs see
+	// the hot fields above at unchanged offsets.
+	dynamic  bool
+	dynQueue []context
 }
 
 func newFastMachine(tr *trace.Trace, pl *placement.Placement, cfg Config) (*fastMachine, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkRun(tr, pl, cfg); err != nil {
 		return nil, err
 	}
-	if err := pl.Validate(tr.NumThreads(), cfg.Processors); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
+	return buildFastMachine(tr, pl.Clusters, cfg), nil
+}
 
+// buildFastMachine is buildMachine for the fast engine.
+func buildFastMachine(tr *trace.Trace, clusters [][]int, cfg Config) *fastMachine {
 	m := &fastMachine{
 		cfg:          cfg,
 		dir:          newFastDirectory(cfg.Processors),
@@ -98,7 +100,7 @@ func newFastMachine(tr *trace.Trace, pl *placement.Placement, cfg Config) (*fast
 			m.cfg.NetworkOccupancy = DefaultNetworkOccupancy
 		}
 	}
-	for pid, cluster := range pl.Clusters {
+	for pid, cluster := range clusters {
 		p := &m.procs[pid]
 		p.id = pid
 		p.running = -1
@@ -134,7 +136,7 @@ func newFastMachine(tr *trace.Trace, pl *placement.Placement, cfg Config) (*fast
 		}
 		p.rr = len(p.ctxs) - 1
 	}
-	return m, nil
+	return m
 }
 
 // admitNext loads the next waiting thread into the hardware context a
@@ -217,12 +219,6 @@ func (m *fastMachine) run(tr *trace.Trace, pl *placement.Placement) (*Result, er
 	}
 	if m.online != nil {
 		res.Online = m.online.finish()
-	}
-	if f := fastFault.Load(); f != nil {
-		// Test-only corruption hook (SetFastEngineFault): deliberately
-		// damage the result so the divergence guard's detection path can
-		// be exercised end to end.
-		(*f)(res)
 	}
 	if m.probe != nil {
 		m.probe.RunEnd(res.ExecTime)
@@ -512,6 +508,9 @@ func (m *fastMachine) completeHit(p *fastProc, c *context, t uint64) {
 	if m.probe != nil {
 		m.probe.ThreadFinish(done, p.id, c.thread)
 	}
+	if m.dynamic {
+		m.pullDynamic(p)
+	}
 	m.admitNext(p)
 	if p.done == len(p.ctxs) {
 		p.running = -1
@@ -573,6 +572,9 @@ func (m *fastMachine) completeTransaction(p *fastProc, c *context, t uint64) {
 		}
 		if m.probe != nil {
 			m.probe.ThreadFinish(done, p.id, c.thread)
+		}
+		if m.dynamic {
+			m.pullDynamic(p)
 		}
 		m.admitNext(p)
 	}

@@ -15,10 +15,11 @@ import (
 // The zero Guard imposes no bounds and adds no per-event cost beyond one
 // nil check.
 type Guard struct {
-	// MaxSteps aborts the run after that many simulated references have
-	// been issued. 0 means unlimited. A finite trace issues each reference
-	// exactly once per context activation, so any bound comfortably above
-	// the trace's total reference count only ever fires on livelock.
+	// MaxSteps aborts the run after that many engine events have been
+	// popped from the event queue. 0 means unlimited. Every popped event
+	// counts, stale and idle-wake events included, so a run takes more
+	// steps than it issues references; a bound comfortably above a few
+	// times the trace's total reference count only ever fires on livelock.
 	MaxSteps uint64
 	// Cancel, when non-nil, is polled periodically (every few thousand
 	// steps); once it reads true the run aborts. Setting it from another
@@ -75,7 +76,8 @@ type BudgetError struct {
 	App, Algorithm string
 	// Engine is "fast" or "reference".
 	Engine string
-	// Steps is the number of references issued before the abort.
+	// Steps is the number of engine events popped before the abort
+	// (stale and idle-wake events included; see Guard.MaxSteps).
 	Steps uint64
 	// Cycle is the simulated time of the last processed event.
 	Cycle uint64
@@ -109,61 +111,8 @@ func (g *guardState) budgetError(meta obs.RunMeta, cycle uint64, queue int, prob
 }
 
 // RunGuarded is RunObserved with a watchdog attached: the run aborts with
-// a *BudgetError once guard.MaxSteps references have been issued or
+// a *BudgetError once guard.MaxSteps events have been popped or
 // guard.Cancel reads true. The zero Guard makes it exactly RunObserved.
 func RunGuarded(tr *trace.Trace, pl *placement.Placement, cfg Config, eng Engine, probe obs.Probe, guard Guard) (*Result, error) {
-	switch eng {
-	case ReferenceEngine:
-		m, err := newMachine(tr, pl, cfg)
-		if err != nil {
-			return nil, err
-		}
-		m.probe = probe
-		m.guard = newGuardState(guard)
-		return m.run(tr, pl, 0)
-	case FastEngine:
-		m, err := newFastMachine(tr, pl, cfg)
-		if err != nil {
-			return nil, err
-		}
-		m.probe = probe
-		m.guard = newGuardState(guard)
-		return m.run(tr, pl)
-	default:
-		return nil, fmt.Errorf("sim: unknown engine %d", eng)
-	}
-}
-
-// RunDynamicGuarded is RunDynamicObserved with a watchdog attached (see
-// RunGuarded). Dynamic schedules are where the watchdog earns its keep:
-// the online scheduler's feedback loop is the one place a bad
-// configuration can livelock rather than merely finish slowly.
-func RunDynamicGuarded(tr *trace.Trace, cfg Config, policy SchedulePolicy, probe obs.Probe, guard Guard) (*Result, error) {
-	m, pl, err := newDynamicMachine(tr, cfg, policy)
-	if err != nil {
-		return nil, err
-	}
-	m.probe = probe
-	m.guard = newGuardState(guard)
-	return m.run(tr, pl, 0)
-}
-
-// fastFault, when set, mutates the fast engine's Result just before it is
-// returned — a deliberate, test-only corruption hook the divergence-guard
-// demo uses to prove a broken fast engine is caught and benched at
-// runtime. Atomic so tests and sweeps on other goroutines never race.
-var fastFault atomic.Pointer[func(*Result)]
-
-// SetFastEngineFault installs (or, with nil, clears) a test-only hook
-// that corrupts every subsequent fast-engine Result. It returns the
-// previous hook so tests can restore it.
-func SetFastEngineFault(f func(*Result)) (prev func(*Result)) {
-	var p *func(*Result)
-	if f != nil {
-		p = &f
-	}
-	if old := fastFault.Swap(p); old != nil {
-		return *old
-	}
-	return nil
+	return RunOnlineGuarded(tr, pl, cfg, eng, OnlineOptions{}, probe, guard)
 }

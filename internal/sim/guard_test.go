@@ -147,43 +147,3 @@ func TestGuardDynamic(t *testing.T) {
 		t.Fatalf("dynamic budget abort: got %v, want *BudgetError", err)
 	}
 }
-
-func TestSetFastEngineFault(t *testing.T) {
-	tr := guardTrace(4, 100)
-	pl := mkPlacement([]int{0, 1}, []int{2, 3})
-	cfg := DefaultConfig(2)
-
-	honest, err := RunEngine(tr, pl, cfg, FastEngine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := SetFastEngineFault(func(r *Result) { r.ExecTime += 1000 })
-	defer SetFastEngineFault(prev)
-
-	broken, err := RunEngine(tr, pl, cfg, FastEngine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if broken.ExecTime != honest.ExecTime+1000 {
-		t.Errorf("fault hook not applied: %d vs %d", broken.ExecTime, honest.ExecTime)
-	}
-	// The reference engine must be untouched by the hook.
-	ref, err := RunEngine(tr, pl, cfg, ReferenceEngine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.ExecTime != honest.ExecTime {
-		t.Errorf("reference engine affected by fast-engine fault hook")
-	}
-
-	if SetFastEngineFault(nil) == nil {
-		t.Error("SetFastEngineFault(nil) did not return the installed hook")
-	}
-	clean, err := RunEngine(tr, pl, cfg, FastEngine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean.ExecTime != honest.ExecTime {
-		t.Error("clearing the fault hook did not restore honest results")
-	}
-}

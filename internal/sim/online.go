@@ -16,9 +16,9 @@ import (
 // modeled migration penalty (pipeline drain plus the working-set refill
 // that emerges naturally as compulsory misses on the destination cache).
 //
-// With the interval disabled the online path delegates to the exact
-// static run: RunOnlineGuarded with zero OnlineOptions is RunGuarded,
-// cycle for cycle, on both engines (asserted by the differential suite).
+// With the interval disabled the online path is the exact static run:
+// RunGuarded is RunOnlineGuarded with zero OnlineOptions, cycle for
+// cycle, on both engines (asserted by the differential suite).
 
 // OnlineOptions configure mid-run adaptive re-placement.
 type OnlineOptions struct {
@@ -474,15 +474,13 @@ func RunOnlineObserved(tr *trace.Trace, pl *placement.Placement, cfg Config, eng
 	return RunOnlineGuarded(tr, pl, cfg, eng, opts, probe, Guard{})
 }
 
-// RunOnlineGuarded is the full online entry point: engine choice, probe
-// and watchdog. With opts disabled (zero Interval or nil Policy) it
-// delegates to RunGuarded unchanged — the online machinery is not even
+// RunOnlineGuarded is the full entry point every static and online run
+// goes through: engine choice, probe and watchdog. With opts disabled
+// (zero Interval or nil Policy) the online machinery is not even
 // constructed, so the run is cycle-exact against the static path.
 func RunOnlineGuarded(tr *trace.Trace, pl *placement.Placement, cfg Config, eng Engine, opts OnlineOptions, probe obs.Probe, guard Guard) (*Result, error) {
-	if !opts.enabled() {
-		return RunGuarded(tr, pl, cfg, eng, probe, guard)
-	}
-	if cfg.MaxContexts > 0 {
+	online := opts.enabled()
+	if online && cfg.MaxContexts > 0 {
 		return nil, fmt.Errorf("sim: online placement is incompatible with MaxContexts (loaded-context admission would race migrations)")
 	}
 	switch eng {
@@ -493,7 +491,9 @@ func RunOnlineGuarded(tr *trace.Trace, pl *placement.Placement, cfg Config, eng 
 		}
 		m.probe = probe
 		m.guard = newGuardState(guard)
-		m.online = newOnlineState(opts, tr, m.cfg)
+		if online {
+			m.online = newOnlineState(opts, tr, m.cfg)
+		}
 		return m.run(tr, pl, 0)
 	case FastEngine:
 		m, err := newFastMachine(tr, pl, cfg)
@@ -502,7 +502,9 @@ func RunOnlineGuarded(tr *trace.Trace, pl *placement.Placement, cfg Config, eng 
 		}
 		m.probe = probe
 		m.guard = newGuardState(guard)
-		m.online = newOnlineState(opts, tr, m.cfg)
+		if online {
+			m.online = newOnlineState(opts, tr, m.cfg)
+		}
 		return m.run(tr, pl)
 	default:
 		return nil, fmt.Errorf("sim: unknown engine %d", eng)
