@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test verify lint racecheck bench benchsim benchserve benchcluster benchadvise fuzz golden faultcheck servecheck clustercheck tracecheck storecheck advisecheck perfcheck
+.PHONY: build test verify lint racecheck bench benchsim benchserve benchcluster benchadvise fuzz golden faultcheck servecheck clustercheck tracecheck storecheck advisecheck perfcheck benchsmoke
 
 build:
 	$(GO) build ./...
@@ -30,7 +30,7 @@ lint:
 racecheck:
 	$(GO) test -race -short ./internal/serve/... ./internal/store ./internal/retry ./cmd/mtserve ./internal/cluster ./internal/obs
 
-verify: faultcheck servecheck clustercheck tracecheck storecheck advisecheck perfcheck
+verify: faultcheck servecheck clustercheck tracecheck storecheck advisecheck perfcheck benchsmoke
 	$(GO) vet ./...
 	$(GO) run ./cmd/mtlint ./...
 	$(GO) run ./cmd/mtlint -census ./internal/serve/... ./internal/store ./internal/retry ./internal/cluster ./internal/obs ./internal/advise
@@ -106,6 +106,12 @@ storecheck:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# One iteration of each engine microbenchmark (under a second with a warm
+# build cache): keeps bench_test.go compiling and running, including
+# BenchmarkEngineProbeDisabled's zero-allocation hot-path assertion.
+benchsmoke:
+	$(GO) test -run '^$$' -bench BenchmarkEngine -benchtime 1x -benchmem .
 
 # Online adaptive placement tier (DESIGN.md §16): the advisor package
 # (ONLINE name grammar, policies, recommendation math), the engines'

@@ -190,8 +190,9 @@ func BenchmarkSimulateWater4p(b *testing.B) {
 
 // benchmarkEngine times one engine on the Figure 2 application's
 // LOAD-BAL/8p cell, reporting simulated cycles per second of wall time —
-// the before/after number behind BENCH_sim.json.
-func benchmarkEngine(b *testing.B, eng sim.Engine) {
+// the before/after number behind BENCH_sim.json. A non-zero cacheSize
+// replaces the application's own cache capacity.
+func benchmarkEngine(b *testing.B, eng sim.Engine, cacheSize int) {
 	b.Helper()
 	s := benchSuite()
 	tr, err := s.Trace("LocusRoute")
@@ -205,6 +206,9 @@ func benchmarkEngine(b *testing.B, eng sim.Engine) {
 	cfg, err := s.Config("LocusRoute", 8, false)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if cacheSize != 0 {
+		cfg.CacheSize = cacheSize
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -221,7 +225,7 @@ func benchmarkEngine(b *testing.B, eng sim.Engine) {
 
 // BenchmarkEngineReference times the boxed container/heap reference
 // engine on LocusRoute LOAD-BAL at 8 processors.
-func BenchmarkEngineReference(b *testing.B) { benchmarkEngine(b, sim.ReferenceEngine) }
+func BenchmarkEngineReference(b *testing.B) { benchmarkEngine(b, sim.ReferenceEngine, 0) }
 
 // probeBenchTrace builds a synthetic trace whose per-thread length varies
 // with events but whose working set (16 shared blocks across 4 threads)
@@ -286,7 +290,15 @@ func BenchmarkEngineProbeDisabled(b *testing.B) {
 // BenchmarkEngineFast times the specialized 4-ary-heap slab engine on the
 // same cell; the cycles/s ratio against BenchmarkEngineReference is the
 // raw engine speedup.
-func BenchmarkEngineFast(b *testing.B) { benchmarkEngine(b, sim.FastEngine) }
+func BenchmarkEngineFast(b *testing.B) { benchmarkEngine(b, sim.FastEngine, 0) }
+
+// BenchmarkEngineFastInfinite is BenchmarkEngineFast at the paper's 8 MB
+// stand-in for an infinite cache (Table 5): 262,144 direct-mapped lines
+// per processor, of which the cell touches a few thousand, so its
+// allocation and time show what the cache's set-up costs.
+func BenchmarkEngineFastInfinite(b *testing.B) {
+	benchmarkEngine(b, sim.FastEngine, sim.InfiniteCacheSize)
+}
 
 // BenchmarkAnalyzeGauss measures the static trace analysis plus sharing-
 // matrix construction on the largest-thread-count application.

@@ -23,11 +23,12 @@ type engineBench struct {
 }
 
 // benchSimReport is the BENCH_sim.json schema: the engine's throughput
-// over the cells, its throughput with a probe attached (the
-// observability layer's measured cost), and the memoized sweep's
-// first-vs-second-call wall time. The engine-vs-oracle ratio lives in
-// bench_test.go (BenchmarkEngineReference), not here: no production
-// path runs the reference engine.
+// over the cells, at the application's cache and at the paper's 8 MB
+// stand-in for an infinite cache (Table 5), its throughput with a probe
+// attached (the observability layer's measured cost), and the memoized
+// sweep's first-vs-second-call wall time. The engine-vs-oracle ratio
+// lives in bench_test.go (BenchmarkEngineReference), not here: no
+// production path runs the reference engine.
 type benchSimReport struct {
 	App              string      `json:"app"`
 	Scale            float64     `json:"scale"`
@@ -35,6 +36,7 @@ type benchSimReport struct {
 	ProcCounts       []int       `json:"proc_counts"`
 	Algorithms       []string    `json:"algorithms"`
 	Fast             engineBench `json:"fast"`
+	FastInfinite     engineBench `json:"fast_infinite"`
 	FastProbeOn      engineBench `json:"fast_probe_on"`
 	ProbeOverheadPct float64     `json:"probe_overhead_pct"`
 	MemoFirstSecs    float64     `json:"memoized_figure_first_call_seconds"`
@@ -51,11 +53,11 @@ type benchSimReport struct {
 }
 
 // benchSim times the engine sequentially over every (algorithm,
-// processor-count) cell of the Figure 2 application, bare and probed, and
-// writes the numbers to path. Engine calls bypass the suite's memoization so each
-// cell is genuinely re-simulated; a separate pass times the memoized
-// ExecutionFigure sweep itself (first call simulates, second is served
-// from cache).
+// processor-count) cell of the Figure 2 application, bare, bare at 8 MB
+// and probed, and writes the numbers to path. Engine calls bypass the
+// suite's memoization so each cell is genuinely re-simulated; a separate
+// pass times the memoized ExecutionFigure sweep itself (first call
+// simulates, second is served from cache).
 func benchSim(scale float64, seed int64, procsSpec, path string) error {
 	pcs, err := parseProcs(procsSpec)
 	if err != nil {
@@ -80,14 +82,14 @@ func benchSim(scale float64, seed int64, procsSpec, path string) error {
 	if err != nil {
 		return err
 	}
-	// newProbe, when non-nil, supplies a fresh probe per cell (a counter
-	// plus a 10k-cycle sampler — the stack a telemetry-enabled sweep
-	// would attach).
-	measure := func(newProbe func() obs.Probe) (engineBench, error) {
+	// infinite selects the 8 MB cache; newProbe, when non-nil, supplies a
+	// fresh probe per cell (a counter plus a 10k-cycle sampler — the
+	// stack a telemetry-enabled sweep would attach).
+	measure := func(infinite bool, newProbe func() obs.Probe) (engineBench, error) {
 		var b engineBench
 		t0 := time.Now()
 		for _, procs := range pcs {
-			cfg, err := s.Config(app, procs, false)
+			cfg, err := s.Config(app, procs, infinite)
 			if err != nil {
 				return b, err
 			}
@@ -114,12 +116,17 @@ func benchSim(scale float64, seed int64, procsSpec, path string) error {
 	}
 
 	fmt.Printf("benchsim: %s, %d algorithms x %v processors, scale %g\n", app, len(rep.Algorithms), pcs, scale)
-	if rep.Fast, err = measure(nil); err != nil {
+	if rep.Fast, err = measure(false, nil); err != nil {
 		return err
 	}
 	fmt.Printf("  fast:      %d cells in %.2fs (%.3g cycles/s)\n", rep.Fast.Cells, rep.Fast.Seconds, rep.Fast.CyclesPerSec)
+	if rep.FastInfinite, err = measure(true, nil); err != nil {
+		return err
+	}
+	fmt.Printf("  fast 8MB:  %d cells in %.2fs (%.3g cycles/s)\n",
+		rep.FastInfinite.Cells, rep.FastInfinite.Seconds, rep.FastInfinite.CyclesPerSec)
 
-	if rep.FastProbeOn, err = measure(func() obs.Probe {
+	if rep.FastProbeOn, err = measure(false, func() obs.Probe {
 		return obs.Multi(&obs.Counter{}, obs.NewSampler(10_000))
 	}); err != nil {
 		return err

@@ -14,8 +14,8 @@ import (
 // application, placement algorithm and engine in the differential sweep,
 // a run with a full probe stack (counter + sampler + tracer through
 // Multi) must produce a Result deeply equal to the bare run, and the
-// probe streams the two engines see must agree on every architectural
-// count.
+// probe streams the two engines see must agree on every count, queue
+// depths included.
 func TestDifferentialProbes(t *testing.T) {
 	s := testSuite()
 	algs := []string{"RANDOM", "LOAD-BAL", "SHARE-REFS"}
@@ -56,16 +56,13 @@ func TestDifferentialProbes(t *testing.T) {
 						}
 						counters[eng] = c
 					}
-					// The two engines must emit identical architectural event
-					// streams; only queue-depth statistics are engine-internal.
-					ref, fast := counters[sim.ReferenceEngine], counters[sim.FastEngine]
-					refArch, fastArch := *ref, *fast
-					refArch.QueueSamples, fastArch.QueueSamples = 0, 0
-					refArch.MaxQueueDepth, fastArch.MaxQueueDepth = 0, 0
-					refArch.Meta.Engine, fastArch.Meta.Engine = "", ""
-					if refArch != fastArch {
+					// The two engines must emit identical event streams,
+					// queue-depth samples and their maximum included.
+					ref, fast := *counters[sim.ReferenceEngine], *counters[sim.FastEngine]
+					ref.Meta.Engine, fast.Meta.Engine = "", ""
+					if ref != fast {
 						t.Errorf("%s/%dp: engines emitted different probe streams:\n  reference %+v\n  fast      %+v",
-							alg, procs, refArch, fastArch)
+							alg, procs, ref, fast)
 					}
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -121,6 +122,64 @@ func TestAdviseTraceSource(t *testing.T) {
 	}
 	if !ar.Measured || !reflect.DeepEqual(ar.Placement.Clusters, want.Placement.Clusters) {
 		t.Errorf("trace-source recommendation differs from direct measurement")
+	}
+}
+
+// TestAdviseTraceMeasurementAllocationBounded: what the simulator
+// allocates to measure a trace-source advise request stays bounded when
+// the trace is built to make its per-cache state as large as it can. The
+// trace fills most of a request body and runs one thread on each of
+// MaxProcs processors, and every reference evicts the one before it:
+// each thread strides by the cache size, so its blocks are all distinct
+// and all map to one set. Every block gets its own directory entry, and
+// the entries interleave across the threads. The measurement is the one
+// the handler runs on the decoded body's trace.
+func TestAdviseTraceMeasurementAllocationBounded(t *testing.T) {
+	const refsPerThread = 340
+	cfg := sim.DefaultConfig(MaxProcs)
+	tr := trace.New("evict-every-reference", MaxProcs)
+	for i := 0; i < MaxProcs; i++ {
+		r := trace.NewRecorder(tr, i)
+		base := trace.SharedBase + uint64(i*cfg.LineSize)
+		for j := 0; j < refsPerThread; j++ {
+			r.Compute(1)
+			r.Store(base + uint64(j*cfg.CacheSize))
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(AdviseRequest{TraceMTT2: buf.Bytes(), Procs: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) > MaxRequestBytes || len(body) < MaxRequestBytes*3/4 {
+		t.Fatalf("request body is %d bytes, want most of the %d-byte limit", len(body), MaxRequestBytes)
+	}
+	req, err := DecodeAdviseRequest(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	posted, err := trace.ReadFrom(bytes.NewReader(req.TraceMTT2))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, res, err := advise.MeasurePairTraffic(posted, sim.DefaultConfig(posted.NumThreads()))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Totals().Writebacks; got != uint64(MaxProcs*(refsPerThread-1)) {
+		t.Fatalf("%d dirty evictions, want one per reference but each thread's first", got)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d references in a %d-byte body; measuring them allocated %d MB", posted.TotalRefs(), len(body), alloc>>20)
+	if alloc > 160<<20 {
+		t.Errorf("measuring one request's trace allocated %d MB, want under 160 MB", alloc>>20)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -209,6 +210,40 @@ func TestSimulateExplicitPlacementAndConfig(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sr.Result, want) {
 		t.Error("explicit placement+config result differs from direct sim.Run")
+	}
+}
+
+// TestSimulateLargeCacheAllocationBounded: what one request allocates
+// follows the cache lines its run touches, not the capacity it names.
+// Gauss on 127 processors, one thread each, with the largest cache the
+// API accepts (16 MB, 524,288 lines per processor: over 1 GB of lines if
+// allocated up front) touches a few thousand lines per processor.
+func TestSimulateLargeCacheAllocationBounded(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	const procs = 127
+	clusters := make([][]int, procs)
+	for i := range clusters {
+		clusters[i] = []int{i}
+	}
+	spec := ConfigSpecOf(sim.DefaultConfig(procs))
+	spec.CacheSize = 2 * sim.InfiniteCacheSize
+	req := SimulateRequest{
+		Params:    &testParams,
+		App:       "Gauss",
+		Placement: &PlacementSpec{Algorithm: "SINGLETONS", Clusters: clusters},
+		Config:    &spec,
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, body := postJSON(t, ts.URL+"/v1/simulate", req)
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("one request allocated %d MB", alloc>>20)
+	if alloc > 128<<20 {
+		t.Errorf("one request allocated %d MB, want under 128 MB", alloc>>20)
 	}
 }
 

@@ -147,6 +147,7 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"zero procs", func(c *Config) { c.Processors = 0 }},
 		{"line not power of two", func(c *Config) { c.LineSize = 24 }},
+		{"line smaller than a word", func(c *Config) { c.LineSize = 1 }},
 		{"cache smaller than line", func(c *Config) { c.CacheSize = 16 }},
 		{"cache not multiple of line", func(c *Config) { c.CacheSize = 48 }},
 		{"zero hit", func(c *Config) { c.HitCycles = 0 }},

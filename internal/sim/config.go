@@ -9,7 +9,11 @@
 // configuration it produces identical results.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/trace"
+)
 
 // Architectural defaults from Table 3 of the paper.
 const (
@@ -53,7 +57,8 @@ type Config struct {
 	// configuration; the paper suggests higher associativity as the fix
 	// for the inter-thread cache thrashing it observed (§4.1).
 	Associativity int
-	// LineSize is the cache block size in bytes (power of two).
+	// LineSize is the cache block size in bytes: a power of two, at
+	// least trace.WordSize.
 	LineSize int
 	// HitCycles is the cache hit time in cycles.
 	HitCycles uint64
@@ -130,6 +135,11 @@ func (c Config) Validate() error {
 	}
 	if c.LineSize <= 0 || c.LineSize&(c.LineSize-1) != 0 {
 		return fmt.Errorf("sim: line size %d is not a positive power of two", c.LineSize)
+	}
+	if c.LineSize < trace.WordSize {
+		// A sub-word line holds less than one reference and only
+		// multiplies the set count (and the memory a run may take).
+		return fmt.Errorf("sim: line size %d is smaller than the %d-byte word", c.LineSize, trace.WordSize)
 	}
 	if c.Associativity < 0 {
 		return fmt.Errorf("sim: negative associativity %d", c.Associativity)

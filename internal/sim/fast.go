@@ -13,8 +13,9 @@ import (
 //     container/heap with interface boxing;
 //   - each processor's hardware contexts are a contiguous []context slab
 //     instead of a []*context of separately allocated nodes;
-//   - the cache indexes sets by mask and takes a single-way path when
-//     direct-mapped (fastcache.go);
+//   - the cache indexes sets by mask, takes a single-way path when
+//     direct-mapped, and allocates its lines in pages on first fill
+//     (fastcache.go);
 //   - the directory stores entries in flat slabs with an arena-backed
 //     sharer bitmap, and sharer sets are gathered into a scratch buffer
 //     reused across transactions (fastdir.go).

@@ -2,11 +2,16 @@ package sim
 
 // fastCache is the fast engine's data cache. It mirrors the reference
 // cache's observable behaviour bit for bit (same LRU order, same eviction
-// choice, same departure ledger) but indexes sets with a mask when the
-// set count is a power of two — always true for the paper's capacities —
-// and takes a single-way path for the direct-mapped configuration the
-// paper simulates, so the hit path performs no division, no slicing and
-// no allocation.
+// choice, same departure ledger) but is laid out for throughput:
+//
+//   - sets are indexed with a mask when the set count is a power of two —
+//     always true for the paper's capacities — and direct-mapped caches,
+//     the paper's configuration, take a single-way path, so the hit path
+//     performs no division and no allocation;
+//   - lines live in pages of pageSets sets, each allocated on the first
+//     fill into it, so a run pays for the sets it touches rather than the
+//     whole capacity. The paper's 8 MB stand-in for an infinite cache is
+//     262,144 lines per processor, of which a run touches a few thousand.
 type fastCache struct {
 	lineShift uint
 	nsets     uint64
@@ -14,7 +19,11 @@ type fastCache struct {
 	// to modulo).
 	setMask uint64
 	ways    int
-	lines   []line
+	// pages[i] holds sets [i*pageSets, (i+1)*pageSets) back to back, each
+	// in LRU order like the reference cache; it is nil until the first
+	// fill into one of them. The last page is short when nsets is not a
+	// multiple of pageSets.
+	pages [][]line
 
 	infinite  bool
 	infStates map[uint64]lineState
@@ -40,7 +49,24 @@ func (c *fastCache) init(cfg Config) {
 	if c.nsets&(c.nsets-1) == 0 {
 		c.setMask = c.nsets - 1
 	}
-	c.lines = make([]line, int(c.nsets)*c.ways)
+	c.pages = make([][]line, (c.nsets+pageSets-1)/pageSets)
+}
+
+// pageShift sets the page size: 1024 sets, 16 KB of direct-mapped lines.
+// The paper's 32 and 64 KB caches are one and two pages.
+const (
+	pageShift = 10
+	pageSets  = 1 << pageShift
+	pageMask  = pageSets - 1
+)
+
+// newPage allocates the page holding block's set and returns the set: the
+// cold half of fill, run on the first fill into the page and kept out of
+// the annotated hot path.
+func (c *fastCache) newPage(block uint64) []line {
+	pi := c.setIndex(block) >> pageShift
+	c.pages[pi] = make([]line, min(c.nsets-pi*pageSets, pageSets)*uint64(c.ways))
+	return c.set(block)
 }
 
 //mtlint:hotpath
@@ -56,12 +82,36 @@ func (c *fastCache) setIndex(block uint64) uint64 {
 	return block % c.nsets
 }
 
-// set returns the ways of the block's set in LRU order.
+// page returns the page holding set s, nil while unallocated, and the
+// index of the set's first line in it. It and newPage hold the page
+// layout.
+//
+//mtlint:hotpath
+func (c *fastCache) page(s uint64) ([]line, uint64) {
+	return c.pages[s>>pageShift], (s & pageMask) * uint64(c.ways)
+}
+
+// set returns the ways of the block's set in LRU order, or nil while the
+// set's page is unallocated.
 //
 //mtlint:hotpath
 func (c *fastCache) set(block uint64) []line {
-	s := c.setIndex(block)
-	return c.lines[s*uint64(c.ways) : (s+1)*uint64(c.ways)]
+	pg, i := c.page(c.setIndex(block))
+	if pg == nil {
+		return nil
+	}
+	return pg[i : i+uint64(c.ways)]
+}
+
+// slot returns a direct-mapped block's line, or nil while its page is
+// unallocated.
+//
+//mtlint:hotpath
+func (c *fastCache) slot(block uint64) *line {
+	if pg, i := c.page(c.setIndex(block)); i < uint64(len(pg)) {
+		return &pg[i]
+	}
+	return nil
 }
 
 // lookup returns the state of the block (invalid if absent) and promotes
@@ -73,8 +123,7 @@ func (c *fastCache) lookup(block uint64) lineState {
 		return c.infStates[block]
 	}
 	if c.ways == 1 {
-		l := &c.lines[c.setIndex(block)]
-		if l.state != invalid && l.tag == block {
+		if l := c.slot(block); l != nil && l.state != invalid && l.tag == block {
 			return l.state
 		}
 		return invalid
@@ -128,8 +177,12 @@ func (c *fastCache) fill(block uint64, st lineState, ctx int32) (victim uint64, 
 		c.infStates[block] = st
 		return 0, false, false
 	}
+	set := c.set(block)
+	if set == nil {
+		set = c.newPage(block)
+	}
 	if c.ways == 1 {
-		l := &c.lines[c.setIndex(block)]
+		l := &set[0]
 		if l.state != invalid {
 			victim = l.tag
 			dirty = l.state == modified
@@ -139,7 +192,6 @@ func (c *fastCache) fill(block uint64, st lineState, ctx int32) (victim uint64, 
 		*l = line{tag: block, state: st}
 		return victim, dirty, evicted
 	}
-	set := c.set(block)
 	way := -1
 	for i := range set {
 		if set[i].state == invalid {
@@ -171,8 +223,7 @@ func (c *fastCache) setState(block uint64, st lineState) {
 		return
 	}
 	if c.ways == 1 {
-		l := &c.lines[c.setIndex(block)]
-		if l.state != invalid && l.tag == block {
+		if l := c.slot(block); l != nil && l.state != invalid && l.tag == block {
 			l.state = st
 			return
 		}
@@ -203,8 +254,7 @@ func (c *fastCache) invalidate(block uint64, byProc int32) (present, dirty bool)
 		return true, st == modified
 	}
 	if c.ways == 1 {
-		l := &c.lines[c.setIndex(block)]
-		if l.state != invalid && l.tag == block {
+		if l := c.slot(block); l != nil && l.state != invalid && l.tag == block {
 			dirty = l.state == modified
 			l.state = invalid
 			c.gone[block] = goneReason{invalidated: true, by: byProc}

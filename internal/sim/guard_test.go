@@ -147,3 +147,58 @@ func TestGuardDynamic(t *testing.T) {
 		t.Fatalf("dynamic budget abort: got %v, want *BudgetError", err)
 	}
 }
+
+// TestBudgetErrorEnginesAgree: a run aborted by its step budget reports
+// the same diagnostic on both engines, engine name aside — the same step
+// count, cycle and queue depth (the length after removing the event that
+// tripped the budget) on static, dynamic and online runs, so any change
+// to how the fast engine steps its event queue must keep the reference
+// engine's accounting.
+func TestBudgetErrorEnginesAgree(t *testing.T) {
+	tr := guardTrace(8, 300)
+	pl := mkPlacement([]int{0, 1}, []int{2, 3}, []int{4, 5}, []int{6, 7})
+	cfg := DefaultConfig(4)
+	online := OnlineOptions{Interval: 97, Penalty: 20, Policy: rotatePolicy{}}
+	runs := []struct {
+		name string
+		run  func(eng Engine, g Guard) error
+	}{
+		{"static", func(eng Engine, g Guard) error {
+			_, err := RunGuarded(tr, pl, cfg, eng, nil, g)
+			return err
+		}},
+		{"dynamic", func(eng Engine, g Guard) error {
+			if eng == FastEngine {
+				_, err := RunDynamicGuarded(tr, cfg, FIFO, nil, g)
+				return err
+			}
+			m, dpl, err := newDynamicMachine(tr, cfg, FIFO)
+			if err != nil {
+				return err
+			}
+			m.guard = newGuardState(g)
+			_, err = m.run(tr, dpl, 0)
+			return err
+		}},
+		{"online", func(eng Engine, g Guard) error {
+			_, err := RunOnlineGuarded(tr, pl, cfg, eng, online, nil, g)
+			return err
+		}},
+	}
+	for _, r := range runs {
+		for _, steps := range []uint64{1, 2, 100, 777} {
+			var got [2]BudgetError
+			for i, eng := range []Engine{ReferenceEngine, FastEngine} {
+				var be *BudgetError
+				if err := r.run(eng, Guard{MaxSteps: steps}); !errors.As(err, &be) {
+					t.Fatalf("%s/%d/%v: got %v, want *BudgetError", r.name, steps, eng, err)
+				}
+				got[i] = *be
+				got[i].Engine = ""
+			}
+			if got[0] != got[1] {
+				t.Errorf("%s/%d: reference %+v, fast %+v", r.name, steps, got[0], got[1])
+			}
+		}
+	}
+}
