@@ -5,13 +5,19 @@
 
 GO ?= go
 
-.PHONY: build test verify lint racecheck bench benchsim benchserve benchcluster benchadvise fuzz golden faultcheck servecheck clustercheck tracecheck storecheck advisecheck perfcheck benchsmoke
+.PHONY: build test verify lint racecheck bench benchsim benchserve benchcluster benchadvise fuzz golden faultcheck servecheck clustercheck tracecheck storecheck advisecheck perfcheck benchsmoke loc
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Production Go lines (non-test, outside perfbench/ and testdata/, and
+# the gitignored benchmark build dir): the count simplicity changes
+# record their net line delta against. Not a gate.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 # Project-specific static analysis (see DESIGN.md §8 and `go run
 # ./cmd/mtlint -analyzers`): hotpath, probeguard, determinism, stdlibonly

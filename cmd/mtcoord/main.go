@@ -1,11 +1,11 @@
 // Command mtcoord is the cluster coordinator: it serves mtserve's public
-// JSON API (POST /v1/simulate, POST /v1/sweep, GET /v1/jobs/{id},
-// GET /v1/placements, GET /healthz, GET /metrics) but executes the work
-// across N registered mtserve workers. Cells are routed by rescache
-// content address (rendezvous hashing for cache affinity), granted as
-// leases, harvested incrementally, stolen back from stragglers for idle
-// workers, and requeued when a worker dies — every rebalancing is
-// byte-identical by construction because the simulator is deterministic.
+// JSON API — the same nine-route handler set, DESIGN.md §10 — but
+// executes the work across N registered mtserve workers. Cells are
+// routed by rescache content address (rendezvous hashing for cache
+// affinity), granted as leases, harvested incrementally, stolen back
+// from stragglers for idle workers, and requeued when a worker dies —
+// every rebalancing is byte-identical by construction because the
+// simulator is deterministic.
 //
 // Usage:
 //

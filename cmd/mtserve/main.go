@@ -8,8 +8,10 @@
 //	mtserve -addr :8080 -workers 8 -cache 8192
 //	mtserve -loadgen -clients 64 -bench BENCH_serve.json
 //
-// Endpoints: POST /v1/simulate, POST /v1/sweep, GET /v1/jobs/{id},
-// GET /v1/placements, GET /healthz, GET /metrics.
+// Endpoints: the nine public routes of DESIGN.md §10 (POST /v1/simulate,
+// /v1/sweep, /v1/advise; GET /v1/jobs/{id}, /v1/jobs/{id}/events,
+// /v1/trace/{id}, /v1/placements, /healthz, /metrics), plus the
+// cluster-internal lease routes under /internal/v1.
 //
 // Shutdown is graceful: SIGTERM stops accepting work, in-flight cells
 // finish, queued jobs are handed back as retriable (their

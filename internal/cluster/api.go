@@ -1,6 +1,7 @@
 // Package cluster is the distributed sweep layer: a coordinator daemon
-// (cmd/mtcoord) that serves mtserve's public API but executes sweeps
-// across N registered mtserve workers. Cells are routed by rescache
+// (cmd/mtcoord) that serves mtserve's public API — the coordinator is a
+// serve.Executor under serve's handler set (handlers.go) — but executes
+// sweeps across N registered mtserve workers. Cells are routed by rescache
 // content address (shard.go), granted to workers as leases (the
 // worker-side protocol in internal/serve/lease.go), harvested
 // incrementally, stolen back from stragglers for idle workers, and
@@ -12,7 +13,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -111,29 +111,10 @@ func (r *HeartbeatRequest) Validate() error {
 	return validWorkerID(r.Worker)
 }
 
-// decodeStrict decodes exactly one JSON value with unknown fields
-// rejected and the byte budget enforced up front (mirrors the serve
-// decoder discipline).
-func decodeStrict(r io.Reader, v any) error {
-	lr := io.LimitReader(r, MaxRequestBytes+1)
-	dec := json.NewDecoder(lr)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) && lr.(*io.LimitedReader).N == 0 {
-			return fmt.Errorf("request body exceeds %d bytes", MaxRequestBytes)
-		}
-		return err
-	}
-	if dec.More() {
-		return errors.New("trailing data after JSON request")
-	}
-	return nil
-}
-
 // DecodeRegisterRequest reads and validates a registration body.
 func DecodeRegisterRequest(r io.Reader) (*RegisterRequest, error) {
 	var req RegisterRequest
-	if err := decodeStrict(r, &req); err != nil {
+	if err := serve.DecodeStrict(r, &req, MaxRequestBytes); err != nil {
 		return nil, err
 	}
 	if err := req.Validate(); err != nil {
@@ -145,7 +126,7 @@ func DecodeRegisterRequest(r io.Reader) (*RegisterRequest, error) {
 // DecodeHeartbeatRequest reads and validates a heartbeat body.
 func DecodeHeartbeatRequest(r io.Reader) (*HeartbeatRequest, error) {
 	var req HeartbeatRequest
-	if err := decodeStrict(r, &req); err != nil {
+	if err := serve.DecodeStrict(r, &req, MaxRequestBytes); err != nil {
 		return nil, err
 	}
 	if err := req.Validate(); err != nil {

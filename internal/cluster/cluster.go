@@ -1,9 +1,9 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"log/slog"
+	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -14,7 +14,6 @@ import (
 	"repro/internal/serve/rescache"
 	"repro/internal/serve/webhook"
 	"repro/internal/store"
-	"repro/internal/workload"
 )
 
 // Options configures a Coordinator.
@@ -108,6 +107,7 @@ func (w *worker) client() *client.Client {
 type Coordinator struct {
 	opts    Options
 	metrics *coordMetrics
+	durable *serve.Durable
 	journal *coordJournal  // nil when journaling is off
 	spans   *obs.SpanStore // nil when telemetry is disabled
 	bus     *obs.Bus       // nil when telemetry is disabled
@@ -132,6 +132,7 @@ func New(opts Options) (*Coordinator, error) {
 		workers: make(map[string]*worker),
 		jobs:    make(map[string]*cjob),
 	}
+	c.durable = serve.NewDurable(c.metrics.set, "coordinator", opts.Store, opts.Webhooks, opts.Log)
 	if !opts.DisableTelemetry {
 		c.spans = obs.NewSpanStore(opts.SpanCapacity)
 		c.bus = obs.NewBus(c.metrics.streamDropped)
@@ -186,7 +187,7 @@ func (c *Coordinator) register(id, url string, now time.Time) (int, error) {
 	if !ok {
 		if len(c.workers) >= MaxWorkers {
 			c.mu.Unlock()
-			return 0, fmt.Errorf("cluster is full (%d workers)", MaxWorkers)
+			return 0, &serve.Error{Status: http.StatusTooManyRequests, Message: fmt.Sprintf("cluster is full (%d workers)", MaxWorkers)}
 		}
 		w = &worker{id: id, metrics: c.metrics.forWorker(id)}
 		c.workers[id] = w
@@ -218,7 +219,7 @@ func (c *Coordinator) heartbeat(id string, now time.Time) error {
 	w, ok := c.workers[id]
 	c.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("unknown worker %s", id)
+		return &serve.Error{Status: http.StatusNotFound, Message: "unknown worker " + id}
 	}
 	w.mu.Lock()
 	w.lastBeat = now
@@ -308,17 +309,20 @@ type cjob struct {
 	failed    int
 	errmsg    string
 
-	doneOnce sync.Once
-	done     chan struct{} // closed at the terminal state
+	done chan struct{} // closed by settle, at the terminal state
 }
 
-// finish closes the done channel and ends the root span, exactly once
-// across the finalize and retire paths.
-func (j *cjob) finish() {
-	j.doneOnce.Do(func() {
-		close(j.done)
-		j.span.End()
-	})
+// settle moves the job to its terminal status, once (finalize or
+// retireRetriable). The caller has already counted the outcome; the
+// root span ends before the status is stored and done closes, so a
+// client that observes the terminal state finds both /healthz and the
+// trace complete.
+func (j *cjob) settle(status string) {
+	j.span.End()
+	j.mu.Lock()
+	j.status = status
+	j.mu.Unlock()
+	close(j.done)
 }
 
 func retriableJob(id string) *cjob {
@@ -330,11 +334,7 @@ func retriableJob(id string) *cjob {
 func (j *cjob) terminal() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch j.status {
-	case serve.StatusDone, serve.StatusFailed, serve.StatusRetriable, serve.StatusCanceled:
-		return true
-	}
-	return false
+	return serve.TerminalStatus(j.status)
 }
 
 // snapshot renders the job's wire status, with results attached once
@@ -383,51 +383,26 @@ func (j *cjob) finished() bool {
 	return j.completed+j.failed == len(j.cells)
 }
 
-// errNoWorkers refuses sweeps while the cluster has no live members.
-var errNoWorkers = errors.New("no live workers registered")
-
-// errDraining refuses work during shutdown.
-var errDraining = errors.New("coordinator is draining")
-
-// resolveParams fills nil request params with the library defaults,
-// exactly as the workers do — coordinator and worker must agree on cell
-// identity.
-func resolveParams(p *serve.Params) serve.Params {
-	if p != nil {
-		return *p
+// SubmitSweep accepts a sweep for distributed execution, joining the
+// caller's distributed trace. An identical sweep already known is
+// returned as-is with Existing set; a retriable record (drain or crash
+// recovery) is replaced by a fresh run — resubmission is how clients
+// recover.
+func (c *Coordinator) SubmitSweep(req *serve.SweepRequest, parent obs.SpanContext) (*serve.SweepAccepted, error) {
+	if err := c.Refusal(); err != nil {
+		return nil, err
 	}
-	d := workload.DefaultParams()
-	return serve.Params{Scale: d.Scale, Seed: d.Seed}
-}
-
-// SubmitSweep accepts a sweep for distributed execution and returns its
-// job record. An identical sweep already known is returned as-is with
-// existing=true; a retriable record (drain or crash recovery) is
-// replaced by a fresh run — resubmission is how clients recover.
-func (c *Coordinator) SubmitSweep(req *serve.SweepRequest) (st serve.JobStatus, existing bool, err error) {
-	return c.SubmitSweepTraced(req, obs.SpanContext{})
-}
-
-// SubmitSweepTraced is SubmitSweep joining the caller's distributed
-// trace (a fresh trace is minted when ctx is zero and telemetry is on).
-func (c *Coordinator) SubmitSweepTraced(req *serve.SweepRequest, ctx obs.SpanContext) (st serve.JobStatus, existing bool, err error) {
-	if c.Draining() {
-		return serve.JobStatus{}, false, errDraining
+	if len(c.liveWorkerIDs(time.Now())) == 0 {
+		return nil, errNoWorkers
 	}
-	now := time.Now()
-	live := c.liveWorkerIDs(now)
-	if len(live) == 0 {
-		return serve.JobStatus{}, false, errNoWorkers
-	}
-	params := resolveParams(req.Params)
+	params := serve.ResolveParams(req.Params)
 	id := serve.SweepJobID(params, req)
 
 	c.mu.Lock()
 	if prev, ok := c.jobs[id]; ok {
-		retriable := prev.terminal() && prev.snapshot().Status == serve.StatusRetriable
-		if !retriable {
+		if st := prev.snapshot(); st.Status != serve.StatusRetriable {
 			c.mu.Unlock()
-			return prev.snapshot(), true, nil
+			return accepted(st, true), nil
 		}
 		delete(c.jobs, id) // forget the stale record, rerun below
 	}
@@ -458,10 +433,7 @@ func (c *Coordinator) SubmitSweepTraced(req *serve.SweepRequest, ctx obs.SpanCon
 	if c.spans != nil {
 		// Root span for the whole distributed sweep; every lease grant,
 		// steal, requeue and worker-side span hangs under it.
-		if !ctx.Valid() {
-			ctx = obs.NewTrace()
-		}
-		j.span = c.spans.Start(ctx, coordService, "sweep")
+		j.span = c.spans.Start(parent, coordService, "sweep")
 		j.trace = j.span.Context()
 	}
 	c.jobs[id] = j
@@ -480,18 +452,21 @@ func (c *Coordinator) SubmitSweepTraced(req *serve.SweepRequest, ctx obs.SpanCon
 	c.publishJob(j)
 	c.wg.Add(1)
 	go c.runJob(j)
-	return j.snapshot(), false, nil
+	return accepted(j.snapshot(), false), nil
+}
+
+// accepted is the POST /v1/sweep reply for a job record.
+func accepted(st serve.JobStatus, existing bool) *serve.SweepAccepted {
+	return &serve.SweepAccepted{Job: st.Job, Status: st.Status, Cells: st.Cells, Existing: existing, Trace: st.Trace}
 }
 
 // Job returns a job's status by ID.
 func (c *Coordinator) Job(id string) (serve.JobStatus, bool) {
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	c.mu.Unlock()
+	ref, ok := c.LookupJob(id)
 	if !ok {
 		return serve.JobStatus{}, false
 	}
-	return j.snapshot(), true
+	return ref.Status(), true
 }
 
 // evictLocked bounds retained terminal jobs (caller holds c.mu).

@@ -5,7 +5,8 @@ package cluster
 // (or crash-recovered) sweep restores those cells from disk before any
 // lease goes out — the cluster warm-starts without re-simulating.
 // Terminal job states are announced through the retrying webhook
-// dispatcher, same delivery contract as a bare worker.
+// dispatcher by serve.Durable, the same code and delivery contract as a
+// bare worker.
 
 import (
 	"encoding/json"
@@ -141,38 +142,4 @@ func (c *Coordinator) recordRestored(j *cjob, ci int, cr serve.CellResult) bool 
 		}
 	}
 	return true
-}
-
-// notifyJob enqueues the terminal-state webhook for a sweep submitted
-// with a webhook_url (same delivery identity and body as a worker's).
-func (c *Coordinator) notifyJob(j *cjob, st serve.JobStatus) {
-	if c.opts.Webhooks == nil || j.webhookURL == "" {
-		return
-	}
-	body, err := json.Marshal(serve.JobEventOf(st))
-	if err != nil {
-		return
-	}
-	id := serve.WebhookDeliveryID(j.id, j.webhookURL, st.Status)
-	if err := c.opts.Webhooks.Enqueue(id, j.webhookURL, body); err != nil && c.opts.Log != nil {
-		c.opts.Log.Warn("webhook enqueue failed", "job", j.id, "err", err.Error())
-	}
-}
-
-// syncDurableCounters mirrors the store's and dispatcher's counters
-// into /metrics at scrape time.
-func (c *Coordinator) syncDurableCounters() {
-	if c.opts.Store != nil {
-		ss := c.opts.Store.Stats()
-		c.metrics.storeHits.Set(int64(ss.Hits))
-		c.metrics.storeMisses.Set(int64(ss.Misses))
-		c.metrics.storePuts.Set(int64(ss.Puts))
-		c.metrics.storeQuarantined.Set(int64(ss.Quarantined))
-	}
-	if c.opts.Webhooks != nil {
-		ws := c.opts.Webhooks.Stats()
-		c.metrics.webhookPending.Set(int64(ws.Pending))
-		c.metrics.webhookDelivered.Set(int64(ws.Delivered))
-		c.metrics.webhookFailed.Set(int64(ws.Failed))
-	}
 }

@@ -1,121 +1,60 @@
 package cluster
 
 import (
-	"encoding/json"
+	"context"
 	"errors"
+	"io"
 	"net/http"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/placement"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
-	"repro/internal/workload"
+	"repro/internal/serve/rescache"
 )
 
-// Handler returns the coordinator's HTTP API. The public surface is
-// mtserve's, endpoint for endpoint — a client pointed at a coordinator
-// cannot tell the difference except for Role in /healthz — plus the
-// cluster-internal registration endpoints under /cluster/v1.
+// The coordinator is a serve.Executor: mtserve's public handler set
+// (serve.NewHandler) runs over it unchanged, so a client pointed at a
+// coordinator cannot tell the difference except for Role in /healthz.
+// Simulate and advise are proxied to the rendezvous-preferred worker,
+// sweeps are lease-dispatched (sched.go), and the trace endpoint is the
+// cluster-wide merge point: Spans joins the coordinator's own spans with
+// every live worker's, which is how a whole sweep — coordinator
+// scheduling plus each worker's queueing and engine runs — lands on a
+// single Perfetto timeline.
+
+// coordService is the coordinator's service label in spans.
+const coordService = "mtcoord"
+
+// Refusals, typed with their replies. All are retriable: the identical
+// request succeeds once the coordinator restarts or workers are back.
+var (
+	errDraining  = &serve.Error{Status: http.StatusServiceUnavailable, Message: "coordinator is draining", Retriable: true}
+	errNoWorkers = &serve.Error{Status: http.StatusServiceUnavailable, Message: "no live workers registered", Retriable: true}
+	errAllFailed = &serve.Error{Status: http.StatusServiceUnavailable, Message: "every candidate worker failed", Retriable: true}
+)
+
+// Handler returns the coordinator's HTTP API: the public routes plus the
+// cluster-internal membership routes under /cluster/v1.
 func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/simulate", c.handleSimulate)
-	mux.HandleFunc("POST /v1/sweep", c.handleSweep)
-	mux.HandleFunc("POST /v1/advise", c.handleAdvise)
-	mux.HandleFunc("GET /v1/jobs/{id}", c.handleJob)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", c.handleJobEvents)
-	mux.HandleFunc("GET /v1/trace/{id}", c.handleTrace)
-	mux.HandleFunc("GET /v1/placements", c.handlePlacements)
-	mux.HandleFunc("GET /healthz", c.handleHealth)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
-	mux.HandleFunc("POST /cluster/v1/register", c.handleRegister)
-	mux.HandleFunc("POST /cluster/v1/heartbeat", c.handleHeartbeat)
-	return c.instrument(mux)
-}
-
-// instrument feeds the request-latency histogram around the mux. SSE
-// streams are excluded — their duration is the client's watch time, not
-// a request latency.
-func (c *Coordinator) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		next.ServeHTTP(w, r)
-		if !strings.HasSuffix(r.URL.Path, "/events") {
-			c.metrics.reqLatency.ObserveSince(start)
-		}
+	return serve.NewHandler(c, c.bus, c.metrics.http, func(mux *http.ServeMux) {
+		mux.HandleFunc("POST /cluster/v1/register", c.handleRegister)
+		mux.HandleFunc("POST /cluster/v1/heartbeat", c.handleHeartbeat)
 	})
 }
 
-// writeJSON writes v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeError writes a serve.ErrorResponse (same wire shape as a worker).
-func writeError(w http.ResponseWriter, status int, msg string, retriable bool) {
-	writeJSON(w, status, serve.ErrorResponse{Error: msg, Retriable: retriable})
-}
-
-// handleSweep accepts a sweep for distributed execution.
-func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, serve.MaxRequestBytes)
-	req, err := serve.DecodeSweepRequest(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), false)
-		return
-	}
-	st, existing, err := c.SubmitSweepTraced(req, c.traceFromRequest(r))
-	if err != nil {
-		// Both refusal modes — draining and an empty cluster — are
-		// retriable: the identical sweep succeeds once workers are back.
-		writeError(w, http.StatusServiceUnavailable, err.Error(), true)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, serve.SweepAccepted{
-		Job:      st.Job,
-		Status:   st.Status,
-		Cells:    st.Cells,
-		Existing: existing,
-		Trace:    st.Trace,
-	})
-}
-
-// handleJob reports a job's status, results attached once done.
-func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	st, ok := c.Job(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job "+id, false)
-		return
-	}
-	if st.Status == serve.StatusRetriable {
-		// Same contract as a drained worker: 503 with the status body tells
-		// the poller to resubmit the identical content-addressed sweep.
-		writeJSON(w, http.StatusServiceUnavailable, st)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-// handleSimulate proxies a single cell to the rendezvous-preferred worker
-// (so repeated identical cells hit that worker's result cache), failing
-// over down the preference order when workers are dead.
-func (c *Coordinator) handleSimulate(w http.ResponseWriter, r *http.Request) {
+// Refusal implements serve.Executor.
+func (c *Coordinator) Refusal() error {
 	if c.Draining() {
-		writeError(w, http.StatusServiceUnavailable, errDraining.Error(), true)
-		return
+		return errDraining
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, serve.MaxRequestBytes)
-	req, err := serve.DecodeSimulateRequest(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), false)
-		return
-	}
+	return nil
+}
 
+// Simulate proxies a single cell to the rendezvous-preferred worker, so
+// repeated identical cells hit that worker's result cache.
+func (c *Coordinator) Simulate(_ context.Context, req *serve.SimulateRequest, parent obs.SpanContext) (*serve.SimulateResponse, obs.SpanContext, error) {
 	// Request-level cell identity, mirroring the sweep shard key.
 	alg := req.Algorithm
 	if req.Placement != nil {
@@ -125,14 +64,37 @@ func (c *Coordinator) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if req.Config != nil && req.Config.Processors > 0 {
 		procs = req.Config.Processors
 	}
-	params := resolveParams(req.Params)
-	key := CellShardKey(params, req.App, alg, procs, req.Infinite)
+	key := CellShardKey(serve.ResolveParams(req.Params), req.App, alg, procs, req.Infinite)
+	var resp *serve.SimulateResponse
+	sc, err := c.proxy(key, parent, "proxy simulate", func(cl *client.Client, trace string) (err error) {
+		resp, err = cl.SimulateTrace(req, trace)
+		return err
+	})
+	return resp, sc, err
+}
 
-	now := time.Now()
-	live := c.liveWorkerIDs(now)
+// Advise proxies an advisor request keyed by its sharing source, so
+// repeated advice on the same catalog app lands on the worker whose
+// suite already memoized that app's measurement.
+func (c *Coordinator) Advise(req *serve.AdviseRequest, parent obs.SpanContext) (*serve.AdviseResponse, obs.SpanContext, error) {
+	key := CellShardKey(serve.ResolveParams(req.Params), req.App, "ADVISE", req.Procs, false)
+	var resp *serve.AdviseResponse
+	sc, err := c.proxy(key, parent, "proxy advise", func(cl *client.Client, trace string) (err error) {
+		resp, err = cl.AdviseTrace(req, trace)
+		return err
+	})
+	return resp, sc, err
+}
+
+// proxy sends one request down the live workers' rendezvous preference
+// order for key, inside a coordinator span (name) that the worker's
+// spans nest under via the forwarded trace header. A worker's answer —
+// a reply or an API error — is final; a transport failure marks the
+// worker dead and fails over to the next candidate.
+func (c *Coordinator) proxy(key rescache.Key, parent obs.SpanContext, name string, call func(cl *client.Client, trace string) error) (obs.SpanContext, error) {
+	live := c.liveWorkerIDs(time.Now())
 	if len(live) == 0 {
-		writeError(w, http.StatusServiceUnavailable, errNoWorkers.Error(), true)
-		return
+		return obs.SpanContext{}, errNoWorkers
 	}
 	sort.Slice(live, func(i, k int) bool {
 		si, sk := rendezvousScore(key, live[i]), rendezvousScore(key, live[k])
@@ -141,116 +103,66 @@ func (c *Coordinator) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		}
 		return live[i] < live[k]
 	})
-	// Wrap the proxied call in a coordinator span so the worker's spans
-	// (propagated via the forwarded header) nest under it.
-	var proxySpan *obs.ActiveSpan
+	var span *obs.ActiveSpan
 	trace := ""
 	if c.spans != nil {
-		proxySpan = c.spans.Start(c.traceFromRequest(r), coordService, "proxy simulate")
-		defer proxySpan.End()
-		trace = proxySpan.Context().HeaderValue()
-		w.Header().Set(obs.TraceHeader, trace)
+		span = c.spans.Start(parent, coordService, name)
+		defer span.End()
+		trace = span.Context().HeaderValue()
 	}
 	for _, wid := range live {
 		wk := c.workerByID(wid)
 		if wk == nil {
 			continue
 		}
-		resp, err := wk.client().SimulateTrace(req, trace)
+		err := call(wk.client(), trace)
 		if err == nil {
-			proxySpan.SetNote("worker " + wid)
-			writeJSON(w, http.StatusOK, resp)
-			return
+			span.SetNote("worker " + wid)
+			return span.Context(), nil
 		}
 		var ae *client.APIError
 		if errors.As(err, &ae) {
 			// The worker answered; mirror its verdict to the caller.
-			writeError(w, ae.Status, ae.Message, ae.Retriable)
-			return
+			return span.Context(), &serve.Error{Status: ae.Status, Message: ae.Message, Retriable: ae.Retriable}
 		}
 		c.markDead(wk, err)
 	}
-	writeError(w, http.StatusServiceUnavailable, "every candidate worker failed", true)
+	return span.Context(), errAllFailed
 }
 
-// handleAdvise proxies an advisor request to the rendezvous-preferred
-// worker — keyed by the request's sharing source, so repeated advice on
-// the same catalog app lands on the worker whose suite already memoized
-// that app's measurement — failing over like handleSimulate.
-func (c *Coordinator) handleAdvise(w http.ResponseWriter, r *http.Request) {
-	if c.Draining() {
-		writeError(w, http.StatusServiceUnavailable, errDraining.Error(), true)
-		return
+// LookupJob implements serve.Executor.
+func (c *Coordinator) LookupJob(id string) (serve.JobRef, bool) {
+	c.mu.Lock()
+	j, ok := c.jobs[id]
+	c.mu.Unlock()
+	if !ok {
+		return serve.JobRef{}, false
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, serve.MaxRequestBytes)
-	req, err := serve.DecodeAdviseRequest(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), false)
-		return
-	}
+	return serve.JobRef{Status: j.snapshot, Done: j.done}, true
+}
 
-	params := resolveParams(req.Params)
-	key := CellShardKey(params, req.App, "ADVISE", req.Procs, false)
-
-	now := time.Now()
-	live := c.liveWorkerIDs(now)
-	if len(live) == 0 {
-		writeError(w, http.StatusServiceUnavailable, errNoWorkers.Error(), true)
-		return
+// Spans merges the coordinator's spans for one trace with every live
+// worker's. Worker fetch failures are tolerated — a dead worker's spans
+// are simply absent, the surviving timeline still renders (the chaos
+// contract).
+func (c *Coordinator) Spans(traceID string) ([]obs.Span, error) {
+	if c.spans == nil {
+		return nil, serve.ErrTracingDisabled
 	}
-	sort.Slice(live, func(i, k int) bool {
-		si, sk := rendezvousScore(key, live[i]), rendezvousScore(key, live[k])
-		if si != sk {
-			return si > sk
-		}
-		return live[i] < live[k]
-	})
-	var proxySpan *obs.ActiveSpan
-	trace := ""
-	if c.spans != nil {
-		proxySpan = c.spans.Start(c.traceFromRequest(r), coordService, "proxy advise")
-		defer proxySpan.End()
-		trace = proxySpan.Context().HeaderValue()
-		w.Header().Set(obs.TraceHeader, trace)
-	}
-	for _, wid := range live {
+	spans := c.spans.Trace(traceID)
+	for _, wid := range c.liveWorkerIDs(time.Now()) {
 		wk := c.workerByID(wid)
 		if wk == nil {
 			continue
 		}
-		resp, err := wk.client().AdviseTrace(req, trace)
-		if err == nil {
-			proxySpan.SetNote("worker " + wid)
-			writeJSON(w, http.StatusOK, resp)
-			return
+		ws, err := wk.client().Spans(traceID)
+		if err != nil {
+			continue
 		}
-		var ae *client.APIError
-		if errors.As(err, &ae) {
-			writeError(w, ae.Status, ae.Message, ae.Retriable)
-			return
-		}
-		c.markDead(wk, err)
+		spans = append(spans, ws...)
 	}
-	writeError(w, http.StatusServiceUnavailable, "every candidate worker failed", true)
-}
-
-// handlePlacements returns the simulatable catalog (identical on every
-// node — the catalog is compiled in, not configured).
-func (c *Coordinator) handlePlacements(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, serve.PlacementsResponse{
-		Apps:       workload.Names(),
-		Algorithms: placement.Names(),
-	})
-}
-
-// handleHealth reports coordinator liveness; draining answers 503.
-func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
-	h := c.Health()
-	status := http.StatusOK
-	if h.Status == "draining" {
-		status = http.StatusServiceUnavailable
-	}
-	writeJSON(w, status, h)
+	obs.SortSpans(spans)
+	return spans, nil
 }
 
 // Health builds the coordinator's health view in mtserve's wire shape:
@@ -269,58 +181,59 @@ func (c *Coordinator) Health() serve.HealthResponse {
 			Retriable: c.metrics.jobsRetriable.Value(),
 		},
 	}
-	if c.opts.Store != nil {
-		ss := c.opts.Store.Stats()
-		h.Store = &serve.StoreHealth{
-			Entries:        ss.Entries,
-			SealedSegments: ss.SealedSegments,
-			Hits:           ss.Hits,
-			Misses:         ss.Misses,
-			Puts:           ss.Puts,
-			Quarantined:    ss.Quarantined,
-			HitRate:        ss.HitRate(),
-		}
-	}
-	if c.opts.Webhooks != nil {
-		ws := c.opts.Webhooks.Stats()
-		h.Webhooks = &serve.WebhookHealth{
-			Pending:   ws.Pending,
-			Delivered: ws.Delivered,
-			Failed:    ws.Failed,
-			Retries:   ws.Retries,
-		}
-	}
+	h.Store, h.Webhooks = c.durable.Health()
 	if c.Draining() {
 		h.Status = "draining"
 	}
 	return h
 }
 
-// handleMetrics renders the Prometheus text exposition.
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	c.syncDurableCounters()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_, _ = c.metrics.set.WriteTo(w)
+// WriteMetrics implements serve.Executor.
+func (c *Coordinator) WriteMetrics(w io.Writer) error {
+	c.durable.SyncMetrics()
+	_, err := c.metrics.set.WriteTo(w)
+	return err
+}
+
+// publishJob emits a job-level state event.
+func (c *Coordinator) publishJob(j *cjob) {
+	if c.bus == nil {
+		return
+	}
+	c.bus.Publish(serve.JobTopic(j.id), "job", serve.JobEventOf(j.snapshot()))
+}
+
+// publishCell emits one harvested cell outcome.
+func (c *Coordinator) publishCell(j *cjob, ci int, workerID, state, key string, cached bool, errmsg string) {
+	if c.bus == nil {
+		return
+	}
+	cell := j.cells[ci]
+	c.bus.Publish(serve.JobTopic(j.id), "cell", serve.CellEvent{
+		Job: j.id, Cell: ci, Worker: workerID,
+		App: cell.app, Algorithm: cell.alg, Procs: cell.procs,
+		State: state, Key: key, Cached: cached, Error: errmsg,
+	})
 }
 
 // handleRegister adds or refreshes a worker.
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	if c.Draining() {
-		writeError(w, http.StatusServiceUnavailable, errDraining.Error(), true)
+	if err := c.Refusal(); err != nil {
+		serve.WriteError(w, err)
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
 	req, err := DecodeRegisterRequest(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), false)
+		serve.WriteError(w, &serve.Error{Status: http.StatusBadRequest, Message: err.Error()})
 		return
 	}
 	live, err := c.register(req.Worker, req.URL, time.Now())
 	if err != nil {
-		writeError(w, http.StatusTooManyRequests, err.Error(), false)
+		serve.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, RegisterResponse{Worker: req.Worker, Workers: live})
+	serve.WriteJSON(w, http.StatusOK, RegisterResponse{Worker: req.Worker, Workers: live})
 }
 
 // handleHeartbeat refreshes a worker's liveness. Unknown workers get 404
@@ -330,12 +243,12 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
 	req, err := DecodeHeartbeatRequest(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), false)
+		serve.WriteError(w, &serve.Error{Status: http.StatusBadRequest, Message: err.Error()})
 		return
 	}
 	if err := c.heartbeat(req.Worker, time.Now()); err != nil {
-		writeError(w, http.StatusNotFound, err.Error(), false)
+		serve.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, HeartbeatResponse{Worker: req.Worker})
+	serve.WriteJSON(w, http.StatusOK, HeartbeatResponse{Worker: req.Worker})
 }

@@ -4,15 +4,18 @@ import (
 	"strings"
 
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // coordMetrics is every coordinator /metrics series. Cluster-wide series
-// are registered once at startup; per-worker series (queue depth, steals
+// are registered once at startup (the request and durable-tier series
+// under the shared serve names, with the coordinator_ prefix); per-worker series (queue depth, steals
 // from, requeues after death) are registered at registration time with
 // the sanitized worker ID baked into the name, so a scrape always shows
 // one row per known worker.
 type coordMetrics struct {
-	set *obs.MetricSet
+	set  *obs.MetricSet
+	http *serve.RequestMetrics
 
 	workersLive    *obs.Metric
 	workersTotal   *obs.Metric
@@ -32,15 +35,6 @@ type coordMetrics struct {
 	pendingCells   *obs.Metric
 	streamDropped  *obs.Metric
 
-	storeHits        *obs.Metric
-	storeMisses      *obs.Metric
-	storePuts        *obs.Metric
-	storeQuarantined *obs.Metric
-	webhookPending   *obs.Metric
-	webhookDelivered *obs.Metric
-	webhookFailed    *obs.Metric
-
-	reqLatency   *obs.Histogram
 	leaseHarvest *obs.Histogram
 }
 
@@ -48,6 +42,7 @@ func newCoordMetrics() *coordMetrics {
 	s := obs.NewMetricSet()
 	return &coordMetrics{
 		set:            s,
+		http:           serve.NewRequestMetrics(s, "coordinator"),
 		workersLive:    s.Gauge("coordinator_workers_live", "registered workers currently considered alive"),
 		workersTotal:   s.Counter("coordinator_workers_registered_total", "worker registrations accepted (including re-registrations)"),
 		workerDeaths:   s.Counter("coordinator_worker_deaths_total", "workers declared dead (heartbeat timeout or transport failure)"),
@@ -65,16 +60,7 @@ func newCoordMetrics() *coordMetrics {
 		cellsFromStore: s.Counter("coordinator_cells_from_store_total", "sweep cells restored from the durable store without leasing"),
 		pendingCells:   s.Gauge("coordinator_pending_cells", "cells accepted but not yet completed"),
 		streamDropped:  s.Counter("coordinator_stream_dropped_events_total", "progress-stream events dropped on slow subscribers"),
-
-		storeHits:        s.Counter("coordinator_store_hits_total", "durable result store hits"),
-		storeMisses:      s.Counter("coordinator_store_misses_total", "durable result store misses"),
-		storePuts:        s.Counter("coordinator_store_puts_total", "results written to the durable store"),
-		storeQuarantined: s.Counter("coordinator_store_quarantined_total", "store segments quarantined for corruption"),
-		webhookPending:   s.Gauge("coordinator_webhook_pending", "webhook deliveries awaiting a terminal outcome"),
-		webhookDelivered: s.Counter("coordinator_webhook_delivered_total", "webhook deliveries acknowledged 2xx"),
-		webhookFailed:    s.Counter("coordinator_webhook_failed_total", "webhook deliveries failed after exhausting attempts"),
-		reqLatency:       s.Histogram("coordinator_request_latency_us", "request latency in microseconds (SSE streams excluded)"),
-		leaseHarvest:     s.Histogram("coordinator_lease_harvest_us", "lease lifetime from grant to final harvest in microseconds"),
+		leaseHarvest:   s.Histogram("coordinator_lease_harvest_us", "lease lifetime from grant to final harvest in microseconds"),
 	}
 }
 

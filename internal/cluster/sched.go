@@ -393,26 +393,24 @@ func (c *Coordinator) stealForIdle(j *cjob, outstanding []*leaseRef, live []stri
 	return outstanding
 }
 
-// finalize moves a fully accounted job to done or failed.
+// finalize moves a fully accounted job to done or failed, counting the
+// outcome before the status becomes visible.
 func (c *Coordinator) finalize(j *cjob) {
+	status := serve.StatusDone
 	j.mu.Lock()
 	if j.failed > 0 || j.errmsg != "" {
-		j.status = serve.StatusFailed
-	} else {
-		j.status = serve.StatusDone
+		status = serve.StatusFailed
 	}
-	status := j.status
 	j.mu.Unlock()
-	j.span.SetNote(status)
-	j.finish()
-	c.publishJob(j)
-	c.notifyJob(j, j.snapshot())
-
 	if status == serve.StatusDone {
 		c.metrics.jobsCompleted.Inc()
 	} else {
 		c.metrics.jobsFailed.Inc()
 	}
+	j.span.SetNote(status)
+	j.settle(status)
+	c.publishJob(j)
+	c.durable.Notify(j.id, j.webhookURL, j.snapshot())
 	if c.journal != nil {
 		// Failed jobs are journaled done too: the failure is deterministic,
 		// so replaying it as retriable would only fail again.
@@ -437,13 +435,12 @@ func (c *Coordinator) retireRetriable(j *cjob, outstanding []*leaseRef) {
 	}
 	j.mu.Lock()
 	remaining := len(j.cells) - j.completed - j.failed
-	j.status = serve.StatusRetriable
 	j.mu.Unlock()
-	j.finish()
-	c.publishJob(j)
-	c.notifyJob(j, j.snapshot())
 	c.metrics.jobsRetriable.Inc()
 	c.metrics.pendingCells.Add(-int64(remaining))
+	j.settle(serve.StatusRetriable)
+	c.publishJob(j)
+	c.durable.Notify(j.id, j.webhookURL, j.snapshot())
 	if c.opts.Log != nil {
 		c.opts.Log.Info("job retired retriable", "job", j.id, "remaining", remaining)
 	}

@@ -80,7 +80,7 @@ type AdviseResponse struct {
 // DecodeAdviseRequest reads and validates a POST /v1/advise body.
 func DecodeAdviseRequest(r io.Reader) (*AdviseRequest, error) {
 	var req AdviseRequest
-	if err := decodeStrict(r, &req); err != nil {
+	if err := DecodeStrict(r, &req, MaxRequestBytes); err != nil {
 		return nil, err
 	}
 	if err := req.Validate(); err != nil {
@@ -140,33 +140,21 @@ func (r *AdviseRequest) Validate() error {
 	return nil
 }
 
-// handleAdvise answers POST /v1/advise synchronously: the measurement
-// (when one runs) is a single bounded one-thread-per-processor cell, not
-// a sweep, so it does not flow through the job queue.
-func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		writeError(w, http.StatusServiceUnavailable, errServerDraining.Error(), true)
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
-	req, err := DecodeAdviseRequest(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), false)
-		return
-	}
+// Advise answers POST /v1/advise synchronously: the measurement (when
+// one runs) is a single bounded one-thread-per-processor cell, not a
+// sweep, so it does not flow through the job queue.
+func (s *Server) Advise(req *AdviseRequest, parent obs.SpanContext) (*AdviseResponse, obs.SpanContext, error) {
 	sctx := obs.SpanContext{}
 	if s.spans != nil {
-		span := s.spans.Start(s.traceFromRequest(r), s.opts.ServiceName, "advise "+adviseLabel(req))
+		span := s.spans.Start(parent, s.opts.ServiceName, "advise "+adviseLabel(req))
 		defer span.End()
 		sctx = span.Context()
-		w.Header().Set(obs.TraceHeader, sctx.HeaderValue())
 	}
 	resp, err := s.advise(req, sctx)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err.Error(), false)
-		return
+		return nil, sctx, &Error{Status: http.StatusUnprocessableEntity, Message: err.Error()}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, sctx, nil
 }
 
 // adviseLabel names the request's sharing source for spans.
@@ -192,7 +180,7 @@ func (s *Server) advise(req *AdviseRequest, sctx obs.SpanContext) (*AdviseRespon
 	)
 	switch {
 	case req.App != "":
-		suite := s.suiteFor(resolveParams(req.Params))
+		suite := s.suiteFor(ResolveParams(req.Params))
 		tr, err := suite.Trace(req.App)
 		if err != nil {
 			return nil, err

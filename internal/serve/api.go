@@ -1,21 +1,16 @@
-// Package serve is the simulation-as-a-service layer: an HTTP daemon
-// (cmd/mtserve) exposing the paper's simulator over a JSON API.
+// Package serve is the simulation-as-a-service layer: the public JSON
+// API both daemons serve (handlers.go lists its nine routes; see
+// DESIGN.md §10) and the worker behind cmd/mtserve. The handler set runs
+// over an Executor: a Server here, or the cluster coordinator
+// (internal/cluster) behind cmd/mtcoord.
 //
-//	POST /v1/simulate   one (app, placement, config) cell, synchronous
-//	POST /v1/sweep      a cell cross-product, asynchronous: returns a job ID
-//	POST /v1/advise     recommend a placement from measured sharing, synchronous
-//	GET  /v1/jobs/{id}  poll a sweep job's status and results
-//	GET  /v1/placements catalog of apps and placement algorithms
-//	GET  /healthz       liveness, queue/worker/cache state
-//	GET  /metrics       process counters in Prometheus text format
-//
-// Every simulation flows through a bounded job queue drained by a worker
-// pool; a full queue answers 429 with Retry-After (backpressure, never
-// unbounded buffering). Results are memoized in a content-addressed LRU
-// (internal/serve/rescache) keyed exactly the way core.Suite memoizes
-// locally, so repeated and overlapping sweeps are served from cache. Every
-// cell runs on the fast engine through a resilience.EngineGuard, which
-// applies the per-cell watchdog.
+// On a Server every simulation flows through a bounded job queue drained
+// by a worker pool; a full queue answers 429 with Retry-After
+// (backpressure, never unbounded buffering). Results are memoized in a
+// content-addressed LRU (internal/serve/rescache) keyed exactly the way
+// core.Suite memoizes locally, so repeated and overlapping sweeps are
+// served from cache. Every cell runs on the fast engine through a
+// resilience.EngineGuard, which applies the per-cell watchdog.
 package serve
 
 import (
@@ -298,9 +293,8 @@ type HealthResponse struct {
 	// Status is "ok" or "draining" (shutdown in progress, new work
 	// refused).
 	Status string `json:"status"`
-	// Role distinguishes a worker daemon from a cluster coordinator
-	// serving the same API; mtserve leaves it empty (a bare worker),
-	// mtcoord reports "coordinator".
+	// Role is the one field that tells the two daemons' shared API
+	// apart: empty on a worker (mtserve), "coordinator" on mtcoord.
 	Role          string      `json:"role,omitempty"`
 	Workers       int         `json:"workers"`
 	QueueDepth    int         `json:"queue_depth"`
@@ -329,16 +323,17 @@ type ErrorResponse struct {
 	Retriable bool `json:"retriable,omitempty"`
 }
 
-// decodeStrict decodes exactly one JSON value from r into v with unknown
-// fields rejected and the byte budget enforced before any allocation
-// proportional to the input happens.
-func decodeStrict(r io.Reader, v any) error {
-	lr := io.LimitReader(r, MaxRequestBytes+1)
+// DecodeStrict decodes exactly one JSON value from r into v with unknown
+// fields rejected and the byte budget (limit) enforced before any
+// allocation proportional to the input happens. Every request decoder of
+// both daemons runs through it.
+func DecodeStrict(r io.Reader, v any, limit int64) error {
+	lr := io.LimitReader(r, limit+1)
 	dec := json.NewDecoder(lr)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) && lr.(*io.LimitedReader).N == 0 {
-			return fmt.Errorf("request body exceeds %d bytes", MaxRequestBytes)
+			return fmt.Errorf("request body exceeds %d bytes", limit)
 		}
 		return err
 	}
@@ -351,7 +346,7 @@ func decodeStrict(r io.Reader, v any) error {
 // DecodeSimulateRequest reads and validates a POST /v1/simulate body.
 func DecodeSimulateRequest(r io.Reader) (*SimulateRequest, error) {
 	var req SimulateRequest
-	if err := decodeStrict(r, &req); err != nil {
+	if err := DecodeStrict(r, &req, MaxRequestBytes); err != nil {
 		return nil, err
 	}
 	if err := req.Validate(); err != nil {
@@ -363,7 +358,7 @@ func DecodeSimulateRequest(r io.Reader) (*SimulateRequest, error) {
 // DecodeSweepRequest reads and validates a POST /v1/sweep body.
 func DecodeSweepRequest(r io.Reader) (*SweepRequest, error) {
 	var req SweepRequest
-	if err := decodeStrict(r, &req); err != nil {
+	if err := DecodeStrict(r, &req, MaxRequestBytes); err != nil {
 		return nil, err
 	}
 	if err := req.Validate(); err != nil {

@@ -1,19 +1,21 @@
 package serve
 
-// The durable tier glue: how the server speaks to the append-only
-// result store (internal/store) and the retrying webhook dispatcher
+// The durable tier glue: how a daemon speaks to the append-only result
+// store (internal/store) and the retrying webhook dispatcher
 // (internal/serve/webhook). Both are optional — a nil Options.Store or
 // Options.Webhooks turns each path into a no-op — and both are owned
 // by the caller (the daemon opens them before NewServer and closes
-// them after Drain).
+// them after Drain). Durable is the part the coordinator shares.
 
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve/rescache"
+	"repro/internal/serve/webhook"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -114,40 +116,107 @@ func WebhookDeliveryID(jobID, url, status string) string {
 	return "wh-" + sum.String()[:16]
 }
 
-// notifyJob enqueues the terminal-state webhook for a job submitted
-// with a webhook_url. The body is the JobEvent wire form — the same
-// JSON an SSE subscriber would have received as the final event.
-func (s *Server) notifyJob(j *job, st JobStatus) {
-	if s.opts.Webhooks == nil || j.webhookURL == "" {
+// Durable is the optional durable tier under either daemon: the result
+// store and the webhook dispatcher, each nil when off (the daemon owns
+// both lifecycles). It fills the /healthz blocks, projects the tier's
+// own counters into /metrics, and announces terminal job states.
+type Durable struct {
+	store    *store.Store
+	webhooks *webhook.Dispatcher
+	log      *slog.Logger
+
+	storeHits        *obs.Metric
+	storeMisses      *obs.Metric
+	storePuts        *obs.Metric
+	storeQuarantined *obs.Metric
+	storeSegments    *obs.Metric
+	webhookPending   *obs.Metric
+	webhookDelivered *obs.Metric
+	webhookFailed    *obs.Metric
+	webhookRetries   *obs.Metric
+}
+
+// NewDurable registers the tier's series under prefix in set.
+func NewDurable(set *obs.MetricSet, prefix string, st *store.Store, wh *webhook.Dispatcher, log *slog.Logger) *Durable {
+	return &Durable{
+		store:    st,
+		webhooks: wh,
+		log:      log,
+
+		storeHits:        set.Counter(prefix+"_store_hits_total", "durable result store hits"),
+		storeMisses:      set.Counter(prefix+"_store_misses_total", "durable result store misses"),
+		storePuts:        set.Counter(prefix+"_store_puts_total", "results written to the durable store"),
+		storeQuarantined: set.Counter(prefix+"_store_quarantined_total", "store segments quarantined for corruption"),
+		storeSegments:    set.Gauge(prefix+"_store_sealed_segments", "sealed segments in the durable store"),
+		webhookPending:   set.Gauge(prefix+"_webhook_pending", "webhook deliveries awaiting a terminal outcome"),
+		webhookDelivered: set.Counter(prefix+"_webhook_delivered_total", "webhook deliveries acknowledged 2xx"),
+		webhookFailed:    set.Counter(prefix+"_webhook_failed_total", "webhook deliveries failed after exhausting attempts"),
+		webhookRetries:   set.Counter(prefix+"_webhook_retries_total", "webhook delivery attempts beyond the first"),
+	}
+}
+
+// Health returns the /healthz store and webhook blocks, nil for the
+// parts that are off.
+func (d *Durable) Health() (st *StoreHealth, wh *WebhookHealth) {
+	if d.store != nil {
+		ss := d.store.Stats()
+		st = &StoreHealth{
+			Entries:        ss.Entries,
+			SealedSegments: ss.SealedSegments,
+			Hits:           ss.Hits,
+			Misses:         ss.Misses,
+			Puts:           ss.Puts,
+			Quarantined:    ss.Quarantined,
+			HitRate:        ss.HitRate(),
+		}
+	}
+	if d.webhooks != nil {
+		ws := d.webhooks.Stats()
+		wh = &WebhookHealth{
+			Pending:   ws.Pending,
+			Delivered: ws.Delivered,
+			Failed:    ws.Failed,
+			Retries:   ws.Retries,
+		}
+	}
+	return st, wh
+}
+
+// SyncMetrics mirrors the store's and dispatcher's own counters into
+// /metrics at scrape time (they count authoritatively; metrics are a
+// projection, the same contract as the result cache).
+func (d *Durable) SyncMetrics() {
+	if d.store != nil {
+		ss := d.store.Stats()
+		d.storeHits.Set(int64(ss.Hits))
+		d.storeMisses.Set(int64(ss.Misses))
+		d.storePuts.Set(int64(ss.Puts))
+		d.storeQuarantined.Set(int64(ss.Quarantined))
+		d.storeSegments.Set(int64(ss.SealedSegments))
+	}
+	if d.webhooks != nil {
+		ws := d.webhooks.Stats()
+		d.webhookPending.Set(int64(ws.Pending))
+		d.webhookDelivered.Set(int64(ws.Delivered))
+		d.webhookFailed.Set(int64(ws.Failed))
+		d.webhookRetries.Set(int64(ws.Retries))
+	}
+}
+
+// Notify enqueues the terminal-state webhook for a job submitted with a
+// webhook_url (url is "" for none). The body is the JobEvent wire form —
+// the same JSON an SSE subscriber would have received as the final
+// event.
+func (d *Durable) Notify(jobID, url string, st JobStatus) {
+	if d.webhooks == nil || url == "" {
 		return
 	}
 	body, err := json.Marshal(JobEventOf(st))
 	if err != nil {
 		return
 	}
-	id := WebhookDeliveryID(j.id, j.webhookURL, st.Status)
-	if err := s.opts.Webhooks.Enqueue(id, j.webhookURL, body); err != nil && s.opts.Log != nil {
-		s.opts.Log.Warn("webhook enqueue failed", "job", j.id, "err", err.Error())
-	}
-}
-
-// syncDurableCounters mirrors the store's and dispatcher's own counters
-// into /metrics at scrape time (they count authoritatively; metrics are
-// a projection, the same contract as the result cache).
-func (s *Server) syncDurableCounters() {
-	if s.opts.Store != nil {
-		ss := s.opts.Store.Stats()
-		s.metrics.storeHits.Set(int64(ss.Hits))
-		s.metrics.storeMisses.Set(int64(ss.Misses))
-		s.metrics.storePuts.Set(int64(ss.Puts))
-		s.metrics.storeQuarantined.Set(int64(ss.Quarantined))
-		s.metrics.storeSegments.Set(int64(ss.SealedSegments))
-	}
-	if s.opts.Webhooks != nil {
-		ws := s.opts.Webhooks.Stats()
-		s.metrics.webhookPending.Set(int64(ws.Pending))
-		s.metrics.webhookDelivered.Set(int64(ws.Delivered))
-		s.metrics.webhookFailed.Set(int64(ws.Failed))
-		s.metrics.webhookRetries.Set(int64(ws.Retries))
+	id := WebhookDeliveryID(jobID, url, st.Status)
+	if err := d.webhooks.Enqueue(id, url, body); err != nil && d.log != nil {
+		d.log.Warn("webhook enqueue failed", "job", jobID, "err", err.Error())
 	}
 }

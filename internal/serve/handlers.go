@@ -1,37 +1,134 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strings"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/placement"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// Handler returns the server's HTTP API. Routing uses Go 1.22 method
-// patterns; every response body is JSON.
-func (s *Server) Handler() http.Handler {
+// The public API, written once and served by both daemons: a worker
+// (*Server, its own queue and worker pool) and the cluster coordinator
+// (rendezvous proxy and lease dispatch). See DESIGN.md §10.
+//
+//	POST /v1/simulate         one cell, synchronous
+//	POST /v1/sweep            a cell cross-product, asynchronous (202 + job ID)
+//	POST /v1/advise           recommend a placement from measured sharing
+//	GET  /v1/jobs/{id}        poll a sweep job's status and results
+//	GET  /v1/jobs/{id}/events SSE stream of job/cell/sample events
+//	GET  /v1/trace/{id}       Perfetto trace-event JSON (?format=spans raw)
+//	GET  /v1/placements       catalog of apps and placement algorithms
+//	GET  /healthz             liveness, queue and job accounting
+//	GET  /metrics             Prometheus text exposition
+//
+// The handlers own everything the daemons share: body limits, strict
+// decoding, drain refusal (always before decoding), error mapping, the
+// SSE loop, trace rendering and request instrumentation. An Executor
+// owns only what differs between them.
+
+// Executor runs the public API's requests for one daemon. Failures that
+// reach the client are *Error values, which carry the reply's status
+// and retriable flag; any other error answers 500.
+type Executor interface {
+	// Refusal returns the error new work is refused with while the
+	// daemon drains, and nil otherwise.
+	Refusal() error
+	// Simulate runs one cell. parent is the caller's trace context; the
+	// returned context is the request span's, echoed in the Mtsim-Trace
+	// reply header (zero when telemetry is off). ctx ends when the
+	// client goes away.
+	Simulate(ctx context.Context, req *SimulateRequest, parent obs.SpanContext) (*SimulateResponse, obs.SpanContext, error)
+	// Advise answers one placement-advisor request, traced like Simulate.
+	Advise(req *AdviseRequest, parent obs.SpanContext) (*AdviseResponse, obs.SpanContext, error)
+	// SubmitSweep accepts a sweep as an asynchronous job.
+	SubmitSweep(req *SweepRequest, parent obs.SpanContext) (*SweepAccepted, error)
+	// LookupJob finds a job by ID.
+	LookupJob(id string) (JobRef, bool)
+	// Spans gathers one trace's spans in SortSpans order (an *Error when
+	// tracing is disabled).
+	Spans(traceID string) ([]obs.Span, error)
+	// Health builds the /healthz view.
+	Health() HealthResponse
+	// WriteMetrics renders the Prometheus text exposition.
+	WriteMetrics(w io.Writer) error
+}
+
+// JobRef is a job found by LookupJob.
+type JobRef struct {
+	// Status snapshots the job's wire status.
+	Status func() JobStatus
+	// Done is closed once the job is terminal.
+	Done <-chan struct{}
+}
+
+// Error is a request failure together with its reply.
+type Error struct {
+	Status  int
+	Message string
+	// Retriable hints that the identical request may succeed later.
+	Retriable bool
+}
+
+func (e *Error) Error() string { return e.Message }
+
+// badRequest wraps a decode or validation failure.
+func badRequest(err error) *Error {
+	return &Error{Status: http.StatusBadRequest, Message: err.Error()}
+}
+
+// RequestMetrics instruments the handler set: requests, response
+// classes and latency, registered under a daemon's metric prefix.
+type RequestMetrics struct {
+	requests *obs.Metric
+	resp2xx  *obs.Metric
+	resp4xx  *obs.Metric
+	resp5xx  *obs.Metric
+	latency  *obs.Histogram
+}
+
+// NewRequestMetrics registers the request series as <prefix>_http_* and
+// <prefix>_request_latency_us.
+func NewRequestMetrics(set *obs.MetricSet, prefix string) *RequestMetrics {
+	return &RequestMetrics{
+		requests: set.Counter(prefix+"_http_requests_total", "HTTP requests received"),
+		resp2xx:  set.Counter(prefix+"_http_responses_2xx_total", "HTTP responses with 2xx status"),
+		resp4xx:  set.Counter(prefix+"_http_responses_4xx_total", "HTTP responses with 4xx status"),
+		resp5xx:  set.Counter(prefix+"_http_responses_5xx_total", "HTTP responses with 5xx status"),
+		latency:  set.Histogram(prefix+"_request_latency_us", "HTTP request latency in microseconds"),
+	}
+}
+
+// api is the public route set over one Executor.
+type api struct {
+	ex      Executor
+	bus     *obs.Bus // job progress events; nil when telemetry is off
+	metrics *RequestMetrics
+}
+
+// NewHandler serves the public API over ex, plus the daemon's private
+// routes (registered by private on the same mux), all behind request
+// instrumentation. Routing uses Go 1.22 method patterns.
+func NewHandler(ex Executor, bus *obs.Bus, m *RequestMetrics, private func(mux *http.ServeMux)) http.Handler {
+	a := &api{ex: ex, bus: bus, metrics: m}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
-	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	mux.HandleFunc("POST /v1/advise", s.handleAdvise)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
-	mux.HandleFunc("GET /v1/trace/{id}", s.handleTrace)
-	mux.HandleFunc("GET /v1/placements", s.handlePlacements)
-	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	// Cluster-internal lease protocol (see lease.go); a bare worker
-	// serves these too — they are harmless without a coordinator.
-	mux.HandleFunc("POST /internal/v1/lease", s.handleLeaseGrant)
-	mux.HandleFunc("GET /internal/v1/lease/{id}", s.handleLeaseStatus)
-	mux.HandleFunc("POST /internal/v1/lease/{id}/steal", s.handleLeaseSteal)
-	return s.instrument(mux)
+	mux.HandleFunc("POST /v1/simulate", a.handleSimulate)
+	mux.HandleFunc("POST /v1/sweep", a.handleSweep)
+	mux.HandleFunc("POST /v1/advise", a.handleAdvise)
+	mux.HandleFunc("GET /v1/jobs/{id}", a.handleJob)
+	mux.HandleFunc("GET /v1/jobs/{id}/events", a.handleJobEvents)
+	mux.HandleFunc("GET /v1/trace/{id}", a.handleTrace)
+	mux.HandleFunc("GET /v1/placements", handlePlacements)
+	mux.HandleFunc("GET /healthz", a.handleHealth)
+	mux.HandleFunc("GET /metrics", a.handleMetrics)
+	private(mux)
+	return a.instrument(mux)
 }
 
 // statusRecorder captures the response status for metrics.
@@ -60,227 +157,171 @@ func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter 
 // feeds the request-latency histogram. SSE streams are excluded from
 // the latency histogram — their "latency" is the client's watch
 // duration, which would drown the real request distribution.
-func (s *Server) instrument(next http.Handler) http.Handler {
+func (a *api) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.metrics.requests.Inc()
+		a.metrics.requests.Inc()
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(rec, r)
 		if !strings.HasSuffix(r.URL.Path, "/events") {
-			s.metrics.reqLatency.ObserveSince(start)
+			a.metrics.latency.ObserveSince(start)
 		}
 		switch {
 		case rec.status >= 500:
-			s.metrics.resp5xx.Inc()
+			a.metrics.resp5xx.Inc()
 		case rec.status >= 400:
-			s.metrics.resp4xx.Inc()
+			a.metrics.resp4xx.Inc()
 		default:
-			s.metrics.resp2xx.Inc()
+			a.metrics.resp2xx.Inc()
 		}
 	})
 }
 
-// writeJSON writes v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeError writes an ErrorResponse.
-func writeError(w http.ResponseWriter, status int, msg string, retriable bool) {
-	writeJSON(w, status, ErrorResponse{Error: msg, Retriable: retriable})
+// WriteError writes err as an ErrorResponse: an *Error with its own
+// status (a retriable 429 adds Retry-After), anything else as 500.
+func WriteError(w http.ResponseWriter, err error) {
+	var e *Error
+	if !errors.As(err, &e) {
+		e = &Error{Status: http.StatusInternalServerError, Message: err.Error()}
+	}
+	if e.Status == http.StatusTooManyRequests && e.Retriable {
+		w.Header().Set("Retry-After", "1")
+	}
+	WriteJSON(w, e.Status, ErrorResponse{Error: e.Message, Retriable: e.Retriable})
 }
 
-// handleSimulate runs one cell synchronously. The request still flows
-// through the queue and worker pool — the same backpressure, drain and
-// accounting path as sweeps — as a one-cell job the handler waits on.
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		writeError(w, http.StatusServiceUnavailable, errServerDraining.Error(), true)
-		return
+// admit runs what every POST route does before its executor sees the
+// request: drain refusal first, then the body limit and strict decoding.
+func admit[T any](ex Executor, w http.ResponseWriter, r *http.Request, decode func(io.Reader) (*T, error)) (*T, error) {
+	if err := ex.Refusal(); err != nil {
+		return nil, err
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
-	req, err := DecodeSimulateRequest(r.Body)
+	req, err := decode(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), false)
+		return nil, badRequest(err)
+	}
+	return req, nil
+}
+
+// traceFromRequest extracts the caller's trace context from the
+// Mtsim-Trace header, or mints a fresh root when absent or malformed.
+// An executor with telemetry off ignores it.
+func traceFromRequest(r *http.Request) obs.SpanContext {
+	if ctx, ok := obs.ParseTrace(r.Header.Get(obs.TraceHeader)); ok {
+		return ctx
+	}
+	return obs.NewTrace()
+}
+
+// echoTrace sets the Mtsim-Trace reply header to the request span.
+func echoTrace(w http.ResponseWriter, sc obs.SpanContext) {
+	if sc.Valid() {
+		w.Header().Set(obs.TraceHeader, sc.HeaderValue())
+	}
+}
+
+// handleSimulate runs one cell synchronously.
+func (a *api) handleSimulate(w http.ResponseWriter, r *http.Request) {
+	req, err := admit(a.ex, w, r, DecodeSimulateRequest)
+	if err != nil {
+		WriteError(w, err)
 		return
 	}
-
-	cell := cellSpec{
-		app:      req.App,
-		infinite: req.Infinite,
-		counters: req.Counters,
-	}
-	if req.Placement != nil {
-		cell.explicitPlacement = req.Placement
-	} else {
-		cell.algorithm = req.Algorithm
-	}
-	if req.Config != nil {
-		cfg, err := req.Config.ToSim()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error(), false)
-			return
-		}
-		cell.explicitConfig = &cfg
-		cell.procs = cfg.Processors
-	} else {
-		cell.procs = req.Procs
-	}
-
-	j := newJob("", resolveParams(req.Params), []cellSpec{cell})
-	if s.spans != nil {
-		// The request span is the job's root; cell spans hang off it. It
-		// ends with the job (finish()), which this handler always waits for.
-		j.span = s.spans.Start(s.traceFromRequest(r), s.opts.ServiceName, "simulate "+cellLabel(cell))
-		j.trace = j.span.Context()
-		w.Header().Set(obs.TraceHeader, j.trace.HeaderValue())
-	}
-	if err := s.enqueue(j); err != nil {
-		switch {
-		case errors.Is(err, errQueueFull):
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err.Error(), true)
-		case errors.Is(err, errServerDraining):
-			writeError(w, http.StatusServiceUnavailable, err.Error(), true)
-		default:
-			writeError(w, http.StatusInternalServerError, err.Error(), false)
+	resp, sc, err := a.ex.Simulate(r.Context(), req, traceFromRequest(r))
+	echoTrace(w, sc)
+	if err != nil {
+		if r.Context().Err() == nil { // nobody to answer once the client is gone
+			WriteError(w, err)
 		}
 		return
 	}
+	WriteJSON(w, http.StatusOK, resp)
+}
 
-	select {
-	case <-j.done:
-	case <-r.Context().Done():
-		// Client gone: cancel the cell (the guard polls the flag) and wait
-		// for the worker so the job's accounting still closes.
-		j.cancel.Store(true)
-		<-j.done
+// handleAdvise answers one placement-advisor request synchronously.
+func (a *api) handleAdvise(w http.ResponseWriter, r *http.Request) {
+	req, err := admit(a.ex, w, r, DecodeAdviseRequest)
+	if err != nil {
+		WriteError(w, err)
 		return
 	}
-
-	st := j.snapshot()
-	if st.Status == StatusRetriable {
-		writeError(w, http.StatusServiceUnavailable, "server drained before the cell ran; retry against the restarted server", true)
+	resp, sc, err := a.ex.Advise(req, traceFromRequest(r))
+	echoTrace(w, sc)
+	if err != nil {
+		WriteError(w, err)
 		return
 	}
-	res := j.results[0]
-	if res.err != nil {
-		var be *sim.BudgetError
-		if errors.As(res.err, &be) {
-			writeError(w, http.StatusGatewayTimeout, res.err.Error(), true)
-			return
-		}
-		writeError(w, http.StatusUnprocessableEntity, res.err.Error(), false)
-		return
-	}
-	writeJSON(w, http.StatusOK, SimulateResponse{
-		Key:      res.key,
-		Cached:   res.cached,
-		Result:   res.res,
-		Counters: res.counters,
-		Trace:    j.trace.Trace,
-	})
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleSweep accepts a cell cross-product as an asynchronous job.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		writeError(w, http.StatusServiceUnavailable, errServerDraining.Error(), true)
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
-	req, err := DecodeSweepRequest(r.Body)
+func (a *api) handleSweep(w http.ResponseWriter, r *http.Request) {
+	req, err := admit(a.ex, w, r, DecodeSweepRequest)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), false)
+		WriteError(w, err)
 		return
 	}
-	params := resolveParams(req.Params)
-	j := newJob(SweepJobID(params, req), params, sweepCells(req))
-	j.webhookURL = req.WebhookURL
-	if s.spans != nil {
-		// Root span for the whole sweep, ended when the job reaches a
-		// terminal state. If the sweep turns out to be a duplicate the
-		// fresh span is simply never ended, so it is never recorded.
-		j.span = s.spans.Start(s.traceFromRequest(r), s.opts.ServiceName, "sweep")
-		j.trace = j.span.Context()
-	}
-
-	reg, existing, err := s.submitSweep(j)
+	acc, err := a.ex.SubmitSweep(req, traceFromRequest(r))
 	if err != nil {
-		switch {
-		case errors.Is(err, errQueueFull):
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err.Error(), true)
-		case errors.Is(err, errServerDraining):
-			writeError(w, http.StatusServiceUnavailable, err.Error(), true)
-		default:
-			writeError(w, http.StatusInternalServerError, err.Error(), false)
-		}
+		WriteError(w, err)
 		return
 	}
-	st := reg.snapshot()
-	writeJSON(w, http.StatusAccepted, SweepAccepted{
-		Job:      reg.id,
-		Status:   st.Status,
-		Cells:    st.Cells,
-		Existing: existing,
-		Trace:    st.Trace,
-	})
+	WriteJSON(w, http.StatusAccepted, acc)
 }
 
-// handleJob reports a job's status (and results once done).
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+// unknownJob is the 404 for a job ID neither registry knows.
+func unknownJob(id string) *Error {
+	return &Error{Status: http.StatusNotFound, Message: "unknown job " + id}
+}
+
+// handleJob reports a job's status (and results once done). A drained
+// job answers 503 with its status body: the poller resubmits the
+// identical sweep (same content-addressed ID) after the restart.
+func (a *api) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	j, ok := s.jobs.get(id)
+	job, ok := a.ex.LookupJob(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job "+id, false)
+		WriteError(w, unknownJob(id))
 		return
 	}
-	st := j.snapshot()
+	st := job.Status()
 	if st.Status == StatusRetriable {
-		// The job was drained; tell the poller to resubmit the identical
-		// sweep (same content-addressed ID) after the restart.
-		writeJSON(w, http.StatusServiceUnavailable, st)
+		WriteJSON(w, http.StatusServiceUnavailable, st)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
-// handlePlacements returns the simulatable catalog.
-func (s *Server) handlePlacements(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, PlacementsResponse{
+// handlePlacements returns the simulatable catalog (compiled in, so
+// identical on every node).
+func handlePlacements(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, http.StatusOK, PlacementsResponse{
 		Apps:       workload.Names(),
 		Algorithms: placement.Names(),
 	})
 }
 
-// handleHealth reports liveness and degradation; draining answers 503 so
-// load balancers stop routing to a terminating instance.
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	h := s.Health()
+// handleHealth reports liveness; draining answers 503 so load balancers
+// stop routing to a terminating instance.
+func (a *api) handleHealth(w http.ResponseWriter, r *http.Request) {
+	h := a.ex.Health()
 	status := http.StatusOK
 	if h.Status == "draining" {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, h)
+	WriteJSON(w, status, h)
 }
 
 // handleMetrics renders the Prometheus text exposition.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.syncCacheCounters()
-	s.syncDurableCounters()
+func (a *api) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_, _ = s.metrics.set.WriteTo(w)
-}
-
-// syncCacheCounters mirrors the cache's own counters into /metrics (the
-// cache counts authoritatively; metrics are a projection).
-func (s *Server) syncCacheCounters() {
-	cs := s.cache.Stats()
-	s.metrics.cacheHits.Set(int64(cs.Hits))
-	s.metrics.cacheMisses.Set(int64(cs.Misses))
-	s.metrics.cacheEvicts.Set(int64(cs.Evictions))
+	_ = a.ex.WriteMetrics(w) // a failed write means the scraper went away
 }

@@ -164,7 +164,7 @@ func (r *StealRequest) Validate() error {
 // DecodeLeaseRequest reads and validates a POST /internal/v1/lease body.
 func DecodeLeaseRequest(r io.Reader) (*LeaseRequest, error) {
 	var req LeaseRequest
-	if err := decodeStrict(r, &req); err != nil {
+	if err := DecodeStrict(r, &req, MaxRequestBytes); err != nil {
 		return nil, err
 	}
 	if err := req.Validate(); err != nil {
@@ -176,7 +176,7 @@ func DecodeLeaseRequest(r io.Reader) (*LeaseRequest, error) {
 // DecodeStealRequest reads and validates a steal body.
 func DecodeStealRequest(r io.Reader) (*StealRequest, error) {
 	var req StealRequest
-	if err := decodeStrict(r, &req); err != nil {
+	if err := DecodeStrict(r, &req, MaxRequestBytes); err != nil {
 		return nil, err
 	}
 	if err := req.Validate(); err != nil {
@@ -230,17 +230,12 @@ func (j *job) leaseStatus(leaseID string) LeaseStatus {
 
 // handleLeaseGrant accepts (or idempotently re-acknowledges) a lease.
 func (s *Server) handleLeaseGrant(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		writeError(w, http.StatusServiceUnavailable, errServerDraining.Error(), true)
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
-	req, err := DecodeLeaseRequest(r.Body)
+	req, err := admit(s, w, r, DecodeLeaseRequest)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), false)
+		WriteError(w, err)
 		return
 	}
-	j := newJob(leaseJobPrefix+req.Lease, resolveParams(req.Params), leaseCells(req))
+	j := newJob(leaseJobPrefix+req.Lease, ResolveParams(req.Params), leaseCells(req))
 	if s.spans != nil {
 		if ctx, ok := obs.ParseTrace(req.Trace); ok {
 			// Join the coordinator's trace; the lease span ends when the
@@ -253,24 +248,21 @@ func (s *Server) handleLeaseGrant(w http.ResponseWriter, r *http.Request) {
 
 	reg, existing := s.jobs.add(j)
 	if existing {
-		writeJSON(w, http.StatusOK, reg.leaseStatus(req.Lease))
+		WriteJSON(w, http.StatusOK, reg.leaseStatus(req.Lease))
 		return
 	}
 	if err := s.enqueue(j); err != nil {
 		s.jobs.remove(j.id)
-		switch {
-		case errors.Is(err, errQueueFull):
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err.Error(), true)
-		case errors.Is(err, errServerDraining):
-			writeError(w, http.StatusServiceUnavailable, err.Error(), true)
-		default:
-			writeError(w, http.StatusInternalServerError, err.Error(), false)
-		}
+		WriteError(w, err)
 		return
 	}
 	s.metrics.leasesGranted.Inc()
-	writeJSON(w, http.StatusAccepted, j.leaseStatus(req.Lease))
+	WriteJSON(w, http.StatusAccepted, j.leaseStatus(req.Lease))
+}
+
+// unknownLease is the 404 for a lease this worker does not hold.
+func unknownLease(id string) *Error {
+	return &Error{Status: http.StatusNotFound, Message: "unknown lease " + id}
 }
 
 // handleLeaseStatus reports a lease's per-cell states and results.
@@ -278,10 +270,10 @@ func (s *Server) handleLeaseStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.jobs.get(leaseJobPrefix + id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown lease "+id, false)
+		WriteError(w, unknownLease(id))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.leaseStatus(id))
+	WriteJSON(w, http.StatusOK, j.leaseStatus(id))
 }
 
 // handleLeaseSteal reclaims pending cells from a lease's tail.
@@ -289,13 +281,13 @@ func (s *Server) handleLeaseSteal(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.jobs.get(leaseJobPrefix + id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown lease "+id, false)
+		WriteError(w, unknownLease(id))
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
 	req, err := DecodeStealRequest(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), false)
+		WriteError(w, badRequest(err))
 		return
 	}
 	stolen := j.steal(req.Max)
@@ -307,5 +299,5 @@ func (s *Server) handleLeaseSteal(w http.ResponseWriter, r *http.Request) {
 		}
 		s.publishJob(j)
 	}
-	writeJSON(w, http.StatusOK, StealResponse{Lease: id, Stolen: stolen})
+	WriteJSON(w, http.StatusOK, StealResponse{Lease: id, Stolen: stolen})
 }

@@ -182,8 +182,7 @@ type job struct {
 	results   []cellResultInternal
 	err       error
 
-	doneOnce sync.Once
-	done     chan struct{} // closed when the job reaches a terminal state
+	done chan struct{} // closed by settleLocked, once the last cell leaves
 }
 
 // cellResultInternal is a finished cell before wire encoding.
@@ -226,10 +225,13 @@ func (j *job) begin(cell int) bool {
 	return true
 }
 
-// finishCell records one cell's outcome; the last cell finalizes the
-// job's terminal status. Returns true when this call completed the job.
-func (j *job) finishCell(cell int, r cellResultInternal) bool {
+// finishCell records one cell's outcome; the last cell settles the job,
+// and when the job was still live, count is called with its terminal
+// status before that status is stored. Returns true when this call
+// completed the job.
+func (j *job) finishCell(cell int, r cellResultInternal, count func(status string)) bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.results[cell] = r
 	j.pending--
 	if r.err == nil {
@@ -241,33 +243,41 @@ func (j *job) finishCell(cell int, r cellResultInternal) bool {
 			j.err = r.err
 		}
 	}
-	last := j.pending == 0
-	if last && (j.status == StatusQueued || j.status == StatusRunning) {
+	if j.pending > 0 {
+		return false
+	}
+	status := j.status
+	if j.live() {
 		switch {
 		case j.cancel.Load() && j.err != nil:
-			j.status = StatusCanceled
+			status = StatusCanceled
 		case j.err != nil:
-			j.status = StatusFailed
+			status = StatusFailed
 		default:
-			j.status = StatusDone
+			status = StatusDone
 		}
+		count(status)
 	}
-	j.mu.Unlock()
-	if last {
-		j.finish()
-	}
-	return last
+	j.settleLocked(status)
+	return true
 }
 
-// finish ends the job's root span and closes the done channel, exactly
-// once across the three terminal paths (finishCell, steal, drain). The
-// span ends first, so a caller woken by done (the simulate handler, then
-// its client) always finds the complete trace.
-func (j *job) finish() {
-	j.doneOnce.Do(func() {
-		j.span.End()
-		close(j.done)
-	})
+// live reports whether the job has not yet turned terminal (caller holds
+// j.mu).
+func (j *job) live() bool {
+	return j.status == StatusQueued || j.status == StatusRunning
+}
+
+// settleLocked ends the job's root span, stores its final status and
+// closes done, in that order, so anything a client observes after the
+// status — a poll, the simulate reply woken by done — finds the complete
+// trace. The caller holds j.mu and calls it once: from whichever of the
+// three terminal paths (finishCell, steal, drain) takes the job's last
+// pending cell.
+func (j *job) settleLocked(status string) {
+	j.span.End()
+	j.status = status
+	close(j.done)
 }
 
 // steal reclaims up to max not-yet-started cells, preferring the tail of
@@ -289,19 +299,17 @@ func (j *job) steal(max int) []int {
 			stolen = append(stolen, i)
 		}
 	}
-	last := j.pending == 0 && len(stolen) > 0
-	if last && (j.status == StatusQueued || j.status == StatusRunning) {
-		switch {
-		case j.err != nil:
-			j.status = StatusFailed
-		default:
-			j.status = StatusDone
+	if j.pending == 0 && len(stolen) > 0 {
+		status := j.status
+		if j.live() {
+			status = StatusDone
+			if j.err != nil {
+				status = StatusFailed
+			}
 		}
+		j.settleLocked(status)
 	}
 	j.mu.Unlock()
-	if last {
-		j.finish()
-	}
 	// Reverse into ascending order (collected back-to-front).
 	for l, r := 0, len(stolen)-1; l < r; l, r = l+1, r-1 {
 		stolen[l], stolen[r] = stolen[r], stolen[l]
@@ -312,10 +320,12 @@ func (j *job) steal(max int) []int {
 // markRetriable finalizes a job whose queued cells were drained before
 // running: the client should resubmit (same content-addressed ID) after
 // the restart. cells lists the drained queue entries; only those still
-// pending count (a stolen cell already left the job's accounting).
-// Returns how many cells this drain actually took out of the job.
-func (j *job) markRetriable(cells []int) int {
+// pending count (a stolen cell already left the job's accounting). count
+// is called with the retriable status before it is stored. Returns how
+// many cells this drain actually took out of the job.
+func (j *job) markRetriable(cells []int, count func(status string)) int {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	drained := 0
 	for _, c := range cells {
 		if j.states[c] == cellPending {
@@ -324,14 +334,16 @@ func (j *job) markRetriable(cells []int) int {
 			drained++
 		}
 	}
-	if drained > 0 && (j.status == StatusQueued || j.status == StatusRunning) {
+	if drained == 0 {
+		return 0
+	}
+	if j.live() {
+		count(StatusRetriable)
 		j.status = StatusRetriable
 	}
-	terminal := j.pending <= 0
-	j.mu.Unlock()
-	if terminal {
-		j.finish()
-	}
+	if j.pending == 0 {
+		j.settleLocked(j.status)
+	} // else the last in-flight cell settles it, in finishCell
 	return drained
 }
 
@@ -371,11 +383,7 @@ func (j *job) snapshot() JobStatus {
 func (j *job) terminal() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch j.status {
-	case StatusDone, StatusFailed, StatusRetriable, StatusCanceled:
-		return true
-	}
-	return false
+	return !j.live()
 }
 
 // maxTerminalJobs bounds the registry: terminal jobs beyond this are

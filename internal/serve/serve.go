@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
+	"net/http"
 	"runtime"
 	"sync"
 	"time"
@@ -126,12 +129,9 @@ type flight struct {
 // the exposition is complete (all series present, zero-valued) from the
 // first scrape.
 type serverMetrics struct {
-	set *obs.MetricSet
+	set  *obs.MetricSet
+	http *RequestMetrics
 
-	requests      *obs.Metric
-	resp2xx       *obs.Metric
-	resp4xx       *obs.Metric
-	resp5xx       *obs.Metric
 	rejectedFull  *obs.Metric
 	cacheHits     *obs.Metric
 	cacheMisses   *obs.Metric
@@ -151,17 +151,6 @@ type serverMetrics struct {
 	workers       *obs.Metric
 	streamDropped *obs.Metric
 
-	storeHits        *obs.Metric
-	storeMisses      *obs.Metric
-	storePuts        *obs.Metric
-	storeQuarantined *obs.Metric
-	storeSegments    *obs.Metric
-	webhookPending   *obs.Metric
-	webhookDelivered *obs.Metric
-	webhookFailed    *obs.Metric
-	webhookRetries   *obs.Metric
-
-	reqLatency *obs.Histogram
 	queueWait  *obs.Histogram
 	engineRate *obs.Histogram
 }
@@ -170,10 +159,7 @@ func newServerMetrics() *serverMetrics {
 	s := obs.NewMetricSet()
 	return &serverMetrics{
 		set:           s,
-		requests:      s.Counter("serve_http_requests_total", "HTTP requests received"),
-		resp2xx:       s.Counter("serve_http_responses_2xx_total", "HTTP responses with 2xx status"),
-		resp4xx:       s.Counter("serve_http_responses_4xx_total", "HTTP responses with 4xx status"),
-		resp5xx:       s.Counter("serve_http_responses_5xx_total", "HTTP responses with 5xx status"),
+		http:          NewRequestMetrics(s, "serve"),
 		rejectedFull:  s.Counter("serve_rejected_queue_full_total", "requests refused with 429 because the queue was full"),
 		cacheHits:     s.Counter("serve_cache_hits_total", "result cache hits"),
 		cacheMisses:   s.Counter("serve_cache_misses_total", "result cache misses"),
@@ -193,17 +179,6 @@ func newServerMetrics() *serverMetrics {
 		workers:       s.Gauge("serve_workers", "worker pool size"),
 		streamDropped: s.Counter("serve_stream_dropped_events_total", "SSE events dropped on slow subscribers"),
 
-		storeHits:        s.Counter("serve_store_hits_total", "durable result store hits"),
-		storeMisses:      s.Counter("serve_store_misses_total", "durable result store misses"),
-		storePuts:        s.Counter("serve_store_puts_total", "results written to the durable store"),
-		storeQuarantined: s.Counter("serve_store_quarantined_total", "store segments quarantined for corruption"),
-		storeSegments:    s.Gauge("serve_store_sealed_segments", "sealed segments in the durable store"),
-		webhookPending:   s.Gauge("serve_webhook_pending", "webhook deliveries awaiting a terminal outcome"),
-		webhookDelivered: s.Counter("serve_webhook_delivered_total", "webhook deliveries acknowledged 2xx"),
-		webhookFailed:    s.Counter("serve_webhook_failed_total", "webhook deliveries failed after exhausting attempts"),
-		webhookRetries:   s.Counter("serve_webhook_retries_total", "webhook delivery attempts beyond the first"),
-
-		reqLatency: s.Histogram("serve_request_latency_us", "HTTP request latency in microseconds"),
 		queueWait:  s.Histogram("serve_queue_wait_us", "cell time from enqueue to execution start in microseconds"),
 		engineRate: s.Histogram("serve_engine_cycles_per_sec", "simulated cycles per wall-clock second per engine run"),
 	}
@@ -220,6 +195,7 @@ type Server struct {
 	guard   *resilience.EngineGuard
 	jobs    *jobRegistry
 	metrics *serverMetrics
+	durable *Durable
 
 	// spans and bus are the telemetry layer; both nil when
 	// Options.DisableTelemetry (every call site nil-guards, enforced by
@@ -255,6 +231,7 @@ func NewServer(opts Options) *Server {
 		metrics: newServerMetrics(),
 		flights: make(map[rescache.Key]*flight),
 	}
+	s.durable = NewDurable(s.metrics.set, "serve", opts.Store, opts.Webhooks, opts.Log)
 	if !opts.DisableTelemetry {
 		s.spans = obs.NewSpanStore(opts.SpanCapacity)
 		s.bus = obs.NewBus(s.metrics.streamDropped)
@@ -285,6 +262,121 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
+// Handler returns the server's HTTP API: the public routes (handlers.go)
+// over this server's queue and worker pool, plus the cluster-internal
+// lease protocol (lease.go) — harmless without a coordinator.
+func (s *Server) Handler() http.Handler {
+	return NewHandler(s, s.bus, s.metrics.http, func(mux *http.ServeMux) {
+		mux.HandleFunc("POST /internal/v1/lease", s.handleLeaseGrant)
+		mux.HandleFunc("GET /internal/v1/lease/{id}", s.handleLeaseStatus)
+		mux.HandleFunc("POST /internal/v1/lease/{id}/steal", s.handleLeaseSteal)
+	})
+}
+
+// Refusal implements Executor.
+func (s *Server) Refusal() error {
+	if s.Draining() {
+		return errServerDraining
+	}
+	return nil
+}
+
+// Simulate runs one cell synchronously. The request still flows through
+// the queue and worker pool — the same backpressure, drain and
+// accounting path as sweeps — as a one-cell job Simulate waits on.
+func (s *Server) Simulate(ctx context.Context, req *SimulateRequest, parent obs.SpanContext) (*SimulateResponse, obs.SpanContext, error) {
+	cell := cellSpec{
+		app:      req.App,
+		infinite: req.Infinite,
+		counters: req.Counters,
+	}
+	if req.Placement != nil {
+		cell.explicitPlacement = req.Placement
+	} else {
+		cell.algorithm = req.Algorithm
+	}
+	if req.Config != nil {
+		cfg, err := req.Config.ToSim()
+		if err != nil {
+			return nil, obs.SpanContext{}, badRequest(err)
+		}
+		cell.explicitConfig = &cfg
+		cell.procs = cfg.Processors
+	} else {
+		cell.procs = req.Procs
+	}
+
+	j := newJob("", ResolveParams(req.Params), []cellSpec{cell})
+	if s.spans != nil {
+		// The request span is the job's root; cell spans hang off it. It
+		// ends with the job, which Simulate always waits for.
+		j.span = s.spans.Start(parent, s.opts.ServiceName, "simulate "+cellLabel(cell))
+		j.trace = j.span.Context()
+	}
+	if err := s.enqueue(j); err != nil {
+		return nil, j.trace, err
+	}
+
+	select {
+	case <-j.done:
+	case <-ctx.Done():
+		// Client gone: cancel the cell (the guard polls the flag) and wait
+		// for the worker so the job's accounting still closes.
+		j.cancel.Store(true)
+		<-j.done
+		return nil, j.trace, ctx.Err()
+	}
+
+	if j.snapshot().Status == StatusRetriable {
+		return nil, j.trace, &Error{Status: http.StatusServiceUnavailable, Retriable: true,
+			Message: "server drained before the cell ran; retry against the restarted server"}
+	}
+	res := j.results[0]
+	if res.err != nil {
+		var be *sim.BudgetError
+		if errors.As(res.err, &be) {
+			return nil, j.trace, &Error{Status: http.StatusGatewayTimeout, Message: res.err.Error(), Retriable: true}
+		}
+		return nil, j.trace, &Error{Status: http.StatusUnprocessableEntity, Message: res.err.Error()}
+	}
+	return &SimulateResponse{
+		Key:      res.key,
+		Cached:   res.cached,
+		Result:   res.res,
+		Counters: res.counters,
+		Trace:    j.trace.Trace,
+	}, j.trace, nil
+}
+
+// LookupJob implements Executor.
+func (s *Server) LookupJob(id string) (JobRef, bool) {
+	j, ok := s.jobs.get(id)
+	if !ok {
+		return JobRef{}, false
+	}
+	return JobRef{Status: j.snapshot, Done: j.done}, true
+}
+
+// Spans implements Executor.
+func (s *Server) Spans(traceID string) ([]obs.Span, error) {
+	if s.spans == nil {
+		return nil, ErrTracingDisabled
+	}
+	return s.spans.Trace(traceID), nil
+}
+
+// WriteMetrics implements Executor: the cache's and the durable tier's
+// own counters are mirrored in first.
+func (s *Server) WriteMetrics(w io.Writer) error {
+	cs := s.cache.Stats()
+	s.metrics.cacheHits.Set(int64(cs.Hits))
+	s.metrics.cacheMisses.Set(int64(cs.Misses))
+	s.metrics.cacheEvicts.Set(int64(cs.Evictions))
+	s.durable.SyncMetrics()
+	_, err := s.metrics.set.WriteTo(w)
+	return err
+}
+
 // Drain refuses new work, lets in-flight cells finish, marks queued
 // cells' jobs retriable, and waits for the workers to exit. An accepted
 // job is never lost: it ends done, failed, canceled — or retriable, and
@@ -309,10 +401,9 @@ func (s *Server) Drain() {
 		drained[t.j] = append(drained[t.j], t.cell)
 	}
 	for j, cells := range drained {
-		if n := j.markRetriable(cells); n > 0 {
-			s.metrics.jobsRetriable.Inc()
+		if n := j.markRetriable(cells, s.metrics.countOutcome); n > 0 {
 			s.publishJob(j)
-			s.notifyJob(j, j.snapshot())
+			s.durable.Notify(j.id, j.webhookURL, j.snapshot())
 			if s.opts.Log != nil {
 				s.opts.Log.Info("drain: job marked retriable", "job", j.id, "cells_not_run", n)
 			}
@@ -350,8 +441,10 @@ func (s *Server) suiteFor(p Params) *core.Suite {
 	return e.suite
 }
 
-// resolveParams fills nil request params with the library defaults.
-func resolveParams(p *Params) Params {
+// ResolveParams fills nil request params with the library defaults.
+// Both daemons resolve through it, so coordinator and worker agree on
+// cell identity.
+func ResolveParams(p *Params) Params {
 	if p != nil {
 		return *p
 	}
@@ -360,7 +453,7 @@ func resolveParams(p *Params) Params {
 }
 
 // errServerDraining is returned for work refused because of shutdown.
-var errServerDraining = errors.New("server is draining")
+var errServerDraining = &Error{Status: http.StatusServiceUnavailable, Message: "server is draining", Retriable: true}
 
 // enqueue pushes a job's cells onto the queue atomically (all or none).
 func (s *Server) enqueue(j *job) error {
@@ -388,36 +481,45 @@ func (s *Server) enqueue(j *job) error {
 	return nil
 }
 
-// submitSweep registers a sweep job by its content-addressed ID and
+// SubmitSweep registers a sweep job by its content-addressed ID and
 // enqueues its cells. An identical sweep already known (live or kept
-// terminal) is returned as-is with existing=true — resubmission is a
+// terminal) is returned as-is with Existing set — resubmission is a
 // lookup, which is exactly what a drained client does after a restart.
-func (s *Server) submitSweep(j *job) (reg *job, existing bool, err error) {
-	reg, existing = s.jobs.add(j)
+func (s *Server) SubmitSweep(req *SweepRequest, parent obs.SpanContext) (*SweepAccepted, error) {
+	params := ResolveParams(req.Params)
+	j := newJob(SweepJobID(params, req), params, sweepCells(req))
+	j.webhookURL = req.WebhookURL
+	if s.spans != nil {
+		// Root span for the whole sweep, ended when the job reaches a
+		// terminal state. If the sweep turns out to be a duplicate the
+		// fresh span is simply never ended, so it is never recorded.
+		j.span = s.spans.Start(parent, s.opts.ServiceName, "sweep")
+		j.trace = j.span.Context()
+	}
+	reg, existing := s.jobs.add(j)
 	if existing {
-		// A previously drained job is resubmittable: forget the stale
-		// record and queue the fresh one.
 		reg.mu.Lock()
 		retriable := reg.status == StatusRetriable
 		reg.mu.Unlock()
-		if !retriable {
-			return reg, true, nil
-		}
-		s.jobs.remove(reg.id)
-		reg, existing = s.jobs.add(j)
-		if existing {
-			return reg, true, nil
+		if retriable {
+			// A previously drained job is resubmittable: forget the stale
+			// record and queue the fresh one.
+			s.jobs.remove(reg.id)
+			reg, existing = s.jobs.add(j)
 		}
 	}
-	if err := s.enqueue(j); err != nil {
-		s.jobs.remove(j.id)
-		return nil, false, err
+	if !existing {
+		if err := s.enqueue(j); err != nil {
+			s.jobs.remove(j.id)
+			return nil, err
+		}
 	}
-	return j, false, nil
+	st := reg.snapshot()
+	return &SweepAccepted{Job: reg.id, Status: st.Status, Cells: st.Cells, Existing: existing, Trace: st.Trace}, nil
 }
 
 // errQueueFull is the backpressure signal behind HTTP 429.
-var errQueueFull = errors.New("job queue is full")
+var errQueueFull = &Error{Status: http.StatusTooManyRequests, Message: "job queue is full", Retriable: true}
 
 // worker drains the queue until it closes.
 func (s *Server) worker() {
@@ -455,20 +557,27 @@ func (s *Server) runTask(t task) {
 	s.metrics.inFlight.Set(int64(s.inFlight))
 	s.mu.Unlock()
 
-	last := t.j.finishCell(t.cell, r)
+	last := t.j.finishCell(t.cell, r, s.metrics.countOutcome)
 	s.publishCell(t.j, t.cell, r)
 	if last {
-		st := t.j.snapshot()
-		switch st.Status {
-		case StatusDone:
-			s.metrics.jobsCompleted.Inc()
-		case StatusCanceled:
-			s.metrics.jobsCanceled.Inc()
-		case StatusFailed:
-			s.metrics.jobsFailed.Inc()
-		}
 		s.publishJob(t.j)
-		s.notifyJob(t.j, st)
+		s.durable.Notify(t.j.id, t.j.webhookURL, t.j.snapshot())
+	}
+}
+
+// countOutcome counts a job's terminal status. Jobs call it as they turn
+// terminal, before the status is stored, so /healthz and /metrics are
+// never behind what a client can observe.
+func (m *serverMetrics) countOutcome(status string) {
+	switch status {
+	case StatusDone:
+		m.jobsCompleted.Inc()
+	case StatusFailed:
+		m.jobsFailed.Inc()
+	case StatusCanceled:
+		m.jobsCanceled.Inc()
+	case StatusRetriable:
+		m.jobsRetriable.Inc()
 	}
 }
 
@@ -645,7 +754,7 @@ func (s *Server) simulate(j *job, c cellSpec, cell int, tr *trace.Trace, pl *pla
 		probe = counters
 	}
 	var sampler *obs.Sampler
-	if s.bus != nil && s.opts.StreamWindow > 0 && s.bus.Subscribers(jobTopic(j.id)) > 0 {
+	if s.bus != nil && s.opts.StreamWindow > 0 && s.bus.Subscribers(JobTopic(j.id)) > 0 {
 		sampler = obs.NewSampler(s.opts.StreamWindow)
 		probe = obs.Multi(probe, sampler)
 	}
@@ -670,7 +779,7 @@ func (s *Server) simulate(j *job, c cellSpec, cell int, tr *trace.Trace, pl *pla
 	}
 	if s.bus != nil && sampler != nil && err == nil {
 		for i, w := range sampler.Samples() {
-			s.bus.Publish(jobTopic(j.id), "sample", SampleEvent{
+			s.bus.Publish(JobTopic(j.id), "sample", SampleEvent{
 				Job: j.id, Cell: cell, Window: uint64(i), Sample: w,
 			})
 		}
@@ -708,27 +817,7 @@ func (s *Server) Health() HealthResponse {
 			Canceled:  s.metrics.jobsCanceled.Value(),
 		},
 	}
-	if s.opts.Store != nil {
-		ss := s.opts.Store.Stats()
-		h.Store = &StoreHealth{
-			Entries:        ss.Entries,
-			SealedSegments: ss.SealedSegments,
-			Hits:           ss.Hits,
-			Misses:         ss.Misses,
-			Puts:           ss.Puts,
-			Quarantined:    ss.Quarantined,
-			HitRate:        ss.HitRate(),
-		}
-	}
-	if s.opts.Webhooks != nil {
-		ws := s.opts.Webhooks.Stats()
-		h.Webhooks = &WebhookHealth{
-			Pending:   ws.Pending,
-			Delivered: ws.Delivered,
-			Failed:    ws.Failed,
-			Retries:   ws.Retries,
-		}
-	}
+	h.Store, h.Webhooks = s.durable.Health()
 	if draining {
 		h.Status = "draining"
 	}

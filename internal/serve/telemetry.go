@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -9,16 +10,21 @@ import (
 	"repro/internal/obs"
 )
 
-// The telemetry endpoints (both also served by the mtcoord coordinator):
+// The telemetry endpoints, part of the handler set both daemons serve
+// (handlers.go):
 //
 //	GET /v1/jobs/{id}/events  SSE stream of job/cell/sample events
 //	GET /v1/trace/{id}        Perfetto trace-event JSON for one trace ID
 //	                          (?format=spans for the raw span list)
 //
+// Each daemon publishes its own events and gathers its own spans; the
+// coordinator's Spans merges every live worker's spans into the trace
+// before rendering.
+//
 // SSE semantics: the stream opens with a "job" snapshot event, then
 // relays bus events for the job. The bus drops events on slow
-// subscribers (serve_stream_dropped_events_total counts them; Seq gaps
-// reveal the loss), but the terminal "job" event is delivered
+// subscribers (<prefix>_stream_dropped_events_total counts them; Seq
+// gaps reveal the loss), but the terminal "job" event is delivered
 // out-of-band off the job's done channel, so every stream ends with the
 // job's final state no matter what was dropped in between.
 
@@ -63,8 +69,8 @@ type TraceSpans struct {
 	Spans []obs.Span `json:"spans"`
 }
 
-// jobTopic names a job's bus topic.
-func jobTopic(id string) string { return "job:" + id }
+// JobTopic names a job's bus topic (both daemons publish under it).
+func JobTopic(id string) string { return "job:" + id }
 
 // cellLabel names a cell for spans and logs.
 func cellLabel(c cellSpec) string {
@@ -75,8 +81,8 @@ func cellLabel(c cellSpec) string {
 	return fmt.Sprintf("%s/%s/p%d", c.app, alg, c.procs)
 }
 
-// JobEventOf projects a status snapshot into its SSE form (shared with
-// the mtcoord coordinator, which streams the same wire format).
+// JobEventOf projects a status snapshot into its SSE form (also the
+// webhook body, and the coordinator's published job events).
 func JobEventOf(st JobStatus) JobEvent {
 	return JobEvent{Job: st.Job, Status: st.Status, Cells: st.Cells, Completed: st.Completed, Error: st.Error}
 }
@@ -86,7 +92,7 @@ func (s *Server) publishJob(j *job) {
 	if s.bus == nil {
 		return
 	}
-	s.bus.Publish(jobTopic(j.id), "job", JobEventOf(j.snapshot()))
+	s.bus.Publish(JobTopic(j.id), "job", JobEventOf(j.snapshot()))
 }
 
 // publishCell emits one finished cell.
@@ -103,21 +109,21 @@ func (s *Server) publishCell(j *job, cell int, r cellResultInternal) {
 		ev.State = cellStateNames[cellFailed]
 		ev.Error = r.err.Error()
 	}
-	s.bus.Publish(jobTopic(j.id), "cell", ev)
+	s.bus.Publish(JobTopic(j.id), "cell", ev)
 }
 
-// traceFromRequest extracts the caller's trace context from the
-// Mtsim-Trace header, or mints a fresh root when absent or malformed.
-// Returns the zero context when telemetry is off.
-func (s *Server) traceFromRequest(r *http.Request) obs.SpanContext {
-	if s.spans == nil {
-		return obs.SpanContext{}
+// TerminalStatus reports whether a wire job status is final.
+func TerminalStatus(status string) bool {
+	switch status {
+	case StatusDone, StatusFailed, StatusRetriable, StatusCanceled:
+		return true
 	}
-	if ctx, ok := obs.ParseTrace(r.Header.Get(obs.TraceHeader)); ok {
-		return ctx
-	}
-	return obs.NewTrace()
+	return false
 }
+
+// ErrTracingDisabled answers GET /v1/trace on a daemon running without
+// telemetry.
+var ErrTracingDisabled = &Error{Status: http.StatusNotFound, Message: "tracing disabled"}
 
 // sseKeepalive is the comment-ping interval holding idle streams open
 // through proxies.
@@ -127,9 +133,8 @@ const sseKeepalive = 15 * time.Second
 // this many outstanding events starts losing intermediate ones.
 const sseBuffer = 256
 
-// WriteSSE writes one event in text/event-stream framing (shared with
-// the mtcoord coordinator's stream handler).
-func WriteSSE(w http.ResponseWriter, ev obs.Event) error {
+// writeSSE writes one event in text/event-stream framing.
+func writeSSE(w http.ResponseWriter, ev obs.Event) error {
 	data, err := json.Marshal(ev.Data)
 	if err != nil {
 		return err
@@ -138,25 +143,28 @@ func WriteSSE(w http.ResponseWriter, ev obs.Event) error {
 	return err
 }
 
-// handleJobEvents streams a job's progress as server-sent events.
-func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
+// handleJobEvents streams a job's progress as server-sent events: a
+// "job" snapshot first, bus events after, and the terminal state
+// delivered off the job's done channel even if the bus dropped
+// everything (or there is no bus).
+func (a *api) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	j, ok := s.jobs.get(id)
+	job, ok := a.ex.LookupJob(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job "+id, false)
+		WriteError(w, unknownJob(id))
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported", false)
+		WriteError(w, errors.New("streaming unsupported"))
 		return
 	}
 
 	// Subscribe before the snapshot so no transition can fall between
 	// snapshot and stream.
 	var events <-chan obs.Event
-	if s.bus != nil {
-		sub := s.bus.Subscribe(jobTopic(id), sseBuffer)
+	if a.bus != nil {
+		sub := a.bus.Subscribe(JobTopic(id), sseBuffer)
 		defer sub.Close()
 		events = sub.C()
 	}
@@ -165,8 +173,8 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	st := j.snapshot()
-	if err := WriteSSE(w, obs.Event{Kind: "job", Data: JobEventOf(st)}); err != nil {
+	st := job.Status()
+	if err := writeSSE(w, obs.Event{Kind: "job", Data: JobEventOf(st)}); err != nil {
 		return
 	}
 	fl.Flush()
@@ -179,18 +187,15 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case ev := <-events:
-			if err := WriteSSE(w, ev); err != nil {
+			if err := writeSSE(w, ev); err != nil {
 				return
 			}
 			fl.Flush()
 			if je, ok := ev.Data.(JobEvent); ok && TerminalStatus(je.Status) {
 				return
 			}
-		case <-j.done:
-			// Terminal delivery is guaranteed off the done channel, not the
-			// bus: even a subscriber that dropped everything gets the final
-			// state.
-			_ = WriteSSE(w, obs.Event{Kind: "job", Data: JobEventOf(j.snapshot())})
+		case <-job.Done:
+			_ = writeSSE(w, obs.Event{Kind: "job", Data: JobEventOf(job.Status())})
 			fl.Flush()
 			return
 		case <-r.Context().Done():
@@ -204,30 +209,20 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// TerminalStatus reports whether a wire job status is final.
-func TerminalStatus(status string) bool {
-	switch status {
-	case StatusDone, StatusFailed, StatusRetriable, StatusCanceled:
-		return true
-	}
-	return false
-}
-
 // handleTrace exports one trace as Perfetto trace-event JSON (or the raw
 // span list with ?format=spans).
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.spans == nil {
-		writeError(w, http.StatusNotFound, "tracing disabled", false)
-		return
-	}
+func (a *api) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	spans := s.spans.Trace(id)
-	if len(spans) == 0 {
-		writeError(w, http.StatusNotFound, "unknown trace "+id, false)
+	spans, err := a.ex.Spans(id)
+	if err == nil && len(spans) == 0 {
+		err = &Error{Status: http.StatusNotFound, Message: "unknown trace " + id}
+	}
+	if err != nil {
+		WriteError(w, err)
 		return
 	}
 	if r.URL.Query().Get("format") == "spans" {
-		writeJSON(w, http.StatusOK, TraceSpans{Trace: id, Spans: spans})
+		WriteJSON(w, http.StatusOK, TraceSpans{Trace: id, Spans: spans})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

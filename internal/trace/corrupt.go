@@ -24,8 +24,8 @@ type CorruptError struct {
 	// detected (the reader's position, not necessarily where the damage
 	// physically is).
 	Offset int64
-	// Format is the container variant being decoded ("MTT1", "MTT2", or
-	// "" when the magic itself was unreadable).
+	// Format is the container being decoded ("MTT2", or "" when the
+	// magic itself was unreadable, unknown or retired).
 	Format string
 	// Section names the structural element being decoded when the
 	// corruption surfaced ("magic", "header", "thread 3", "end").

@@ -6,32 +6,18 @@ import (
 	"io"
 )
 
-// Binary trace containers. Two variants share one per-event encoding (a
-// gap/kind uvarint followed by a zig-zag address-delta uvarint, so the
-// strided access patterns the kernels produce compress well):
-//
-// MTT1 (legacy, read-only):
-//
-//	magic   4 bytes  "MTT1"
-//	appLen  uvarint, app name bytes
-//	nthreads uvarint
-//	per thread:
-//	    id      uvarint (must equal index)
-//	    nrefs   uvarint
-//	    nrefs × (gapKind uvarint, addr-delta uvarint)
-//
-// MTT1 has no framing or checksums: truncation at a thread boundary and
-// bit flips inside the varint payload can silently decode to a different
-// but structurally valid trace. MTT2 (io2.go) closes both holes and is
-// what WriteTo emits; ReadFrom accepts either.
+// The binary trace container is MTT2 (io2.go): framed, checksummed
+// sections around one per-event encoding (a gap/kind uvarint followed by
+// a zig-zag address-delta uvarint, so the strided access patterns the
+// kernels produce compress well). WriteTo emits it and ReadFrom reads
+// it. The older MTT1 container had no framing or checksums — truncation
+// at a thread boundary or a bit flip in the varint payload could decode
+// to a different but valid trace — and is no longer read: ReadFrom
+// refuses its magic.
 
-var (
-	magic1 = [4]byte{'M', 'T', 'T', '1'}
-	magic2 = [4]byte{'M', 'T', 'T', '2'}
-)
+var magic2 = [4]byte{'M', 'T', 'T', '2'}
 
 const (
-	formatMTT1 = "MTT1"
 	formatMTT2 = "MTT2"
 
 	// maxName and maxThreads bound header fields so a corrupt count
@@ -81,60 +67,10 @@ func (tr *Trace) WriteTo(w io.Writer) (int64, error) {
 	return tr.writeMTT2To(w)
 }
 
-// writeMTT1To serializes the trace in the legacy MTT1 container. New files
-// are always MTT2; this writer exists so tests can prove ReadFrom's
-// backward compatibility against real MTT1 bytes.
-func (tr *Trace) writeMTT1To(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(p []byte) error {
-		m, err := bw.Write(p)
-		n += int64(m)
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		return write(buf[:binary.PutUvarint(buf[:], v)])
-	}
-
-	if err := write(magic1[:]); err != nil {
-		return n, err
-	}
-	if err := writeUvarint(uint64(len(tr.App))); err != nil {
-		return n, err
-	}
-	if err := write([]byte(tr.App)); err != nil {
-		return n, err
-	}
-	if err := writeUvarint(uint64(len(tr.Threads))); err != nil {
-		return n, err
-	}
-	var scratch []byte
-	for i, t := range tr.Threads {
-		if err := writeUvarint(uint64(i)); err != nil {
-			return n, err
-		}
-		if err := writeUvarint(uint64(len(t.events))); err != nil {
-			return n, err
-		}
-		var prev uint64
-		for _, wrd := range t.events {
-			scratch, prev = appendEvent(scratch[:0], wrd, prev)
-			if err := write(scratch); err != nil {
-				return n, err
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return n, err
-	}
-	return n, nil
-}
-
-// ReadFrom parses a trace in either binary container, dispatching on the
-// magic. Every decode failure — truncation, checksum mismatch, structural
-// damage — is reported as a *CorruptError carrying the byte offset;
-// callers test with errors.As instead of string matching.
+// ReadFrom parses an MTT2 trace. Every decode failure — an unknown or
+// retired magic, truncation, checksum mismatch, structural damage — is
+// reported as a *CorruptError carrying the byte offset; callers test
+// with errors.As instead of string matching.
 func ReadFrom(r io.Reader) (*Trace, error) {
 	cr := &countingReader{br: bufio.NewReader(r)}
 	var m [4]byte
@@ -142,76 +78,13 @@ func ReadFrom(r io.Reader) (*Trace, error) {
 		return nil, corruptRead("", cr.off, "magic", err)
 	}
 	switch m {
-	case magic1:
-		return readMTT1(cr)
 	case magic2:
 		return readMTT2(cr)
+	case [4]byte{'M', 'T', 'T', '1'}:
+		return nil, corruptf("", 0, "magic", "MTT1 is a retired format; re-record the trace as MTT2")
 	default:
 		return nil, corruptf("", 0, "magic", "bad magic %q", m)
 	}
-}
-
-// readMTT1 decodes the legacy unchecksummed container (magic already
-// consumed).
-func readMTT1(cr *countingReader) (*Trace, error) {
-	appLen, err := binary.ReadUvarint(cr)
-	if err != nil {
-		return nil, corruptRead(formatMTT1, cr.off, "header", err)
-	}
-	if appLen == 0 || appLen > maxName {
-		return nil, corruptf(formatMTT1, cr.off, "header", "implausible app name length %d", appLen)
-	}
-	name := make([]byte, appLen)
-	if _, err := io.ReadFull(cr, name); err != nil {
-		return nil, corruptRead(formatMTT1, cr.off, "header", err)
-	}
-	nthreads, err := binary.ReadUvarint(cr)
-	if err != nil {
-		return nil, corruptRead(formatMTT1, cr.off, "header", err)
-	}
-	if nthreads == 0 || nthreads > maxThreads {
-		return nil, corruptf(formatMTT1, cr.off, "header", "implausible thread count %d", nthreads)
-	}
-	tr := New(string(name), int(nthreads))
-	for i := 0; i < int(nthreads); i++ {
-		section := threadSection(i)
-		id, err := binary.ReadUvarint(cr)
-		if err != nil {
-			return nil, corruptRead(formatMTT1, cr.off, section, err)
-		}
-		if id != uint64(i) {
-			return nil, corruptf(formatMTT1, cr.off, section, "thread at index %d has id %d", i, id)
-		}
-		nrefs, err := binary.ReadUvarint(cr)
-		if err != nil {
-			return nil, corruptRead(formatMTT1, cr.off, section, err)
-		}
-		if nrefs == 0 {
-			return nil, corruptf(formatMTT1, cr.off, section, "thread has no references")
-		}
-		t := tr.Threads[i]
-		// Cap the pre-allocation hint: MTT1 carries no framing to sanity-
-		// check nrefs against, so a corrupt count must not demand a huge
-		// slice before the first decode error can surface.
-		t.events = make([]uint64, 0, min(nrefs, 1<<16))
-		var prev uint64
-		for j := uint64(0); j < nrefs; j++ {
-			gk, err := binary.ReadUvarint(cr)
-			if err != nil {
-				return nil, corruptRead(formatMTT1, cr.off, section, err)
-			}
-			zz, err := binary.ReadUvarint(cr)
-			if err != nil {
-				return nil, corruptRead(formatMTT1, cr.off, section, err)
-			}
-			w, cerr := decodeEvent(gk, zz, &prev)
-			if cerr != "" {
-				return nil, corruptf(formatMTT1, cr.off, section, "ref %d: %s", j, cerr)
-			}
-			t.append(w)
-		}
-	}
-	return tr, nil
 }
 
 // decodeEvent validates and packs one event from its wire fields. It

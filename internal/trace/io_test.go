@@ -52,22 +52,23 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadMTT1BackCompat proves ReadFrom still decodes the legacy
-// unchecksummed container byte stream.
-func TestReadMTT1BackCompat(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 4; trial++ {
-		tr := randomTrace(rng, "legacy", 1+rng.Intn(4), 1+rng.Intn(300))
-		var buf bytes.Buffer
-		if _, err := tr.writeMTT1To(&buf); err != nil {
-			t.Fatalf("write MTT1: %v", err)
+// TestReadRejectsMTT1: the retired unchecksummed container is refused
+// at its magic with a typed error that names it, however well-formed
+// the rest of the stream is.
+func TestReadRejectsMTT1(t *testing.T) {
+	// A structurally valid MTT1 trace: app "seed", one thread, one read
+	// of address 0.
+	for _, in := range []string{"MTT1", "MTT1\x04seed\x01\x00\x01\x00\x00"} {
+		got, err := ReadFrom(strings.NewReader(in))
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%q: got %v, want *CorruptError", in, err)
 		}
-		got, err := ReadFrom(&buf)
-		if err != nil {
-			t.Fatalf("read MTT1: %v", err)
+		if got != nil {
+			t.Errorf("%q: error return carried a trace", in)
 		}
-		if !traceEqual(tr, got) {
-			t.Fatalf("trial %d: MTT1 round trip mismatch", trial)
+		if ce.Section != "magic" || !strings.Contains(err.Error(), "MTT1") {
+			t.Errorf("%q: error %q does not name the retired MTT1 magic", in, err)
 		}
 	}
 }
@@ -86,7 +87,6 @@ func TestReadRejectsBadMagic(t *testing.T) {
 func TestReadRejectsTruncation(t *testing.T) {
 	for name, write := range map[string]func(*Trace, io.Writer) (int64, error){
 		"MTT2": (*Trace).WriteTo,
-		"MTT1": (*Trace).writeMTT1To,
 	} {
 		t.Run(name, func(t *testing.T) {
 			tr := randomTrace(rand.New(rand.NewSource(2)), "app", 3, 200)
@@ -113,8 +113,8 @@ func TestReadRejectsTruncation(t *testing.T) {
 
 // TestMTT2RejectsEveryByteFlip is the core zero-silent-corruption
 // property: under MTT2, flipping any single byte anywhere in the stream
-// is detected. (MTT1 cannot promise this — payload flips can decode to a
-// different but structurally valid trace.)
+// is detected. (The retired MTT1 container could not promise this —
+// payload flips could decode to a different but valid trace.)
 func TestMTT2RejectsEveryByteFlip(t *testing.T) {
 	tr := randomTrace(rand.New(rand.NewSource(3)), "app", 2, 50)
 	var buf bytes.Buffer
@@ -216,16 +216,9 @@ func TestMTT2RejectsBadEndCounts(t *testing.T) {
 }
 
 func TestReadRejectsImplausibleCounts(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write(magic1[:])
-	buf.WriteByte(0) // app name length 0
-	if _, err := ReadFrom(&buf); err == nil {
-		t.Error("MTT1: empty app name accepted")
-	}
-
-	// Same structural lie in an MTT2 header section with a valid CRC.
+	// An empty app name in an MTT2 header section with a valid CRC.
 	payload := []byte{0} // appLen 0
-	buf.Reset()
+	var buf bytes.Buffer
 	buf.Write(magic2[:])
 	buf.WriteByte(sectionHeader)
 	buf.Write(binary.AppendUvarint(nil, uint64(len(payload))))
