@@ -90,25 +90,29 @@ tracecheck:
 
 # Robustness drills (DESIGN.md §9): the fault-injection matrix (every
 # corruption class at every byte offset must be detected, never silently
-# simulated), journal crash/resume behaviour, the engine guard's
-# watchdog, and the kill-and-resume byte-identity test.
+# simulated), the MTJ1 ledger's crash behaviour, the engine guard's
+# watchdog, and the per-cell kill-and-resume tests of experiments
+# -store-dir (byte-identical artifacts, no reuse across scales, one
+# store format shared with mtserve).
 faultcheck:
 	$(GO) test ./internal/resilience
 	$(GO) test ./internal/trace -run 'TestMTT2|TestReadRejects|TestWriteFile'
-	$(GO) test ./cmd/experiments -run 'TestKillAndResume|TestResume|TestFreshRun|TestRunStepBudget'
+	$(GO) test ./cmd/experiments -run 'TestKillAndResume|TestStoreServesNothingAcrossScales|TestStoreSharedWithServer|TestRunStepBudget'
 
 # Durability tier (DESIGN.md "Durable results & delivery"): the MTS1
 # store suite (format goldens, recovery, quarantine, compaction,
-# write-behind), the retry/backoff core, the webhook dispatcher
-# (journaled delivery, breaker, restart resume), the store fault matrix
-# (every corrupting class x offset detected, zero silent), and the
-# kill -9 warm-restart differential against a real subprocess daemon.
+# write-behind, the directory lock), the retry/backoff core, the webhook
+# dispatcher (ledgered delivery, breaker, restart resume), the store
+# fault matrix (every corrupting class x offset detected, zero silent),
+# the kill -9 warm-restart and webhook-ledger tests against a real
+# subprocess daemon, and the coordinator's recovery through the store
+# (job records, crash images, the divergence tripwire).
 storecheck:
 	$(GO) test ./internal/store ./internal/retry ./internal/serve/webhook
 	$(GO) test ./internal/resilience -run 'TestStoreFaultMatrix|TestStoreQuarantineMatrix|TestStoreTornTail'
 	$(GO) test ./cmd/mtserve -run 'TestKillDashNine'
 	$(GO) test ./internal/serve -run 'TestStoreTier|TestWebhook'
-	$(GO) test ./internal/cluster -run 'TestClusterStore|TestClusterWebhook'
+	$(GO) test ./internal/cluster -run 'TestClusterStore|TestClusterWebhook|TestCoordinator|TestStoreDivergence'
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -143,7 +147,7 @@ benchadvise:
 	$(GO) run ./cmd/experiments -advise BENCH_advise.json -scale 0.25
 
 # Regenerate BENCH_sim.json: engine throughput bare and probed, plus the
-# memoized and guarded sweep timings and the journal cost.
+# memoized and guarded sweep timings.
 benchsim:
 	$(GO) run ./cmd/experiments -benchsim BENCH_sim.json
 

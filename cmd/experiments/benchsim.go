@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/core"
@@ -42,14 +41,11 @@ type benchSimReport struct {
 	MemoFirstSecs    float64     `json:"memoized_figure_first_call_seconds"`
 	MemoSecondSecs   float64     `json:"memoized_figure_second_call_seconds"`
 	MemoSpeedup      float64     `json:"memoized_figure_speedup"`
-	// Resilience costs on the memoized sweep path: the engine guard with
-	// its watchdog armed (the wrapper and the per-event step count), and
-	// the per-section journal writes of a -journal sweep.
-	GuardMemoSecs      float64 `json:"guarded_figure_first_call_seconds"`
-	GuardOverheadPct   float64 `json:"guard_overhead_pct"`
-	JournalSecs        float64 `json:"journal_seconds"`
-	JournalOverheadPct float64 `json:"journal_overhead_pct"`
-	GeneratedBy        string  `json:"generated_by"`
+	// Resilience cost on the memoized sweep path: the engine guard with
+	// its watchdog armed (the wrapper and the per-event step count).
+	GuardMemoSecs    float64 `json:"guarded_figure_first_call_seconds"`
+	GuardOverheadPct float64 `json:"guard_overhead_pct"`
+	GeneratedBy      string  `json:"generated_by"`
 }
 
 // benchSim times the engine sequentially over every (algorithm,
@@ -172,31 +168,6 @@ func benchSim(scale float64, seed int64, procsSpec, path string) error {
 	rep.GuardOverheadPct = (rep.GuardMemoSecs/rep.MemoFirstSecs - 1) * 100
 	fmt.Printf("  guarded ExecutionFigure (watchdog): %.2fs (%.1f%% overhead)\n",
 		rep.GuardMemoSecs, rep.GuardOverheadPct)
-
-	// Journal cost: the synced per-section records a -all -journal sweep
-	// writes (about ten sections), priced against the sweep itself.
-	jdir, err := os.MkdirTemp("", "benchsim-journal-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(jdir)
-	t0 = time.Now()
-	j, err := resilience.OpenJournal(filepath.Join(jdir, "sweep.journal"), "benchsim")
-	if err != nil {
-		return err
-	}
-	for i := 0; i < 10; i++ {
-		if err := j.Record(fmt.Sprintf("Section %d", i), "crc32:00000000"); err != nil {
-			return err
-		}
-	}
-	if err := j.Close(); err != nil {
-		return err
-	}
-	rep.JournalSecs = time.Since(t0).Seconds()
-	rep.JournalOverheadPct = rep.JournalSecs / rep.MemoFirstSecs * 100
-	fmt.Printf("  journal: 10 synced records in %.4fs (%.2f%% of sweep)\n",
-		rep.JournalSecs, rep.JournalOverheadPct)
 
 	f, err := os.Create(path)
 	if err != nil {

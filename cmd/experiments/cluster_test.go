@@ -25,15 +25,11 @@ type experimentCluster struct {
 
 func startExperimentCluster(t *testing.T, n int) *experimentCluster {
 	t.Helper()
-	coord, err := cluster.New(cluster.Options{
+	coord := cluster.New(cluster.Options{
 		HeartbeatTimeout: 500 * time.Millisecond,
 		PollInterval:     2 * time.Millisecond,
 		LeaseChunk:       4,
-		Journal:          filepath.Join(t.TempDir(), "mtcoord.mtj"),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ec := &experimentCluster{coord: coord, coordTS: httptest.NewServer(coord.Handler())}
 	for i := 0; i < n; i++ {
 		srv := serve.NewServer(serve.Options{Workers: 2})

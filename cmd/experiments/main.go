@@ -7,19 +7,22 @@
 //	experiments -table 4
 //	experiments -figure 2
 //	experiments -all -scale 0.5 -procs 2,4,8,16
-//	experiments -all -journal sweep.journal            # journal progress
-//	experiments -all -journal sweep.journal -resume    # skip finished sections
+//	experiments -all -store-dir sweep.store            # resumable per cell
 //	experiments -all -timeout 30m -maxsteps 2000000000 # watchdogs
+//
+// With -store-dir every simulated cell is stored in an MTS1 store under
+// the content address and envelope mtserve uses, and a cell already in
+// the store is read instead of simulated. A sweep killed part way is
+// resumed by running it again on the same directory; a finished one
+// reruns without simulating a static cell.
 //
 // Exit codes: 0 success, 1 error, 2 usage.
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log/slog"
 	"os"
@@ -36,29 +39,16 @@ import (
 	"repro/internal/report"
 	"repro/internal/resilience"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
 // emitter prints every artifact to the sweep's output stream and, when an
 // output directory is set, also writes <name>.txt, <name>.csv and (for
-// charts) <name>.svg. It keeps a running CRC32 of the rendered text so
-// each journal record carries a content checksum of its section.
+// charts) <name>.svg.
 type emitter struct {
 	outdir string
 	out    io.Writer
-	crc    uint32
-}
-
-// emit renders one artifact, folds it into the section checksum, and
-// forwards it to the output stream.
-func (e *emitter) emit(render func(w io.Writer) error) error {
-	var buf bytes.Buffer
-	if err := render(&buf); err != nil {
-		return err
-	}
-	e.crc = crc32.Update(e.crc, crc32.IEEETable, buf.Bytes())
-	_, err := e.out.Write(buf.Bytes())
-	return err
 }
 
 func (e *emitter) save(name, ext string, write func(f *os.File) error) error {
@@ -77,7 +67,7 @@ func (e *emitter) save(name, ext string, write func(f *os.File) error) error {
 }
 
 func (e *emitter) table(name string, t *report.Table) error {
-	if err := e.emit(t.Render); err != nil {
+	if err := t.Render(e.out); err != nil {
 		return err
 	}
 	if err := e.save(name, ".txt", func(f *os.File) error { return t.Render(f) }); err != nil {
@@ -87,7 +77,7 @@ func (e *emitter) table(name string, t *report.Table) error {
 }
 
 func (e *emitter) chart(name string, c *report.BarChart) error {
-	if err := e.emit(c.Render); err != nil {
+	if err := c.Render(e.out); err != nil {
 		return err
 	}
 	if err := e.save(name, ".txt", func(f *os.File) error { return c.Render(f) }); err != nil {
@@ -103,8 +93,8 @@ func (e *emitter) chart(name string, c *report.BarChart) error {
 // -progress heartbeat.
 var curSection atomic.Value
 
-// errInterrupted is returned by the sweepCfg.interruptAfter test hook,
-// which simulates a kill between sections for the kill-and-resume test.
+// errInterrupted is returned by the sweepCfg.abortAfterCells test hook,
+// which simulates a kill mid-section for the kill-and-resume test.
 var errInterrupted = errors.New("sweep interrupted (test hook)")
 
 // sweepCfg carries one sweep invocation's full configuration.
@@ -123,10 +113,9 @@ type sweepCfg struct {
 	outdir  string
 
 	// Resilience.
-	journalPath string        // journal completed sections here ("" = off)
-	resume      bool          // skip sections the journal records complete
-	timeout     time.Duration // cancel all simulations after this long (0 = off)
-	maxSteps    uint64        // per-simulation event budget (0 = unbounded)
+	storeDir string        // store and reuse cell results here ("" = off)
+	timeout  time.Duration // cancel all simulations after this long (0 = off)
+	maxSteps uint64        // per-simulation event budget (0 = unbounded)
 
 	// remote, when set, sends every static-placement simulation to an
 	// mtserve instance at this base URL instead of running it in-process.
@@ -138,17 +127,10 @@ type sweepCfg struct {
 	out io.Writer
 	log *slog.Logger
 
-	// interruptAfter, when positive, aborts the sweep after that many
-	// sections complete. Test-only: it simulates a mid-sweep kill.
-	interruptAfter int
-}
-
-// binding is the configuration fingerprint a journal is bound to: every
-// knob that changes section *content*. Selection flags are deliberately
-// excluded — resuming a -all sweep from a -table 1 journal is legitimate
-// (the same Table 1 would be regenerated either way).
-func (cfg *sweepCfg) binding() string {
-	return fmt.Sprintf("scale=%g seed=%d procs=%s fig5app=%s", cfg.scale, cfg.seed, cfg.procs, cfg.fig5app)
+	// abortAfterCells, when positive with storeDir set, aborts the sweep
+	// once that many cells have been simulated. Test-only: it simulates
+	// a mid-sweep kill.
+	abortAfterCells int64
 }
 
 func main() {
@@ -163,8 +145,7 @@ func main() {
 		abl      = flag.String("ablation", "", "ablation study: assoc, cachesize, contexts, uniformity, writeruns, protocol, latency, contention, dynamic or all")
 		outdir   = flag.String("outdir", "", "also write each artifact as .txt/.csv/.svg into this directory")
 		jsonF    = flag.String("json", "", "regenerate all tables/figures and save them as one JSON bundle")
-		journal  = flag.String("journal", "", "journal completed sections to this file (crash-safe)")
-		resume   = flag.Bool("resume", false, "skip sections the -journal file records as complete")
+		storeDir = flag.String("store-dir", "", "store every simulated cell in this directory and reuse stored cells: a rerun resumes an interrupted sweep")
 		timeout  = flag.Duration("timeout", 0, "abort all in-flight simulations after this long (e.g. 30m)")
 		maxSteps = flag.Uint64("maxsteps", 0, "abort any single simulation after this many events (livelock watchdog)")
 		remote   = flag.String("remote", "", "run simulations on the mtserve instance at this base URL (e.g. http://127.0.0.1:8080)")
@@ -232,8 +213,7 @@ func main() {
 		err = run(sweepCfg{
 			all: *all, table: *table, figure: *figure, ablation: *abl, jsonPath: *jsonF,
 			scale: *scale, seed: *seed, procs: *procs, fig5app: *fig5, outdir: *outdir,
-			journalPath: *journal, resume: *resume,
-			timeout: *timeout, maxSteps: *maxSteps,
+			storeDir: *storeDir, timeout: *timeout, maxSteps: *maxSteps,
 			remote: *remote,
 			log:    log,
 		})
@@ -257,7 +237,7 @@ func parseProcs(s string) ([]int, error) {
 }
 
 // run regenerates the selected sections.
-func run(cfg sweepCfg) error {
+func run(cfg sweepCfg) (err error) {
 	if cfg.out == nil {
 		cfg.out = os.Stdout
 	}
@@ -268,29 +248,10 @@ func run(cfg sweepCfg) error {
 	if err != nil {
 		return err
 	}
-	if cfg.resume && cfg.journalPath == "" {
-		return obs.Usagef("-resume requires -journal")
-	}
 	if cfg.outdir != "" {
 		if err := os.MkdirAll(cfg.outdir, 0o755); err != nil {
 			return err
 		}
-	}
-
-	var j *resilience.Journal
-	if cfg.journalPath != "" {
-		if !cfg.resume {
-			// A fresh run must start a fresh journal, or stale records
-			// from an earlier sweep would silently skip live sections.
-			if err := os.Remove(cfg.journalPath); err != nil && !os.IsNotExist(err) {
-				return err
-			}
-		}
-		j, err = resilience.OpenJournal(cfg.journalPath, cfg.binding())
-		if err != nil {
-			return err
-		}
-		defer j.Close()
 	}
 
 	em := &emitter{outdir: cfg.outdir, out: cfg.out}
@@ -322,32 +283,41 @@ func run(cfg sweepCfg) error {
 		opts.Runner = guard.Run
 		opts.DynRunner = guard.RunDynamic
 	}
+
+	var cells *storedRunner
+	if cfg.storeDir != "" {
+		st, err := store.Open(store.Options{Dir: cfg.storeDir})
+		if err != nil {
+			return err
+		}
+		defer func() {
+			if cerr := st.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		if opts.Runner == nil {
+			opts.Runner = sim.Run
+		}
+		cells = &storedRunner{st: st, next: opts.Runner, params: opts.Params, log: cfg.log, abortAfter: cfg.abortAfterCells}
+		opts.Runner = cells.run
+	}
 	s := core.NewSuite(opts)
 
-	completed := 0
 	section := func(name string, f func() error) error {
-		if j != nil {
-			if sum, ok := j.Done(name); ok {
-				fmt.Fprintf(cfg.out, "[%s already complete (%s), skipped]\n\n", name, sum)
-				return nil
-			}
-		}
 		curSection.Store(name)
-		em.crc = 0
 		t0 := time.Now()
+		simulated, restored := cells.counts()
 		if err := f(); err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Fprintf(cfg.out, "[%s regenerated in %s]\n\n", name, time.Since(t0).Round(time.Millisecond))
-		if j != nil {
-			if err := j.Record(name, fmt.Sprintf("crc32:%08x", em.crc)); err != nil {
-				return err
-			}
+		took := time.Since(t0).Round(time.Millisecond)
+		if cells == nil {
+			fmt.Fprintf(cfg.out, "[%s regenerated in %s]\n\n", name, took)
+			return nil
 		}
-		completed++
-		if cfg.interruptAfter > 0 && completed >= cfg.interruptAfter {
-			return errInterrupted
-		}
+		simulated1, restored1 := cells.counts()
+		fmt.Fprintf(cfg.out, "[%s regenerated in %s: %d cells simulated, %d from the store]\n\n",
+			name, took, simulated1-simulated, restored1-restored)
 		return nil
 	}
 

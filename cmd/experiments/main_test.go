@@ -68,12 +68,6 @@ func TestRunUsageErrors(t *testing.T) {
 	if err := run(bad); !obs.IsUsage(err) {
 		t.Errorf("bad procs: err = %v, want usage error", err)
 	}
-	noJournal := testSweep()
-	noJournal.table = 3
-	noJournal.resume = true
-	if err := run(noJournal); !obs.IsUsage(err) {
-		t.Errorf("-resume without -journal: err = %v, want usage error", err)
-	}
 }
 
 func TestTimelineRun(t *testing.T) {

@@ -76,14 +76,11 @@ type benchCluster struct {
 // startBenchCluster brings up a coordinator with n registered single-slot
 // workers and waits until all n are live.
 func startBenchCluster(n int, minCell time.Duration) (*benchCluster, error) {
-	coord, err := cluster.New(cluster.Options{
+	coord := cluster.New(cluster.Options{
 		HeartbeatTimeout: 2 * time.Second,
 		PollInterval:     2 * time.Millisecond,
 		LeaseChunk:       4,
 	})
-	if err != nil {
-		return nil, err
-	}
 	bc := &benchCluster{coord: coord, coordTS: httptest.NewServer(coord.Handler())}
 	for i := 0; i < n; i++ {
 		srv := serve.NewServer(serve.Options{

@@ -9,9 +9,9 @@
 //
 // Usage:
 //
-//	mtcoord -addr :9090                       # coordinate until SIGTERM
-//	mtcoord -addr :9090 -journal mtcoord.mtj  # with crash recovery
-//	mtcoord -bench BENCH_cluster.json         # in-process scaling bench
+//	mtcoord -addr :9090                          # coordinate until SIGTERM
+//	mtcoord -addr :9090 -store-dir /var/mtcoord  # with crash recovery
+//	mtcoord -bench BENCH_cluster.json            # in-process scaling bench
 //
 // Workers join with `mtserve -coord http://coordinator:9090`; membership
 // is registration plus heartbeats (/cluster/v1/register, /cluster/v1/
@@ -21,6 +21,12 @@
 // Shutdown is graceful and mirrors mtserve: in-flight sweeps are handed
 // back as retriable; their content-addressed job IDs make resubmission
 // to a restarted coordinator idempotent.
+//
+// With -store-dir every harvested cell result, a small record of every
+// accepted sweep and the webhook ledger live in that one directory. A
+// coordinator restarted on it — after a drain or a kill -9 — answers
+// "retriable" for each sweep it had accepted, and a resubmission restores
+// the stored cells before it leases out the rest.
 package main
 
 import (
@@ -38,8 +44,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
-	"repro/internal/serve/webhook"
-	"repro/internal/store"
+	"repro/internal/serve"
 )
 
 func main() {
@@ -53,11 +58,9 @@ func run(args []string) int {
 		hbeat   = fs.Duration("heartbeat-timeout", 2*time.Second, "declare a worker dead after this much heartbeat silence")
 		poll    = fs.Duration("poll", 10*time.Millisecond, "lease harvest/steal scheduling interval")
 		chunk   = fs.Int("chunk", 16, "max cells per lease")
-		journal = fs.String("journal", "", "MTJ1 journal path for crash recovery (empty = off)")
 		verbose = fs.Bool("v", false, "verbose logging")
 
-		storeDir       = fs.String("store-dir", "", "durable result store directory: harvested cell results persist across restarts and warm-start resubmitted sweeps (empty = off)")
-		webhookJournal = fs.String("webhook-journal", "", "journal path for webhook delivery state; pending deliveries survive restarts (empty = ephemeral)")
+		storeDir = fs.String("store-dir", "", "durable directory: harvested cell results and accepted sweeps persist across restarts, resubmitted sweeps warm-start, and pending webhook deliveries resume (empty = off)")
 
 		debugAddr   = fs.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 		noTelemetry = fs.Bool("no-telemetry", false, "disable distributed tracing and job-progress streams (histograms stay on)")
@@ -77,7 +80,6 @@ func run(args []string) int {
 		HeartbeatTimeout: *hbeat,
 		PollInterval:     *poll,
 		LeaseChunk:       *chunk,
-		Journal:          *journal,
 		DisableTelemetry: *noTelemetry,
 		Log:              log,
 	}
@@ -104,49 +106,26 @@ func run(args []string) int {
 		return obs.CodeOK
 	}
 
-	return coordMain(log, *addr, opts, *storeDir, *webhookJournal)
+	return coordMain(log, *addr, opts, *storeDir)
 }
 
 // coordMain runs the coordinator daemon until SIGTERM/SIGINT, then drains.
-func coordMain(log *slog.Logger, addr string, opts cluster.Options, storeDir, webhookJournal string) int {
-	var st *store.Store
-	if storeDir != "" {
-		var err error
-		st, err = store.Open(store.Options{Dir: storeDir})
-		if err != nil {
-			log.Error(fmt.Sprintf("opening result store: %s", err))
-			return obs.CodeError
-		}
-		opts.Store = st
-		s := st.Stats()
-		log.Info("result store open", "dir", storeDir,
-			"entries", s.Entries, "sealed_segments", s.SealedSegments,
-			"quarantined", s.Quarantined, "truncated_tails", s.TruncatedTails)
-	}
-	wh, err := webhook.New(webhook.Options{JournalPath: webhookJournal})
-	if err != nil {
-		log.Error(fmt.Sprintf("opening webhook dispatcher: %s", err))
-		if st != nil {
-			_ = st.Close()
-		}
-		return obs.CodeError
-	}
-	opts.Webhooks = wh
-
-	coord, err := cluster.New(opts)
-	if err != nil {
-		log.Error(err.Error())
-		_ = wh.Close()
-		if st != nil {
-			_ = st.Close()
-		}
-		return obs.CodeError
-	}
+func coordMain(log *slog.Logger, addr string, opts cluster.Options, storeDir string) int {
+	// Listen before opening durable state, as mtserve does: a busy port
+	// then fails with nothing to close.
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		log.Error(err.Error())
 		return obs.CodeError
 	}
+	st, wh, closeDurable, err := serve.OpenDurable(storeDir, log)
+	if err != nil {
+		log.Error(err.Error())
+		return obs.CodeError
+	}
+	opts.Store, opts.Webhooks = st, wh
+
+	coord := cluster.New(opts)
 	hs := &http.Server{Handler: coord.Handler()}
 	log.Info("mtcoord listening", "addr", ln.Addr().String())
 
@@ -168,18 +147,10 @@ func coordMain(log *slog.Logger, addr string, opts cluster.Options, storeDir, we
 
 	// Drain order mirrors mtserve: retire in-flight jobs first (pollers
 	// see retriable and will resubmit after restart), persist — flush
-	// and seal the result store, close the webhook journal with pending
+	// and seal the result store, close the webhook ledger with pending
 	// deliveries intact — then stop listening.
 	coord.Drain()
-	wh.Flush(2 * time.Second)
-	if err := wh.Close(); err != nil {
-		log.Warn("webhook dispatcher close", "err", err.Error())
-	}
-	if st != nil {
-		if err := st.Close(); err != nil {
-			log.Warn("result store close", "err", err.Error())
-		}
-	}
+	closeDurable()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = hs.Shutdown(ctx)

@@ -6,6 +6,7 @@
 //
 //	mtserve -addr :8080                      # serve until SIGTERM/SIGINT
 //	mtserve -addr :8080 -workers 8 -cache 8192
+//	mtserve -addr :8080 -store-dir /var/mtsim # durable results and webhooks
 //	mtserve -loadgen -clients 64 -bench BENCH_serve.json
 //
 // Endpoints: the nine public routes of DESIGN.md §10 (POST /v1/simulate,
@@ -35,8 +36,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/serve/webhook"
-	"repro/internal/store"
 )
 
 // sanitizeWorkerID maps a listen address into the worker-ID alphabet
@@ -69,8 +68,7 @@ func run(args []string) int {
 		timeout   = fs.Duration("timeout", 0, "per-cell wall-clock budget (0 = none)")
 		verbose   = fs.Bool("v", false, "verbose logging")
 
-		storeDir       = fs.String("store-dir", "", "durable result store directory: results persist across restarts and warm-start the cache (empty = memory only)")
-		webhookJournal = fs.String("webhook-journal", "", "journal path for webhook delivery state; pending deliveries survive restarts (empty = ephemeral)")
+		storeDir = fs.String("store-dir", "", "durable directory: results persist across restarts and warm-start the cache, and pending webhook deliveries resume (empty = memory only)")
 
 		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 		streamWindow = fs.Uint64("stream-window", 100_000, "sampler window (cycles) for live SSE sample events when a stream is attached (0 = no samples)")
@@ -129,56 +127,7 @@ func run(args []string) int {
 	}
 
 	cc := coordConfig{url: *coord, name: *name, advertise: *advertise, interval: *beat}
-	dc := durableConfig{storeDir: *storeDir, webhookJournal: *webhookJournal}
-	return serveMain(log, *addr, opts, cc, dc)
-}
-
-// durableConfig is the daemon's persistence surface: the result store
-// and the webhook delivery journal.
-type durableConfig struct {
-	storeDir       string
-	webhookJournal string
-}
-
-// openDurable opens the result store and webhook dispatcher named by
-// dc and attaches them to opts. The returned closer runs after Drain:
-// every result the workers produced is flushed and sealed, and pending
-// webhook deliveries stay journaled for the next life.
-func openDurable(log *slog.Logger, dc durableConfig, opts *serve.Options) (func(), error) {
-	var st *store.Store
-	if dc.storeDir != "" {
-		var err error
-		st, err = store.Open(store.Options{Dir: dc.storeDir})
-		if err != nil {
-			return nil, fmt.Errorf("opening result store: %w", err)
-		}
-		opts.Store = st
-		s := st.Stats()
-		log.Info("result store open", "dir", dc.storeDir,
-			"entries", s.Entries, "sealed_segments", s.SealedSegments,
-			"quarantined", s.Quarantined, "truncated_tails", s.TruncatedTails)
-	}
-	wh, err := webhook.New(webhook.Options{JournalPath: dc.webhookJournal})
-	if err != nil {
-		if st != nil {
-			_ = st.Close()
-		}
-		return nil, fmt.Errorf("opening webhook dispatcher: %w", err)
-	}
-	opts.Webhooks = wh
-	return func() {
-		// Give in-flight deliveries a moment to land; anything still
-		// pending is journaled and resumes after restart.
-		wh.Flush(2 * time.Second)
-		if err := wh.Close(); err != nil {
-			log.Warn("webhook dispatcher close", "err", err.Error())
-		}
-		if st != nil {
-			if err := st.Close(); err != nil {
-				log.Warn("result store close", "err", err.Error())
-			}
-		}
-	}, nil
+	return serveMain(log, *addr, opts, cc, *storeDir)
 }
 
 // coordConfig is the optional cluster membership of a worker.
@@ -190,7 +139,7 @@ type coordConfig struct {
 }
 
 // serveMain runs the daemon until SIGTERM/SIGINT, then drains.
-func serveMain(log *slog.Logger, addr string, opts serve.Options, cc coordConfig, dc durableConfig) int {
+func serveMain(log *slog.Logger, addr string, opts serve.Options, cc coordConfig, storeDir string) int {
 	// Listen before building the server: a cluster worker's ID (derived
 	// from the bound address unless -name is set) labels its spans, so a
 	// cluster-wide trace shows which worker ran what.
@@ -206,11 +155,12 @@ func serveMain(log *slog.Logger, addr string, opts serve.Options, cc coordConfig
 	if cc.url != "" {
 		opts.ServiceName = id
 	}
-	closeDurable, err := openDurable(log, dc, &opts)
+	st, wh, closeDurable, err := serve.OpenDurable(storeDir, log)
 	if err != nil {
 		log.Error(err.Error())
 		return obs.CodeError
 	}
+	opts.Store, opts.Webhooks = st, wh
 	srv := serve.NewServer(opts)
 	hs := &http.Server{Handler: srv.Handler()}
 	log.Info("mtserve listening", "addr", ln.Addr().String())
@@ -246,7 +196,7 @@ func serveMain(log *slog.Logger, addr string, opts serve.Options, cc coordConfig
 	// Drain order: stop heartbeating first (the coordinator reroutes new
 	// leases), finish simulation work (queued jobs become retriable,
 	// /healthz flips to draining), then persist — flush and seal the
-	// result store, close the webhook journal with pending deliveries
+	// result store, close the webhook ledger with pending deliveries
 	// intact — and finally stop the listener so clients can observe
 	// their jobs' final state until the very end.
 	if agent != nil {

@@ -5,15 +5,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/serve"
 	"repro/internal/serve/client"
+	"repro/internal/serve/webhook"
 )
 
 // TestMain re-executes the test binary as a real mtserve daemon when the
@@ -219,5 +223,100 @@ func TestKillDashNineWarmRestart(t *testing.T) {
 	}
 	if h3.Store == nil || h3.Store.Entries == 0 {
 		t.Fatalf("third life recovered empty: %+v", h3.Store)
+	}
+}
+
+// TestKillDashNineWebhookLedger: with -store-dir alone, the webhook
+// ledger lives in the store directory and survives kill -9. A delivery
+// pending against a failing endpoint when the daemon dies is delivered
+// exactly once by the restarted daemon, under the same delivery ID.
+func TestKillDashNineWebhookLedger(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	var (
+		mu        sync.Mutex
+		healthy   bool
+		failedIDs []string
+		okIDs     []string
+	)
+	rc := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id := r.Header.Get(webhook.DeliveryHeader)
+		mu.Lock()
+		defer mu.Unlock()
+		if !healthy {
+			failedIDs = append(failedIDs, id)
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		okIDs = append(okIDs, id)
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer rc.Close()
+	dir := t.TempDir()
+
+	// Life 1: a one-cell sweep whose terminal webhook keeps failing.
+	d1 := startDaemon(t, dir)
+	cl := client.New(d1.base)
+	cl.MaxRetries = 64
+	cl.RetryWait = 10 * time.Millisecond
+	acc, err := cl.Sweep(&serve.SweepRequest{
+		Params:     &serve.Params{Scale: 0.1, Seed: 7},
+		Apps:       []string{"MP3D"},
+		Algorithms: []string{"RANDOM"},
+		Procs:      []int{2},
+		WebhookURL: rc.URL,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		h, err := cl.Health()
+		if err == nil && h.Webhooks != nil && h.Webhooks.Pending == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no pending delivery for sweep %s", acc.Job)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := d1.cmd.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	_ = d1.cmd.Wait()
+
+	// Life 2: the endpoint recovers; the ledger replays the delivery.
+	mu.Lock()
+	healthy = true
+	mu.Unlock()
+	d2 := startDaemon(t, dir)
+	defer func() {
+		_ = d2.cmd.Process.Signal(syscall.SIGTERM)
+		_ = d2.cmd.Wait()
+	}()
+	cl2 := client.New(d2.base)
+	deadline = time.Now().Add(30 * time.Second)
+	for {
+		h, err := cl2.Health()
+		if err == nil && h.Webhooks != nil && h.Webhooks.Delivered == 1 && h.Webhooks.Pending == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("restarted daemon never delivered: %+v", h)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	want := serve.WebhookDeliveryID(acc.Job, rc.URL, serve.StatusDone)
+	if len(okIDs) != 1 || okIDs[0] != want {
+		t.Fatalf("acknowledged deliveries %q, want exactly [%s]", okIDs, want)
+	}
+	for _, id := range failedIDs {
+		if id != want {
+			t.Errorf("first life attempted delivery ID %s, want %s", id, want)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -84,10 +83,10 @@ func TestClusterChaos(t *testing.T) {
 
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			// Journaled: requeued re-executions must agree with the keys
-			// journaled before the disruption or the job fails loudly.
+			// On a store: requeued re-executions must agree with the keys
+			// stored before the disruption or the job fails loudly.
 			opts := testCoordOptions()
-			opts.Journal = filepath.Join(t.TempDir(), "coord.mtj")
+			opts.Store = openTestStore(t, t.TempDir())
 			tc := startCoordinator(t, opts)
 			// Worker 0 is a single-slot straggler: when the disruption
 			// lands it is still mid-cell with a leased tail behind it.

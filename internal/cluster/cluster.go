@@ -32,13 +32,6 @@ type Options struct {
 	// idle worker steals from it (default 2: never steal a lone tail cell
 	// that is about to run anyway).
 	StealMin int
-	// Journal, when non-empty, is the path of an MTJ1 journal recording
-	// accepted jobs, per-cell result keys and completions. A restarted
-	// coordinator replays it: interrupted jobs answer "retriable" (the
-	// client resubmits the identical content-addressed sweep), and
-	// post-crash re-executions are cross-checked cell by cell against the
-	// journaled result keys.
-	Journal string
 	// Log receives operational messages; nil discards them.
 	Log *slog.Logger
 	// SpanCapacity bounds the coordinator's span store
@@ -47,12 +40,13 @@ type Options struct {
 	// DisableTelemetry turns off distributed tracing and the job-progress
 	// event bus. Histograms stay on — they are three atomic adds.
 	DisableTelemetry bool
-	// Store, when non-nil, is the coordinator's durable result tier:
-	// every harvested cell result is persisted keyed by its shard
-	// address, and a resubmitted (or crash-recovered) sweep restores
-	// stored cells without leasing them out — the cluster warm-starts
-	// from disk. The caller owns the store's lifecycle (Close after
-	// Drain).
+	// Store, when non-nil, is the coordinator's durable tier and its
+	// crash recovery: every harvested cell result is persisted keyed by
+	// its shard address, and every accepted sweep leaves a job record.
+	// A restarted coordinator answers "retriable" for each recorded
+	// sweep, and a resubmitted sweep restores stored cells without
+	// leasing them out — the cluster warm-starts from disk. The caller
+	// owns the store's lifecycle (Close after Drain).
 	Store *store.Store
 	// Webhooks, when non-nil, delivers terminal job states for sweeps
 	// submitted with a webhook_url. The caller owns the dispatcher's
@@ -108,7 +102,6 @@ type Coordinator struct {
 	opts    Options
 	metrics *coordMetrics
 	durable *serve.Durable
-	journal *coordJournal  // nil when journaling is off
 	spans   *obs.SpanStore // nil when telemetry is disabled
 	bus     *obs.Bus       // nil when telemetry is disabled
 
@@ -121,10 +114,8 @@ type Coordinator struct {
 	wg sync.WaitGroup
 }
 
-// New builds a Coordinator. With Options.Journal set, an existing
-// journal is replayed first: jobs accepted but not completed before the
-// crash come back as retriable records.
-func New(opts Options) (*Coordinator, error) {
+// New builds a Coordinator.
+func New(opts Options) *Coordinator {
 	opts = opts.withDefaults()
 	c := &Coordinator{
 		opts:    opts,
@@ -137,22 +128,7 @@ func New(opts Options) (*Coordinator, error) {
 		c.spans = obs.NewSpanStore(opts.SpanCapacity)
 		c.bus = obs.NewBus(c.metrics.streamDropped)
 	}
-	if opts.Journal != "" {
-		j, interrupted, err := openCoordJournal(opts.Journal)
-		if err != nil {
-			return nil, err
-		}
-		c.journal = j
-		for _, id := range interrupted {
-			c.jobs[id] = retriableJob(id)
-			c.order = append(c.order, id)
-			c.metrics.jobsRetriable.Inc()
-			if opts.Log != nil {
-				opts.Log.Info("journal recovery: job marked retriable", "job", id)
-			}
-		}
-	}
-	return c, nil
+	return c
 }
 
 // Metrics exposes the coordinator's metric registry.
@@ -173,9 +149,6 @@ func (c *Coordinator) Drain() {
 	c.draining = true
 	c.mu.Unlock()
 	c.wg.Wait()
-	if c.journal != nil {
-		c.journal.close()
-	}
 }
 
 // register adds or refreshes a worker. Re-registration with a new URL
@@ -385,8 +358,8 @@ func (j *cjob) finished() bool {
 
 // SubmitSweep accepts a sweep for distributed execution, joining the
 // caller's distributed trace. An identical sweep already known is
-// returned as-is with Existing set; a retriable record (drain or crash
-// recovery) is replaced by a fresh run — resubmission is how clients
+// returned as-is with Existing set; a retriable record (drain, restart
+// or eviction) is replaced by a fresh run — resubmission is how clients
 // recover.
 func (c *Coordinator) SubmitSweep(req *serve.SweepRequest, parent obs.SpanContext) (*serve.SweepAccepted, error) {
 	if err := c.Refusal(); err != nil {
@@ -444,11 +417,7 @@ func (c *Coordinator) SubmitSweep(req *serve.SweepRequest, parent obs.SpanContex
 	c.metrics.jobsAccepted.Inc()
 	c.metrics.cellsTotal.Add(int64(len(j.cells)))
 	c.metrics.pendingCells.Add(int64(len(j.cells)))
-	if c.journal != nil {
-		if jerr := c.journal.jobAccepted(id, len(j.cells)); jerr != nil && c.opts.Log != nil {
-			c.opts.Log.Warn("journal write failed", "job", id, "err", jerr.Error())
-		}
-	}
+	c.saveJobRecord(j)
 	c.publishJob(j)
 	c.wg.Add(1)
 	go c.runJob(j)

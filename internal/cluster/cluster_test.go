@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +18,7 @@ import (
 	"repro/internal/serve/client"
 	"repro/internal/serve/rescache"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -69,10 +72,7 @@ func testCoordOptions() Options {
 
 func startCoordinator(t *testing.T, opts Options) *testCluster {
 	t.Helper()
-	coord, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := New(opts)
 	tc := &testCluster{t: t, coord: coord, ts: httptest.NewServer(coord.Handler())}
 	t.Cleanup(func() {
 		for _, w := range tc.workers {
@@ -212,10 +212,10 @@ func assertResults(t *testing.T, st *serve.JobStatus, cells []loadgen.Cell, want
 func TestClusterSweepMatchesLocal(t *testing.T) {
 	want, cells := groundTruth(t)
 	t.Run(rescache.EngineLabel, func(t *testing.T) {
-		// Journaled, per the clustering acceptance bar: the journal's
+		// On a store, per the clustering acceptance bar: the store's
 		// per-cell divergence tripwire rides along the differential.
 		opts := testCoordOptions()
-		opts.Journal = filepath.Join(t.TempDir(), "coord.mtj")
+		opts.Store = openTestStore(t, t.TempDir())
 		tc := startCoordinator(t, opts)
 		for i := 0; i < 4; i++ {
 			tc.addWorker(fmt.Sprintf("w%d", i), serve.Options{Workers: 2})
@@ -513,19 +513,65 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
-// ---- journal recovery ----------------------------------------------------
+// ---- crash recovery ------------------------------------------------------
 
-// TestCoordinatorJournalRecovery: a coordinator killed mid-sweep hands
-// the job back retriable after restart; resubmission completes it
-// byte-identical, and the journaled per-cell keys cross-check clean.
+// openTestStore opens a store on dir, closed at cleanup. Call it before
+// startCoordinator, so that the coordinator drains before the store
+// closes.
+func openTestStore(t *testing.T, dir string) *store.Store {
+	t.Helper()
+	st, err := store.Open(store.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// crashCopy copies a live store directory into a fresh one: the bytes a
+// kill -9 at this instant would leave on disk. A file renamed away
+// mid-copy (a segment sealing) restarts the copy.
+func crashCopy(t *testing.T, src string) string {
+	t.Helper()
+retry:
+	for attempt := 0; attempt < 10; attempt++ {
+		dst := t.TempDir()
+		ents, err := os.ReadDir(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(src, e.Name()))
+			if os.IsNotExist(err) {
+				continue retry
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dst
+	}
+	t.Fatal("store directory kept changing under the copy")
+	return ""
+}
+
+// TestCoordinatorJournalRecovery: a coordinator killed mid-sweep leaves
+// its job record and every harvested cell on disk. A coordinator
+// started on that directory answers retriable for the sweep; the
+// resubmission restores the harvested cells, leases out only the rest,
+// and completes byte-identical.
 func TestCoordinatorJournalRecovery(t *testing.T) {
 	want, cells := groundTruth(t)
-	journal := filepath.Join(t.TempDir(), "coord.mtj")
+	dir := t.TempDir()
 
-	// First incarnation: accept the sweep, then drain before it can
-	// finish (slow worker), leaving job/ without done/ in the journal.
+	// First incarnation: a slow worker, so the sweep is still running
+	// when the first cells are harvested.
 	opts := testCoordOptions()
-	opts.Journal = journal
+	st1 := openTestStore(t, dir)
+	opts.Store = st1
 	tc := startCoordinator(t, opts)
 	tc.addWorker("w0", serve.Options{
 		Workers:    1,
@@ -539,26 +585,27 @@ func TestCoordinatorJournalRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Let at least one cell land in the journal so the rerun cross-checks
-	// a pre-crash key.
+	// Wait for a harvested cell on disk next to the job record.
 	deadline := time.Now().Add(20 * time.Second)
 	for {
 		st, ok := tc.coord.Job(acc.Job)
-		if ok && st.Completed >= 1 {
+		ss := st1.Stats()
+		if ok && st.Completed >= 1 && ss.Entries-ss.PendingWrites >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no cell completed before the simulated crash")
+			t.Fatal("no cell reached the store before the simulated crash")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	tc.workers[0].kill()
-	tc.coord.Drain()
-	tc.ts.Close()
+	crashed := crashCopy(t, dir)
+	if st, _ := tc.coord.Job(acc.Job); st.Status == serve.StatusDone {
+		t.Fatal("sweep finished before the simulated crash")
+	}
 
-	// Second incarnation, same journal: the job must replay retriable.
+	// Second incarnation, on the crash image: the job answers retriable.
 	opts2 := testCoordOptions()
-	opts2.Journal = journal
+	opts2.Store = openTestStore(t, crashed)
 	tc2 := startCoordinator(t, opts2)
 	st, ok := tc2.coord.Job(acc.Job)
 	if !ok {
@@ -570,52 +617,103 @@ func TestCoordinatorJournalRecovery(t *testing.T) {
 
 	// The client-side recovery: poll sees retriable, resubmits the
 	// identical sweep, and the rerun completes byte-identical.
-	tc2.addWorker("w0", serve.Options{Workers: 2})
+	var leased atomic.Int64
+	tc2.addWorker("w0", serve.Options{Workers: 2, BeforeCell: func() { leased.Add(1) }})
 	tc2.waitLive(1)
 	st2 := runSweep(t, tc2.client())
 	if st2.Job != acc.Job {
 		t.Fatalf("resubmission mapped to %s, want %s", st2.Job, acc.Job)
 	}
 	assertResults(t, st2, cells, want)
+	fromStore := tc2.coord.metrics.cellsFromStore.Value()
+	if fromStore < 1 {
+		t.Error("no harvested cell survived the crash")
+	}
+	if got := leased.Load() + fromStore; got != int64(len(cells)) {
+		t.Errorf("leased %d + cells_from_store %d = %d, want the sweep's %d cells",
+			leased.Load(), fromStore, got, len(cells))
+	}
 }
 
-// TestJournalDivergenceDetected: a post-crash re-execution whose result
-// key disagrees with the journal must surface as an error, not silently
-// overwrite history.
-func TestJournalDivergenceDetected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.mtj")
-	cj, interrupted, err := openCoordJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(interrupted) != 0 {
-		t.Fatalf("fresh journal replayed %d interrupted jobs", len(interrupted))
-	}
-	if err := cj.jobAccepted("sw-x", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := cj.cellDone("sw-x", 0, "key-A"); err != nil {
-		t.Fatal(err)
-	}
-	cj.close()
+// TestCoordinatorDoneSweepOnDisk: every cell of a sweep a client has
+// seen as done is on disk at that moment. A crash image taken right
+// then restores the whole resubmitted sweep with zero leases.
+func TestCoordinatorDoneSweepOnDisk(t *testing.T) {
+	want, cells := groundTruth(t)
+	dir := t.TempDir()
+	opts := testCoordOptions()
+	opts.Store = openTestStore(t, dir)
+	tc := startCoordinator(t, opts)
+	tc.addWorker("w0", serve.Options{Workers: 2})
+	tc.waitLive(1)
+	first := runSweep(t, tc.client())
+	crashed := crashCopy(t, dir)
+	assertResults(t, first, cells, want)
 
-	cj2, interrupted, err := openCoordJournal(path)
-	if err != nil {
-		t.Fatal(err)
+	opts2 := testCoordOptions()
+	opts2.Store = openTestStore(t, crashed)
+	tc2 := startCoordinator(t, opts2)
+	if st, ok := tc2.coord.Job(first.Job); !ok || st.Status != serve.StatusRetriable {
+		t.Fatalf("finished sweep after restart: %+v (known %v), want retriable", st, ok)
 	}
-	defer cj2.close()
-	if len(interrupted) != 1 || interrupted[0] != "sw-x" {
-		t.Fatalf("interrupted jobs %v, want [sw-x]", interrupted)
+	tc2.addWorker("w0", serve.Options{Workers: 2})
+	tc2.waitLive(1)
+	second := runSweep(t, tc2.client())
+	assertResults(t, second, cells, want)
+	if got := tc2.coord.metrics.cellsFromStore.Value(); got != int64(len(cells)) {
+		t.Errorf("cells_from_store = %d, want %d", got, len(cells))
 	}
-	// The job/ record's value is the cell count and the fixed engine
-	// label: the bytes existing journals hold.
-	if v, ok := cj2.j.Done("job/sw-x"); !ok || v != "2 guarded" {
-		t.Errorf("job record %q, want %q", v, "2 guarded")
+	if got := tc2.coord.metrics.leasesGranted.Value(); got != 0 {
+		t.Errorf("restored sweep granted %d leases, want 0", got)
 	}
-	if err := cj2.cellDone("sw-x", 0, "key-A"); err != nil {
-		t.Errorf("matching re-execution rejected: %v", err)
+}
+
+// TestStoreDivergenceDetected: a harvested cell whose result key
+// disagrees with the result stored under its shard address fails the
+// job with a divergence error and leaves the stored record as it was; a
+// matching key passes.
+func TestStoreDivergenceDetected(t *testing.T) {
+	want, cells := groundTruth(t)
+	c0 := cells[0]
+	params := serve.Params{Scale: testScale, Seed: testSeed}
+	cell := cellIdent{
+		app: c0.App, alg: c0.Alg, procs: c0.Procs,
+		shard: CellShardKey(params, c0.App, c0.Alg, c0.Procs, false),
 	}
-	if err := cj2.cellDone("sw-x", 0, "key-B"); err == nil {
-		t.Error("diverging re-execution accepted silently")
+	st := openTestStore(t, t.TempDir())
+	coord := New(Options{Store: st})
+	harvested := func(resultKey string) *cjob {
+		return &cjob{
+			id:        "sw-x",
+			cells:     []cellIdent{cell},
+			states:    []uint8{cDone},
+			results:   []serve.CellResult{{App: c0.App, Algorithm: c0.Alg, Procs: c0.Procs, Key: resultKey, Result: want[c0]}},
+			completed: 1,
+			done:      make(chan struct{}),
+		}
+	}
+
+	for _, key := range []string{"key-A", "key-A"} {
+		j := harvested(key)
+		coord.persistCell(j, 0)
+		if j.errmsg != "" {
+			t.Fatalf("matching execution rejected: %s", j.errmsg)
+		}
+	}
+	diverged := harvested("key-B")
+	coord.persistCell(diverged, 0)
+	if !strings.Contains(diverged.errmsg, "divergence") {
+		t.Fatalf("diverging re-execution accepted: errmsg %q", diverged.errmsg)
+	}
+	coord.finalize(diverged)
+	if s := diverged.snapshot(); s.Status != serve.StatusFailed {
+		t.Errorf("diverged job ended %s, want failed", s.Status)
+	}
+	payload, ok := st.Get(store.Key(cell.shard))
+	if !ok {
+		t.Fatal("stored record vanished")
+	}
+	if prev, err := decodeStoredCellResult(cell, payload); err != nil || prev.Key != "key-A" {
+		t.Errorf("stored record now %q (%v), want the first execution's key-A", prev.Key, err)
 	}
 }

@@ -1,20 +1,99 @@
 package cluster
 
-// The coordinator's durable tier: harvested cell results persist in an
-// append-only store keyed by their shard address, and a resubmitted
-// (or crash-recovered) sweep restores those cells from disk before any
-// lease goes out — the cluster warm-starts without re-simulating.
+// The coordinator's durable tier and crash recovery, both on the one
+// append-only store:
+//
+//   - Every accepted sweep leaves a job record, flushed before
+//     SubmitSweep returns. A coordinator restarted on the directory —
+//     after a drain or a kill -9 — answers "retriable" for it, so a
+//     polling client resubmits the identical content-addressed sweep,
+//     the same recovery path a graceful drain uses.
+//   - Harvested cell results persist keyed by their shard address, and
+//     the store is flushed after every harvest pass that recorded one,
+//     so every cell of a job a client sees as done is on disk. A
+//     resubmitted sweep restores those cells before any lease goes out.
+//   - A stored cell is the divergence tripwire: a re-execution whose
+//     result key disagrees with the stored record fails the job loudly.
+//
 // Terminal job states are announced through the retrying webhook
 // dispatcher by serve.Durable, the same code and delivery contract as a
 // bare worker.
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/serve"
+	"repro/internal/serve/rescache"
 	"repro/internal/store"
 )
+
+// jobRecordVersion versions the coordinator's job record; another
+// version reads as no record.
+const jobRecordVersion = 1
+
+// jobRecord is the store record of one accepted sweep.
+type jobRecord struct {
+	V     int    `json:"v"`
+	Job   string `json:"job"`
+	Cells int    `json:"cells"`
+}
+
+// jobRecordKey is the store address of a sweep's job record.
+func jobRecordKey(id string) store.Key {
+	return store.Key(rescache.SumStrings("mtcoord-job-v1", id))
+}
+
+// saveJobRecord puts j's job record and flushes it to disk. A failed or
+// dropped record is logged, never fatal: the sweep runs either way, and
+// only its crash recovery is lost.
+func (c *Coordinator) saveJobRecord(j *cjob) {
+	st := c.opts.Store
+	if st == nil {
+		return
+	}
+	key := jobRecordKey(j.id)
+	payload, err := json.Marshal(jobRecord{V: jobRecordVersion, Job: j.id, Cells: len(j.cells)})
+	if err == nil {
+		err = st.Put(key, payload)
+	}
+	if err == nil {
+		err = st.Flush()
+	}
+	if err == nil {
+		if _, ok := st.Get(key); !ok {
+			err = errors.New("record dropped by a full store queue")
+		}
+	}
+	if err != nil && c.opts.Log != nil {
+		c.opts.Log.Warn("job record write failed", "job", j.id, "err", err.Error())
+	}
+}
+
+// hasJobRecord reports whether the store holds a job record for id.
+func (c *Coordinator) hasJobRecord(id string) bool {
+	if c.opts.Store == nil {
+		return false
+	}
+	payload, ok := c.opts.Store.Get(jobRecordKey(id))
+	if !ok {
+		return false
+	}
+	var rec jobRecord
+	return json.Unmarshal(payload, &rec) == nil && rec.V == jobRecordVersion && rec.Job == id
+}
+
+// flushStore puts every queued cell result on disk. Failures are the
+// store's to count.
+func (c *Coordinator) flushStore() {
+	if c.opts.Store == nil {
+		return
+	}
+	if err := c.opts.Store.Flush(); err != nil && c.opts.Log != nil {
+		c.opts.Log.Warn("store flush failed", "err", err.Error())
+	}
+}
 
 // storedCellResultVersion versions the coordinator's store envelope. A
 // version mismatch is a miss (re-execute), never an error.
@@ -30,11 +109,34 @@ type storedCellResult struct {
 	Cell serve.CellResult `json:"cell"`
 }
 
-// persistCell writes one harvested result behind the job's accounting.
-// Failures are the store's to count; the coordinator never blocks or
-// errors a job on persistence (re-execution is always correct).
-func (c *Coordinator) persistCell(cell cellIdent, cr serve.CellResult) {
-	if c.opts.Store == nil || cr.Result == nil {
+// persistCell writes one harvested result behind the job's accounting,
+// and is the divergence tripwire: when the cell's shard address already
+// holds a result with a different result key, two executions of the
+// cell disagreed — the one corruption class resubmission cannot absorb
+// — so the job fails loudly and the stored record stands. Store
+// failures are the store's to count; the coordinator never blocks a job
+// on persistence (re-execution is always correct).
+func (c *Coordinator) persistCell(j *cjob, ci int) {
+	st := c.opts.Store
+	cr := j.resultOf(ci)
+	if st == nil || cr.Result == nil {
+		return
+	}
+	cell := j.cells[ci]
+	if payload, ok := st.Get(store.Key(cell.shard)); ok {
+		// The store never overwrites a record; only check it.
+		if prev, err := decodeStoredCellResult(cell, payload); err == nil && prev.Key != cr.Key {
+			err := fmt.Errorf("divergence: cell %s/%s/p%d re-executed to key %s, store holds %s",
+				cell.app, cell.alg, cell.procs, cr.Key, prev.Key)
+			j.mu.Lock()
+			if j.errmsg == "" {
+				j.errmsg = err.Error()
+			}
+			j.mu.Unlock()
+			if c.opts.Log != nil {
+				c.opts.Log.Error("store divergence", "job", j.id, "cell", ci, "err", err.Error())
+			}
+		}
 		return
 	}
 	payload, err := json.Marshal(storedCellResult{
@@ -43,7 +145,7 @@ func (c *Coordinator) persistCell(cell cellIdent, cr serve.CellResult) {
 	if err != nil {
 		return
 	}
-	if err := c.opts.Store.Put(store.Key(cell.shard), payload); err != nil && c.opts.Log != nil {
+	if err := st.Put(store.Key(cell.shard), payload); err != nil && c.opts.Log != nil {
 		c.opts.Log.Warn("store put refused", "key", cell.shard.String(), "err", err.Error())
 	}
 }
@@ -76,8 +178,8 @@ func decodeStoredCellResult(cell cellIdent, payload []byte) (serve.CellResult, e
 
 // restoreFromStore completes every cell of a fresh job whose result is
 // already on disk, before any lease goes out. Restored cells follow the
-// recordDone contract: idempotent accounting, a published cell event
-// (worker "store"), and the journal cross-check against prior runs.
+// recordDone contract: idempotent accounting and a published cell event
+// (worker "store").
 func (c *Coordinator) restoreFromStore(j *cjob) {
 	if c.opts.Store == nil {
 		return
@@ -126,20 +228,5 @@ func (c *Coordinator) recordRestored(j *cjob, ci int, cr serve.CellResult) bool 
 	c.metrics.cellsFromStore.Inc()
 	c.metrics.pendingCells.Add(-1)
 	c.publishCell(j, ci, "store", "done", cr.Key, true, "")
-	if c.journal != nil {
-		if err := c.journal.cellDone(j.id, ci, cr.Key); err != nil {
-			// The stored result disagrees with the journaled key from a
-			// prior run: same divergence contract as a harvested cell —
-			// fail loudly rather than return silently wrong data.
-			j.mu.Lock()
-			if j.errmsg == "" {
-				j.errmsg = err.Error()
-			}
-			j.mu.Unlock()
-			if c.opts.Log != nil {
-				c.opts.Log.Error("journal divergence", "job", j.id, "cell", ci, "err", err.Error())
-			}
-		}
-	}
 	return true
 }

@@ -130,13 +130,27 @@ func (c *Coordinator) proxy(key rescache.Key, parent obs.SpanContext, name strin
 	return span.Context(), errAllFailed
 }
 
-// LookupJob implements serve.Executor.
+// LookupJob implements serve.Executor. A sweep this coordinator no
+// longer holds in memory — it restarted, or evicted the finished job —
+// but whose job record is in the store answers "retriable"; the
+// client's resubmission restores the stored cells.
 func (c *Coordinator) LookupJob(id string) (serve.JobRef, bool) {
 	c.mu.Lock()
 	j, ok := c.jobs[id]
 	c.mu.Unlock()
 	if !ok {
-		return serve.JobRef{}, false
+		if !c.hasJobRecord(id) {
+			return serve.JobRef{}, false
+		}
+		c.mu.Lock()
+		if j, ok = c.jobs[id]; !ok {
+			j = retriableJob(id)
+			c.jobs[id] = j
+			c.order = append(c.order, id)
+			c.evictLocked()
+			c.metrics.jobsRetriable.Inc()
+		}
+		c.mu.Unlock()
 	}
 	return serve.JobRef{Status: j.snapshot, Done: j.done}, true
 }

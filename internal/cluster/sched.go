@@ -57,7 +57,13 @@ func (c *Coordinator) runJob(j *cjob) {
 			return
 		}
 		now := time.Now()
-		outstanding = c.harvest(j, outstanding, now)
+		var harvested bool
+		outstanding, harvested = c.harvest(j, outstanding, now)
+		if harvested {
+			// Before finalize can show the job done, every harvested
+			// cell is on disk.
+			c.flushStore()
+		}
 		if j.finished() {
 			c.finalize(j)
 			return
@@ -72,9 +78,10 @@ func (c *Coordinator) runJob(j *cjob) {
 
 // harvest polls every outstanding lease, records finished cells, requeues
 // the leases of dead workers, and drops completed leases. It returns the
-// leases still live.
-func (c *Coordinator) harvest(j *cjob, outstanding []*leaseRef, now time.Time) []*leaseRef {
+// leases still live, and whether it recorded a done cell.
+func (c *Coordinator) harvest(j *cjob, outstanding []*leaseRef, now time.Time) ([]*leaseRef, bool) {
 	kept := outstanding[:0]
+	harvested := false
 	for _, lr := range outstanding {
 		if !lr.w.alive(now, c.opts.HeartbeatTimeout) {
 			// Heartbeat silence or an earlier transport failure: the worker
@@ -110,7 +117,7 @@ func (c *Coordinator) harvest(j *cjob, outstanding []*leaseRef, now time.Time) [
 			}
 			switch cs.State {
 			case "done":
-				c.recordDone(j, lr, ci, cs)
+				harvested = c.recordDone(j, lr, ci, cs) || harvested
 			case "failed":
 				c.recordFailed(j, lr, ci, cs)
 			}
@@ -125,7 +132,7 @@ func (c *Coordinator) harvest(j *cjob, outstanding []*leaseRef, now time.Time) [
 			kept = append(kept, lr)
 		}
 	}
-	return kept
+	return kept, harvested
 }
 
 // ownedBy reports whether cell ci is currently leased under leaseID.
@@ -137,11 +144,12 @@ func (j *cjob) ownedBy(ci int, leaseID string) bool {
 
 // recordDone stores one finished cell. Idempotent: only the first report
 // mutates the job (any later duplicate carries identical bytes anyway).
-func (c *Coordinator) recordDone(j *cjob, lr *leaseRef, ci int, cs serve.LeaseCellStatus) {
+// Reports whether this call completed the cell.
+func (c *Coordinator) recordDone(j *cjob, lr *leaseRef, ci int, cs serve.LeaseCellStatus) bool {
 	j.mu.Lock()
 	if j.states[ci] == cDone || j.states[ci] == cFailed {
 		j.mu.Unlock()
-		return
+		return false
 	}
 	j.states[ci] = cDone
 	j.leaseOf[ci] = ""
@@ -154,22 +162,8 @@ func (c *Coordinator) recordDone(j *cjob, lr *leaseRef, ci int, cs serve.LeaseCe
 	c.metrics.pendingCells.Add(-1)
 	lr.w.metrics.pending.Add(-1)
 	c.publishCell(j, ci, lr.w.id, "done", cs.Key, cs.Cached, "")
-	c.persistCell(j.cells[ci], j.resultOf(ci))
-	if c.journal != nil {
-		if err := c.journal.cellDone(j.id, ci, cs.Key); err != nil {
-			// A post-crash re-execution disagreed with the journaled result
-			// key: the one corruption class resubmission cannot absorb.
-			// Fail the job loudly rather than return silently wrong data.
-			j.mu.Lock()
-			if j.errmsg == "" {
-				j.errmsg = err.Error()
-			}
-			j.mu.Unlock()
-			if c.opts.Log != nil {
-				c.opts.Log.Error("journal divergence", "job", j.id, "cell", ci, "err", err.Error())
-			}
-		}
-	}
+	c.persistCell(j, ci)
+	return true
 }
 
 // recordFailed stores one failed cell (a simulation error on a healthy
@@ -411,22 +405,14 @@ func (c *Coordinator) finalize(j *cjob) {
 	j.settle(status)
 	c.publishJob(j)
 	c.durable.Notify(j.id, j.webhookURL, j.snapshot())
-	if c.journal != nil {
-		// Failed jobs are journaled done too: the failure is deterministic,
-		// so replaying it as retriable would only fail again.
-		if err := c.journal.jobDone(j.id, status); err != nil && c.opts.Log != nil {
-			c.opts.Log.Warn("journal write failed", "job", j.id, "err", err.Error())
-		}
-	}
 	if c.opts.Log != nil {
 		c.opts.Log.Info("job finished", "job", j.id, "status", status)
 	}
 }
 
 // retireRetriable hands an interrupted job back as retriable during
-// drain. Its content-addressed ID makes resubmission idempotent; no
-// journal completion is written, so a crashed-and-restarted coordinator
-// reports it retriable too.
+// drain. Its content-addressed ID makes resubmission idempotent, and its
+// job record makes a restarted coordinator report it retriable too.
 func (c *Coordinator) retireRetriable(j *cjob, outstanding []*leaseRef) {
 	for _, lr := range outstanding {
 		if n := j.owned(lr); n > 0 {

@@ -1,12 +1,12 @@
 // Package resilience is the simulator's robustness layer: deterministic
 // I/O fault injection for proving the trace pipeline detects corruption
-// (fault.go), a crash-safe journal of completed sweep sections behind
-// cmd/experiments' -resume (journal.go), and the engine guard that runs
-// every sweep and service cell under a shared watchdog (guard.go).
+// (fault.go), the crash-safe MTJ1 journal that the webhook dispatcher
+// keeps its delivery ledger in (journal.go), and the engine guard that
+// runs every sweep and service cell under a shared watchdog (guard.go).
 //
 // Nothing here sits on a simulation hot path: faults are injected at I/O
-// boundaries, the journal is touched once per sweep section, and the
-// guard adds one counter increment per cell.
+// boundaries, the journal is touched once per webhook delivery state
+// change, and the guard adds one counter increment per cell.
 package resilience
 
 import (

@@ -10,8 +10,8 @@ import (
 )
 
 // Journal is an append-only, crash-safe record of completed work units.
-// cmd/experiments writes one record per finished sweep section so an
-// interrupted sweep can -resume without re-simulating what already ran.
+// The webhook dispatcher keeps its delivery ledger in one: a pending
+// record per accepted delivery and a done record per terminal outcome.
 //
 // On-disk format ("MTJ1"), one record per line:
 //
@@ -20,10 +20,9 @@ import (
 // The CRC32 (IEEE, hex) covers `<quoted key> <quoted value>`. Keys and
 // values are strconv-quoted, so keys containing spaces ("Table 1") and
 // arbitrary values survive. The first record is the binding: key
-// "journal-binding", value describing the run configuration; Open
-// refuses to resume against a journal written under a different binding,
-// because skipping sections from a different sweep would silently mix
-// configurations.
+// "journal-binding", value naming the writer; Open refuses to replay a
+// journal written under a different binding, because another writer's
+// records would be misread.
 //
 // Each Record is followed by Sync, so a completed record survives a
 // crash. A torn final line (killed mid-append) is tolerated and dropped
@@ -85,8 +84,8 @@ func parseRecord(line string) (key, value string, err error) {
 // given binding. A fresh journal gets the binding as its first record. An
 // existing journal is replayed: its completed records become Done
 // entries, a torn final line is dropped, and a binding mismatch or a
-// damaged interior record is an error — resuming against the wrong
-// journal must fail, not silently skip foreign sections.
+// damaged interior record is an error — replaying the wrong journal must
+// fail, not silently misread foreign records.
 func OpenJournal(path, binding string) (*Journal, error) {
 	j := &Journal{path: path, done: make(map[string]string)}
 
@@ -175,7 +174,7 @@ func (j *Journal) Len() int { return len(j.done) - 1 }
 
 // Each calls fn for every completed record (excluding the binding) in
 // sorted key order — the deterministic iteration a replaying consumer
-// (e.g. the cluster coordinator's crash recovery) wants.
+// (the webhook dispatcher's restart) wants.
 func (j *Journal) Each(fn func(key, value string)) {
 	keys := make([]string, 0, len(j.done))
 	for k := range j.done {
@@ -189,9 +188,8 @@ func (j *Journal) Each(fn func(key, value string)) {
 	}
 }
 
-// Record marks key complete with the given value (typically a content
-// checksum of the section's output) and syncs before returning: once
-// Record returns, a crash cannot un-complete the section.
+// Record marks key complete with the given value and syncs before
+// returning: once Record returns, a crash cannot un-complete the key.
 func (j *Journal) Record(key, value string) error {
 	if key == bindingKey {
 		return fmt.Errorf("resilience: journal key %q is reserved", key)

@@ -4,13 +4,15 @@ package serve
 // store (internal/store) and the retrying webhook dispatcher
 // (internal/serve/webhook). Both are optional — a nil Options.Store or
 // Options.Webhooks turns each path into a no-op — and both are owned
-// by the caller (the daemon opens them before NewServer and closes
-// them after Drain). Durable is the part the coordinator shares.
+// by the caller (a daemon opens them with OpenDurable before NewServer
+// and closes them after Drain). OpenDurable and Durable are the parts
+// the coordinator shares.
 
 import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"path/filepath"
 	"time"
 
 	"repro/internal/obs"
@@ -60,30 +62,50 @@ func decodeStoredCell(keyHex string, payload []byte, dst any) error {
 	return json.Unmarshal(sc.Result, dst)
 }
 
-// storeGet probes the durable tier for a cell result. Any damage —
-// decode failure, version skew, key mismatch — is a miss, never an
-// error: the caller recomputes, and the store's own CRC layer has
-// already quarantined anything physically corrupt.
+// LoadResult reads the simulation result stored under a cell's content
+// address. A miss is (nil, nil). A record that is present but unusable —
+// decode failure, version skew, key mismatch — is (nil, err), which
+// callers treat as a miss after logging: the store's own CRC layer has
+// already quarantined anything physically corrupt. mtserve and
+// experiments -store-dir read cells through this one envelope, so a
+// directory either of them filled serves the other.
+func LoadResult(st *store.Store, key rescache.Key) (*sim.Result, error) {
+	payload, ok := st.Get(store.Key(key))
+	if !ok {
+		return nil, nil
+	}
+	var res sim.Result
+	if err := decodeStoredCell(key.String(), payload, &res); err != nil {
+		return nil, err
+	}
+	return &res, nil
+}
+
+// SaveResult queues res under its cell's content address in the
+// store's write-behind queue.
+func SaveResult(st *store.Store, key rescache.Key, res *sim.Result) error {
+	payload, err := encodeStoredCell(key.String(), res)
+	if err != nil {
+		return err
+	}
+	return st.Put(store.Key(key), payload)
+}
+
+// storeGet probes the durable tier for a cell result. Any damage is a
+// miss, never an error: the caller recomputes.
 func (s *Server) storeGet(key rescache.Key, sctx obs.SpanContext) *sim.Result {
 	if s.opts.Store == nil {
 		return nil
 	}
 	lookupStart := time.Now()
-	payload, ok := s.opts.Store.Get(store.Key(key))
+	res, err := LoadResult(s.opts.Store, key)
 	if s.spans != nil && sctx.Valid() {
 		s.spans.AddSpan(sctx, s.opts.ServiceName, "store lookup", lookupStart, time.Now())
 	}
-	if !ok {
-		return nil
+	if err != nil && s.opts.Log != nil {
+		s.opts.Log.Warn("store record unusable, recomputing", "key", key.String(), "err", err.Error())
 	}
-	var res sim.Result
-	if err := decodeStoredCell(key.String(), payload, &res); err != nil {
-		if s.opts.Log != nil {
-			s.opts.Log.Warn("store record unusable, recomputing", "key", key.String(), "err", err.Error())
-		}
-		return nil
-	}
-	return &res
+	return res
 }
 
 // storePut writes one fresh result behind the in-memory cache. Write
@@ -93,23 +115,61 @@ func (s *Server) storePut(key rescache.Key, res *sim.Result) {
 	if s.opts.Store == nil || res == nil {
 		return
 	}
-	payload, err := encodeStoredCell(key.String(), res)
-	if err != nil {
-		if s.opts.Log != nil {
-			s.opts.Log.Warn("store encode failed", "key", key.String(), "err", err.Error())
-		}
-		return
-	}
-	if err := s.opts.Store.Put(store.Key(key), payload); err != nil && s.opts.Log != nil {
+	if err := SaveResult(s.opts.Store, key, res); err != nil && s.opts.Log != nil {
 		s.opts.Log.Warn("store put refused", "key", key.String(), "err", err.Error())
 	}
+}
+
+// WebhookLedger is the webhook delivery ledger's file name inside a
+// daemon's -store-dir.
+const WebhookLedger = "webhooks.mtj"
+
+// OpenDurable opens a daemon's durable directory: the result store in
+// dir and the webhook ledger at dir/WebhookLedger. An empty dir opens no
+// store and an ephemeral dispatcher. The returned closer runs after
+// Drain: it gives in-flight deliveries a moment to land (anything still
+// pending stays in the ledger for the next life), then closes the
+// dispatcher and the store, which flushes and seals every result.
+func OpenDurable(dir string, log *slog.Logger) (*store.Store, *webhook.Dispatcher, func(), error) {
+	var st *store.Store
+	ledger := ""
+	if dir != "" {
+		var err error
+		st, err = store.Open(store.Options{Dir: dir})
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("opening result store: %w", err)
+		}
+		s := st.Stats()
+		log.Info("result store open", "dir", dir,
+			"entries", s.Entries, "sealed_segments", s.SealedSegments,
+			"quarantined", s.Quarantined, "truncated_tails", s.TruncatedTails)
+		ledger = filepath.Join(dir, WebhookLedger)
+	}
+	wh, err := webhook.New(webhook.Options{JournalPath: ledger})
+	if err != nil {
+		if st != nil {
+			_ = st.Close()
+		}
+		return nil, nil, nil, fmt.Errorf("opening webhook dispatcher: %w", err)
+	}
+	return st, wh, func() {
+		wh.Flush(2 * time.Second)
+		if err := wh.Close(); err != nil {
+			log.Warn("webhook dispatcher close", "err", err.Error())
+		}
+		if st != nil {
+			if err := st.Close(); err != nil {
+				log.Warn("result store close", "err", err.Error())
+			}
+		}
+	}, nil
 }
 
 // WebhookDeliveryID derives the content-addressed delivery ID for one
 // (job, url, terminal status) triple. The same terminal transition
 // re-announced — a restarted daemon re-walking its jobs, an identical
 // sweep resubmitted after completion — maps to the same ID, which the
-// dispatcher's journal deduplicates; receivers see each terminal state
+// dispatcher's ledger deduplicates; receivers see each terminal state
 // at most once per outcome.
 func WebhookDeliveryID(jobID, url, status string) string {
 	sum := rescache.SumStrings("mtsim-webhook-v1", jobID, url, status)

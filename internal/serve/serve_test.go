@@ -248,8 +248,8 @@ func TestSimulateLargeCacheAllocationBounded(t *testing.T) {
 }
 
 // TestSweepJobIDGolden pins a sweep job ID's bytes: restarted servers and
-// coordinators must keep deriving the IDs already recorded in MTJ1
-// journals and webhook ledgers.
+// coordinators must keep deriving the IDs already recorded in stored
+// coordinator job records and webhook ledgers.
 func TestSweepJobIDGolden(t *testing.T) {
 	req := &SweepRequest{
 		Apps: []string{"MP3D", "FFT"}, Algorithms: []string{"LOAD-BAL", "RANDOM"},

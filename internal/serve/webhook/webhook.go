@@ -3,14 +3,16 @@
 // terminal state to that URL — and keeps its promise across endpoint
 // flaps and its own restarts.
 //
-// Durability: every accepted delivery is journaled (MTJ1, the same
-// crash-safe format the sweep journal uses) as pending/<id> before the
-// first attempt, and as done/<id> after the terminal outcome
-// (delivered, or failed after exhausting attempts). A restarted daemon
-// replays the journal: pending deliveries without a done record resume
-// retrying, and re-enqueueing an already-done delivery is a no-op — an
-// idempotent receiver sees zero duplicate terminal deliveries across
-// restarts.
+// Durability: every accepted delivery is recorded in a ledger (an MTJ1
+// journal from internal/resilience; the daemons keep it at
+// <store-dir>/webhooks.mtj) as pending/<id> before the first attempt,
+// and as done/<id> after the terminal outcome (delivered, or failed
+// after exhausting attempts). A restarted daemon replays the ledger:
+// pending deliveries without a done record resume retrying, and
+// re-enqueueing an already-done delivery is a no-op — an idempotent
+// receiver sees zero duplicate terminal deliveries across restarts. The
+// ledger is the journal's only user: unlike the result store, it must
+// enumerate its pending records and must never drop one.
 //
 // Retrying: attempts run on the shared internal/retry core —
 // exponential backoff with jitter (decorrelating a herd of failed

@@ -27,6 +27,12 @@
 // crash signature of a live segment (torn tail after kill -9), which is
 // truncated at the last valid frame boundary and the prefix kept, the
 // same discipline as the MTJ1 journal.
+//
+// One process owns a directory at a time: Open takes an exclusive
+// flock on <dir>/LOCK and Close releases it. A second opener would
+// otherwise mistake the first one's live segment for a crash leftover
+// and seal it under the writer. The kernel drops the lock when its
+// holder dies, so a restart after kill -9 opens the directory as usual.
 package store
 
 import (
@@ -38,6 +44,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 )
 
 // Options configures Open. The zero value of every field except Dir gets
@@ -120,6 +127,8 @@ type pendingRec struct {
 type Store struct {
 	opts Options
 	dir  string
+	// lock holds the exclusive flock on <dir>/LOCK from Open to Close.
+	lock *os.File
 
 	mu sync.Mutex
 	// index maps content address -> record location. Rebuilt from the
@@ -192,10 +201,15 @@ func Open(opts Options) (*Store, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	lock, err := lockDir(opts.Dir)
+	if err != nil {
+		return nil, err
+	}
 
 	s := &Store{
 		opts:       opts,
 		dir:        opts.Dir,
+		lock:       lock,
 		index:      make(map[Key]ref),
 		segs:       make(map[int64]*os.File),
 		pendingIdx: make(map[Key]int),
@@ -209,18 +223,34 @@ func Open(opts Options) (*Store, error) {
 	// segment table and live-segment state happens with mu held, with no
 	// pre-publication special case for the shared-state census to excuse.
 	s.mu.Lock()
-	err := s.recover()
+	err = s.recover()
 	if err == nil {
 		err = s.openActive()
 	}
 	if err != nil {
 		s.closeFiles()
+		lock.Close()
 		s.mu.Unlock()
 		return nil, err
 	}
 	s.mu.Unlock()
 	go s.flusher()
 	return s, nil
+}
+
+// lockDir takes the exclusive, non-blocking flock on dir/LOCK that
+// makes one Store the directory's only writer. Closing the returned
+// file releases the lock.
+func lockDir(dir string) (*os.File, error) {
+	f, err := os.OpenFile(filepath.Join(dir, "LOCK"), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("store: directory %s is in use by another open store: %w", dir, err)
+	}
+	return f, nil
 }
 
 // recover rebuilds the index from disk: delete compaction leftovers,
@@ -825,7 +855,7 @@ func (s *Store) Close() error {
 	}
 	s.segs = make(map[int64]*os.File)
 	s.index = make(map[Key]ref)
-	return nil
+	return s.lock.Close()
 }
 
 // Stats snapshots the store counters.

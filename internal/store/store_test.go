@@ -464,3 +464,28 @@ func TestConcurrentPutGet(t *testing.T) {
 		wantGet(t, s, i)
 	}
 }
+
+// TestOpenLocksDirectory: a directory has one owner at a time. A second
+// Open on a live directory fails and names it, instead of sealing the
+// first store's live segment under it; Open after Close succeeds.
+func TestOpenLocksDirectory(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Put(testKey(1), testPayload(1)); err != nil {
+		t.Fatal(err)
+	}
+	if s2, err := Open(Options{Dir: dir}); err == nil {
+		s2.Close()
+		t.Fatal("second Open on a live directory succeeded")
+	} else if !strings.Contains(err.Error(), dir) {
+		t.Errorf("error %q does not name the directory %s", err, dir)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3 := mustOpen(t, Options{Dir: dir})
+	wantGet(t, s3, 1)
+}
