@@ -117,11 +117,13 @@ storecheck:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# One iteration of each engine microbenchmark (under a second with a warm
-# build cache): keeps bench_test.go compiling and running, including
-# BenchmarkEngineProbeDisabled's zero-allocation hot-path assertion.
+# One iteration of each engine, placement and analysis microbenchmark (a
+# few seconds with a warm build cache): keeps bench_test.go compiling and
+# running, including BenchmarkEngineProbeDisabled's zero-allocation
+# hot-path assertion, and prints the ns/op and B/op of Gauss's SHARE-REFS
+# placement and static analysis.
 benchsmoke:
-	$(GO) test -run '^$$' -bench BenchmarkEngine -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkPlace|BenchmarkAnalyze' -benchtime 1x -benchmem .
 
 # Online adaptive placement tier (DESIGN.md §16): the advisor package
 # (ONLINE name grammar, policies, recommendation math), the engines'

@@ -118,9 +118,16 @@ func coordMain(log *slog.Logger, addr string, opts cluster.Options, storeDir str
 		log.Error(err.Error())
 		return obs.CodeError
 	}
+	return coordOn(log, ln, opts, storeDir)
+}
+
+// coordOn runs the coordinator on a bound listener until a signal or a
+// listener failure, then drains and closes its durable state.
+func coordOn(log *slog.Logger, ln net.Listener, opts cluster.Options, storeDir string) int {
 	st, wh, closeDurable, err := serve.OpenDurable(storeDir, log)
 	if err != nil {
 		log.Error(err.Error())
+		ln.Close()
 		return obs.CodeError
 	}
 	opts.Store, opts.Webhooks = st, wh
@@ -134,14 +141,18 @@ func coordMain(log *slog.Logger, addr string, opts cluster.Options, storeDir str
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sigc)
 
+	// A failed listener drains and closes exactly as a signal does, so
+	// no write-behind record is lost; only the exit code differs.
+	code := obs.CodeOK
 	select {
 	case sig := <-sigc:
 		log.Info("draining on signal", "signal", fmt.Sprint(sig))
 	case err := <-errc:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Error(err.Error())
-			return obs.CodeError
+			code = obs.CodeError
 		}
 	}
 
@@ -155,6 +166,9 @@ func coordMain(log *slog.Logger, addr string, opts cluster.Options, storeDir str
 	defer cancel()
 	_ = hs.Shutdown(ctx)
 
+	if code != obs.CodeOK {
+		return code
+	}
 	log.Info("mtcoord exited cleanly")
 	return obs.CodeOK
 }

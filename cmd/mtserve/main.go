@@ -148,6 +148,12 @@ func serveMain(log *slog.Logger, addr string, opts serve.Options, cc coordConfig
 		log.Error(err.Error())
 		return obs.CodeError
 	}
+	return serveOn(log, ln, opts, cc, storeDir)
+}
+
+// serveOn runs the daemon on a bound listener until a signal or a
+// listener failure, then drains and closes its durable state.
+func serveOn(log *slog.Logger, ln net.Listener, opts serve.Options, cc coordConfig, storeDir string) int {
 	id := cc.name
 	if id == "" {
 		id = "worker-" + sanitizeWorkerID(ln.Addr().String())
@@ -158,6 +164,7 @@ func serveMain(log *slog.Logger, addr string, opts serve.Options, cc coordConfig
 	st, wh, closeDurable, err := serve.OpenDurable(storeDir, log)
 	if err != nil {
 		log.Error(err.Error())
+		ln.Close()
 		return obs.CodeError
 	}
 	opts.Store, opts.Webhooks = st, wh
@@ -182,14 +189,18 @@ func serveMain(log *slog.Logger, addr string, opts serve.Options, cc coordConfig
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sigc)
 
+	// A failed listener drains and closes exactly as a signal does, so
+	// no write-behind record is lost; only the exit code differs.
+	code := obs.CodeOK
 	select {
 	case sig := <-sigc:
 		log.Info("draining on signal", "signal", fmt.Sprint(sig))
 	case err := <-errc:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Error(err.Error())
-			return obs.CodeError
+			code = obs.CodeError
 		}
 	}
 
@@ -208,6 +219,9 @@ func serveMain(log *slog.Logger, addr string, opts serve.Options, cc coordConfig
 	defer cancel()
 	_ = hs.Shutdown(ctx)
 
+	if code != obs.CodeOK {
+		return code
+	}
 	log.Info("mtserve exited cleanly")
 	return obs.CodeOK
 }

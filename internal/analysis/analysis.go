@@ -12,7 +12,6 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/trace"
 )
@@ -91,11 +90,13 @@ type Set struct {
 	// Profiles holds one profile per thread, indexed by thread ID.
 	Profiles []*Profile
 
-	// inverted index: shared address -> sharers, built lazily
-	sharers map[uint64][]addrUse
+	// inverted index: every (shared address, thread) count, sorted by
+	// address and then thread; built lazily
+	uses []addrUse
 }
 
 type addrUse struct {
+	addr   uint64
 	thread int
 	count  RefCount
 }
@@ -113,25 +114,68 @@ func Analyze(tr *trace.Trace) *Set {
 func (s *Set) NumThreads() int { return len(s.Profiles) }
 
 // invertedIndex returns the shared-address -> users index, built on first
-// use. Each address's user list is appended profile-major, so it is always
-// sorted by thread ID; iterating each profile's addresses in sorted order
-// keeps the whole construction canonical rather than map-ordered.
-func (s *Set) invertedIndex() map[uint64][]addrUse {
-	if s.sharers == nil {
-		s.sharers = make(map[uint64][]addrUse)
-		var addrs []uint64
+// use: one list of every profile's shared-address counts, sorted by
+// address and then thread, so each address's users form one run in
+// ascending thread order.
+func (s *Set) invertedIndex() []addrUse {
+	if s.uses == nil {
+		n := 0
 		for _, p := range s.Profiles {
-			addrs = addrs[:0]
-			for a := range p.Shared {
-				addrs = append(addrs, a)
-			}
-			sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-			for _, a := range addrs {
-				s.sharers[a] = append(s.sharers[a], addrUse{thread: p.Thread, count: p.Shared[a]})
+			n += len(p.Shared)
+		}
+		uses := make([]addrUse, 0, n)
+		for _, p := range s.Profiles {
+			//mtlint:allow determinism -- sortUses orders the list by its unique (address, thread) keys
+			for a, c := range p.Shared {
+				uses = append(uses, addrUse{addr: a, thread: p.Thread, count: c})
 			}
 		}
+		s.uses = sortUses(uses)
 	}
-	return s.sharers
+	return s.uses
+}
+
+// sortUses orders uses by address and then thread. The uses arrive in
+// ascending thread order, so a stable LSD radix sort on the address alone
+// yields that order, whatever order each thread's map produced.
+func sortUses(uses []addrUse) []addrUse {
+	if len(uses) < 2 {
+		return uses
+	}
+	lo, hi := uses[0].addr, uses[0].addr
+	for _, u := range uses {
+		lo, hi = min(lo, u.addr), max(hi, u.addr)
+	}
+	buf := make([]addrUse, len(uses))
+	for shift := uint(0); shift < 64 && (hi-lo)>>shift != 0; shift += 8 {
+		var count [256]int
+		for _, u := range uses {
+			count[byte((u.addr-lo)>>shift)]++
+		}
+		pos := 0
+		for d, c := range count {
+			count[d] = pos
+			pos += c
+		}
+		for _, u := range uses {
+			d := byte((u.addr - lo) >> shift)
+			buf[count[d]] = u
+			count[d]++
+		}
+		uses, buf = buf, uses
+	}
+	return uses
+}
+
+// runEnd returns the end of the run of uses sharing uses[lo]'s address
+// once shifted right by shift.
+func runEnd(uses []addrUse, lo int, shift uint) int {
+	key := uses[lo].addr >> shift
+	hi := lo + 1
+	for hi < len(uses) && uses[hi].addr>>shift == key {
+		hi++
+	}
+	return hi
 }
 
 // Lengths returns every thread's dynamic length, indexed by thread ID.

@@ -38,52 +38,37 @@ func (r FalseSharingReport) FalseOnlyRefsPct() float64 {
 	return float64(r.FalseOnlyRefs) / float64(r.SharedSegmentRefs) * 100
 }
 
-// FalseSharing computes the report for the given line size.
+// FalseSharing computes the report for the given line size. The inverted
+// index is sorted by address, so each line's uses form one run.
 func (s *Set) FalseSharing(lineSize int) FalseSharingReport {
 	r := FalseSharingReport{LineSize: lineSize}
 	shift := uint(0)
 	for 1<<shift < lineSize {
 		shift++
 	}
-
-	type lineInfo struct {
-		threads  map[int]struct{}
-		refs     uint64
-		trueWord bool
-	}
-	lines := make(map[uint64]*lineInfo)
-	for _, p := range s.Profiles {
-		for addr, rc := range p.Shared {
-			block := addr >> shift
-			li := lines[block]
-			if li == nil {
-				li = &lineInfo{threads: make(map[int]struct{})}
-				lines[block] = li
-			}
-			li.threads[p.Thread] = struct{}{}
-			li.refs += rc.Total()
-			r.SharedSegmentRefs += rc.Total()
+	uses := s.invertedIndex()
+	for lo := 0; lo < len(uses); {
+		hi := runEnd(uses, lo, shift)
+		var refs uint64
+		multi, trueWord := false, false
+		for i := lo; i < hi; i++ {
+			refs += uses[i].count.Total()
+			multi = multi || uses[i].thread != uses[lo].thread
+			// A word touched by two or more threads marks its line as
+			// truly shared.
+			trueWord = trueWord || (i > lo && uses[i].addr == uses[i-1].addr)
 		}
-	}
-	// Second pass: a word touched by >= 2 threads marks its line as
-	// truly shared.
-	for addr, users := range s.invertedIndex() {
-		if len(users) >= 2 {
-			if li := lines[addr>>shift]; li != nil {
-				li.trueWord = true
-			}
-		}
-	}
-	for _, li := range lines {
+		r.SharedSegmentRefs += refs
 		switch {
-		case len(li.threads) < 2:
+		case !multi:
 			r.SingleThreadLines++
-		case li.trueWord:
+		case trueWord:
 			r.TrueSharedLines++
 		default:
 			r.FalseOnlyLines++
-			r.FalseOnlyRefs += li.refs
+			r.FalseOnlyRefs += refs
 		}
+		lo = hi
 	}
 	return r
 }

@@ -33,49 +33,65 @@ type SharingData struct {
 // NumThreads returns the number of threads covered.
 func (d *SharingData) NumThreads() int { return len(d.Lengths) }
 
-func newMatrix(n int) [][]uint64 {
+// newMatrix returns an n×n matrix whose rows slice one flat backing
+// array, and that array.
+func newMatrix(n int) ([][]uint64, []uint64) {
+	flat := make([]uint64, n*n)
 	m := make([][]uint64, n)
 	for i := range m {
-		m[i] = make([]uint64, n)
+		m[i] = flat[i*n : (i+1)*n : (i+1)*n]
 	}
-	return m
+	return m, flat
 }
 
 // Sharing computes the full SharingData for the set. The computation walks
-// the inverted shared-address index once: an address used by k threads
-// contributes to k·(k-1)/2 pairs.
+// the sorted inverted index once: an address used by k threads
+// contributes to k·(k-1)/2 pairs, accumulated above the diagonal and
+// mirrored below it at the end.
 func (s *Set) Sharing() *SharingData {
 	n := len(s.Profiles)
-	d := &SharingData{
-		App:              s.App,
-		SharedRefs:       newMatrix(n),
-		SharedAddrs:      newMatrix(n),
-		WriteSharedRefs:  newMatrix(n),
-		InvalidatingRefs: newMatrix(n),
-		PrivateAddrs:     s.PrivateAddrs(),
-		Lengths:          s.Lengths(),
-	}
-	for _, users := range s.invertedIndex() {
-		for i := 0; i < len(users); i++ {
-			for j := i + 1; j < len(users); j++ {
-				a, b := users[i], users[j]
-				refs := a.count.Total() + b.count.Total()
-				d.SharedRefs[a.thread][b.thread] += refs
-				d.SharedRefs[b.thread][a.thread] += refs
-				d.SharedAddrs[a.thread][b.thread]++
-				d.SharedAddrs[b.thread][a.thread]++
-				if a.count.Writes > 0 || b.count.Writes > 0 {
-					d.WriteSharedRefs[a.thread][b.thread] += refs
-					d.WriteSharedRefs[b.thread][a.thread] += refs
-				}
-				if w := uint64(a.count.Writes) + uint64(b.count.Writes); w > 0 {
-					d.InvalidatingRefs[a.thread][b.thread] += w
-					d.InvalidatingRefs[b.thread][a.thread] += w
+	refs, refsF := newMatrix(n)
+	addrs, addrsF := newMatrix(n)
+	wrefs, wrefsF := newMatrix(n)
+	invs, invsF := newMatrix(n)
+	uses := s.invertedIndex()
+	for lo := 0; lo < len(uses); {
+		hi := runEnd(uses, lo, 0)
+		run := uses[lo:hi]
+		for i, a := range run {
+			ta, wa := a.count.Total(), uint64(a.count.Writes)
+			row := a.thread * n
+			for _, b := range run[i+1:] {
+				k := row + b.thread
+				tb, wb := b.count.Total(), uint64(b.count.Writes)
+				r := ta + tb
+				refsF[k] += r
+				addrsF[k]++
+				if wa > 0 || wb > 0 {
+					wrefsF[k] += r
+					invsF[k] += wa + wb
 				}
 			}
 		}
+		lo = hi
 	}
-	return d
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			refsF[b*n+a] = refsF[a*n+b]
+			addrsF[b*n+a] = addrsF[a*n+b]
+			wrefsF[b*n+a] = wrefsF[a*n+b]
+			invsF[b*n+a] = invsF[a*n+b]
+		}
+	}
+	return &SharingData{
+		App:              s.App,
+		SharedRefs:       refs,
+		SharedAddrs:      addrs,
+		WriteSharedRefs:  wrefs,
+		InvalidatingRefs: invs,
+		PrivateAddrs:     s.PrivateAddrs(),
+		Lengths:          s.Lengths(),
+	}
 }
 
 // PairSharedRefs returns shared-references(a, b) directly from the

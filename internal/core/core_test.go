@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -38,6 +40,37 @@ func TestSuiteCaching(t *testing.T) {
 	d2, _ := s.Sharing("Water")
 	if d1 != d2 {
 		t.Error("sharing data not cached")
+	}
+}
+
+// TestSharingKeepsNoSet holds Sharing to its memory contract: it caches
+// the sharing data but not the analysis it derived them from, and a later
+// Set still returns the full analysis.
+func TestSharingKeepsNoSet(t *testing.T) {
+	s := testSuite()
+	d, err := s.Sharing("Water")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	_, kept := s.sets["Water"]
+	s.mu.Unlock()
+	if kept {
+		t.Error("Sharing cached the analysis.Set")
+	}
+	set, err := s.Set("Water")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := s.Trace("Water")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(set, analysis.Analyze(tr)) {
+		t.Error("Set after Sharing differs from analysis.Analyze")
+	}
+	if !reflect.DeepEqual(d, set.Sharing()) {
+		t.Error("cached sharing data differ from the Set's")
 	}
 }
 

@@ -215,16 +215,24 @@ func (s *Suite) setLocked(app string) (*analysis.Set, error) {
 	return set, nil
 }
 
-// Sharing returns the application's (cached) pairwise sharing data.
+// Sharing returns the application's (cached) pairwise sharing data. It
+// derives the data from the cached static analysis when Set has built
+// one, and otherwise from an analysis it does not keep: placement and
+// serving read only the sharing data, and the per-thread profiles are
+// most of an analysis's memory.
 func (s *Suite) Sharing(app string) (*analysis.SharingData, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if d, ok := s.sharing[app]; ok {
 		return d, nil
 	}
-	set, err := s.setLocked(app)
-	if err != nil {
-		return nil, err
+	set, ok := s.sets[app]
+	if !ok {
+		tr, err := s.traceLocked(app)
+		if err != nil {
+			return nil, err
+		}
+		set = analysis.Analyze(tr)
 	}
 	d := set.Sharing()
 	s.sharing[app] = d

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"math/rand"
 	"net/http"
 	"reflect"
 	"runtime"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/advise"
+	"repro/internal/placement"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -125,6 +128,112 @@ func TestAdviseTraceSource(t *testing.T) {
 	}
 }
 
+// evictRefsPerThread fills most of a request body with the trace of
+// evictEveryReferenceBody.
+const evictRefsPerThread = 340
+
+// evictEveryReferenceBody is the /v1/advise body of
+// TestAdviseTraceMeasurementAllocationBounded at the given procs: a trace
+// of MaxProcs threads in which every reference evicts the one before it.
+func evictEveryReferenceBody(t *testing.T, procs int) []byte {
+	t.Helper()
+	cfg := sim.DefaultConfig(MaxProcs)
+	tr := trace.New("evict-every-reference", MaxProcs)
+	for i := 0; i < MaxProcs; i++ {
+		r := trace.NewRecorder(tr, i)
+		base := trace.SharedBase + uint64(i*cfg.LineSize)
+		for j := 0; j < evictRefsPerThread; j++ {
+			r.Compute(1)
+			r.Store(base + uint64(j*cfg.CacheSize))
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(AdviseRequest{TraceMTT2: buf.Bytes(), Procs: procs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) > MaxRequestBytes || len(body) < MaxRequestBytes*3/4 {
+		t.Fatalf("request body is %d bytes, want most of the %d-byte limit", len(body), MaxRequestBytes)
+	}
+	return body
+}
+
+// TestAdviseBoundedThroughHandler: one /v1/advise request — decode,
+// measurement, clustering and recommendation — allocates a bounded amount
+// however its placement is posed. The cases are the evict-every-reference
+// trace at 16 processors, and a dense 256-thread pair matrix of small
+// tie-heavy entries, whose clustering once needed an unbounded
+// thread-balance search, at 8 and at 32 processors.
+func TestAdviseBoundedThroughHandler(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	const n = 256
+	pair := make([][]uint64, n)
+	for i := range pair {
+		pair[i] = make([]uint64, n)
+	}
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			v := uint64(rng.Intn(100))
+			pair[i][j], pair[j][i] = v, v
+		}
+	}
+	lengths := make([]uint64, n)
+	for i := range lengths {
+		lengths[i] = 1000
+	}
+	matrixBody := func(procs int) []byte {
+		b, err := json.Marshal(AdviseRequest{Pair: pair, Lengths: lengths, Procs: procs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name  string
+		body  []byte
+		bound uint64
+	}{
+		{"trace/procs=16", evictEveryReferenceBody(t, 16), 160 << 20},
+		{"pair256/procs=8", matrixBody(8), 128 << 20},
+		{"pair256/procs=32", matrixBody(32), 128 << 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			resp, err := http.Post(ts.URL+"/v1/advise", "application/json", bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reply, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, reply)
+			}
+			var ar AdviseResponse
+			if err := json.Unmarshal(reply, &ar); err != nil {
+				t.Fatal(err)
+			}
+			pl := placement.Placement{Clusters: ar.Placement.Clusters}
+			if !pl.ThreadBalanced() {
+				t.Errorf("recommended placement is not thread balanced: %v", pl.Clusters)
+			}
+			alloc := after.TotalAlloc - before.TotalAlloc
+			t.Logf("%d-byte body; the request allocated %d MB", len(tc.body), alloc>>20)
+			if alloc > tc.bound {
+				t.Errorf("the request allocated %d MB, want under %d MB", alloc>>20, tc.bound>>20)
+			}
+		})
+	}
+}
+
 // TestAdviseTraceMeasurementAllocationBounded: what the simulator
 // allocates to measure a trace-source advise request stays bounded when
 // the trace is built to make its per-cache state as large as it can. The
@@ -135,28 +244,7 @@ func TestAdviseTraceSource(t *testing.T) {
 // the entries interleave across the threads. The measurement is the one
 // the handler runs on the decoded body's trace.
 func TestAdviseTraceMeasurementAllocationBounded(t *testing.T) {
-	const refsPerThread = 340
-	cfg := sim.DefaultConfig(MaxProcs)
-	tr := trace.New("evict-every-reference", MaxProcs)
-	for i := 0; i < MaxProcs; i++ {
-		r := trace.NewRecorder(tr, i)
-		base := trace.SharedBase + uint64(i*cfg.LineSize)
-		for j := 0; j < refsPerThread; j++ {
-			r.Compute(1)
-			r.Store(base + uint64(j*cfg.CacheSize))
-		}
-	}
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	body, err := json.Marshal(AdviseRequest{TraceMTT2: buf.Bytes(), Procs: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(body) > MaxRequestBytes || len(body) < MaxRequestBytes*3/4 {
-		t.Fatalf("request body is %d bytes, want most of the %d-byte limit", len(body), MaxRequestBytes)
-	}
+	body := evictEveryReferenceBody(t, 16)
 	req, err := DecodeAdviseRequest(bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +261,7 @@ func TestAdviseTraceMeasurementAllocationBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Totals().Writebacks; got != uint64(MaxProcs*(refsPerThread-1)) {
+	if got := res.Totals().Writebacks; got != uint64(MaxProcs*(evictRefsPerThread-1)) {
 		t.Fatalf("%d dirty evictions, want one per reference but each thread's first", got)
 	}
 	alloc := after.TotalAlloc - before.TotalAlloc

@@ -157,7 +157,6 @@ func (r Region) Slice(from, words int) Region {
 type builder struct {
 	app          App
 	tr           *trace.Trace
-	rng          *rand.Rand
 	scale        float64
 	sharedNext   uint64
 	sharedAllocs int
@@ -169,7 +168,6 @@ func newBuilder(a App, p Params) *builder {
 	b := &builder{
 		app:        a,
 		tr:         trace.New(a.Name, a.Threads),
-		rng:        rand.New(rand.NewSource(p.Seed)),
 		scale:      p.Scale,
 		sharedNext: trace.SharedBase,
 		privNext:   make([]uint64, a.Threads),
@@ -187,9 +185,9 @@ func newBuilder(a App, p Params) *builder {
 		coarse := (uint64(t+3) * 2654435761 % (1 << 22)) &^ 65535
 		b.privNext[t] = uint64(t+1)*privateStride + coarse + fine
 		b.threads[t] = &T{
-			ID:  t,
-			rec: trace.NewRecorder(b.tr, t),
-			rng: rand.New(rand.NewSource(p.Seed ^ int64(t)*-0x61C8864680B583EB)),
+			ID:   t,
+			rec:  trace.NewRecorder(b.tr, t),
+			seed: p.Seed ^ int64(t)*-0x61C8864680B583EB,
 		}
 	}
 	return b
@@ -258,9 +256,10 @@ func (b *builder) finishAll() {
 // against.
 type T struct {
 	// ID is the thread's index.
-	ID  int
-	rec *trace.Recorder
-	rng *rand.Rand
+	ID   int
+	rec  *trace.Recorder
+	seed int64
+	rng  *rand.Rand // seeded on the first draw; most kernels never draw
 }
 
 // Read records a load of element i of region r.
@@ -281,7 +280,15 @@ func (t *T) Compute(n int) { t.rec.Compute(n) }
 
 // Intn returns a deterministic pseudo-random int in [0, n) from the
 // thread's private stream.
-func (t *T) Intn(n int) int { return t.rng.Intn(n) }
+func (t *T) Intn(n int) int { return t.stream().Intn(n) }
 
 // Float64 returns a deterministic pseudo-random float in [0, 1).
-func (t *T) Float64() float64 { return t.rng.Float64() }
+func (t *T) Float64() float64 { return t.stream().Float64() }
+
+// stream returns the thread's private stream, seeding it on first use.
+func (t *T) stream() *rand.Rand {
+	if t.rng == nil {
+		t.rng = rand.New(rand.NewSource(t.seed))
+	}
+	return t.rng
+}
