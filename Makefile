@@ -128,17 +128,18 @@ benchsmoke:
 # Online adaptive placement tier (DESIGN.md §16): the advisor package
 # (ONLINE name grammar, policies, recommendation math), the engines'
 # online differential suite (interval-off == static, cycle for cycle, on
-# both engines) and checkpoint round-trips, the guard's online path, the
-# /v1/advise API differentials on worker and coordinator, and the phased
+# both engines), the guard's online path, the /v1/advise API
+# differentials on worker and coordinator, an ONLINE/… sweep through the
+# coordinator (equal to the same sweep on one worker), and the phased
 # crossover smoke — online must beat the best static placement on the
 # phase-changing workload with the migration penalty charged, and every
 # cell of its grid must match the reference engine.
 advisecheck:
 	$(GO) test ./internal/advise
-	$(GO) test ./internal/sim -run 'TestOnline|TestCheckpoint|TestRunOnline'
+	$(GO) test ./internal/sim -run 'TestOnline|TestRunOnline'
 	$(GO) test ./internal/resilience -run 'TestEngineGuardRunOnline'
 	$(GO) test ./internal/serve -run 'TestAdvise|TestSimulateOnline|TestSweepOnline'
-	$(GO) test ./internal/cluster -run 'TestClusterAdvise'
+	$(GO) test ./internal/cluster -run 'TestClusterAdvise|TestClusterSweepOnline'
 	$(GO) test -short ./cmd/experiments -run 'TestAdvise'
 
 # Regenerate BENCH_advise.json: the static-vs-online kernel grid through

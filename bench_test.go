@@ -214,7 +214,7 @@ func benchmarkEngine(b *testing.B, eng sim.Engine, cacheSize int) {
 	b.ResetTimer()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunEngine(tr, pl, cfg, eng)
+		res, err := sim.RunObserved(tr, pl, cfg, eng, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -261,7 +261,7 @@ func BenchmarkEngineProbeDisabled(b *testing.B) {
 	pl := &placement.Placement{Algorithm: "BENCH", Clusters: [][]int{{0, 1}, {2, 3}}}
 	cfg := sim.DefaultConfig(2)
 	run := func(tr *trace.Trace) {
-		if _, err := sim.RunEngine(tr, pl, cfg, sim.FastEngine); err != nil {
+		if _, err := sim.RunObserved(tr, pl, cfg, sim.FastEngine, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -278,7 +278,7 @@ func BenchmarkEngineProbeDisabled(b *testing.B) {
 	b.ResetTimer()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunEngine(long, pl, cfg, sim.FastEngine)
+		res, err := sim.RunObserved(long, pl, cfg, sim.FastEngine, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -80,7 +80,7 @@ func TestAdvisePhasedEnginesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := sim.RunOnlineObserved(tr, seedPl, cfg, sim.ReferenceEngine, opts, nil)
+		ref, err := sim.RunOnlineGuarded(tr, seedPl, cfg, sim.ReferenceEngine, opts, nil, sim.Guard{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/loadgen"
+	"repro/internal/retry"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
 )
@@ -157,8 +158,7 @@ func runBench(log *slog.Logger, cfg benchConfig) error {
 			return err
 		}
 		cl := client.New(bc.coordTS.URL)
-		cl.MaxRetries = 64
-		cl.RetryWait = 10 * time.Millisecond
+		cl.Policy = retry.Policy{MaxAttempts: 65, BaseDelay: 10 * time.Millisecond}
 
 		t0 := time.Now()
 		acc, err := cl.Sweep(&serve.SweepRequest{

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/retry"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
 	"repro/internal/serve/rescache"
@@ -41,8 +42,7 @@ func TestServeFailureDrainsStore(t *testing.T) {
 	defer agent.Stop()
 
 	cl := client.New(base)
-	cl.MaxRetries = 64
-	cl.RetryWait = 10 * time.Millisecond
+	cl.Policy = retry.Policy{MaxAttempts: 65, BaseDelay: 10 * time.Millisecond}
 	acc, err := cl.Sweep(&serve.SweepRequest{
 		Params:     &serve.Params{Scale: 0.1, Seed: 3},
 		Apps:       []string{"MP3D"},

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/loadgen"
+	"repro/internal/retry"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
 	"repro/internal/store"
@@ -143,8 +144,7 @@ func runLoadgen(log *slog.Logger, cfg loadgenConfig) error {
 	// so round-1 misses spread across distinct cells instead of convoying.
 	elapsed := loadgen.Concurrent(cfg.clients, func(ci int) {
 		cl := client.New(ts.URL)
-		cl.MaxRetries = 64
-		cl.RetryWait = 10 * time.Millisecond
+		cl.Policy = retry.Policy{MaxAttempts: 65, BaseDelay: 10 * time.Millisecond}
 		for r := 0; r < cfg.rounds; r++ {
 			for k := 0; k < len(cells); k++ {
 				c := cells[(ci+k)%len(cells)]
@@ -247,8 +247,7 @@ func runLoadgen(log *slog.Logger, cfg loadgenConfig) error {
 	}()
 
 	wcl := client.New(ts2.URL)
-	wcl.MaxRetries = 64
-	wcl.RetryWait = 10 * time.Millisecond
+	wcl.Policy = retry.Policy{MaxAttempts: 65, BaseDelay: 10 * time.Millisecond}
 	for _, c := range cells {
 		resp, err := wcl.Simulate(&serve.SimulateRequest{
 			Params: &params, App: c.App, Algorithm: c.Alg, Procs: c.Procs,

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/retry"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
 	"repro/internal/serve/webhook"
@@ -119,8 +120,7 @@ func TestKillDashNineWarmRestart(t *testing.T) {
 	// Life 1: complete sweep A, let the write-behind flusher land it.
 	d1 := startDaemon(t, dir)
 	cl := client.New(d1.base)
-	cl.MaxRetries = 64
-	cl.RetryWait = 10 * time.Millisecond
+	cl.Policy = retry.Policy{MaxAttempts: 65, BaseDelay: 10 * time.Millisecond}
 	acc, err := cl.Sweep(restartSweep(7))
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +167,7 @@ func TestKillDashNineWarmRestart(t *testing.T) {
 		_ = d2.cmd.Wait()
 	}()
 	cl2 := client.New(d2.base)
-	cl2.MaxRetries = 64
-	cl2.RetryWait = 10 * time.Millisecond
+	cl2.Policy = retry.Policy{MaxAttempts: 65, BaseDelay: 10 * time.Millisecond}
 	h, err := cl2.Health()
 	if err != nil {
 		t.Fatalf("health after kill -9 restart: %v", err)
@@ -258,8 +257,7 @@ func TestKillDashNineWebhookLedger(t *testing.T) {
 	// Life 1: a one-cell sweep whose terminal webhook keeps failing.
 	d1 := startDaemon(t, dir)
 	cl := client.New(d1.base)
-	cl.MaxRetries = 64
-	cl.RetryWait = 10 * time.Millisecond
+	cl.Policy = retry.Policy{MaxAttempts: 65, BaseDelay: 10 * time.Millisecond}
 	acc, err := cl.Sweep(&serve.SweepRequest{
 		Params:     &serve.Params{Scale: 0.1, Seed: 7},
 		Apps:       []string{"MP3D"},

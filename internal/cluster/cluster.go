@@ -28,15 +28,8 @@ type Options struct {
 	// chunks give stealing finer granularity; larger ones amortize
 	// round-trips.
 	LeaseChunk int
-	// StealMin is the minimum pending cells a lease must hold before an
-	// idle worker steals from it (default 2: never steal a lone tail cell
-	// that is about to run anyway).
-	StealMin int
 	// Log receives operational messages; nil discards them.
 	Log *slog.Logger
-	// SpanCapacity bounds the coordinator's span store
-	// (obs.DefaultSpanCapacity when 0).
-	SpanCapacity int
 	// DisableTelemetry turns off distributed tracing and the job-progress
 	// event bus. Histograms stay on — they are three atomic adds.
 	DisableTelemetry bool
@@ -63,9 +56,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.LeaseChunk <= 0 {
 		o.LeaseChunk = 16
-	}
-	if o.StealMin <= 0 {
-		o.StealMin = 2
 	}
 	return o
 }
@@ -125,7 +115,7 @@ func New(opts Options) *Coordinator {
 	}
 	c.durable = serve.NewDurable(c.metrics.set, "coordinator", opts.Store, opts.Webhooks, opts.Log)
 	if !opts.DisableTelemetry {
-		c.spans = obs.NewSpanStore(opts.SpanCapacity)
+		c.spans = obs.NewSpanStore(obs.DefaultSpanCapacity)
 		c.bus = obs.NewBus(c.metrics.streamDropped)
 	}
 	return c

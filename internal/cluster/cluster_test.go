@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/loadgen"
+	"repro/internal/retry"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
 	"repro/internal/serve/rescache"
@@ -133,8 +135,7 @@ func startCluster(t *testing.T, n int, wopts serve.Options) *testCluster {
 
 func (tc *testCluster) client() *client.Client {
 	cl := client.New(tc.ts.URL)
-	cl.MaxRetries = 64
-	cl.RetryWait = 10 * time.Millisecond
+	cl.Policy = retry.Policy{MaxAttempts: 65, BaseDelay: 10 * time.Millisecond}
 	return cl
 }
 
@@ -161,15 +162,10 @@ func groundTruth(t *testing.T) (map[loadgen.Cell]*sim.Result, []loadgen.Cell) {
 	return want, cells
 }
 
-// runSweep submits the testDims sweep and waits it to done, failing the
-// test otherwise.
-func runSweep(t *testing.T, cl *client.Client) *serve.JobStatus {
+// sweepTo submits req and waits (at most a minute) for a terminal state.
+func sweepTo(t *testing.T, cl *client.Client, req *serve.SweepRequest) *serve.JobStatus {
 	t.Helper()
-	apps, algs, procs := testDims()
-	params := serve.Params{Scale: testScale, Seed: testSeed}
-	acc, err := cl.Sweep(&serve.SweepRequest{
-		Params: &params, Apps: apps, Algorithms: algs, Procs: procs,
-	})
+	acc, err := cl.Sweep(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +173,18 @@ func runSweep(t *testing.T, cl *client.Client) *serve.JobStatus {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return st
+}
+
+// runSweep submits the testDims sweep and waits it to done, failing the
+// test otherwise.
+func runSweep(t *testing.T, cl *client.Client) *serve.JobStatus {
+	t.Helper()
+	apps, algs, procs := testDims()
+	params := serve.Params{Scale: testScale, Seed: testSeed}
+	st := sweepTo(t, cl, &serve.SweepRequest{
+		Params: &params, Apps: apps, Algorithms: algs, Procs: procs,
+	})
 	if st.Status != serve.StatusDone {
 		t.Fatalf("sweep ended %s: %s", st.Status, st.Error)
 	}
@@ -232,6 +240,84 @@ func TestClusterSweepMatchesLocal(t *testing.T) {
 			t.Errorf("pending cells gauge %d after completion", snap["coordinator_pending_cells"])
 		}
 	})
+}
+
+// TestClusterSweepOnline: ONLINE/… cells lease out like static ones. The
+// sweep ends done, deep-equals the same sweep on a single mtserve, and
+// declares no worker dead.
+func TestClusterSweepOnline(t *testing.T) {
+	req := &serve.SweepRequest{
+		Params:     &serve.Params{Scale: testScale, Seed: testSeed},
+		Apps:       []string{"MP3D"},
+		Algorithms: []string{"LOAD-BAL", "ONLINE/COHERENCE@i=2000,c=64"},
+		Procs:      []int{2, 4},
+	}
+	single := serve.NewServer(serve.Options{Workers: 2})
+	sts := httptest.NewServer(single.Handler())
+	defer sts.Close()
+	defer single.Drain()
+	want := sweepTo(t, client.New(sts.URL), req)
+	if want.Status != serve.StatusDone {
+		t.Fatalf("single-server sweep ended %s: %s", want.Status, want.Error)
+	}
+
+	tc := startCluster(t, 2, serve.Options{Workers: 2})
+	got := sweepTo(t, tc.client(), req)
+	if got.Status != serve.StatusDone {
+		t.Fatalf("cluster sweep ended %s: %s", got.Status, got.Error)
+	}
+	if len(got.Results) != len(want.Results) {
+		t.Fatalf("cluster returned %d cells, single server %d", len(got.Results), len(want.Results))
+	}
+	for i, w := range want.Results {
+		g := got.Results[i]
+		if g.App != w.App || g.Algorithm != w.Algorithm || g.Procs != w.Procs || g.Key != w.Key {
+			t.Errorf("cell %d: cluster %s/%s/p%d key %s, single server %s/%s/p%d key %s",
+				i, g.App, g.Algorithm, g.Procs, g.Key, w.App, w.Algorithm, w.Procs, w.Key)
+		}
+		if !reflect.DeepEqual(g.Result, w.Result) {
+			t.Errorf("cell %d (%s/p%d): cluster result diverged from the single server's", i, w.Algorithm, w.Procs)
+		}
+	}
+	if deaths := tc.coord.Metrics().Snapshot()["coordinator_worker_deaths_total"]; deaths != 0 {
+		t.Errorf("%d workers declared dead during the sweep", deaths)
+	}
+}
+
+// TestClusterLeaseRefusalFailsCells: a worker that answers a lease grant
+// with a non-retriable 400 is alive (it answered). The coordinator fails
+// the refused cells with the worker's message, so the sweep ends failed,
+// and never declares the worker dead.
+func TestClusterLeaseRefusalFailsCells(t *testing.T) {
+	const refusal = "lease refused by this worker"
+	tc := startCoordinator(t, testCoordOptions())
+	srv := serve.NewServer(serve.Options{Workers: 1})
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/internal/v1/lease" {
+			serve.WriteError(w, &serve.Error{Status: http.StatusBadRequest, Message: refusal})
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	tc.workers = append(tc.workers, &testWorker{id: "w0", srv: srv, ts: ts,
+		agent: StartAgent(tc.ts.URL, "w0", ts.URL, 50*time.Millisecond, nil)})
+	tc.waitLive(1)
+
+	apps, algs, procs := testDims()
+	st := sweepTo(t, tc.client(), &serve.SweepRequest{
+		Params: &serve.Params{Scale: testScale, Seed: testSeed},
+		Apps:   apps, Algorithms: algs, Procs: procs,
+	})
+	if st.Status != serve.StatusFailed || !strings.Contains(st.Error, refusal) {
+		t.Fatalf("sweep ended %s (%q), want failed with the worker's message %q", st.Status, st.Error, refusal)
+	}
+	if deaths := tc.coord.Metrics().Snapshot()["coordinator_worker_deaths_total"]; deaths != 0 {
+		t.Errorf("refusing worker declared dead %d times", deaths)
+	}
+	if live := tc.coord.liveWorkerIDs(time.Now()); len(live) != 1 {
+		t.Errorf("live workers %v after the refusals, want [w0]", live)
+	}
 }
 
 // TestClusterSimulateProxyMatchesWorker: /v1/simulate through the

@@ -19,6 +19,11 @@ import (
 // (deterministic simulator), and result recording is idempotent (first
 // report wins, any second report carries the same bytes).
 
+// stealMin is the fewest pending cells a lease must hold before an idle
+// worker steals from it: never steal a lone tail cell that is about to
+// run anyway.
+const stealMin = 2
+
 // leaseRef is the coordinator's record of one outstanding lease.
 type leaseRef struct {
 	id    string
@@ -169,25 +174,33 @@ func (c *Coordinator) recordDone(j *cjob, lr *leaseRef, ci int, cs serve.LeaseCe
 // recordFailed stores one failed cell (a simulation error on a healthy
 // worker — deterministic, so requeueing would just fail again).
 func (c *Coordinator) recordFailed(j *cjob, lr *leaseRef, ci int, cs serve.LeaseCellStatus) {
+	if c.failCell(j, ci, lr.w.id, cs.Key, cs.Error) {
+		lr.w.metrics.pending.Add(-1)
+	}
+}
+
+// failCell marks one cell failed with the worker's message. Idempotent
+// like recordDone; reports whether this call failed the cell.
+func (c *Coordinator) failCell(j *cjob, ci int, wid, key, msg string) bool {
 	j.mu.Lock()
 	if j.states[ci] == cDone || j.states[ci] == cFailed {
 		j.mu.Unlock()
-		return
+		return false
 	}
 	j.states[ci] = cFailed
 	j.leaseOf[ci] = ""
-	j.results[ci].Key = cs.Key
+	j.results[ci].Key = key
 	j.failed++
 	if j.errmsg == "" {
 		cell := j.cells[ci]
-		j.errmsg = fmt.Sprintf("cell %s/%s/p%d: %s", cell.app, cell.alg, cell.procs, cs.Error)
+		j.errmsg = fmt.Sprintf("cell %s/%s/p%d: %s", cell.app, cell.alg, cell.procs, msg)
 	}
 	j.mu.Unlock()
 
 	c.metrics.cellsFailed.Inc()
 	c.metrics.pendingCells.Add(-1)
-	lr.w.metrics.pending.Add(-1)
-	c.publishCell(j, ci, lr.w.id, "failed", cs.Key, false, cs.Error)
+	c.publishCell(j, ci, wid, "failed", key, false, msg)
+	return true
 }
 
 // requeueLease returns every cell a lease still owns to pending.
@@ -254,7 +267,9 @@ func (c *Coordinator) grantPending(j *cjob, outstanding []*leaseRef, live []stri
 
 // grantLease grants one lease of the given job cells to a worker and
 // marks them leased. Returns nil if the worker refused (queue pressure —
-// retried next tick) or failed at the transport (declared dead).
+// retried next tick; any other refusal fails the cells, since the worker
+// that answered is alive and would refuse them again) or failed at the
+// transport (declared dead).
 func (c *Coordinator) grantLease(j *cjob, w *worker, cells []int, leaseSeq *int) *leaseRef {
 	*leaseSeq++
 	leaseID := fmt.Sprintf("%s-%d", j.id, *leaseSeq)
@@ -277,10 +292,15 @@ func (c *Coordinator) grantLease(j *cjob, w *worker, cells []int, leaseSeq *int)
 	}
 	if _, err := w.client().Lease(req); err != nil {
 		var ae *client.APIError
-		if errors.As(err, &ae) && ae.Retriable {
-			return nil // queue full / draining: back off one tick
-		}
-		c.markDead(w, err)
+		switch {
+		case !errors.As(err, &ae):
+			c.markDead(w, err)
+		case !ae.Retriable:
+			// The worker answered, so it is alive: it refuses these cells.
+			for _, ci := range cells {
+				c.failCell(j, ci, w.id, "", ae.Message)
+			}
+		} // a retriable refusal (queue full, draining) backs off one tick
 		return nil
 	}
 	granted := append([]int(nil), cells...)
@@ -334,7 +354,7 @@ func (c *Coordinator) stealForIdle(j *cjob, outstanding []*leaseRef, live []stri
 				continue
 			}
 			r := j.owned(lr)
-			if r < c.opts.StealMin {
+			if r < stealMin {
 				continue
 			}
 			if r > vRem || (r == vRem && victim != nil && lr.id < victim.id) {

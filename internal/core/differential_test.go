@@ -37,11 +37,11 @@ func TestDifferentialEngines(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref, err := sim.RunEngine(tr, pl, cfg, sim.ReferenceEngine)
+					ref, err := sim.RunObserved(tr, pl, cfg, sim.ReferenceEngine, nil)
 					if err != nil {
 						t.Fatalf("%s/%dp: reference engine: %v", alg, procs, err)
 					}
-					fast, err := sim.RunEngine(tr, pl, cfg, sim.FastEngine)
+					fast, err := sim.RunObserved(tr, pl, cfg, sim.FastEngine, nil)
 					if err != nil {
 						t.Fatalf("%s/%dp: fast engine: %v", alg, procs, err)
 					}

@@ -11,11 +11,11 @@ import (
 )
 
 // The leakcheck selfcheck pairs the analyzer's static verdicts with
-// runtime.NumGoroutine measurements of the same goroutine shapes compiled
-// into this binary: the shape the analyzer accepts must actually
-// terminate when signalled, and the shape it flags must actually stay
-// resident. If the dynamic half fails while the static half passes, the
-// analyzer has a blind spot worth a new check — and vice versa.
+// counts of the goroutines running the same shapes compiled into this
+// binary: the shape the analyzer accepts must actually terminate when
+// signalled, and the shape it flags must actually stay resident. If the
+// dynamic half fails while the static half passes, the analyzer has a
+// blind spot worth a new check — and vice versa.
 
 // stoppableWorker is the clean shape: the loop consults a done channel
 // the spawner controls. Leakcheck accepts it.
@@ -35,6 +35,21 @@ func stoppableWorker(done <-chan struct{}, work <-chan int) {
 func leakyWorker(blocked chan struct{}) {
 	for {
 		<-blocked
+	}
+}
+
+// running counts the goroutines executing fn, a function of this
+// package, in a dump of every goroutine's stack. Counting one shape
+// rather than runtime.NumGoroutine keeps every other goroutine of the
+// test binary out of the measurement.
+func running(fn string) int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "lint_test."+fn+"(")
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }
 
@@ -69,36 +84,36 @@ func TestLeakcheckStaticVerdicts(t *testing.T) {
 
 // TestLeakcheckMatchesRuntime is the dynamic half.
 func TestLeakcheckMatchesRuntime(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := running("stoppableWorker")
 
 	// The accepted shape terminates: spawn a crowd, signal, and the
-	// goroutine count returns to baseline.
+	// shape's goroutine count returns to baseline.
 	const n = 8
 	done := make(chan struct{})
 	work := make(chan int)
 	for i := 0; i < n; i++ {
 		go stoppableWorker(done, work)
 	}
-	if !pollUntil(5*time.Second, func() bool { return runtime.NumGoroutine() >= base+n }) {
-		t.Fatalf("workers did not start: %d goroutines, want >= %d", runtime.NumGoroutine(), base+n)
+	if !pollUntil(5*time.Second, func() bool { return running("stoppableWorker") >= base+n }) {
+		t.Fatalf("workers did not start: %d running, want >= %d", running("stoppableWorker"), base+n)
 	}
 	close(done)
-	if !pollUntil(5*time.Second, func() bool { return runtime.NumGoroutine() <= base }) {
-		t.Errorf("stop-path shape leaked: %d goroutines after close(done), baseline %d — leakcheck accepts a shape that does not terminate",
-			runtime.NumGoroutine(), base)
+	if !pollUntil(5*time.Second, func() bool { return running("stoppableWorker") <= base }) {
+		t.Errorf("stop-path shape leaked: %d running after close(done), baseline %d — leakcheck accepts a shape that does not terminate",
+			running("stoppableWorker"), base)
 	}
 
 	// The flagged shape stays resident: it has no stop path, so it is
 	// still there after a grace period (and is deliberately left parked —
 	// that persistence is the property under test).
-	leakBase := runtime.NumGoroutine()
+	leakBase := running("leakyWorker")
 	go leakyWorker(make(chan struct{}))
-	if !pollUntil(5*time.Second, func() bool { return runtime.NumGoroutine() >= leakBase+1 }) {
+	if !pollUntil(5*time.Second, func() bool { return running("leakyWorker") >= leakBase+1 }) {
 		t.Fatalf("leaky worker did not start")
 	}
 	time.Sleep(50 * time.Millisecond)
-	if got := runtime.NumGoroutine(); got < leakBase+1 {
-		t.Errorf("shape leakcheck flags as leaky exited on its own: %d goroutines, want >= %d — the analyzer is over-approximating",
+	if got := running("leakyWorker"); got < leakBase+1 {
+		t.Errorf("shape leakcheck flags as leaky exited on its own: %d running, want >= %d — the analyzer is over-approximating",
 			got, leakBase+1)
 	}
 }

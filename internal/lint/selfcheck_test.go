@@ -86,7 +86,7 @@ func TestHotpathMatchesAllocBenchmark(t *testing.T) {
 	pl := &placement.Placement{Algorithm: "SELFCHECK", Clusters: [][]int{{0, 1}, {2, 3}}}
 	cfg := sim.DefaultConfig(2)
 	run := func(tr *trace.Trace) {
-		if _, err := sim.RunEngine(tr, pl, cfg, sim.FastEngine); err != nil {
+		if _, err := sim.RunObserved(tr, pl, cfg, sim.FastEngine, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -109,10 +109,6 @@ type Probe interface {
 	// bookkeeping: the two engines agree on every architectural event
 	// above, but may momentarily disagree on stale-entry counts here.
 	QueueDepth(t uint64, depth int)
-	// Fault: a resilience event (a watchdog trip) at time t. Fault
-	// events are emitted by the robustness layer, not the architectural
-	// simulation, and are always cold-path.
-	Fault(t uint64, kind FaultKind)
 	// Migrate: online adaptive placement moved a thread from processor
 	// from to processor to at a detection boundary at time t. Emitted
 	// only by online runs (sim.RunOnlineGuarded), always cold-path.
@@ -201,6 +197,11 @@ func (m multi) QueueDepth(t uint64, depth int) {
 		p.QueueDepth(t, depth)
 	}
 }
+func (m multi) Migrate(t uint64, thread, from, to int) {
+	for _, p := range m {
+		p.Migrate(t, thread, from, to)
+	}
+}
 
 // Counter is the cheapest possible probe: one counter per event kind.
 // It doubles as the overhead floor for probe-on benchmarking and as the
@@ -217,7 +218,6 @@ type Counter struct {
 	Pair          uint64
 	Switches      uint64
 	QueueSamples  uint64
-	Faults        [NumFaultKinds]uint64
 	Migrations    uint64
 	MaxQueueDepth int
 	ExecTime      uint64
@@ -273,3 +273,6 @@ func (c *Counter) QueueDepth(t uint64, depth int) {
 		c.MaxQueueDepth = depth
 	}
 }
+
+// Migrate implements Probe.
+func (c *Counter) Migrate(t uint64, thread, from, to int) { c.Migrations++ }

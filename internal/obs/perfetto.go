@@ -171,6 +171,10 @@ func (tr *Tracer) Update(t uint64, from, to int) {
 // marked individually; nothing extra to record.
 func (tr *Tracer) PairTraffic(t uint64, from, to int) {}
 
+// Migrate implements Probe. Online runs log every move in
+// Result.Online.Moves; the timeline records none.
+func (tr *Tracer) Migrate(t uint64, thread, from, to int) {}
+
 // ContextSwitch implements Probe.
 func (tr *Tracer) ContextSwitch(t uint64, proc int) {
 	tr.events = append(tr.events, traceEvent{

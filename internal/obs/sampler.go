@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/report"
 )
@@ -36,29 +35,7 @@ type Sampler struct {
 	// or -1 while not running; busy cycles are integrated over windows
 	// when the slice closes.
 	runStart []int64
-	// faults is the bounded side list of fault marks (watchdog fired,
-	// engine benched, ...). Faults are not folded into Sample — they are
-	// rare run-level events and adding columns would churn the CSV schema
-	// — but they surface as Table() metadata so timelines show them.
-	faults        []FaultMark
-	faultsDropped int
-	// migrations is the bounded side list of online-placement migration
-	// marks (see migrate.go), kept out of Sample for the same reason as
-	// faults.
-	migrations        []MigrateMark
-	migrationsDropped int
 }
-
-// FaultMark is one fault event observed during a run.
-type FaultMark struct {
-	T    uint64    `json:"t"`
-	Kind FaultKind `json:"kind"`
-}
-
-// maxFaultMarks bounds the per-run fault list; a run that faults more
-// than this has one problem repeated, not many distinct marks worth
-// keeping.
-const maxFaultMarks = 64
 
 // Sample is one window's aggregated activity. The JSON tags are the SSE
 // stream wire format (GET /v1/jobs/{id}/events "sample" events). Samples
@@ -169,8 +146,6 @@ func (s *Sampler) RunBegin(meta RunMeta) {
 	s.exec = 0
 	s.ended = false
 	s.samples = s.samples[:0]
-	s.faults = s.faults[:0]
-	s.faultsDropped = 0
 	s.runStart = make([]int64, meta.Threads)
 	for i := range s.runStart {
 		s.runStart[i] = -1
@@ -257,6 +232,10 @@ func (s *Sampler) QueueDepth(t uint64, depth int) {
 	}
 }
 
+// Migrate implements Probe. A sampler keeps windows only; online runs
+// log every move in Result.Online.Moves.
+func (s *Sampler) Migrate(t uint64, thread, from, to int) {}
+
 // Samples returns the windows in time order. After RunEnd the final
 // window's End is clamped to the execution time (the partial window).
 func (s *Sampler) Samples() []Sample {
@@ -275,41 +254,12 @@ func (s *Sampler) Samples() []Sample {
 	return out
 }
 
-// Faults returns the recorded fault marks in emission order.
-func (s *Sampler) Faults() []FaultMark {
-	out := make([]FaultMark, len(s.faults))
-	copy(out, s.faults)
-	return out
-}
-
-// FaultsDropped returns how many marks were discarded once the bounded
-// list filled.
-func (s *Sampler) FaultsDropped() int { return s.faultsDropped }
-
-// faultNote renders the fault marks as one metadata line for Table().
-func (s *Sampler) faultNote() string {
-	if len(s.faults) == 0 {
-		return ""
-	}
-	parts := make([]string, len(s.faults))
-	for i, f := range s.faults {
-		parts[i] = fmt.Sprintf("%s@t=%d", f.Kind, f.T)
-	}
-	note := "faults: " + strings.Join(parts, ", ")
-	if s.faultsDropped > 0 {
-		note += fmt.Sprintf(" (+%d dropped)", s.faultsDropped)
-	}
-	return note
-}
-
 // Table renders the samples as a report.Table — one row per window — for
-// text rendering and CSV export. Fault marks, which are not windowed,
-// ride along as the table's Note metadata.
+// text rendering and CSV export.
 func (s *Sampler) Table() *report.Table {
 	t := &report.Table{
 		Title: fmt.Sprintf("Time series: %s / %s (%s engine, %d-cycle windows)",
 			s.meta.App, s.meta.Algorithm, s.meta.Engine, s.window),
-		Note: s.faultNote(),
 		Columns: []string{
 			"start", "end", "refs", "hits", "misses", "miss_rate",
 			"compulsory", "conflict_intra", "conflict_inter", "invalidation_miss",

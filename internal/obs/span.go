@@ -123,12 +123,8 @@ type SpanStore struct {
 // sweep cell this holds hundreds of recent sweeps.
 const DefaultSpanCapacity = 16384
 
-// NewSpanStore returns a store holding at most maxSpans spans
-// (DefaultSpanCapacity when maxSpans <= 0).
+// NewSpanStore returns a store holding at most maxSpans spans.
 func NewSpanStore(maxSpans int) *SpanStore {
-	if maxSpans <= 0 {
-		maxSpans = DefaultSpanCapacity
-	}
 	return &SpanStore{max: maxSpans, byTrace: make(map[string][]Span)}
 }
 

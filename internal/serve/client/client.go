@@ -31,19 +31,12 @@ type Client struct {
 	// Policy is the backoff schedule for transient failures (429
 	// queue-full, 502/503/504, connection errors), run on the shared
 	// internal/retry core with the server's Retry-After honored as a
-	// floor. The zero Policy fails fast (one attempt) unless the legacy
-	// MaxRetries/RetryWait fields ask otherwise.
+	// floor. A zero Policy.MaxAttempts fails fast (one attempt).
 	Policy retry.Policy
 	// RetryBudget caps the total time spent retrying one call (0 = no
 	// cap beyond the attempt bound). On exhaustion the error reports the
 	// attempt count and wraps the last failure.
 	RetryBudget time.Duration
-	// MaxRetries bounds retries of retriable rejections. Default 0: fail
-	// fast. Superseded by Policy.MaxAttempts when that is set.
-	MaxRetries int
-	// RetryWait is the base backoff delay. Default 250ms. Superseded by
-	// Policy.BaseDelay when that is set.
-	RetryWait time.Duration
 }
 
 // New returns a client for the given base URL.
@@ -99,7 +92,7 @@ func retriableStatus(status int) bool {
 }
 
 // post sends one JSON request and decodes the 2xx reply into out,
-// retrying retriable rejections up to MaxRetries times.
+// retrying retriable rejections as Policy allows.
 func (c *Client) post(path string, in, out any) error {
 	return c.postTrace(path, in, out, "")
 }
@@ -148,19 +141,12 @@ func (c *Client) postTrace(path string, in, out any, trace string) error {
 	}
 }
 
-// policy resolves the effective retry policy, honoring the legacy
-// MaxRetries/RetryWait fields when the structured Policy is unset.
+// policy resolves the effective retry policy: one attempt unless Policy
+// asks for more, and no jitter unless Policy asks for it.
 func (c *Client) policy() retry.Policy {
 	p := c.Policy
 	if p.MaxAttempts == 0 {
-		p.MaxAttempts = c.MaxRetries + 1
-	}
-	if p.BaseDelay == 0 {
-		if c.RetryWait > 0 {
-			p.BaseDelay = c.RetryWait
-		} else {
-			p.BaseDelay = 250 * time.Millisecond
-		}
+		p.MaxAttempts = 1
 	}
 	if p.Jitter == 0 {
 		p.Jitter = -1 // deterministic schedule unless explicitly jittered

@@ -7,7 +7,6 @@ import (
 	"net/http"
 
 	"repro/internal/obs"
-	"repro/internal/placement"
 	"repro/internal/sim"
 )
 
@@ -135,10 +134,7 @@ func (r *LeaseRequest) Validate() error {
 		if err := validateApp(c.App); err != nil {
 			return fmt.Errorf("cell %d: %w", i, err)
 		}
-		if len(c.Algorithm) > MaxNameLen {
-			return fmt.Errorf("cell %d: algorithm name longer than %d bytes", i, MaxNameLen)
-		}
-		if _, err := placement.ByName(c.Algorithm); err != nil {
+		if err := validateAlgorithmName(c.Algorithm); err != nil {
 			return fmt.Errorf("cell %d: %w", i, err)
 		}
 		if c.Procs < 1 || c.Procs > MaxProcs {

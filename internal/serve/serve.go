@@ -53,9 +53,6 @@ type Options struct {
 	// ServiceName labels this server's spans on the distributed-trace
 	// timeline (default "mtserve"; clustered workers use their worker ID).
 	ServiceName string
-	// SpanCapacity bounds the in-process span store
-	// (default obs.DefaultSpanCapacity).
-	SpanCapacity int
 	// StreamWindow, when positive, attaches an obs.Sampler with this
 	// window width (simulated cycles) to cells whose job has a live SSE
 	// subscriber, streaming per-window samples as "sample" events. Zero
@@ -233,7 +230,7 @@ func NewServer(opts Options) *Server {
 	}
 	s.durable = NewDurable(s.metrics.set, "serve", opts.Store, opts.Webhooks, opts.Log)
 	if !opts.DisableTelemetry {
-		s.spans = obs.NewSpanStore(opts.SpanCapacity)
+		s.spans = obs.NewSpanStore(obs.DefaultSpanCapacity)
 		s.bus = obs.NewBus(s.metrics.streamDropped)
 	}
 	s.guard = &resilience.EngineGuard{}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -50,16 +49,11 @@ func RunDynamic(tr *trace.Trace, cfg Config, policy SchedulePolicy) (*Result, er
 	return RunDynamicGuarded(tr, cfg, policy, nil, Guard{})
 }
 
-// RunDynamicObserved is RunDynamic with an observation probe attached (see
-// RunObserved). A nil probe is exactly RunDynamic.
-func RunDynamicObserved(tr *trace.Trace, cfg Config, policy SchedulePolicy, probe obs.Probe) (*Result, error) {
-	return RunDynamicGuarded(tr, cfg, policy, probe, Guard{})
-}
-
-// RunDynamicGuarded is RunDynamicObserved with a watchdog attached (see
-// RunGuarded). Dynamic schedules are where the watchdog earns its keep:
-// the online scheduler's feedback loop is the one place a bad
-// configuration can livelock rather than merely finish slowly.
+// RunDynamicGuarded is RunDynamic with an observation probe (see
+// RunObserved; nil attaches none) and a watchdog (see RunGuarded).
+// Dynamic schedules are where the watchdog earns its keep: the online
+// scheduler's feedback loop is the one place a bad configuration can
+// livelock rather than merely finish slowly.
 func RunDynamicGuarded(tr *trace.Trace, cfg Config, policy SchedulePolicy, probe obs.Probe, guard Guard) (*Result, error) {
 	pl, queue, err := dynamicSeed(tr, cfg, policy)
 	if err != nil {
@@ -156,97 +150,6 @@ func nextQueued(queue *[]context, idx int) (context, bool) {
 	c.idx = int32(idx)
 	c.state = ctxReady
 	return c, true
-}
-
-// ---- mid-run checkpoint/restore ----
-//
-// An OnlineCheckpoint is the engine's mid-run hand-off unit: the
-// placement advisor (internal/advise, /v1/advise) consumes it, and a
-// paused online run can be resumed from it. The binary encoding is
-// deterministic — field order is fixed, matrices are row-major — so a
-// round-trip is byte-identical (asserted in the online test suite).
-
-// ckMagic frames an encoded OnlineCheckpoint ("MTC1": multithreaded
-// checkpoint, version 1).
-const ckMagic = "MTC1"
-
-// maxCheckpointThreads bounds untrusted decode allocations.
-const maxCheckpointThreads = 1 << 16
-
-// EncodeOnlineCheckpoint serializes ck deterministically.
-func EncodeOnlineCheckpoint(ck *OnlineCheckpoint) []byte {
-	n := len(ck.Assign)
-	buf := make([]byte, 0, 4+8+8+8+8*n+2*8*n*n)
-	buf = append(buf, ckMagic...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(ck.Epoch))
-	buf = binary.BigEndian.AppendUint64(buf, ck.Cycle)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(n))
-	for _, p := range ck.Assign {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(int64(p)))
-	}
-	for _, m := range [][][]uint64{ck.Pair, ck.EpochPair} {
-		for _, row := range m {
-			for _, v := range row {
-				buf = binary.BigEndian.AppendUint64(buf, v)
-			}
-		}
-	}
-	return buf
-}
-
-// DecodeOnlineCheckpoint parses an EncodeOnlineCheckpoint payload,
-// rejecting truncation, trailing bytes and oversized thread counts.
-func DecodeOnlineCheckpoint(b []byte) (*OnlineCheckpoint, error) {
-	if len(b) < 4 || string(b[:4]) != ckMagic {
-		return nil, fmt.Errorf("sim: checkpoint: bad magic")
-	}
-	b = b[4:]
-	take := func() (uint64, error) {
-		if len(b) < 8 {
-			return 0, fmt.Errorf("sim: checkpoint: truncated")
-		}
-		v := binary.BigEndian.Uint64(b)
-		b = b[8:]
-		return v, nil
-	}
-	epoch, err := take()
-	if err != nil {
-		return nil, err
-	}
-	cycle, err := take()
-	if err != nil {
-		return nil, err
-	}
-	n64, err := take()
-	if err != nil {
-		return nil, err
-	}
-	if n64 > maxCheckpointThreads {
-		return nil, fmt.Errorf("sim: checkpoint: %d threads exceeds limit %d", n64, maxCheckpointThreads)
-	}
-	n := int(n64)
-	if want := 8*n + 2*8*n*n; len(b) != want {
-		return nil, fmt.Errorf("sim: checkpoint: body is %d bytes, want %d", len(b), want)
-	}
-	ck := &OnlineCheckpoint{Epoch: int(epoch), Cycle: cycle, Assign: make([]int, n)}
-	for i := range ck.Assign {
-		v, _ := take()
-		ck.Assign[i] = int(int64(v))
-	}
-	read := func() [][]uint64 {
-		m := make([][]uint64, n)
-		for i := range m {
-			m[i] = make([]uint64, n)
-			for j := range m[i] {
-				v, _ := take()
-				m[i][j] = v
-			}
-		}
-		return m
-	}
-	ck.Pair = read()
-	ck.EpochPair = read()
-	return ck, nil
 }
 
 // pullDynamic hands the processor the next queued thread, if any,

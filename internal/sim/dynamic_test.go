@@ -177,7 +177,7 @@ func TestDynamicEnginesAgree(t *testing.T) {
 						if !reflect.DeepEqual(ref, fast) {
 							t.Errorf("%s: engines diverge: reference exec %d, fast exec %d", cell, ref.ExecTime, fast.ExecTime)
 						}
-						probed, err := RunDynamicObserved(tr, cfg, policy, obs.Multi(&obs.Counter{}, obs.NewSampler(10_000)))
+						probed, err := RunDynamicGuarded(tr, cfg, policy, obs.Multi(&obs.Counter{}, obs.NewSampler(10_000)), Guard{})
 						if err != nil {
 							t.Fatal(err)
 						}

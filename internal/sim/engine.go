@@ -154,24 +154,19 @@ func (e Engine) String() string {
 // Run simulates trace tr on the machine described by cfg under the given
 // placement. It is deterministic and returns per-processor statistics, the
 // execution time (max finish over processors), and the pairwise coherence
-// traffic matrix. It uses the fast engine; RunEngine selects explicitly.
+// traffic matrix. It uses the fast engine.
 func Run(tr *trace.Trace, pl *placement.Placement, cfg Config) (*Result, error) {
-	return RunEngine(tr, pl, cfg, FastEngine)
+	return RunObserved(tr, pl, cfg, FastEngine, nil)
 }
 
-// RunEngine is Run with an explicit engine choice. The two engines are
-// bit-for-bit interchangeable; ReferenceEngine exists as the slower oracle
-// the differential tests compare FastEngine against.
-func RunEngine(tr *trace.Trace, pl *placement.Placement, cfg Config, eng Engine) (*Result, error) {
-	return RunObserved(tr, pl, cfg, eng, nil)
-}
-
-// RunObserved is RunEngine with an observability probe attached: the
-// engine reports thread scheduling, cache hits and misses, coherence
-// messages, context switches and event-queue depth to the probe as they
-// happen. A nil probe is the plain RunEngine hot path (no per-event cost
-// beyond one nil check per emission site); any probe leaves the Result
-// bit-identical to the unobserved run.
+// RunObserved is Run with an explicit engine choice and an observability
+// probe attached: the engine reports thread scheduling, cache hits and
+// misses, coherence messages, context switches and event-queue depth to
+// the probe as they happen. The two engines are bit-for-bit
+// interchangeable; ReferenceEngine exists as the slower oracle the
+// differential tests compare FastEngine against. A nil probe is the
+// plain hot path (no per-event cost beyond one nil check per emission
+// site); any probe leaves the Result bit-identical to the unobserved run.
 func RunObserved(tr *trace.Trace, pl *placement.Placement, cfg Config, eng Engine, probe obs.Probe) (*Result, error) {
 	return RunGuarded(tr, pl, cfg, eng, probe, Guard{})
 }
@@ -305,7 +300,7 @@ func (m *machine) run(tr *trace.Trace, pl *placement.Placement, checkEvery int) 
 		ev := heap.Pop(&m.h).(event)
 		if m.guard != nil && m.guard.tripped() {
 			meta := obs.RunMeta{App: tr.App, Algorithm: pl.Algorithm, Engine: ReferenceEngine.String()}
-			return nil, m.guard.budgetError(meta, ev.time, m.h.Len(), m.probe)
+			return nil, m.guard.budgetError(meta, ev.time, m.h.Len())
 		}
 		p := m.procs[ev.proc]
 		if ev.seq != p.seq {

@@ -81,8 +81,8 @@ func FuzzEngine(f *testing.F) {
 		var ref, fast *Result
 		var rerr, ferr error
 		if mode := int(maxCtx) / 4 % 3; mode == 0 {
-			ref, rerr = RunEngine(tr, pl, cfg, ReferenceEngine)
-			fast, ferr = RunEngine(tr, pl, cfg, FastEngine)
+			ref, rerr = RunObserved(tr, pl, cfg, ReferenceEngine, nil)
+			fast, ferr = RunObserved(tr, pl, cfg, FastEngine, nil)
 		} else {
 			policy := SchedulePolicy(mode - 1)
 			ref, rerr = runDynamicReference(tr, cfg, policy)

@@ -184,7 +184,7 @@ func (m *fastMachine) run(tr *trace.Trace, pl *placement.Placement) (*Result, er
 		ev := m.h.pop()
 		if m.guard != nil && m.guard.tripped() {
 			meta := obs.RunMeta{App: tr.App, Algorithm: pl.Algorithm, Engine: FastEngine.String()}
-			return nil, m.guard.budgetError(meta, ev.time, m.h.len(), m.probe)
+			return nil, m.guard.budgetError(meta, ev.time, m.h.len())
 		}
 		p := &m.procs[ev.proc]
 		if ev.seq != p.seq {

@@ -65,8 +65,8 @@ func TestEnginesAgreeAcrossPages(t *testing.T) {
 					}
 				}
 
-				ref, rerr := RunEngine(tr, pl, cfg, ReferenceEngine)
-				fast, ferr := RunEngine(tr, pl, cfg, FastEngine)
+				ref, rerr := RunObserved(tr, pl, cfg, ReferenceEngine, nil)
+				fast, ferr := RunObserved(tr, pl, cfg, FastEngine, nil)
 				agree("static", ref, fast, rerr, ferr)
 
 				ref, rerr = runDynamicReference(tr, cfg, FIFO)

@@ -98,12 +98,9 @@ func (e *BudgetError) Error() string {
 		e.App, e.Algorithm, e.Engine, cause, e.Cycle, e.Queue)
 }
 
-// budgetError builds the abort diagnostic (cold path) and reports the
-// watchdog trip to the probe.
-func (g *guardState) budgetError(meta obs.RunMeta, cycle uint64, queue int, probe obs.Probe) error {
-	if probe != nil {
-		probe.Fault(cycle, obs.FaultWatchdog)
-	}
+// budgetError builds the abort diagnostic (cold path), the only report
+// of a guard trip.
+func (g *guardState) budgetError(meta obs.RunMeta, cycle uint64, queue int) error {
 	return &BudgetError{
 		App: meta.App, Algorithm: meta.Algorithm, Engine: meta.Engine,
 		Steps: g.steps, Cycle: cycle, Queue: queue, Canceled: g.canceled,

@@ -68,9 +68,7 @@ type OnlinePolicy interface {
 }
 
 // OnlineCheckpoint is the statistics snapshot handed to a policy at one
-// detection boundary. It is also the engine's mid-run checkpoint unit:
-// EncodeOnlineCheckpoint/DecodeOnlineCheckpoint (dynamic.go) round-trip
-// it byte-identically for resume.
+// detection boundary: an in-memory hand-off, never serialized.
 type OnlineCheckpoint struct {
 	// Epoch counts boundaries, starting at 1.
 	Epoch int
@@ -466,12 +464,6 @@ func (o *onlineState) finish() *OnlineStats {
 // exactly Run.
 func RunOnline(tr *trace.Trace, pl *placement.Placement, cfg Config, opts OnlineOptions) (*Result, error) {
 	return RunOnlineGuarded(tr, pl, cfg, FastEngine, opts, nil, Guard{})
-}
-
-// RunOnlineObserved is RunOnline with an engine choice and a probe (see
-// RunObserved); migrations reach the probe as Migrate events.
-func RunOnlineObserved(tr *trace.Trace, pl *placement.Placement, cfg Config, eng Engine, opts OnlineOptions, probe obs.Probe) (*Result, error) {
-	return RunOnlineGuarded(tr, pl, cfg, eng, opts, probe, Guard{})
 }
 
 // RunOnlineGuarded is the full entry point every static and online run

@@ -3,7 +3,6 @@ package sim
 import (
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -208,7 +207,7 @@ func TestOnlineMigrationAccounting(t *testing.T) {
 	tr, pl, cfg := onlineTestWorkload(t)
 	opts := OnlineOptions{Interval: 500, Penalty: 64, Policy: rotatePolicy{}}
 	counter := &obs.Counter{}
-	res, err := RunOnlineObserved(tr, pl, cfg, FastEngine, opts, counter)
+	res, err := RunOnlineGuarded(tr, pl, cfg, FastEngine, opts, counter, Guard{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,45 +249,6 @@ func TestOnlineMigrationAccounting(t *testing.T) {
 	if static.ExecTime == res.ExecTime {
 		t.Log("note: online exec time equals static (allowed, just unusual under rotate)")
 	}
-}
-
-// TestOnlineSamplerAndTracerSeeMigrations: the bounded sampler side list
-// and the tracer timeline both record migrations.
-func TestOnlineSamplerAndTracerSeeMigrations(t *testing.T) {
-	tr, pl, cfg := onlineTestWorkload(t)
-	opts := OnlineOptions{Interval: 500, Penalty: 16, Policy: rotatePolicy{}}
-	sampler := obs.NewSampler(1000)
-	tracer := obs.NewTracer()
-	res, err := RunOnlineObserved(tr, pl, cfg, ReferenceEngine, opts, obs.Multi(sampler, tracer))
-	if err != nil {
-		t.Fatal(err)
-	}
-	marks, dropped := sampler.Migrations()
-	if len(marks)+dropped != res.Online.Migrations {
-		t.Fatalf("sampler saw %d+%d migrations, stats say %d", len(marks), dropped, res.Online.Migrations)
-	}
-	for i, mk := range marks {
-		mv := res.Online.Moves[i]
-		if mk.T != mv.Cycle || mk.Thread != mv.Thread || mk.From != mv.From || mk.To != mv.To {
-			t.Fatalf("mark %d: %+v != move %+v", i, mk, mv)
-		}
-	}
-	var buf strings.Builder
-	if err := tracer.Export(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !containsSub(buf.String(), "migrate:t") {
-		t.Fatal("tracer timeline has no migrate events")
-	}
-}
-
-func containsSub(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // TestOnlineRejectsMaxContexts: loaded-context admission and migration

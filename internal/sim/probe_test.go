@@ -55,21 +55,22 @@ func probeTrace() *trace.Trace {
 }
 
 // TestProbeDoesNotPerturbResults is the unit-level identity check: for
-// both engines, Run with a probe attached must produce a Result deeply
-// equal to Run without one (the full-workload version lives in
-// internal/core's differential suite).
+// both engines, Run with the full probe stack attached (counter, sampler
+// and tracer through Multi) must produce a Result deeply equal to Run
+// without one (the full-workload version lives in internal/core's
+// differential suite).
 func TestProbeDoesNotPerturbResults(t *testing.T) {
 	tr := probeTrace()
 	pl := mkPlacement([]int{0, 1}, []int{2, 3})
 	cfg := DefaultConfig(2)
 
 	for _, eng := range []Engine{ReferenceEngine, FastEngine} {
-		bare, err := RunEngine(tr, pl, cfg, eng)
+		bare, err := RunObserved(tr, pl, cfg, eng, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var c obs.Counter
-		probed, err := RunObserved(tr, pl, cfg, eng, &c)
+		probed, err := RunObserved(tr, pl, cfg, eng, obs.Multi(&c, obs.NewSampler(1000), obs.NewTracer()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +221,7 @@ func TestRunDynamicObserved(t *testing.T) {
 			t.Fatal(err)
 		}
 		var c obs.Counter
-		probed, err := RunDynamicObserved(tr, cfg, policy, &c)
+		probed, err := RunDynamicGuarded(tr, cfg, policy, &c, Guard{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -84,17 +84,17 @@ func randWorkload(rng *rand.Rand) (*trace.Trace, *placement.Placement, Config) {
 func TestQuickEnginesAgree(t *testing.T) {
 	prop := func(seed int64) bool {
 		tr, pl, cfg := randWorkload(rand.New(rand.NewSource(seed)))
-		ref, err := RunEngine(tr, pl, cfg, ReferenceEngine)
+		ref, err := RunObserved(tr, pl, cfg, ReferenceEngine, nil)
 		if err != nil {
 			t.Logf("seed %d: reference engine error: %v", seed, err)
 			return false
 		}
-		fast, err := RunEngine(tr, pl, cfg, FastEngine)
+		fast, err := RunObserved(tr, pl, cfg, FastEngine, nil)
 		if err != nil {
 			t.Logf("seed %d: fast engine error: %v", seed, err)
 			return false
 		}
-		again, err := RunEngine(tr, pl, cfg, FastEngine)
+		again, err := RunObserved(tr, pl, cfg, FastEngine, nil)
 		if err != nil {
 			return false
 		}
