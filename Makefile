@@ -90,29 +90,30 @@ tracecheck:
 
 # Robustness drills (DESIGN.md §9): the fault-injection matrix (every
 # corruption class at every byte offset must be detected, never silently
-# simulated), the MTJ1 ledger's crash behaviour, the engine guard's
-# watchdog, and the per-cell kill-and-resume tests of experiments
-# -store-dir (byte-identical artifacts, no reuse across scales, one
-# store format shared with mtserve).
+# simulated), the engine guard's watchdog, and the per-cell
+# kill-and-resume tests of experiments -store-dir (byte-identical
+# artifacts, no reuse across scales, one store format shared with
+# mtserve).
 faultcheck:
 	$(GO) test ./internal/resilience
 	$(GO) test ./internal/trace -run 'TestMTT2|TestReadRejects|TestWriteFile'
 	$(GO) test ./cmd/experiments -run 'TestKillAndResume|TestStoreServesNothingAcrossScales|TestStoreSharedWithServer|TestRunStepBudget'
 
-# Durability tier (DESIGN.md "Durable results & delivery"): the MTS1
-# store suite (format goldens, recovery, quarantine, compaction,
-# write-behind, the directory lock), the retry/backoff core, the webhook
-# dispatcher (ledgered delivery, breaker, restart resume), the store
-# fault matrix (every corrupting class x offset detected, zero silent),
-# the kill -9 warm-restart and webhook-ledger tests against a real
-# subprocess daemon, and the coordinator's recovery through the store
-# (job records, crash images, the divergence tripwire).
+# Durability tier (DESIGN.md §15 "Durable results"): the MTS1 store
+# suite (format goldens, recovery, quarantine, compaction, write-behind,
+# the directory lock), the retry/backoff core, the store fault matrix
+# (every corrupting class x offset detected, zero silent), the kill -9
+# tests against real subprocess daemons — mtserve's warm restart, and on
+# mtserve and mtcoord alike a sweep killed midway whose resubmission
+# streams to done with every stored cell restored — and the
+# coordinator's recovery through the store (job records, crash images,
+# the divergence tripwire).
 storecheck:
-	$(GO) test ./internal/store ./internal/retry ./internal/serve/webhook
+	$(GO) test ./internal/store ./internal/retry
 	$(GO) test ./internal/resilience -run 'TestStoreFaultMatrix|TestStoreQuarantineMatrix|TestStoreTornTail'
-	$(GO) test ./cmd/mtserve -run 'TestKillDashNine'
-	$(GO) test ./internal/serve -run 'TestStoreTier|TestWebhook'
-	$(GO) test ./internal/cluster -run 'TestClusterStore|TestClusterWebhook|TestCoordinator|TestStoreDivergence'
+	$(GO) test ./cmd/mtserve ./cmd/mtcoord -run 'TestKillDashNine'
+	$(GO) test ./internal/serve -run 'TestStoreTier'
+	$(GO) test ./internal/cluster -run 'TestClusterStore|TestCoordinator|TestStoreDivergence'
 
 bench:
 	$(GO) test -bench=. -benchmem .

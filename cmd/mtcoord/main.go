@@ -22,8 +22,8 @@
 // back as retriable; their content-addressed job IDs make resubmission
 // to a restarted coordinator idempotent.
 //
-// With -store-dir every harvested cell result, a small record of every
-// accepted sweep and the webhook ledger live in that one directory. A
+// With -store-dir every harvested cell result and a small record of
+// every accepted sweep live in that one directory. A
 // coordinator restarted on it — after a drain or a kill -9 — answers
 // "retriable" for each sweep it had accepted, and a resubmission restores
 // the stored cells before it leases out the rest.
@@ -60,7 +60,7 @@ func run(args []string) int {
 		chunk   = fs.Int("chunk", 16, "max cells per lease")
 		verbose = fs.Bool("v", false, "verbose logging")
 
-		storeDir = fs.String("store-dir", "", "durable directory: harvested cell results and accepted sweeps persist across restarts, resubmitted sweeps warm-start, and pending webhook deliveries resume (empty = off)")
+		storeDir = fs.String("store-dir", "", "durable directory: harvested cell results and accepted sweeps persist across restarts, and resubmitted sweeps warm-start (empty = off)")
 
 		debugAddr   = fs.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 		noTelemetry = fs.Bool("no-telemetry", false, "disable distributed tracing and job-progress streams (histograms stay on)")
@@ -124,13 +124,13 @@ func coordMain(log *slog.Logger, addr string, opts cluster.Options, storeDir str
 // coordOn runs the coordinator on a bound listener until a signal or a
 // listener failure, then drains and closes its durable state.
 func coordOn(log *slog.Logger, ln net.Listener, opts cluster.Options, storeDir string) int {
-	st, wh, closeDurable, err := serve.OpenDurable(storeDir, log)
+	st, closeDurable, err := serve.OpenDurable(storeDir, log)
 	if err != nil {
 		log.Error(err.Error())
 		ln.Close()
 		return obs.CodeError
 	}
-	opts.Store, opts.Webhooks = st, wh
+	opts.Store = st
 
 	coord := cluster.New(opts)
 	hs := &http.Server{Handler: coord.Handler()}
@@ -158,8 +158,7 @@ func coordOn(log *slog.Logger, ln net.Listener, opts cluster.Options, storeDir s
 
 	// Drain order mirrors mtserve: retire in-flight jobs first (pollers
 	// see retriable and will resubmit after restart), persist — flush
-	// and seal the result store, close the webhook ledger with pending
-	// deliveries intact — then stop listening.
+	// and seal the result store — then stop listening.
 	coord.Drain()
 	closeDurable()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -6,7 +6,7 @@
 //
 //	mtserve -addr :8080                      # serve until SIGTERM/SIGINT
 //	mtserve -addr :8080 -workers 8 -cache 8192
-//	mtserve -addr :8080 -store-dir /var/mtsim # durable results and webhooks
+//	mtserve -addr :8080 -store-dir /var/mtsim # durable results
 //	mtserve -loadgen -clients 64 -bench BENCH_serve.json
 //
 // Endpoints: the nine public routes of DESIGN.md §10 (POST /v1/simulate,
@@ -68,7 +68,7 @@ func run(args []string) int {
 		timeout   = fs.Duration("timeout", 0, "per-cell wall-clock budget (0 = none)")
 		verbose   = fs.Bool("v", false, "verbose logging")
 
-		storeDir = fs.String("store-dir", "", "durable directory: results persist across restarts and warm-start the cache, and pending webhook deliveries resume (empty = memory only)")
+		storeDir = fs.String("store-dir", "", "durable directory: results persist across restarts and warm-start the cache (empty = memory only)")
 
 		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 		streamWindow = fs.Uint64("stream-window", 100_000, "sampler window (cycles) for live SSE sample events when a stream is attached (0 = no samples)")
@@ -161,13 +161,13 @@ func serveOn(log *slog.Logger, ln net.Listener, opts serve.Options, cc coordConf
 	if cc.url != "" {
 		opts.ServiceName = id
 	}
-	st, wh, closeDurable, err := serve.OpenDurable(storeDir, log)
+	st, closeDurable, err := serve.OpenDurable(storeDir, log)
 	if err != nil {
 		log.Error(err.Error())
 		ln.Close()
 		return obs.CodeError
 	}
-	opts.Store, opts.Webhooks = st, wh
+	opts.Store = st
 	srv := serve.NewServer(opts)
 	hs := &http.Server{Handler: srv.Handler()}
 	log.Info("mtserve listening", "addr", ln.Addr().String())
@@ -207,9 +207,8 @@ func serveOn(log *slog.Logger, ln net.Listener, opts serve.Options, cc coordConf
 	// Drain order: stop heartbeating first (the coordinator reroutes new
 	// leases), finish simulation work (queued jobs become retriable,
 	// /healthz flips to draining), then persist — flush and seal the
-	// result store, close the webhook ledger with pending deliveries
-	// intact — and finally stop the listener so clients can observe
-	// their jobs' final state until the very end.
+	// result store — and finally stop the listener so clients can
+	// observe their jobs' final state until the very end.
 	if agent != nil {
 		agent.Stop()
 	}

@@ -5,20 +5,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"strings"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/obs/obstest"
 	"repro/internal/retry"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
-	"repro/internal/serve/webhook"
 )
 
 // TestMain re-executes the test binary as a real mtserve daemon when the
@@ -79,7 +77,34 @@ func startDaemon(t *testing.T, dir string) *daemon {
 	}
 }
 
-// restartSweep is the fixed sweep both lives run.
+// newClient is a client that rides out the daemon's startup and
+// backpressure.
+func newClient(base string) *client.Client {
+	cl := client.New(base)
+	cl.Policy = retry.Policy{MaxAttempts: 65, BaseDelay: 10 * time.Millisecond}
+	return cl
+}
+
+// waitStored waits until the daemon has put n results in its store and
+// gives the write-behind flusher a beat to put them on disk.
+func waitStored(t *testing.T, cl *client.Client, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		h, err := cl.Health()
+		if err == nil && h.Store != nil && h.Store.Puts >= uint64(n) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("store never absorbed %d puts", n)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	time.Sleep(300 * time.Millisecond)
+}
+
+// restartSweep is the fixed sweep A that the kill -9 tests finish
+// before they kill the daemon.
 func restartSweep(seed int64) *serve.SweepRequest {
 	return &serve.SweepRequest{
 		Params:     &serve.Params{Scale: 0.1, Seed: seed},
@@ -119,8 +144,7 @@ func TestKillDashNineWarmRestart(t *testing.T) {
 
 	// Life 1: complete sweep A, let the write-behind flusher land it.
 	d1 := startDaemon(t, dir)
-	cl := client.New(d1.base)
-	cl.Policy = retry.Policy{MaxAttempts: 65, BaseDelay: 10 * time.Millisecond}
+	cl := newClient(d1.base)
 	acc, err := cl.Sweep(restartSweep(7))
 	if err != nil {
 		t.Fatal(err)
@@ -133,20 +157,7 @@ func TestKillDashNineWarmRestart(t *testing.T) {
 		t.Fatalf("sweep A ended %s: %s", stA.Status, stA.Error)
 	}
 	want := artifact(t, stA)
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		h, err := cl.Health()
-		if err == nil && h.Store != nil && h.Store.Puts >= uint64(stA.Cells) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("store never absorbed %d puts", stA.Cells)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	// The puts are enqueued; give the flusher a beat to put them on disk.
-	time.Sleep(300 * time.Millisecond)
+	waitStored(t, cl, stA.Cells)
 
 	// Start sweep B and SIGKILL mid-flight: the live segment may be torn
 	// mid-frame — exactly the crash recovery must absorb.
@@ -166,8 +177,7 @@ func TestKillDashNineWarmRestart(t *testing.T) {
 		_ = d2.cmd.Process.Signal(syscall.SIGTERM)
 		_ = d2.cmd.Wait()
 	}()
-	cl2 := client.New(d2.base)
-	cl2.Policy = retry.Policy{MaxAttempts: 65, BaseDelay: 10 * time.Millisecond}
+	cl2 := newClient(d2.base)
 	h, err := cl2.Health()
 	if err != nil {
 		t.Fatalf("health after kill -9 restart: %v", err)
@@ -225,96 +235,140 @@ func TestKillDashNineWarmRestart(t *testing.T) {
 	}
 }
 
-// TestKillDashNineWebhookLedger: with -store-dir alone, the webhook
-// ledger lives in the store directory and survives kill -9. A delivery
-// pending against a failing endpoint when the daemon dies is delivered
-// exactly once by the restarted daemon, under the same delivery ID.
-func TestKillDashNineWebhookLedger(t *testing.T) {
+// TestKillDashNineMidSweepResubmit: a client learns a sweep's outcome
+// across a kill -9 from the job stream alone. Life 1 finishes sweep A,
+// waits for it to reach disk, and dies mid-way through a larger sweep B
+// that contains A's cells. In life 2 the client resubmits B and follows
+// GET /v1/jobs/{id}/events to a terminal "done"; B's results equal an
+// uninterrupted run's byte for byte, and every cell of A comes back
+// from the store.
+func TestKillDashNineMidSweepResubmit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
-	var (
-		mu        sync.Mutex
-		healthy   bool
-		failedIDs []string
-		okIDs     []string
-	)
-	rc := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(webhook.DeliveryHeader)
-		mu.Lock()
-		defer mu.Unlock()
-		if !healthy {
-			failedIDs = append(failedIDs, id)
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
-		}
-		okIDs = append(okIDs, id)
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer rc.Close()
+	a, b := restartSweep(7), supersetSweep(7)
+	want := uninterrupted(t, b)
 	dir := t.TempDir()
 
-	// Life 1: a one-cell sweep whose terminal webhook keeps failing.
 	d1 := startDaemon(t, dir)
-	cl := client.New(d1.base)
-	cl.Policy = retry.Policy{MaxAttempts: 65, BaseDelay: 10 * time.Millisecond}
-	acc, err := cl.Sweep(&serve.SweepRequest{
-		Params:     &serve.Params{Scale: 0.1, Seed: 7},
-		Apps:       []string{"MP3D"},
-		Algorithms: []string{"RANDOM"},
-		Procs:      []int{2},
-		WebhookURL: rc.URL,
-	})
+	cl := newClient(d1.base)
+	acc, err := cl.Sweep(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(30 * time.Second)
+	stA, err := cl.WaitJob(acc.Job, 5*time.Millisecond, 60*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stA.Status != serve.StatusDone {
+		t.Fatalf("sweep A ended %s: %s", stA.Status, stA.Error)
+	}
+	waitStored(t, cl, stA.Cells)
+
+	// Kill once B has simulated a cell of its own, long before its end.
+	accB, err := cl.Sweep(b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for {
-		h, err := cl.Health()
-		if err == nil && h.Webhooks != nil && h.Webhooks.Pending == 1 {
+		st, err := cl.Job(accB.Job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Status != serve.StatusQueued && st.Status != serve.StatusRunning {
+			t.Fatalf("sweep B ended %s before the kill", st.Status)
+		}
+		if st.Completed > stA.Cells {
 			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no pending delivery for sweep %s", acc.Job)
-		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond)
 	}
 	if err := d1.cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
 	_ = d1.cmd.Wait()
 
-	// Life 2: the endpoint recovers; the ledger replays the delivery.
-	mu.Lock()
-	healthy = true
-	mu.Unlock()
 	d2 := startDaemon(t, dir)
 	defer func() {
 		_ = d2.cmd.Process.Signal(syscall.SIGTERM)
 		_ = d2.cmd.Wait()
 	}()
-	cl2 := client.New(d2.base)
-	deadline = time.Now().Add(30 * time.Second)
-	for {
-		h, err := cl2.Health()
-		if err == nil && h.Webhooks != nil && h.Webhooks.Delivered == 1 && h.Webhooks.Pending == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("restarted daemon never delivered: %+v", h)
-		}
-		time.Sleep(10 * time.Millisecond)
+	cl2 := newClient(d2.base)
+	accB2, err := cl2.Sweep(b)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if accB2.Job != accB.Job {
+		t.Fatalf("resubmitted B as %s, want %s", accB2.Job, accB.Job)
+	}
+	if ev := terminalEvent(t, d2.base, accB2.Job); ev.Status != serve.StatusDone {
+		t.Fatalf("stream of B ended %s: %s", ev.Status, ev.Error)
+	}
+	stB, err := cl2.Job(accB2.Job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := artifact(t, stB); !bytes.Equal(got, want) {
+		t.Fatalf("B after kill -9 differs from an uninterrupted run:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	inA := map[string]bool{}
+	for _, r := range stA.Results {
+		inA[r.Key] = true
+	}
+	for i, r := range stB.Results {
+		if inA[r.Key] && !r.Cached {
+			t.Errorf("cell %d (%s/%s/%d) of sweep A recomputed; want it from the store", i, r.App, r.Algorithm, r.Procs)
+		}
+	}
+}
 
-	mu.Lock()
-	defer mu.Unlock()
-	want := serve.WebhookDeliveryID(acc.Job, rc.URL, serve.StatusDone)
-	if len(okIDs) != 1 || okIDs[0] != want {
-		t.Fatalf("acknowledged deliveries %q, want exactly [%s]", okIDs, want)
+// supersetSweep is a larger sweep holding every cell of restartSweep(seed).
+func supersetSweep(seed int64) *serve.SweepRequest {
+	return &serve.SweepRequest{
+		Params:     &serve.Params{Scale: 0.1, Seed: seed},
+		Apps:       []string{"MP3D", "Gauss", "Water", "Cholesky"},
+		Algorithms: []string{"RANDOM", "LOAD-BAL", "SHARE-REFS"},
+		Procs:      []int{2, 4, 8, 16},
 	}
-	for _, id := range failedIDs {
-		if id != want {
-			t.Errorf("first life attempted delivery ID %s, want %s", id, want)
+}
+
+// uninterrupted runs req to completion on an in-process server and
+// returns its artifact.
+func uninterrupted(t *testing.T, req *serve.SweepRequest) []byte {
+	t.Helper()
+	srv := serve.NewServer(serve.Options{Workers: 2})
+	defer srv.Drain()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	cl := newClient(ts.URL)
+	acc, err := cl.Sweep(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.WaitJob(acc.Job, 5*time.Millisecond, 60*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Status != serve.StatusDone {
+		t.Fatalf("uninterrupted sweep ended %s: %s", st.Status, st.Error)
+	}
+	return artifact(t, st)
+}
+
+// terminalEvent follows a job's event stream to its end and returns the
+// last "job" event, the job's terminal state.
+func terminalEvent(t *testing.T, base, job string) serve.JobEvent {
+	t.Helper()
+	events, cancel := obstest.OpenSSE(t, base+"/v1/jobs/"+job+"/events")
+	defer cancel()
+	var last serve.JobEvent
+	for ev := range events {
+		if ev.Kind != "job" {
+			continue
+		}
+		if err := json.Unmarshal(ev.Data, &last); err != nil {
+			t.Fatalf("bad job event %s: %v", ev.Data, err)
 		}
 	}
+	return last
 }

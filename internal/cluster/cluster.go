@@ -12,7 +12,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/serve/client"
 	"repro/internal/serve/rescache"
-	"repro/internal/serve/webhook"
 	"repro/internal/store"
 )
 
@@ -41,10 +40,6 @@ type Options struct {
 	// leasing them out — the cluster warm-starts from disk. The caller
 	// owns the store's lifecycle (Close after Drain).
 	Store *store.Store
-	// Webhooks, when non-nil, delivers terminal job states for sweeps
-	// submitted with a webhook_url. The caller owns the dispatcher's
-	// lifecycle (Close after Drain).
-	Webhooks *webhook.Dispatcher
 }
 
 func (o Options) withDefaults() Options {
@@ -113,7 +108,7 @@ func New(opts Options) *Coordinator {
 		workers: make(map[string]*worker),
 		jobs:    make(map[string]*cjob),
 	}
-	c.durable = serve.NewDurable(c.metrics.set, "coordinator", opts.Store, opts.Webhooks, opts.Log)
+	c.durable = serve.NewDurable(c.metrics.set, "coordinator", opts.Store)
 	if !opts.DisableTelemetry {
 		c.spans = obs.NewSpanStore(obs.DefaultSpanCapacity)
 		c.bus = obs.NewBus(c.metrics.streamDropped)
@@ -259,9 +254,6 @@ type cjob struct {
 	// disabled). Write-once before runJob starts, read-only after.
 	trace obs.SpanContext
 	span  *obs.ActiveSpan
-	// webhookURL is the sweep's terminal-state delivery target ("" for
-	// none). Write-once before runJob starts, read-only after.
-	webhookURL string
 
 	mu        sync.Mutex
 	status    string
@@ -370,12 +362,11 @@ func (c *Coordinator) SubmitSweep(req *serve.SweepRequest, parent obs.SpanContex
 		delete(c.jobs, id) // forget the stale record, rerun below
 	}
 	j := &cjob{
-		id:         id,
-		params:     params,
-		infinite:   req.Infinite,
-		webhookURL: req.WebhookURL,
-		status:     serve.StatusQueued,
-		done:       make(chan struct{}),
+		id:       id,
+		params:   params,
+		infinite: req.Infinite,
+		status:   serve.StatusQueued,
+		done:     make(chan struct{}),
 	}
 	for _, app := range req.Apps {
 		for _, alg := range req.Algorithms {

@@ -644,12 +644,12 @@ retry:
 	return ""
 }
 
-// TestCoordinatorJournalRecovery: a coordinator killed mid-sweep leaves
+// TestCoordinatorStoreRecovery: a coordinator killed mid-sweep leaves
 // its job record and every harvested cell on disk. A coordinator
 // started on that directory answers retriable for the sweep; the
 // resubmission restores the harvested cells, leases out only the rest,
 // and completes byte-identical.
-func TestCoordinatorJournalRecovery(t *testing.T) {
+func TestCoordinatorStoreRecovery(t *testing.T) {
 	want, cells := groundTruth(t)
 	dir := t.TempDir()
 

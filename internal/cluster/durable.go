@@ -14,10 +14,6 @@ package cluster
 //     resubmitted sweep restores those cells before any lease goes out.
 //   - A stored cell is the divergence tripwire: a re-execution whose
 //     result key disagrees with the stored record fails the job loudly.
-//
-// Terminal job states are announced through the retrying webhook
-// dispatcher by serve.Durable, the same code and delivery contract as a
-// bare worker.
 
 import (
 	"encoding/json"

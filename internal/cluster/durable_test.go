@@ -2,15 +2,9 @@ package cluster
 
 import (
 	"encoding/json"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/serve"
-	"repro/internal/serve/webhook"
 	"repro/internal/store"
 )
 
@@ -66,72 +60,6 @@ func TestClusterStoreRestoresResubmittedSweep(t *testing.T) {
 	}
 	if got := tc2.coord.metrics.leasesGranted.Value(); got != 0 {
 		t.Errorf("second life granted %d leases; want 0 (fully restored)", got)
-	}
-}
-
-// TestClusterWebhookDeliveredOnFinalize: the coordinator announces a
-// sweep's terminal state exactly once, with the same delivery identity a
-// worker would use.
-func TestClusterWebhookDeliveredOnFinalize(t *testing.T) {
-	var mu sync.Mutex
-	var bodies []string
-	var ids []string
-	rc := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body, _ := io.ReadAll(r.Body)
-		mu.Lock()
-		bodies = append(bodies, string(body))
-		ids = append(ids, r.Header.Get(webhook.DeliveryHeader))
-		mu.Unlock()
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer rc.Close()
-
-	wh, err := webhook.New(webhook.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { wh.Close() })
-	opts := testCoordOptions()
-	opts.Webhooks = wh
-	tc := startCoordinator(t, opts)
-	tc.addWorker("w0", serve.Options{Workers: 2})
-	tc.waitLive(1)
-
-	apps, algs, procs := testDims()
-	params := serve.Params{Scale: testScale, Seed: testSeed}
-	cl := tc.client()
-	acc, err := cl.Sweep(&serve.SweepRequest{
-		Params: &params, Apps: apps, Algorithms: algs, Procs: procs,
-		WebhookURL: rc.URL,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := cl.WaitJob(acc.Job, 5*time.Millisecond, 60*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Status != serve.StatusDone {
-		t.Fatalf("sweep ended %s: %s", st.Status, st.Error)
-	}
-	if !wh.Flush(5 * time.Second) {
-		t.Fatal("webhook delivery did not complete")
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(bodies) != 1 {
-		t.Fatalf("receiver saw %d deliveries, want 1: %q", len(bodies), bodies)
-	}
-	var ev serve.JobEvent
-	if err := json.Unmarshal([]byte(bodies[0]), &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Job != st.Job || ev.Status != serve.StatusDone || ev.Completed != st.Cells {
-		t.Fatalf("webhook body = %+v, want terminal snapshot of %s", ev, st.Job)
-	}
-	if want := serve.WebhookDeliveryID(st.Job, rc.URL, serve.StatusDone); ids[0] != want {
-		t.Fatalf("delivery header = %q, want %q", ids[0], want)
 	}
 }
 

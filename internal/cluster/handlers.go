@@ -195,7 +195,7 @@ func (c *Coordinator) Health() serve.HealthResponse {
 			Retriable: c.metrics.jobsRetriable.Value(),
 		},
 	}
-	h.Store, h.Webhooks = c.durable.Health()
+	h.Store = c.durable.Health()
 	if c.Draining() {
 		h.Status = "draining"
 	}

@@ -117,6 +117,9 @@ func TestAPIParity(t *testing.T) {
 	}
 	posts := []string{"/v1/simulate", "/v1/sweep", "/v1/advise"}
 	oversized := []byte(`{"app":"` + strings.Repeat("a", serve.MaxRequestBytes) + `"}`)
+	// Completion is learned from /v1/jobs/{id}/events or by polling;
+	// a sweep still naming a push target gets a plain 400.
+	webhookSweep := []byte(`{"apps":["MP3D"],"algorithms":["RANDOM"],"procs":[2],"webhook_url":"http://h/"}`)
 
 	var running []parityRow
 	for _, p := range posts {
@@ -135,8 +138,14 @@ func TestAPIParity(t *testing.T) {
 		parityRow{name: "unknown job events", method: http.MethodGet, path: "/v1/jobs/sw-doesnotexist0000/events", sameText: true},
 		parityRow{name: "unknown trace", method: http.MethodGet, path: "/v1/trace/0000000000000000", sameText: true},
 		parityRow{name: "placements", method: http.MethodGet, path: "/v1/placements", sameBody: true},
+		parityRow{name: "/v1/sweep webhook_url", method: http.MethodPost, path: "/v1/sweep", body: webhookSweep, sameText: true},
 	)
 	checkParity(t, w.ts.URL, tc.ts.URL, running)
+	if r := rawRequest(t, http.MethodPost, w.ts.URL, "/v1/sweep", webhookSweep); r.status != http.StatusBadRequest ||
+		r.retriable || !strings.Contains(r.errText, `unknown field "webhook_url"`) {
+		t.Errorf("sweep with webhook_url: %d retriable=%t %q, want a non-retriable 400 for the unknown field",
+			r.status, r.retriable, r.errText)
+	}
 
 	// Drained: new work is refused first, whatever the body. The two
 	// daemons name themselves in the refusal, so only status,

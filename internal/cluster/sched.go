@@ -424,7 +424,6 @@ func (c *Coordinator) finalize(j *cjob) {
 	j.span.SetNote(status)
 	j.settle(status)
 	c.publishJob(j)
-	c.durable.Notify(j.id, j.webhookURL, j.snapshot())
 	if c.opts.Log != nil {
 		c.opts.Log.Info("job finished", "job", j.id, "status", status)
 	}
@@ -446,7 +445,6 @@ func (c *Coordinator) retireRetriable(j *cjob, outstanding []*leaseRef) {
 	c.metrics.pendingCells.Add(-int64(remaining))
 	j.settle(serve.StatusRetriable)
 	c.publishJob(j)
-	c.durable.Notify(j.id, j.webhookURL, j.snapshot())
 	if c.opts.Log != nil {
 		c.opts.Log.Info("job retired retriable", "job", j.id, "remaining", remaining)
 	}

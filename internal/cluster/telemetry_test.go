@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"bufio"
-	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -10,59 +8,9 @@ import (
 	"time"
 
 	"repro/internal/loadgen"
+	"repro/internal/obs/obstest"
 	"repro/internal/serve"
 )
-
-// ---- SSE plumbing (coordinator streams, same wire format as workers) -----
-
-type sseEvent struct {
-	kind string
-	data []byte
-}
-
-// openSSE attaches to a coordinator event stream; the channel closes when
-// the server ends the stream.
-func openSSE(t *testing.T, url string) (<-chan sseEvent, context.CancelFunc) {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		cancel()
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		cancel()
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
-		cancel()
-		t.Fatalf("events stream: status %d", resp.StatusCode)
-	}
-	ch := make(chan sseEvent, 1024)
-	go func() {
-		defer close(ch)
-		defer resp.Body.Close()
-		sc := bufio.NewScanner(resp.Body)
-		var ev sseEvent
-		for sc.Scan() {
-			line := sc.Text()
-			switch {
-			case line == "":
-				if ev.kind != "" {
-					ch <- ev
-				}
-				ev = sseEvent{}
-			case strings.HasPrefix(line, "event: "):
-				ev.kind = strings.TrimPrefix(line, "event: ")
-			case strings.HasPrefix(line, "data: "):
-				ev.data = []byte(strings.TrimPrefix(line, "data: "))
-			}
-		}
-	}()
-	return ch, cancel
-}
 
 // fetchTraceSpans pulls the merged raw span list for one trace from the
 // coordinator.
@@ -207,12 +155,12 @@ func TestClusterTraceChaos(t *testing.T) {
 	// The stream itself is the progress signal: kill w0 once the first
 	// cell completion arrives, then keep reading until the terminal job
 	// event. GET /v1/jobs/{id} is never called.
-	events, cancel := openSSE(t, tc.ts.URL+"/v1/jobs/"+acc.Job+"/events")
+	events, cancel := obstest.OpenSSE(t, tc.ts.URL+"/v1/jobs/"+acc.Job+"/events")
 	defer cancel()
 	var terminal *serve.JobEvent
 	killed := false
 	for ev := range events {
-		switch ev.kind {
+		switch ev.Kind {
 		case "cell":
 			if !killed {
 				tc.workers[0].kill()
@@ -220,7 +168,7 @@ func TestClusterTraceChaos(t *testing.T) {
 			}
 		case "job":
 			var je serve.JobEvent
-			if err := json.Unmarshal(ev.data, &je); err != nil {
+			if err := json.Unmarshal(ev.Data, &je); err != nil {
 				t.Fatal(err)
 			}
 			if serve.TerminalStatus(je.Status) {

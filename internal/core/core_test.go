@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math/bits"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -182,6 +184,107 @@ func TestMissInvariance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCompulsoryMissesAreDistinctBlocks checks a relation that needs no
+// second simulator: on a static run of the production engine, each
+// processor's compulsory misses equal the distinct blocks its threads
+// touch. The compulsory half of what the paper finds insensitive to
+// placement is thus a function of the placement alone. The grid is every
+// app and algorithm at 2 and 8 processors (scale 0.1) under the app's
+// configuration, the update protocol, 4-way associativity and 64-byte
+// lines.
+func TestCompulsoryMissesAreDistinctBlocks(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Params = workload.Params{Scale: 0.1, Seed: 1994}
+	s := NewSuite(opts)
+	variants := []struct {
+		name string
+		set  func(*sim.Config)
+	}{
+		{"app config", func(*sim.Config) {}},
+		{"update protocol", func(c *sim.Config) { c.Protocol = sim.Update }},
+		{"4-way", func(c *sim.Config) { c.Associativity = 4 }},
+		{"64-byte lines", func(c *sim.Config) { c.LineSize = 64 }},
+	}
+	if apps, algs := len(workload.Names()), len(AllAlgorithms()); apps != 14 || algs != 14 {
+		t.Fatalf("grid is %d apps x %d algorithms, want 14 x 14", apps, algs)
+	}
+	for _, app := range workload.Names() {
+		t.Run(app, func(t *testing.T) {
+			t.Parallel()
+			tr, err := s.Trace(app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// blocks[lineSize][tid] is the thread's touched blocks,
+			// sorted and distinct.
+			blocks := map[int][][]uint64{}
+			threadBlocks := func(lineSize int) [][]uint64 {
+				if b, ok := blocks[lineSize]; ok {
+					return b
+				}
+				shift := bits.TrailingZeros(uint(lineSize))
+				b := make([][]uint64, len(tr.Threads))
+				for tid, th := range tr.Threads {
+					var bs []uint64
+					for c := th.Cursor(); ; {
+						e, ok := c.Next()
+						if !ok {
+							break
+						}
+						bs = append(bs, e.Addr>>shift)
+					}
+					b[tid] = distinct(bs)
+				}
+				blocks[lineSize] = b
+				return b
+			}
+			rows := 0
+			for _, procs := range []int{2, 8} {
+				base, err := s.Config(app, procs, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, alg := range AllAlgorithms() {
+					pl, err := s.Place(app, alg, procs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, v := range variants {
+						cfg := base
+						v.set(&cfg)
+						res, err := sim.Run(tr, pl, cfg)
+						if err != nil {
+							t.Fatalf("%s %dp %s: %v", alg, procs, v.name, err)
+						}
+						tb := threadBlocks(cfg.LineSize)
+						for p, cluster := range pl.Clusters {
+							var union []uint64
+							for _, tid := range cluster {
+								union = append(union, tb[tid]...)
+							}
+							want := uint64(len(distinct(union)))
+							if got := res.Procs[p].Misses[sim.Compulsory]; got != want {
+								t.Errorf("%s %dp %s: processor %d has %d compulsory misses, touches %d distinct blocks",
+									alg, procs, v.name, p, got, want)
+							}
+							rows++
+						}
+					}
+				}
+			}
+			if want := 14 * (2 + 8) * len(variants); rows != want {
+				t.Errorf("checked %d processor rows, want %d", rows, want)
+			}
+		})
+	}
+}
+
+// distinct sorts xs in place and returns its distinct values.
+func distinct(xs []uint64) []uint64 {
+	slices.Sort(xs)
+	return slices.Compact(xs)
 }
 
 // TestLoadBalancingDominates verifies the paper's positive result: for

@@ -44,10 +44,6 @@ func TestDeterminismStoreFixture(t *testing.T) {
 	linttest.Run(t, lint.Determinism, "determinism/internal/store")
 }
 
-func TestDeterminismWebhookFixture(t *testing.T) {
-	linttest.Run(t, lint.Determinism, "determinism/internal/serve/webhook")
-}
-
 func TestDeterminismAdviseFixture(t *testing.T) {
 	linttest.Run(t, lint.Determinism, "determinism/internal/advise")
 }

@@ -85,8 +85,8 @@ func TestCensusDeterministic(t *testing.T) {
 }
 
 // TestCensusServingTierClean is the acceptance regression for the serving
-// tier: the census over internal/serve (and its durable store, webhook
-// dispatcher and retry core), internal/cluster and internal/obs must
+// tier: the census over internal/serve (and its durable store and
+// retry core), internal/cluster and internal/obs must
 // report zero unguarded shared fields. A new unguarded field is a
 // build-stopping event, not a dashboard number.
 func TestCensusServingTierClean(t *testing.T) {
@@ -95,7 +95,7 @@ func TestCensusServingTierClean(t *testing.T) {
 	}
 	pkgs, _ := linttest.Load(t,
 		"repro/internal/serve", "repro/internal/serve/rescache", "repro/internal/serve/client",
-		"repro/internal/serve/webhook", "repro/internal/store", "repro/internal/retry",
+		"repro/internal/store", "repro/internal/retry",
 		"repro/internal/cluster", "repro/internal/obs")
 	entries := lint.CensusReport(pkgs)
 	if len(entries) == 0 {

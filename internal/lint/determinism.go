@@ -61,13 +61,9 @@ var determinismTimeRandScope = []string{"internal/sim", "internal/workload", "in
 // rebuilds the index, and if either walked the index in map order, two
 // stores holding identical records could seal byte-different segment
 // files — breaking the warm-restart differential (byte-identical
-// artifacts across lives). internal/serve/webhook is here because the
-// dispatcher keeps pending deliveries in a map while its journal and its
-// retry schedule are observable: journal compaction or queue draining in
-// map order would make delivery order and journal bytes run-dependent.
-// (Both packages legitimately read wall clocks — flush pacing, retry
-// backoff — so neither joins the time/rand scope.)
-var determinismMapOrderScope = []string{"internal/report", "internal/analysis", "internal/cluster", "internal/obs", "internal/store", "internal/serve/webhook"}
+// artifacts across lives). (The store legitimately reads wall clocks for
+// flush pacing, so it does not join the time/rand scope.)
+var determinismMapOrderScope = []string{"internal/report", "internal/analysis", "internal/cluster", "internal/obs", "internal/store"}
 
 // seededRandConstructors are the math/rand functions that do not touch the
 // global source.

@@ -1,13 +1,77 @@
 // Package obstest holds test helpers for validating observability
-// output. It lives outside the _test.go files so both internal/obs and
-// the command tests (which check mtsim -timeline output end to end) can
-// share one schema checker.
+// output. It lives outside the _test.go files so the package tests of
+// internal/obs, internal/serve and internal/cluster and the command
+// tests (mtsim -timeline output, the daemons' job streams) share one
+// trace-schema checker and one SSE reader.
 package obstest
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
+	"net/http"
+	"strings"
 	"testing"
+	"time"
 )
+
+// SSEEvent is one parsed text/event-stream record.
+type SSEEvent struct {
+	Kind string
+	Data []byte
+}
+
+// OpenSSE attaches to an event-stream URL, such as a job's
+// /v1/jobs/{id}/events, and returns a channel of parsed events. It fails
+// t unless the reply is 200 with Content-Type text/event-stream. The
+// channel closes when the server ends the stream or after 60 s; cancel
+// tears it down early.
+func OpenSSE(t testing.TB, url string) (<-chan SSEEvent, context.CancelFunc) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		cancel()
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		cancel()
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		cancel()
+		t.Fatalf("events stream: status %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		resp.Body.Close()
+		cancel()
+		t.Fatalf("events stream: content type %q", ct)
+	}
+	ch := make(chan SSEEvent, 1024)
+	go func() {
+		defer close(ch)
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		var ev SSEEvent
+		for sc.Scan() {
+			line := sc.Text()
+			switch {
+			case line == "":
+				if ev.Kind != "" {
+					ch <- ev
+				}
+				ev = SSEEvent{}
+			case strings.HasPrefix(line, "event: "):
+				ev.Kind = strings.TrimPrefix(line, "event: ")
+			case strings.HasPrefix(line, "data: "):
+				ev.Data = []byte(strings.TrimPrefix(line, "data: "))
+			}
+		}
+	}()
+	return ch, cancel
+}
 
 // CheckTraceEventJSON asserts raw is well-formed Chrome trace-event JSON
 // (object format): a traceEvents array whose records all carry name, ph,

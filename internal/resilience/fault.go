@@ -1,12 +1,10 @@
 // Package resilience is the simulator's robustness layer: deterministic
-// I/O fault injection for proving the trace pipeline detects corruption
-// (fault.go), the crash-safe MTJ1 journal that the webhook dispatcher
-// keeps its delivery ledger in (journal.go), and the engine guard that
-// runs every sweep and service cell under a shared watchdog (guard.go).
+// I/O fault injection for proving the trace pipeline and the result
+// store detect corruption (fault.go), and the engine guard that runs
+// every sweep and service cell under a shared watchdog (guard.go).
 //
 // Nothing here sits on a simulation hot path: faults are injected at I/O
-// boundaries, the journal is touched once per webhook delivery state
-// change, and the guard adds one counter increment per cell.
+// boundaries, and the guard adds one counter increment per cell.
 package resilience
 
 import (

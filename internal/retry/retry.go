@@ -1,20 +1,18 @@
-// Package retry is the shared backoff-and-circuit-breaker core behind
-// every transient-failure path in the serving tier: the webhook
-// dispatcher's redelivery schedule, and serve/client's handling of
-// 429/5xx responses (honoring Retry-After) in experiments -remote.
+// Package retry is the backoff core behind serve/client's handling of
+// 429/5xx responses (honoring Retry-After), which experiments -remote,
+// the loadgen and the coordinator's calls to its workers go through.
 //
 // The package is deliberately clock-free and randomness-free: Delay
-// takes the attempt number and a caller-supplied jitter unit, Breaker
-// methods take the current time as an argument. Callers own their clock
-// and their random source, so every schedule the package computes is
-// reproducible in tests — the same discipline the determinism analyzer
-// enforces on the simulation core.
+// takes the attempt number and a caller-supplied jitter unit, and
+// ParseRetryAfter takes the current time as an argument. Callers own their
+// clock and their random source, so every schedule the package computes
+// is reproducible in tests — the same discipline the determinism
+// analyzer enforces on the simulation core.
 package retry
 
 import (
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -120,93 +118,4 @@ func ParseRetryAfter(value string, now time.Time) (time.Duration, bool) {
 		return d, true
 	}
 	return 0, false
-}
-
-// Breaker is a per-endpoint circuit breaker: after Threshold consecutive
-// failures it opens and rejects attempts for Cooldown, then admits a
-// single half-open probe whose outcome decides between closing (probe
-// succeeded) and re-opening for another cooldown (probe failed).
-//
-// Like Policy it is clock-free: callers pass the current time, so tests
-// drive the breaker through its whole state machine without sleeping.
-// Safe for concurrent use.
-type Breaker struct {
-	mu sync.Mutex
-	// threshold and cooldown are fixed at construction.
-	threshold int
-	cooldown  time.Duration
-	// consecutive counts failures since the last success.
-	consecutive int
-	// openUntil is the end of the current cooldown (zero when closed).
-	openUntil time.Time
-	// probing marks an in-flight half-open probe.
-	probing bool
-}
-
-// NewBreaker returns a breaker opening after threshold consecutive
-// failures (minimum 1) for cooldown per open period (minimum 1ms).
-func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
-	if threshold < 1 {
-		threshold = 1
-	}
-	if cooldown <= 0 {
-		cooldown = time.Millisecond
-	}
-	return &Breaker{threshold: threshold, cooldown: cooldown}
-}
-
-// Allow reports whether an attempt may proceed at time now. While open
-// it returns false until the cooldown elapses, then true exactly once
-// (the half-open probe) until that probe's outcome is reported.
-func (b *Breaker) Allow(now time.Time) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.consecutive < b.threshold {
-		return true
-	}
-	if now.Before(b.openUntil) {
-		return false
-	}
-	if b.probing {
-		return false
-	}
-	b.probing = true
-	return true
-}
-
-// Success reports a successful attempt: the breaker closes and the
-// failure count resets.
-func (b *Breaker) Success() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.consecutive = 0
-	b.probing = false
-	b.openUntil = time.Time{}
-}
-
-// Failure reports a failed attempt at time now. Crossing the threshold
-// (or failing the half-open probe) opens the breaker for one cooldown.
-func (b *Breaker) Failure(now time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.consecutive++
-	b.probing = false
-	if b.consecutive >= b.threshold {
-		b.openUntil = now.Add(b.cooldown)
-	}
-}
-
-// State renders the breaker's condition at time now for metrics and
-// health reports: "closed", "open", or "half-open".
-func (b *Breaker) State(now time.Time) string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch {
-	case b.consecutive < b.threshold:
-		return "closed"
-	case now.Before(b.openUntil):
-		return "open"
-	default:
-		return "half-open"
-	}
 }

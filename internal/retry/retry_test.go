@@ -80,63 +80,3 @@ func TestParseRetryAfter(t *testing.T) {
 		}
 	}
 }
-
-func TestBreakerStateMachine(t *testing.T) {
-	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	b := NewBreaker(3, time.Minute)
-
-	if !b.Allow(now) || b.State(now) != "closed" {
-		t.Fatal("fresh breaker must be closed")
-	}
-	b.Failure(now)
-	b.Failure(now)
-	if !b.Allow(now) {
-		t.Fatal("breaker opened before threshold")
-	}
-	b.Failure(now)
-	if b.Allow(now) || b.State(now) != "open" {
-		t.Fatal("breaker must open at threshold")
-	}
-	if b.Allow(now.Add(30 * time.Second)) {
-		t.Fatal("breaker admitted during cooldown")
-	}
-
-	// Cooldown over: exactly one half-open probe.
-	later := now.Add(2 * time.Minute)
-	if b.State(later) != "half-open" {
-		t.Fatalf("State = %q, want half-open", b.State(later))
-	}
-	if !b.Allow(later) {
-		t.Fatal("half-open breaker must admit one probe")
-	}
-	if b.Allow(later) {
-		t.Fatal("half-open breaker admitted a second concurrent probe")
-	}
-
-	// Probe fails: re-open for another full cooldown.
-	b.Failure(later)
-	if b.Allow(later.Add(30 * time.Second)) {
-		t.Fatal("breaker admitted during re-opened cooldown")
-	}
-
-	// Next probe succeeds: closed again.
-	again := later.Add(2 * time.Minute)
-	if !b.Allow(again) {
-		t.Fatal("second probe rejected")
-	}
-	b.Success()
-	if !b.Allow(again) || b.State(again) != "closed" {
-		t.Fatal("breaker must close after successful probe")
-	}
-}
-
-func TestBreakerSuccessResetsCount(t *testing.T) {
-	now := time.Now()
-	b := NewBreaker(2, time.Minute)
-	b.Failure(now)
-	b.Success()
-	b.Failure(now)
-	if !b.Allow(now) {
-		t.Fatal("success did not reset the consecutive-failure count")
-	}
-}

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/url"
 
 	"repro/internal/advise"
 	"repro/internal/obs"
@@ -46,8 +45,6 @@ const (
 	MaxSweepCells = 4096
 	// MaxSweepList caps each dimension list of a sweep.
 	MaxSweepList = 64
-	// MaxWebhookURLLen caps a sweep's webhook_url.
-	MaxWebhookURLLen = 2048
 )
 
 // Params selects the workload generation parameters of a request. A nil
@@ -166,11 +163,6 @@ type SweepRequest struct {
 	Algorithms []string `json:"algorithms"`
 	Procs      []int    `json:"procs"`
 	Infinite   bool     `json:"infinite,omitempty"`
-	// WebhookURL, when set, is POSTed the job's terminal state (a
-	// JobEvent body) with journaled at-least-once delivery: retried with
-	// backoff across endpoint flaps and server restarts, deduplicated by
-	// the Mtsim-Delivery header. http/https only.
-	WebhookURL string `json:"webhook_url,omitempty"`
 }
 
 // Cells returns the size of the sweep's cross product.
@@ -268,15 +260,6 @@ type StoreHealth struct {
 	HitRate        float64 `json:"hit_rate"`
 }
 
-// WebhookHealth summarizes the delivery dispatcher inside /healthz
-// (present only when webhooks are enabled).
-type WebhookHealth struct {
-	Pending   int    `json:"pending"`
-	Delivered uint64 `json:"delivered"`
-	Failed    uint64 `json:"failed"`
-	Retries   uint64 `json:"retries"`
-}
-
 // JobsHealth summarizes job accounting inside /healthz. Accepted ==
 // Completed + Failed + Retriable + Canceled + live jobs; graceful
 // shutdown must never lose an accepted job.
@@ -304,8 +287,6 @@ type HealthResponse struct {
 	Jobs          JobsHealth  `json:"jobs"`
 	// Store reports the durable result store when one is attached.
 	Store *StoreHealth `json:"store,omitempty"`
-	// Webhooks reports the delivery dispatcher when one is attached.
-	Webhooks *WebhookHealth `json:"webhooks,omitempty"`
 }
 
 // PlacementsResponse is the GET /v1/placements reply: the server's
@@ -502,31 +483,6 @@ func (r *SweepRequest) Validate() error {
 		if p < 1 || p > MaxProcs {
 			return fmt.Errorf("procs %d out of range [1, %d]", p, MaxProcs)
 		}
-	}
-	if r.WebhookURL != "" {
-		if err := validateWebhookURL(r.WebhookURL); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// validateWebhookURL accepts absolute http/https URLs with a host, of
-// bounded length — the complete acceptance predicate for delivery
-// targets (the dispatcher re-parses but never re-validates).
-func validateWebhookURL(raw string) error {
-	if len(raw) > MaxWebhookURLLen {
-		return fmt.Errorf("webhook_url longer than %d bytes", MaxWebhookURLLen)
-	}
-	u, err := url.Parse(raw)
-	if err != nil {
-		return fmt.Errorf("webhook_url: %w", err)
-	}
-	if u.Scheme != "http" && u.Scheme != "https" {
-		return fmt.Errorf("webhook_url scheme %q not allowed (http or https)", u.Scheme)
-	}
-	if u.Host == "" {
-		return errors.New("webhook_url has no host")
 	}
 	return nil
 }

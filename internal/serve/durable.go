@@ -1,23 +1,19 @@
 package serve
 
 // The durable tier glue: how a daemon speaks to the append-only result
-// store (internal/store) and the retrying webhook dispatcher
-// (internal/serve/webhook). Both are optional — a nil Options.Store or
-// Options.Webhooks turns each path into a no-op — and both are owned
-// by the caller (a daemon opens them with OpenDurable before NewServer
-// and closes them after Drain). OpenDurable and Durable are the parts
-// the coordinator shares.
+// store (internal/store). The store is optional — a nil Options.Store
+// turns every store path into a no-op — and owned by the caller (a
+// daemon opens it with OpenDurable before NewServer and closes it after
+// Drain). OpenDurable and Durable are the parts the coordinator shares.
 
 import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
-	"path/filepath"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve/rescache"
-	"repro/internal/serve/webhook"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -120,163 +116,84 @@ func (s *Server) storePut(key rescache.Key, res *sim.Result) {
 	}
 }
 
-// WebhookLedger is the webhook delivery ledger's file name inside a
-// daemon's -store-dir.
-const WebhookLedger = "webhooks.mtj"
-
 // OpenDurable opens a daemon's durable directory: the result store in
-// dir and the webhook ledger at dir/WebhookLedger. An empty dir opens no
-// store and an ephemeral dispatcher. The returned closer runs after
-// Drain: it gives in-flight deliveries a moment to land (anything still
-// pending stays in the ledger for the next life), then closes the
-// dispatcher and the store, which flushes and seals every result.
-func OpenDurable(dir string, log *slog.Logger) (*store.Store, *webhook.Dispatcher, func(), error) {
-	var st *store.Store
-	ledger := ""
-	if dir != "" {
-		var err error
-		st, err = store.Open(store.Options{Dir: dir})
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("opening result store: %w", err)
-		}
-		s := st.Stats()
-		log.Info("result store open", "dir", dir,
-			"entries", s.Entries, "sealed_segments", s.SealedSegments,
-			"quarantined", s.Quarantined, "truncated_tails", s.TruncatedTails)
-		ledger = filepath.Join(dir, WebhookLedger)
+// dir. An empty dir opens no store and returns a nil store. The
+// returned closer runs after Drain: it closes the store, which flushes
+// and seals every result.
+func OpenDurable(dir string, log *slog.Logger) (*store.Store, func(), error) {
+	if dir == "" {
+		return nil, func() {}, nil
 	}
-	wh, err := webhook.New(webhook.Options{JournalPath: ledger})
+	st, err := store.Open(store.Options{Dir: dir})
 	if err != nil {
-		if st != nil {
-			_ = st.Close()
-		}
-		return nil, nil, nil, fmt.Errorf("opening webhook dispatcher: %w", err)
+		return nil, nil, fmt.Errorf("opening result store: %w", err)
 	}
-	return st, wh, func() {
-		wh.Flush(2 * time.Second)
-		if err := wh.Close(); err != nil {
-			log.Warn("webhook dispatcher close", "err", err.Error())
-		}
-		if st != nil {
-			if err := st.Close(); err != nil {
-				log.Warn("result store close", "err", err.Error())
-			}
+	s := st.Stats()
+	log.Info("result store open", "dir", dir,
+		"entries", s.Entries, "sealed_segments", s.SealedSegments,
+		"quarantined", s.Quarantined, "truncated_tails", s.TruncatedTails)
+	return st, func() {
+		if err := st.Close(); err != nil {
+			log.Warn("result store close", "err", err.Error())
 		}
 	}, nil
 }
 
-// WebhookDeliveryID derives the content-addressed delivery ID for one
-// (job, url, terminal status) triple. The same terminal transition
-// re-announced — a restarted daemon re-walking its jobs, an identical
-// sweep resubmitted after completion — maps to the same ID, which the
-// dispatcher's ledger deduplicates; receivers see each terminal state
-// at most once per outcome.
-func WebhookDeliveryID(jobID, url, status string) string {
-	sum := rescache.SumStrings("mtsim-webhook-v1", jobID, url, status)
-	return "wh-" + sum.String()[:16]
-}
-
 // Durable is the optional durable tier under either daemon: the result
-// store and the webhook dispatcher, each nil when off (the daemon owns
-// both lifecycles). It fills the /healthz blocks, projects the tier's
-// own counters into /metrics, and announces terminal job states.
+// store, nil when off (the daemon owns its lifecycle). It fills the
+// /healthz store block and projects the store's own counters into
+// /metrics.
 type Durable struct {
-	store    *store.Store
-	webhooks *webhook.Dispatcher
-	log      *slog.Logger
+	store *store.Store
 
 	storeHits        *obs.Metric
 	storeMisses      *obs.Metric
 	storePuts        *obs.Metric
 	storeQuarantined *obs.Metric
 	storeSegments    *obs.Metric
-	webhookPending   *obs.Metric
-	webhookDelivered *obs.Metric
-	webhookFailed    *obs.Metric
-	webhookRetries   *obs.Metric
 }
 
 // NewDurable registers the tier's series under prefix in set.
-func NewDurable(set *obs.MetricSet, prefix string, st *store.Store, wh *webhook.Dispatcher, log *slog.Logger) *Durable {
+func NewDurable(set *obs.MetricSet, prefix string, st *store.Store) *Durable {
 	return &Durable{
-		store:    st,
-		webhooks: wh,
-		log:      log,
+		store: st,
 
 		storeHits:        set.Counter(prefix+"_store_hits_total", "durable result store hits"),
 		storeMisses:      set.Counter(prefix+"_store_misses_total", "durable result store misses"),
 		storePuts:        set.Counter(prefix+"_store_puts_total", "results written to the durable store"),
 		storeQuarantined: set.Counter(prefix+"_store_quarantined_total", "store segments quarantined for corruption"),
 		storeSegments:    set.Gauge(prefix+"_store_sealed_segments", "sealed segments in the durable store"),
-		webhookPending:   set.Gauge(prefix+"_webhook_pending", "webhook deliveries awaiting a terminal outcome"),
-		webhookDelivered: set.Counter(prefix+"_webhook_delivered_total", "webhook deliveries acknowledged 2xx"),
-		webhookFailed:    set.Counter(prefix+"_webhook_failed_total", "webhook deliveries failed after exhausting attempts"),
-		webhookRetries:   set.Counter(prefix+"_webhook_retries_total", "webhook delivery attempts beyond the first"),
 	}
 }
 
-// Health returns the /healthz store and webhook blocks, nil for the
-// parts that are off.
-func (d *Durable) Health() (st *StoreHealth, wh *WebhookHealth) {
-	if d.store != nil {
-		ss := d.store.Stats()
-		st = &StoreHealth{
-			Entries:        ss.Entries,
-			SealedSegments: ss.SealedSegments,
-			Hits:           ss.Hits,
-			Misses:         ss.Misses,
-			Puts:           ss.Puts,
-			Quarantined:    ss.Quarantined,
-			HitRate:        ss.HitRate(),
-		}
+// Health returns the /healthz store block, nil when the store is off.
+func (d *Durable) Health() *StoreHealth {
+	if d.store == nil {
+		return nil
 	}
-	if d.webhooks != nil {
-		ws := d.webhooks.Stats()
-		wh = &WebhookHealth{
-			Pending:   ws.Pending,
-			Delivered: ws.Delivered,
-			Failed:    ws.Failed,
-			Retries:   ws.Retries,
-		}
+	ss := d.store.Stats()
+	return &StoreHealth{
+		Entries:        ss.Entries,
+		SealedSegments: ss.SealedSegments,
+		Hits:           ss.Hits,
+		Misses:         ss.Misses,
+		Puts:           ss.Puts,
+		Quarantined:    ss.Quarantined,
+		HitRate:        ss.HitRate(),
 	}
-	return st, wh
 }
 
-// SyncMetrics mirrors the store's and dispatcher's own counters into
-// /metrics at scrape time (they count authoritatively; metrics are a
-// projection, the same contract as the result cache).
+// SyncMetrics mirrors the store's own counters into /metrics at scrape
+// time (the store counts authoritatively; metrics are a projection, the
+// same contract as the result cache).
 func (d *Durable) SyncMetrics() {
-	if d.store != nil {
-		ss := d.store.Stats()
-		d.storeHits.Set(int64(ss.Hits))
-		d.storeMisses.Set(int64(ss.Misses))
-		d.storePuts.Set(int64(ss.Puts))
-		d.storeQuarantined.Set(int64(ss.Quarantined))
-		d.storeSegments.Set(int64(ss.SealedSegments))
-	}
-	if d.webhooks != nil {
-		ws := d.webhooks.Stats()
-		d.webhookPending.Set(int64(ws.Pending))
-		d.webhookDelivered.Set(int64(ws.Delivered))
-		d.webhookFailed.Set(int64(ws.Failed))
-		d.webhookRetries.Set(int64(ws.Retries))
-	}
-}
-
-// Notify enqueues the terminal-state webhook for a job submitted with a
-// webhook_url (url is "" for none). The body is the JobEvent wire form —
-// the same JSON an SSE subscriber would have received as the final
-// event.
-func (d *Durable) Notify(jobID, url string, st JobStatus) {
-	if d.webhooks == nil || url == "" {
+	if d.store == nil {
 		return
 	}
-	body, err := json.Marshal(JobEventOf(st))
-	if err != nil {
-		return
-	}
-	id := WebhookDeliveryID(jobID, url, st.Status)
-	if err := d.webhooks.Enqueue(id, url, body); err != nil && d.log != nil {
-		d.log.Warn("webhook enqueue failed", "job", jobID, "err", err.Error())
-	}
+	ss := d.store.Stats()
+	d.storeHits.Set(int64(ss.Hits))
+	d.storeMisses.Set(int64(ss.Misses))
+	d.storePuts.Set(int64(ss.Puts))
+	d.storeQuarantined.Set(int64(ss.Quarantined))
+	d.storeSegments.Set(int64(ss.SealedSegments))
 }

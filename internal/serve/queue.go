@@ -163,11 +163,6 @@ type job struct {
 	//
 	//mtlint:guard external -- written only by the accepting handler before enqueue publishes the job
 	span *obs.ActiveSpan
-	// webhookURL is the sweep's terminal-state delivery target ("" for
-	// none). Set with trace, under the same write-once contract.
-	//
-	//mtlint:guard external -- written only by the accepting handler before enqueue publishes the job
-	webhookURL string
 
 	// cancel is observed by sim.Guard inside running cells; setting it
 	// aborts them with a BudgetError.

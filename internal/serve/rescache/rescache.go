@@ -41,8 +41,8 @@ const KeyConfigFields = 13
 
 // EngineLabel is the engine field every content address still carries.
 // Cells were once simulated on a selectable engine; "guarded", the former
-// default label, is now a fixed literal so that existing MTS1 stores, MTJ1
-// journals, sweep job IDs and cluster shard affinity keep their bytes.
+// default label, is now a fixed literal so that existing MTS1 stores,
+// sweep job IDs and cluster shard affinity keep their bytes.
 const EngineLabel = "guarded"
 
 // KeyOf derives the content address of one cell. Every input that can

@@ -17,7 +17,6 @@ import (
 	"repro/internal/placement"
 	"repro/internal/resilience"
 	"repro/internal/serve/rescache"
-	"repro/internal/serve/webhook"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -68,11 +67,6 @@ type Options struct {
 	// written back. The caller owns the store's lifecycle (Close after
 	// Drain). Nil means memory-only, exactly the pre-store behavior.
 	Store *store.Store
-	// Webhooks, when non-nil, delivers terminal job states to sweeps
-	// submitted with a webhook_url. The caller owns the dispatcher's
-	// lifecycle (Close after Drain). Nil disables webhook delivery
-	// (webhook_url is still validated and accepted, then ignored).
-	Webhooks *webhook.Dispatcher
 	// Log receives operational messages; nil discards them.
 	Log *slog.Logger
 }
@@ -228,7 +222,7 @@ func NewServer(opts Options) *Server {
 		metrics: newServerMetrics(),
 		flights: make(map[rescache.Key]*flight),
 	}
-	s.durable = NewDurable(s.metrics.set, "serve", opts.Store, opts.Webhooks, opts.Log)
+	s.durable = NewDurable(s.metrics.set, "serve", opts.Store)
 	if !opts.DisableTelemetry {
 		s.spans = obs.NewSpanStore(obs.DefaultSpanCapacity)
 		s.bus = obs.NewBus(s.metrics.streamDropped)
@@ -400,7 +394,6 @@ func (s *Server) Drain() {
 	for j, cells := range drained {
 		if n := j.markRetriable(cells, s.metrics.countOutcome); n > 0 {
 			s.publishJob(j)
-			s.durable.Notify(j.id, j.webhookURL, j.snapshot())
 			if s.opts.Log != nil {
 				s.opts.Log.Info("drain: job marked retriable", "job", j.id, "cells_not_run", n)
 			}
@@ -485,7 +478,6 @@ func (s *Server) enqueue(j *job) error {
 func (s *Server) SubmitSweep(req *SweepRequest, parent obs.SpanContext) (*SweepAccepted, error) {
 	params := ResolveParams(req.Params)
 	j := newJob(SweepJobID(params, req), params, sweepCells(req))
-	j.webhookURL = req.WebhookURL
 	if s.spans != nil {
 		// Root span for the whole sweep, ended when the job reaches a
 		// terminal state. If the sweep turns out to be a duplicate the
@@ -558,7 +550,6 @@ func (s *Server) runTask(t task) {
 	s.publishCell(t.j, t.cell, r)
 	if last {
 		s.publishJob(t.j)
-		s.durable.Notify(t.j.id, t.j.webhookURL, t.j.snapshot())
 	}
 }
 
@@ -814,7 +805,7 @@ func (s *Server) Health() HealthResponse {
 			Canceled:  s.metrics.jobsCanceled.Value(),
 		},
 	}
-	h.Store, h.Webhooks = s.durable.Health()
+	h.Store = s.durable.Health()
 	if draining {
 		h.Status = "draining"
 	}

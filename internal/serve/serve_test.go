@@ -249,7 +249,7 @@ func TestSimulateLargeCacheAllocationBounded(t *testing.T) {
 
 // TestSweepJobIDGolden pins a sweep job ID's bytes: restarted servers and
 // coordinators must keep deriving the IDs already recorded in stored
-// coordinator job records and webhook ledgers.
+// coordinator job records.
 func TestSweepJobIDGolden(t *testing.T) {
 	req := &SweepRequest{
 		Apps: []string{"MP3D", "FFT"}, Algorithms: []string{"LOAD-BAL", "RANDOM"},

@@ -82,7 +82,7 @@ func cellLabel(c cellSpec) string {
 }
 
 // JobEventOf projects a status snapshot into its SSE form (also the
-// webhook body, and the coordinator's published job events).
+// coordinator's published job events).
 func JobEventOf(st JobStatus) JobEvent {
 	return JobEvent{Job: st.Job, Status: st.Status, Cells: st.Cells, Completed: st.Completed, Error: st.Error}
 }

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"bufio"
-	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -10,66 +8,8 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 )
-
-// ---- SSE plumbing --------------------------------------------------------
-
-// sseEvent is one parsed text/event-stream record.
-type sseEvent struct {
-	kind string
-	data []byte
-}
-
-// openSSE attaches to an event-stream URL and returns a channel of parsed
-// events. The channel closes when the stream ends; cancel tears it down.
-func openSSE(t *testing.T, url string) (<-chan sseEvent, context.CancelFunc) {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		cancel()
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		cancel()
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
-		cancel()
-		t.Fatalf("events stream: status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		resp.Body.Close()
-		cancel()
-		t.Fatalf("events stream: content type %q", ct)
-	}
-	ch := make(chan sseEvent, 1024)
-	go func() {
-		defer close(ch)
-		defer resp.Body.Close()
-		sc := bufio.NewScanner(resp.Body)
-		var ev sseEvent
-		for sc.Scan() {
-			line := sc.Text()
-			switch {
-			case line == "":
-				if ev.kind != "" {
-					ch <- ev
-				}
-				ev = sseEvent{}
-			case strings.HasPrefix(line, "event: "):
-				ev.kind = strings.TrimPrefix(line, "event: ")
-			case strings.HasPrefix(line, "data: "):
-				ev.data = []byte(strings.TrimPrefix(line, "data: "))
-			}
-		}
-	}()
-	return ch, cancel
-}
-
-// ---- tests ---------------------------------------------------------------
 
 // TestJobEventsSSEDifferential: a live stream on a running sweep must
 // deliver cell completions and end with the job's terminal state — with
@@ -99,7 +39,7 @@ func TestJobEventsSSEDifferential(t *testing.T) {
 		t.Fatal("sweep accepted without a trace ID")
 	}
 
-	events, cancel := openSSE(t, ts.URL+"/v1/jobs/"+acc.Job+"/events")
+	events, cancel := obstest.OpenSSE(t, ts.URL+"/v1/jobs/"+acc.Job+"/events")
 	defer cancel()
 
 	// Consume the stream to its natural end: the handler closes it after
@@ -110,11 +50,11 @@ func TestJobEventsSSEDifferential(t *testing.T) {
 		cellCount int
 	)
 	for ev := range events {
-		switch ev.kind {
+		switch ev.Kind {
 		case "job":
 			var je JobEvent
-			if err := json.Unmarshal(ev.data, &je); err != nil {
-				t.Fatalf("bad job event %s: %v", ev.data, err)
+			if err := json.Unmarshal(ev.Data, &je); err != nil {
+				t.Fatalf("bad job event %s: %v", ev.Data, err)
 			}
 			if je.Job != acc.Job {
 				t.Fatalf("job event for %q on stream of %q", je.Job, acc.Job)
@@ -124,8 +64,8 @@ func TestJobEventsSSEDifferential(t *testing.T) {
 			}
 		case "cell":
 			var ce CellEvent
-			if err := json.Unmarshal(ev.data, &ce); err != nil {
-				t.Fatalf("bad cell event %s: %v", ev.data, err)
+			if err := json.Unmarshal(ev.Data, &ce); err != nil {
+				t.Fatalf("bad cell event %s: %v", ev.Data, err)
 			}
 			if ce.Cell < 0 || ce.Cell >= acc.Cells {
 				t.Errorf("cell event index %d out of range [0,%d)", ce.Cell, acc.Cells)
@@ -186,15 +126,15 @@ func TestJobEventsTerminalWithoutBus(t *testing.T) {
 		t.Errorf("telemetry disabled but sweep minted trace %q", acc.Trace)
 	}
 
-	events, cancel := openSSE(t, ts.URL+"/v1/jobs/"+acc.Job+"/events")
+	events, cancel := obstest.OpenSSE(t, ts.URL+"/v1/jobs/"+acc.Job+"/events")
 	defer cancel()
 	var last JobEvent
 	for ev := range events {
-		if ev.kind != "job" {
-			t.Errorf("unexpected %q event with telemetry disabled", ev.kind)
+		if ev.Kind != "job" {
+			t.Errorf("unexpected %q event with telemetry disabled", ev.Kind)
 			continue
 		}
-		if err := json.Unmarshal(ev.data, &last); err != nil {
+		if err := json.Unmarshal(ev.Data, &last); err != nil {
 			t.Fatal(err)
 		}
 	}

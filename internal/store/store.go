@@ -25,8 +25,9 @@
 // and the lookup becomes a miss: the caller recomputes, exactly as if
 // the cell had never been cached. The only exception is the expected
 // crash signature of a live segment (torn tail after kill -9), which is
-// truncated at the last valid frame boundary and the prefix kept, the
-// same discipline as the MTJ1 journal.
+// truncated at the last valid frame boundary and the prefix kept: a
+// crash loses at most the frame being written, never a complete frame
+// before it.
 //
 // One process owns a directory at a time: Open takes an exclusive
 // flock on <dir>/LOCK and Close releases it. A second opener would

@@ -130,6 +130,30 @@ func TestCleanCloseWarmReopen(t *testing.T) {
 	}
 }
 
+// TestOpenKeepsForeignFiles: a file the store does not name, such as a
+// ledger an older daemon kept in the same directory, is neither read nor
+// deleted, through a full open, write and seal cycle.
+func TestOpenKeepsForeignFiles(t *testing.T) {
+	dir := t.TempDir()
+	foreign := filepath.Join(dir, "ledger.mtj")
+	body := []byte("not a segment")
+	if err := os.WriteFile(foreign, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, Options{Dir: dir})
+	if st := s.Stats(); st.Entries != 0 || st.Quarantined != 0 {
+		t.Fatalf("open over a foreign file: %+v, want empty and nothing quarantined", st)
+	}
+	s.Put(testKey(1), testPayload(1))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wantGet(t, mustOpen(t, Options{Dir: dir}), 1)
+	if got, err := os.ReadFile(foreign); err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("foreign file after two opens: %q, %v; want it untouched", got, err)
+	}
+}
+
 func TestTornTailTruncatedOnRecovery(t *testing.T) {
 	dir := t.TempDir()
 	// A live segment with two whole records and a torn third: the
