@@ -287,9 +287,9 @@ func BenchmarkEngineProbeDisabled(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 }
 
-// BenchmarkEngineFast times the specialized 4-ary-heap slab engine on the
-// same cell; the cycles/s ratio against BenchmarkEngineReference is the
-// raw engine speedup.
+// BenchmarkEngineFast times the fast engine (event tree of packed keys,
+// slab contexts, one-word cache lines) on the same cell; the cycles/s
+// ratio against BenchmarkEngineReference is the raw engine speedup.
 func BenchmarkEngineFast(b *testing.B) { benchmarkEngine(b, sim.FastEngine, 0) }
 
 // BenchmarkEngineFastInfinite is BenchmarkEngineFast at the paper's 8 MB

@@ -86,21 +86,21 @@ func newClient(base string) *client.Client {
 }
 
 // waitStored waits until the daemon has put n results in its store and
-// gives the write-behind flusher a beat to put them on disk.
+// its write-behind flusher has written them all (/healthz
+// pending_writes 0), so a SIGKILL cannot lose them.
 func waitStored(t *testing.T, cl *client.Client, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		h, err := cl.Health()
-		if err == nil && h.Store != nil && h.Store.Puts >= uint64(n) {
-			break
+		if err == nil && h.Store != nil && h.Store.Puts >= uint64(n) && h.Store.PendingWrites == 0 {
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("store never absorbed %d puts", n)
+			t.Fatalf("store never wrote %d puts", n)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	time.Sleep(300 * time.Millisecond)
 }
 
 // restartSweep is the fixed sweep A that the kill -9 tests finish

@@ -8,7 +8,7 @@ import (
 
 // Hotpath checks that functions annotated `//mtlint:hotpath` contain no
 // allocating constructs. The fast engine's per-event path (fast.go,
-// heap4.go, fastcache.go, fastdir.go) must stay allocation-free — the
+// eventtree.go, fastcache.go, fastdir.go) must stay allocation-free — the
 // dynamic counterpart is BenchmarkEngineProbeDisabled's AllocsPerRun
 // proof; this is the static half of the same contract.
 //

@@ -15,7 +15,7 @@ import (
 
 // hotpathFiles are the fast-engine sources whose per-event functions carry
 // //mtlint:hotpath annotations.
-var hotpathFiles = []string{"fast.go", "heap4.go", "fastcache.go", "fastdir.go"}
+var hotpathFiles = []string{"fast.go", "eventtree.go", "fastcache.go", "fastdir.go"}
 
 // countHotpathDirectives counts //mtlint:hotpath lines across the real
 // engine sources so the zero-findings verdict below cannot pass vacuously

@@ -258,6 +258,11 @@ type StoreHealth struct {
 	Puts           uint64  `json:"puts"`
 	Quarantined    uint64  `json:"quarantined"`
 	HitRate        float64 `json:"hit_rate"`
+	// PendingWrites counts puts the write-behind flusher has not yet
+	// written. The flusher takes the whole queue and writes it under one
+	// hold of the store's lock, which the count also takes, so 0 means
+	// every earlier put has reached its segment file.
+	PendingWrites int `json:"pending_writes"`
 }
 
 // JobsHealth summarizes job accounting inside /healthz. Accepted ==

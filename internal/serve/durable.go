@@ -178,6 +178,7 @@ func (d *Durable) Health() *StoreHealth {
 		Hits:           ss.Hits,
 		Misses:         ss.Misses,
 		Puts:           ss.Puts,
+		PendingWrites:  ss.PendingWrites,
 		Quarantined:    ss.Quarantined,
 		HitRate:        ss.HitRate(),
 	}

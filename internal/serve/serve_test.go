@@ -679,6 +679,30 @@ func TestStepBudgetAnswers504(t *testing.T) {
 	}
 }
 
+// TestSimulatedTimeOverflowAnswers422: a memory latency of 2^62 cycles
+// drives a 2-processor run's simulated time past its event time field
+// within a few transactions; the engine refuses to wrap and the request
+// gets the non-retriable 422 of a simulation error, not a 200 with a
+// wrapped execution time.
+func TestSimulatedTimeOverflowAnswers422(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	body := `{"app":"MP3D","algorithm":"RANDOM","params":{"scale":0.25,"seed":1994},` +
+		`"config":{"processors":2,"mem_latency":4611686018427387904}}`
+	resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var er ErrorResponse
+	decErr := json.NewDecoder(resp.Body).Decode(&er)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d (%+v), want 422", resp.StatusCode, er)
+	}
+	if decErr != nil || er.Retriable || !strings.Contains(er.Error, "simulated time overflow") {
+		t.Errorf("error %+v (decode %v): want a non-retriable time overflow", er, decErr)
+	}
+}
+
 // TestSingleFlight: concurrent identical misses share one simulation.
 func TestSingleFlight(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 4})

@@ -85,8 +85,9 @@ func (c *cache) set(block uint64) []line {
 	return c.lines[s*uint64(c.ways) : (s+1)*uint64(c.ways)]
 }
 
-// touch moves way i of the set to the MRU position.
-func touch(set []line, i int) {
+// touch moves way i of the set to the MRU position. The fast cache's
+// one-word lines share it.
+func touch[L line | lineWord](set []L, i int) {
 	if i == 0 {
 		return
 	}

@@ -152,6 +152,10 @@ func TestConfigValidate(t *testing.T) {
 		{"cache not multiple of line", func(c *Config) { c.CacheSize = 48 }},
 		{"zero hit", func(c *Config) { c.HitCycles = 0 }},
 		{"zero latency", func(c *Config) { c.MemLatency = 0 }},
+		{"latency past 2^62", func(c *Config) { c.MemLatency = 1<<62 + 1 }},
+		{"hit past 2^62", func(c *Config) { c.HitCycles = 1<<62 + 1 }},
+		{"switch past 2^62", func(c *Config) { c.SwitchCycles = ^uint64(0) }},
+		{"occupancy past 2^62", func(c *Config) { c.NetworkOccupancy = 1<<62 + 1 }},
 	}
 	for _, tc := range cases {
 		c := DefaultConfig(4)

@@ -171,8 +171,18 @@ func (c Config) Validate() error {
 	if c.MemLatency == 0 {
 		return fmt.Errorf("sim: memory latency must be at least one cycle")
 	}
+	if max(c.HitCycles, c.MemLatency, c.SwitchCycles, c.NetworkOccupancy) > maxCycles {
+		return fmt.Errorf("sim: hit %d, memory %d, switch %d and channel %d cycles: none may exceed 2^62",
+			c.HitCycles, c.MemLatency, c.SwitchCycles, c.NetworkOccupancy)
+	}
 	return nil
 }
+
+// maxCycles bounds every cycle parameter: the four above, and the online
+// interval and penalty. With event times below 2^63 (maxEventTime), no
+// sum of a checked time and two parameters wraps uint64 before the
+// engines check it.
+const maxCycles = 1 << 62
 
 // lineShift returns log2(LineSize).
 func (c Config) lineShift() uint {

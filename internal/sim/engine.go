@@ -71,8 +71,10 @@ type event struct {
 
 // eventHeap is the reference engine's container/heap-backed event queue.
 // Every Push boxes the event into an interface{} (one heap allocation per
-// scheduled action); the fast engine replaces it with the concrete
-// quadHeap in heap4.go.
+// scheduled action), and an event superseded by a later push for its
+// processor stays queued until it surfaces, where its stale seq marks it
+// to be skipped. The fast engine replaces it with the winner tree of
+// packed (time, proc) keys in eventtree.go.
 type eventHeap []event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -107,6 +109,10 @@ type machine struct {
 	// channels holds each interconnect channel's next free time when
 	// contention is modeled (Config.NetworkChannels > 0).
 	channels []uint64
+	// maxTime is maxEventTime for this machine; late is the first time
+	// past it the run produced (0 while none), which aborts the run.
+	maxTime uint64
+	late    uint64
 	// dynamic self-scheduling state (RunDynamic): threads waiting for a
 	// processor to free a context.
 	dynamic  bool
@@ -131,10 +137,11 @@ type machine struct {
 type Engine int
 
 const (
-	// FastEngine is the default optimized engine: a concrete 4-ary event
-	// heap (no interface boxing), contexts stored in a contiguous slab,
-	// mask-indexed allocation-free cache lookups, and an arena-backed
-	// directory with reusable sharer scratch buffers.
+	// FastEngine is the default optimized engine: a winner tree of packed
+	// (time, proc) event keys (no interface boxing, no sequence numbers),
+	// contexts stored in a contiguous slab, mask-indexed allocation-free
+	// cache lookups over one-word lines, and an arena-backed directory
+	// with reusable sharer scratch buffers.
 	FastEngine Engine = iota
 	// ReferenceEngine is the original straightforward implementation,
 	// kept only as the oracle for differential testing and for
@@ -209,6 +216,7 @@ func buildMachine(tr *trace.Trace, clusters [][]int, cfg Config) *machine {
 		dir:          newDirectory(cfg.Processors),
 		pair:         make([][]uint64, cfg.Processors),
 		threadFinish: make([]uint64, tr.NumThreads()),
+		maxTime:      maxEventTime(cfg.Processors),
 	}
 	for i := range m.pair {
 		m.pair[i] = make([]uint64, cfg.Processors)
@@ -290,7 +298,13 @@ func (m *machine) run(tr *trace.Trace, pl *placement.Placement, checkEvery int) 
 		}
 	}
 	steps := 0
-	for m.h.Len() > 0 {
+	for {
+		if m.late != 0 {
+			return nil, timeOverflow(tr.App, pl.Algorithm, m.late, len(m.procs))
+		}
+		if m.h.Len() == 0 {
+			break
+		}
 		if m.online != nil && m.h[0].time >= m.online.next {
 			// A detection boundary falls before the next event: process it
 			// without consuming the event.
@@ -355,8 +369,17 @@ func (m *machine) run(tr *trace.Trace, pl *placement.Placement, checkEvery int) 
 
 // push schedules the processor's next action.
 func (m *machine) push(t uint64, p *proc) {
+	m.checkTime(t)
 	p.seq++
 	heap.Push(&m.h, event{time: t, proc: p.id, seq: p.seq})
+}
+
+// checkTime records t as the run's first out-of-range time when it is
+// past maxTime; the event loop then aborts the run.
+func (m *machine) checkTime(t uint64) {
+	if t > m.maxTime && m.late == 0 {
+		m.late = t
+	}
 }
 
 // scheduleNext picks the next ready context round-robin and schedules its
@@ -609,6 +632,7 @@ func (m *machine) completeHit(p *proc, c *context, t uint64) {
 		return
 	}
 	// Thread complete.
+	m.checkTime(done)
 	c.state = ctxDone
 	p.done++
 	m.threadFinish[c.thread] = done
@@ -663,6 +687,7 @@ func (m *machine) completeTransaction(p *proc, c *context, t uint64) {
 	wait := m.acquireChannel(t)
 	p.stats.NetworkWait += wait
 	done := t + wait + m.cfg.MemLatency
+	m.checkTime(done)
 	if m.probe != nil {
 		m.probe.ThreadPause(t, p.id, c.thread, done)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -433,5 +434,59 @@ func TestMissFractionsAndTotals(t *testing.T) {
 	empty := &Result{Procs: []ProcStats{{}}}
 	if got := empty.MissFractions(); got[Compulsory] != 0 {
 		t.Error("zero-ref result should give zero fractions")
+	}
+}
+
+// TestTimeOverflowAborts: a run whose simulated time would leave the
+// fast engine's event key aborts with the same error on both engines
+// instead of wrapping. On a 2-processor machine the limit is 2^63-2. In
+// the memory case the processors write six shared words each in turn,
+// so every write is a 2^62-cycle transaction and the second one's
+// completion passes the limit; in the finish case that completion ends
+// the thread, so no later event carries it. In the hit cases one thread
+// rereads a word: at 3·2^60 cycles a hit a scheduled event passes the
+// limit first, and at 2^62 the thread's last hit does. Online
+// options past the same 2^62 cycle cap are refused up front.
+func TestTimeOverflowAborts(t *testing.T) {
+	var a, b, reads []trace.Event
+	for i := 0; i < 6; i++ {
+		a = append(a, trace.Event{Kind: trace.Write, Addr: sh(i)})
+		b = append(b, trace.Event{Kind: trace.Write, Addr: sh(i)})
+		reads = append(reads, trace.Event{Kind: trace.Read, Addr: sh(0)})
+	}
+	pl := mkPlacement([]int{0}, []int{1})
+	for _, tc := range []struct {
+		name string
+		tr   *trace.Trace
+		set  func(*Config)
+	}{
+		{"memory", mkTrace(a, b), func(c *Config) { c.MemLatency = 1 << 62 }},
+		{"finish", mkTrace(a[:2], b[:2]), func(c *Config) { c.MemLatency = 1 << 62 }},
+		{"hits", mkTrace(reads, b[5:]), func(c *Config) { c.HitCycles = 3 << 60 }},
+		{"final hit", mkTrace(reads[:3], b[5:]), func(c *Config) { c.HitCycles = 1 << 62 }},
+	} {
+		cfg := DefaultConfig(2)
+		tc.set(&cfg)
+		var msgs [2]string
+		for i, eng := range []Engine{ReferenceEngine, FastEngine} {
+			res, err := RunObserved(tc.tr, pl, cfg, eng, nil)
+			if !errors.Is(err, errTimeOverflow) {
+				t.Fatalf("%s/%v: got %+v, %v; want a time overflow", tc.name, eng, res, err)
+			}
+			msgs[i] = err.Error()
+		}
+		if msgs[0] != msgs[1] {
+			t.Errorf("%s: engines disagree:\n  reference %s\n  fast      %s", tc.name, msgs[0], msgs[1])
+		}
+	}
+
+	tr := mkTrace(a, b)
+	for _, opts := range []OnlineOptions{
+		{Interval: 1<<62 + 1, Policy: keepPolicy{}},
+		{Interval: 100, Penalty: 1<<62 + 1, Policy: keepPolicy{}},
+	} {
+		if _, err := RunOnline(tr, pl, DefaultConfig(2), opts); err == nil {
+			t.Errorf("online interval %d, penalty %d accepted", opts.Interval, opts.Penalty)
+		}
 	}
 }

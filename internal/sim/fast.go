@@ -9,13 +9,14 @@ import (
 // The fast engine: a semantically identical port of the reference machine
 // in engine.go, restructured for throughput.
 //
-//   - events live in a concrete 4-ary min-heap (heap4.go) instead of a
-//     container/heap with interface boxing;
+//   - events live in a winner tree over processors, one packed
+//     time<<procBits | proc key per leaf (eventtree.go), instead of a
+//     container/heap of boxed (time, proc, seq) events;
 //   - each processor's hardware contexts are a contiguous []context slab
 //     instead of a []*context of separately allocated nodes;
 //   - the cache indexes sets by mask, takes a single-way path when
-//     direct-mapped, and allocates its lines in pages on first fill
-//     (fastcache.go);
+//     direct-mapped, stores each line in one word and allocates its lines
+//     in pages on first fill (fastcache.go);
 //   - the directory stores entries in flat slabs with an arena-backed
 //     sharer bitmap, and sharer sets are gathered into a scratch buffer
 //     reused across transactions (fastdir.go).
@@ -31,7 +32,6 @@ type fastProc struct {
 	ctxs     []context
 	running  int
 	rr       int
-	seq      uint64
 	done     int
 	nextLoad int
 	// wake is the pending wake time while idle-waiting (running == -1
@@ -46,11 +46,15 @@ type fastMachine struct {
 	cfg          Config
 	procs        []fastProc
 	dir          *fastDirectory
-	h            quadHeap
+	q            eventTree
 	pair         [][]uint64
 	threadFinish []uint64
 	wr           *writeRunTracker
 	channels     []uint64
+	// maxTime is maxEventTime for this machine; late is the first time
+	// past it the run produced (0 while none), which aborts the run.
+	maxTime uint64
+	late    uint64
 	// scratch is the reusable sharer buffer for invalidation and update
 	// fan-out; it grows to the maximum sharer count once and is then
 	// reused for every transaction.
@@ -86,8 +90,10 @@ func buildFastMachine(tr *trace.Trace, clusters [][]int, cfg Config) *fastMachin
 		cfg:          cfg,
 		dir:          newFastDirectory(cfg.Processors),
 		procs:        make([]fastProc, cfg.Processors),
+		q:            newEventTree(cfg.Processors),
 		pair:         make([][]uint64, cfg.Processors),
 		threadFinish: make([]uint64, tr.NumThreads()),
+		maxTime:      maxEventTime(cfg.Processors),
 	}
 	for i := range m.pair {
 		m.pair[i] = make([]uint64, cfg.Processors)
@@ -174,30 +180,38 @@ func (m *fastMachine) run(tr *trace.Trace, pl *placement.Placement) (*Result, er
 			m.scheduleNext(p, 0)
 		}
 	}
-	for m.h.len() > 0 {
-		if m.online != nil && m.h.a[0].time >= m.online.next {
+	for {
+		if m.late != 0 {
+			return nil, timeOverflow(tr.App, pl.Algorithm, m.late, len(m.procs))
+		}
+		key, stale := m.q.min()
+		if key == noEvent {
+			break
+		}
+		t := m.q.time(key)
+		if m.online != nil && t >= m.online.next {
 			// A detection boundary falls before the next event: process it
 			// without consuming the event.
 			m.onlineBoundary()
 			continue
 		}
-		ev := m.h.pop()
+		m.q.pop(key, stale)
 		if m.guard != nil && m.guard.tripped() {
 			meta := obs.RunMeta{App: tr.App, Algorithm: pl.Algorithm, Engine: FastEngine.String()}
-			return nil, m.guard.budgetError(meta, ev.time, m.h.len())
+			return nil, m.guard.budgetError(meta, t, m.q.len())
 		}
-		p := &m.procs[ev.proc]
-		if ev.seq != p.seq {
+		if stale {
 			continue
 		}
+		p := &m.procs[m.q.proc(key)]
 		if m.probe != nil {
-			m.probe.QueueDepth(ev.time, m.h.len())
+			m.probe.QueueDepth(t, m.q.len())
 		}
 		if p.running < 0 {
-			m.scheduleNext(p, ev.time)
+			m.scheduleNext(p, t)
 			continue
 		}
-		m.access(p, &p.ctxs[p.running], ev.time)
+		m.access(p, &p.ctxs[p.running], t)
 	}
 
 	res := &Result{
@@ -231,8 +245,18 @@ func (m *fastMachine) run(tr *trace.Trace, pl *placement.Placement) (*Result, er
 //
 //mtlint:hotpath
 func (m *fastMachine) push(t uint64, p *fastProc) {
-	p.seq++
-	m.h.push(event{time: t, proc: p.id, seq: p.seq})
+	m.checkTime(t)
+	m.q.push(t, p.id)
+}
+
+// checkTime records t as the run's first out-of-range time when it is
+// past maxTime; the event loop then aborts the run.
+//
+//mtlint:hotpath
+func (m *fastMachine) checkTime(t uint64) {
+	if t > m.maxTime && m.late == 0 {
+		m.late = t
+	}
 }
 
 // scheduleNext picks the next ready context round-robin and schedules its
@@ -500,6 +524,7 @@ func (m *fastMachine) completeHit(p *fastProc, c *context, t uint64) {
 		return
 	}
 	// Thread complete.
+	m.checkTime(done)
 	c.state = ctxDone
 	p.done++
 	m.threadFinish[c.thread] = done
@@ -556,6 +581,7 @@ func (m *fastMachine) completeTransaction(p *fastProc, c *context, t uint64) {
 	wait := m.acquireChannel(t)
 	p.stats.NetworkWait += wait
 	done := t + wait + m.cfg.MemLatency
+	m.checkTime(done)
 	if m.probe != nil {
 		m.probe.ThreadPause(t, p.id, c.thread, done)
 	}

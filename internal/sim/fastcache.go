@@ -8,6 +8,8 @@ package sim
 //     always true for the paper's capacities — and direct-mapped caches,
 //     the paper's configuration, take a single-way path, so the hit path
 //     performs no division and no allocation;
+//   - each line is one word, block<<2 | state (lineWord), half the size
+//     of the reference cache's padded {tag, state} line;
 //   - lines live in pages of pageSets sets, each allocated on the first
 //     fill into it, so a run pays for the sets it touches rather than the
 //     whole capacity. The paper's 8 MB stand-in for an infinite cache is
@@ -23,7 +25,7 @@ type fastCache struct {
 	// in LRU order like the reference cache; it is nil until the first
 	// fill into one of them. The last page is short when nsets is not a
 	// multiple of pageSets.
-	pages [][]line
+	pages [][]lineWord
 
 	infinite  bool
 	infStates map[uint64]lineState
@@ -49,10 +51,30 @@ func (c *fastCache) init(cfg Config) {
 	if c.nsets&(c.nsets-1) == 0 {
 		c.setMask = c.nsets - 1
 	}
-	c.pages = make([][]line, (c.nsets+pageSets-1)/pageSets)
+	c.pages = make([][]lineWord, (c.nsets+pageSets-1)/pageSets)
 }
 
-// pageShift sets the page size: 1024 sets, 16 KB of direct-mapped lines.
+// lineWord is one fast-cache way in a single word: the block number above
+// two lineState bits. The zero word is an invalid line, so a new page
+// needs no initialization. Any block fits: trace.Pack caps addresses at
+// 44 bits and a line holds at least one word, so a block has at most 41.
+type lineWord uint64
+
+//mtlint:hotpath
+func packLine(block uint64, st lineState) lineWord { return lineWord(block<<2 | uint64(st)) }
+
+//mtlint:hotpath
+func (w lineWord) block() uint64 { return uint64(w >> 2) }
+
+//mtlint:hotpath
+func (w lineWord) state() lineState { return lineState(w & 3) }
+
+// holds reports whether the line is valid and caches block.
+//
+//mtlint:hotpath
+func (w lineWord) holds(block uint64) bool { return w>>2 == lineWord(block) && w&3 != 0 }
+
+// pageShift sets the page size: 1024 sets, 8 KB of direct-mapped lines.
 // The paper's 32 and 64 KB caches are one and two pages.
 const (
 	pageShift = 10
@@ -63,9 +85,9 @@ const (
 // newPage allocates the page holding block's set and returns the set: the
 // cold half of fill, run on the first fill into the page and kept out of
 // the annotated hot path.
-func (c *fastCache) newPage(block uint64) []line {
+func (c *fastCache) newPage(block uint64) []lineWord {
 	pi := c.setIndex(block) >> pageShift
-	c.pages[pi] = make([]line, min(c.nsets-pi*pageSets, pageSets)*uint64(c.ways))
+	c.pages[pi] = make([]lineWord, min(c.nsets-pi*pageSets, pageSets)*uint64(c.ways))
 	return c.set(block)
 }
 
@@ -87,7 +109,7 @@ func (c *fastCache) setIndex(block uint64) uint64 {
 // layout.
 //
 //mtlint:hotpath
-func (c *fastCache) page(s uint64) ([]line, uint64) {
+func (c *fastCache) page(s uint64) ([]lineWord, uint64) {
 	return c.pages[s>>pageShift], (s & pageMask) * uint64(c.ways)
 }
 
@@ -95,7 +117,7 @@ func (c *fastCache) page(s uint64) ([]line, uint64) {
 // set's page is unallocated.
 //
 //mtlint:hotpath
-func (c *fastCache) set(block uint64) []line {
+func (c *fastCache) set(block uint64) []lineWord {
 	pg, i := c.page(c.setIndex(block))
 	if pg == nil {
 		return nil
@@ -107,7 +129,7 @@ func (c *fastCache) set(block uint64) []line {
 // unallocated.
 //
 //mtlint:hotpath
-func (c *fastCache) slot(block uint64) *line {
+func (c *fastCache) slot(block uint64) *lineWord {
 	if pg, i := c.page(c.setIndex(block)); i < uint64(len(pg)) {
 		return &pg[i]
 	}
@@ -123,15 +145,15 @@ func (c *fastCache) lookup(block uint64) lineState {
 		return c.infStates[block]
 	}
 	if c.ways == 1 {
-		if l := c.slot(block); l != nil && l.state != invalid && l.tag == block {
-			return l.state
+		if l := c.slot(block); l != nil && l.holds(block) {
+			return l.state()
 		}
 		return invalid
 	}
 	set := c.set(block)
 	for i := range set {
-		if set[i].state != invalid && set[i].tag == block {
-			st := set[i].state
+		if set[i].holds(block) {
+			st := set[i].state()
 			touch(set, i)
 			return st
 		}
@@ -183,30 +205,30 @@ func (c *fastCache) fill(block uint64, st lineState, ctx int32) (victim uint64, 
 	}
 	if c.ways == 1 {
 		l := &set[0]
-		if l.state != invalid {
-			victim = l.tag
-			dirty = l.state == modified
+		if l.state() != invalid {
+			victim = l.block()
+			dirty = l.state() == modified
 			evicted = true
 			c.gone[victim] = goneReason{by: ctx}
 		}
-		*l = line{tag: block, state: st}
+		*l = packLine(block, st)
 		return victim, dirty, evicted
 	}
 	way := -1
 	for i := range set {
-		if set[i].state == invalid {
+		if set[i].state() == invalid {
 			way = i
 			break
 		}
 	}
 	if way == -1 {
 		way = len(set) - 1
-		victim = set[way].tag
-		dirty = set[way].state == modified
+		victim = set[way].block()
+		dirty = set[way].state() == modified
 		evicted = true
 		c.gone[victim] = goneReason{by: ctx}
 	}
-	set[way] = line{tag: block, state: st}
+	set[way] = packLine(block, st)
 	touch(set, way)
 	return victim, dirty, evicted
 }
@@ -223,16 +245,16 @@ func (c *fastCache) setState(block uint64, st lineState) {
 		return
 	}
 	if c.ways == 1 {
-		if l := c.slot(block); l != nil && l.state != invalid && l.tag == block {
-			l.state = st
+		if l := c.slot(block); l != nil && l.holds(block) {
+			*l = packLine(block, st)
 			return
 		}
 		panic("sim: setState on non-resident block")
 	}
 	set := c.set(block)
 	for i := range set {
-		if set[i].state != invalid && set[i].tag == block {
-			set[i].state = st
+		if set[i].holds(block) {
+			set[i] = packLine(block, st)
 			return
 		}
 	}
@@ -254,9 +276,9 @@ func (c *fastCache) invalidate(block uint64, byProc int32) (present, dirty bool)
 		return true, st == modified
 	}
 	if c.ways == 1 {
-		if l := c.slot(block); l != nil && l.state != invalid && l.tag == block {
-			dirty = l.state == modified
-			l.state = invalid
+		if l := c.slot(block); l != nil && l.holds(block) {
+			dirty = l.state() == modified
+			*l = packLine(block, invalid)
 			c.gone[block] = goneReason{invalidated: true, by: byProc}
 			return true, dirty
 		}
@@ -264,9 +286,9 @@ func (c *fastCache) invalidate(block uint64, byProc int32) (present, dirty bool)
 	}
 	set := c.set(block)
 	for i := range set {
-		if set[i].state != invalid && set[i].tag == block {
-			dirty = set[i].state == modified
-			set[i].state = invalid
+		if set[i].holds(block) {
+			dirty = set[i].state() == modified
+			set[i] = packLine(block, invalid)
 			c.gone[block] = goneReason{invalidated: true, by: byProc}
 			return true, dirty
 		}

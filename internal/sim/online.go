@@ -449,7 +449,7 @@ func (m *fastMachine) onlineBoundary() {
 			p.stats.Idle -= pre[pid].wake - b
 		}
 		p.rr = len(p.ctxs) - 1
-		m.push(b, p)
+		m.q.reschedule(b, pid)
 	}
 }
 
@@ -474,6 +474,9 @@ func RunOnlineGuarded(tr *trace.Trace, pl *placement.Placement, cfg Config, eng 
 	online := opts.enabled()
 	if online && cfg.MaxContexts > 0 {
 		return nil, fmt.Errorf("sim: online placement is incompatible with MaxContexts (loaded-context admission would race migrations)")
+	}
+	if online && (opts.Interval > maxCycles || opts.Penalty > maxCycles) {
+		return nil, fmt.Errorf("sim: online interval %d or penalty %d exceeds 2^62 cycles", opts.Interval, opts.Penalty)
 	}
 	switch eng {
 	case ReferenceEngine:

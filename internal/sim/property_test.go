@@ -113,54 +113,114 @@ func TestQuickEnginesAgree(t *testing.T) {
 	}
 }
 
-// TestQuickHeapOrderInvariance: the fast engine's quadHeap pops events in
-// the same (time, proc) order as the reference container/heap regardless
-// of insertion order, so results cannot depend on how the event queue was
-// built.
-func TestQuickHeapOrderInvariance(t *testing.T) {
+// TestQuickEventTreeMatchesHeap drives the fast engine's event tree and
+// the reference eventHeap, with its seq check, through one random
+// sequence of the engine's queue operations: pushes for processors with
+// no pending event, equal keys included; pops, each fresh event
+// processed and mostly rescheduled; and online reschedules of processors
+// whose event is still pending, which leave a stale event behind. Both
+// queues must pop the same (time, proc) sequence, process the same
+// events, pop as often (stale pops included) and report the same depth
+// after every pop. A stale and a fresh event of one processor with equal
+// keys are interchangeable: a heap pop counts as the fresh event only
+// when no twin with its key is still queued, the tree's stale-first tie
+// order.
+func TestQuickEventTreeMatchesHeap(t *testing.T) {
+	type slot struct {
+		time uint64
+		proc int
+	}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(200)
-		events := make([]event, n)
-		for i := range events {
-			// Narrow ranges force plenty of (time, proc) ties.
-			events[i] = event{
-				time: uint64(rng.Intn(16)),
-				proc: rng.Intn(4),
-				seq:  uint64(rng.Intn(8)),
-			}
-		}
-
+		procs := 1 + rng.Intn(9)
+		tree := newEventTree(procs)
 		var ref eventHeap
-		for _, e := range events {
-			heap.Push(&ref, e)
+		seq := make([]uint64, procs)
+		pending := make([]int64, procs) // the fresh event's time, or -1
+		queued := map[slot]int{}        // heap entries per key, stale included
+		var now uint64
+		fail := func(format string, args ...any) bool {
+			t.Logf("seed %d: "+format, append([]any{seed}, args...)...)
+			return false
 		}
-		// Insert the same multiset into two quadHeaps in different orders.
-		var a, b quadHeap
-		for _, e := range events {
-			a.push(e)
+		push := func(tm uint64, p int, online bool) {
+			seq[p]++
+			heap.Push(&ref, event{time: tm, proc: p, seq: seq[p]})
+			queued[slot{tm, p}]++
+			pending[p] = int64(tm)
+			if online {
+				tree.reschedule(tm, p)
+			} else {
+				tree.push(tm, p)
+			}
 		}
-		for _, i := range rng.Perm(n) {
-			b.push(events[i])
+		// pop pops both queues once, compares them and reports whether the
+		// popped event is fresh.
+		pop := func() (event, bool, bool) {
+			ev := heap.Pop(&ref).(event)
+			key, stale := tree.min()
+			tree.pop(key, stale)
+			k := slot{ev.time, ev.proc}
+			queued[k]--
+			fresh := queued[k] == 0 && pending[ev.proc] == int64(ev.time)
+			switch {
+			case ev.seq == seq[ev.proc] && !fresh && queued[k] == 0:
+				return ev, false, fail("heap's fresh event (%d,%d) classified stale", ev.time, ev.proc)
+			case tree.time(key) != ev.time || tree.proc(key) != ev.proc:
+				return ev, false, fail("tree popped (%d,%d), heap (%d,%d)", tree.time(key), tree.proc(key), ev.time, ev.proc)
+			case stale == fresh:
+				return ev, false, fail("(%d,%d): tree stale %v, heap fresh %v", ev.time, ev.proc, stale, fresh)
+			case tree.len() != ref.Len():
+				return ev, false, fail("depth after (%d,%d): tree %d, heap %d", ev.time, ev.proc, tree.len(), ref.Len())
+			}
+			if fresh {
+				pending[ev.proc] = -1
+				now = ev.time
+			}
+			return ev, fresh, true
 		}
 
-		for i := 0; i < n; i++ {
-			re := heap.Pop(&ref).(event)
-			ae, be := a.pop(), b.pop()
-			// Events tied on (time, proc) are mutually interchangeable;
-			// only the (time, proc) sequence is observable.
-			if ae.time != re.time || ae.proc != re.proc {
-				t.Logf("seed %d pop %d: quadHeap (%d,%d) vs reference (%d,%d)", seed, i, ae.time, ae.proc, re.time, re.proc)
-				return false
+		for p := range pending {
+			pending[p] = -1
+			if rng.Intn(4) != 0 {
+				push(uint64(rng.Intn(4)), p, false)
 			}
-			if be.time != re.time || be.proc != re.proc {
-				t.Logf("seed %d pop %d: insertion order changed pop order", seed, i)
+		}
+		for op := 0; op < 300; op++ {
+			p := rng.Intn(procs)
+			switch {
+			case rng.Intn(5) == 0:
+				// An online boundary at b, no later than p's pending
+				// event, re-activates p.
+				b := now + uint64(rng.Intn(3))
+				if pending[p] >= 0 {
+					b = now + uint64(rng.Int63n(pending[p]-int64(now)+1))
+				}
+				push(b, p, true)
+			case ref.Len() == 0:
+				if k, _ := tree.min(); k != noEvent || tree.len() != 0 {
+					return fail("heap empty, tree holds %d events", tree.len())
+				}
+				push(now+uint64(rng.Intn(3)), p, false)
+			default:
+				ev, fresh, ok := pop()
+				if !ok {
+					return false
+				}
+				if fresh && rng.Intn(5) != 0 {
+					push(now+uint64(rng.Intn(3)), ev.proc, false)
+				}
+			}
+		}
+		for ref.Len() > 0 {
+			if _, _, ok := pop(); !ok {
 				return false
 			}
 		}
-		return a.len() == 0 && b.len() == 0
+		k, _ := tree.min()
+		return k == noEvent && tree.len() == 0
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
