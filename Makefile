@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test verify lint racecheck bench benchsim benchserve benchcluster benchadvise fuzz golden faultcheck servecheck clustercheck tracecheck storecheck advisecheck perfcheck benchsmoke loc
+.PHONY: build test verify lint racecheck bench benchadvise fuzz golden faultcheck servecheck clustercheck tracecheck storecheck advisecheck perfcheck benchsmoke loc
 
 build:
 	$(GO) build ./...
@@ -45,23 +45,19 @@ verify: faultcheck servecheck clustercheck tracecheck storecheck advisecheck per
 	$(GO) test -race -timeout 30m ./...
 
 # Service tier (DESIGN.md §10): build mtserve, run the API's differential
-# / drain / backpressure tests plus the remote-sweep byte-identity test,
-# then a loadgen smoke — an in-process server under 16 concurrent
-# clients; it hard-fails on any error or any response diverging from the
-# direct library result, and asserts /healthz and /metrics coherence.
+# / drain / backpressure tests — among them TestConcurrentClientsMatchLibrary,
+# eight concurrent clients over the catalog that hard-fail on any error,
+# any reply diverging from the direct library result, any cell simulated
+# twice, or /healthz and /metrics disagreeing with the load — plus the
+# remote-sweep byte-identity test.
 servecheck:
 	$(GO) build -o /dev/null ./cmd/mtserve
 	$(GO) test ./internal/serve/... ./cmd/mtserve
 	$(GO) test ./cmd/experiments -run 'TestRemote'
-	$(GO) run ./cmd/mtserve -loadgen -clients 16 -rounds 2 >/dev/null
-
-# Regenerate BENCH_serve.json: service throughput/latency under the full
-# 64-client load with correctness gating.
-benchserve:
-	$(GO) run ./cmd/mtserve -loadgen -clients 64 -rounds 4 -bench BENCH_serve.json >/dev/null
 
 # Cluster tier (DESIGN.md §11): build mtcoord, run the coordinator's
-# differential suite (cluster sweep vs direct library),
+# differential suite (cluster sweep vs direct library), the worker-overlap
+# test (four single-slot workers must all be inside a cell at once),
 # the chaos matrix (kill / partition / restart a worker mid-sweep with
 # zero lost or duplicated cells), the shard-key goldens, and the
 # experiments-level artifact byte-identity test against a coordinator
@@ -71,13 +67,8 @@ clustercheck:
 	$(GO) test ./internal/cluster ./internal/loadgen
 	$(GO) test ./cmd/experiments -run 'TestClusterSweepArtifactsMatchLocal'
 
-# Regenerate BENCH_cluster.json: 1->4 worker scaling of the coordinator
-# pipeline with byte-identity gating (hard-fails under 3x at 4 workers).
-benchcluster:
-	$(GO) run ./cmd/mtcoord -bench BENCH_cluster.json -bench-workers 4 >/dev/null
-
 # Telemetry tier (DESIGN.md §7): the obs primitives (log-scale histogram
-# goldens and quantiles, bus fan-out with slow-subscriber drop, bounded
+# goldens, bus fan-out with slow-subscriber drop, bounded
 # span store, Perfetto export), then the end-to-end contracts — SSE job
 # streams deliver the terminal state without polling (with and without
 # telemetry enabled), trace IDs propagate coordinator -> worker across
@@ -149,11 +140,6 @@ advisecheck:
 # (interval, cost) grid.
 benchadvise:
 	$(GO) run ./cmd/experiments -advise BENCH_advise.json -scale 0.25
-
-# Regenerate BENCH_sim.json: engine throughput bare and probed, plus the
-# memoized and guarded sweep timings.
-benchsim:
-	$(GO) run ./cmd/experiments -benchsim BENCH_sim.json
 
 # The benchmark of record (perfbench/, its own Go module, so the root
 # `go build ./...` and `go test ./...` never compile it): vet it and run

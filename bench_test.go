@@ -189,9 +189,8 @@ func BenchmarkSimulateWater4p(b *testing.B) {
 }
 
 // benchmarkEngine times one engine on the Figure 2 application's
-// LOAD-BAL/8p cell, reporting simulated cycles per second of wall time —
-// the before/after number behind BENCH_sim.json. A non-zero cacheSize
-// replaces the application's own cache capacity.
+// LOAD-BAL/8p cell, reporting simulated cycles per second of wall time.
+// A non-zero cacheSize replaces the application's own cache capacity.
 func benchmarkEngine(b *testing.B, eng sim.Engine, cacheSize int) {
 	b.Helper()
 	s := benchSuite()

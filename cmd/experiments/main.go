@@ -149,7 +149,6 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "abort all in-flight simulations after this long (e.g. 30m)")
 		maxSteps = flag.Uint64("maxsteps", 0, "abort any single simulation after this many events (livelock watchdog)")
 		remote   = flag.String("remote", "", "run simulations on the mtserve instance at this base URL (e.g. http://127.0.0.1:8080)")
-		bsim     = flag.String("benchsim", "", "benchmark the simulation engine (bare, probed, memoized and guarded sweeps) and save the numbers as JSON")
 		badvise  = flag.String("advise", "", "evaluate online adaptive placement (static-vs-online kernel sweep + phased crossover) and save the gated report as JSON")
 		timeline = flag.String("timeline", "", "simulate one representative run and write its Perfetto timeline JSON to this file")
 		progress = flag.Duration("progress", 0, "log a progress heartbeat at this interval (e.g. 10s) while sweeps run")
@@ -203,8 +202,6 @@ func main() {
 
 	var err error
 	switch {
-	case *bsim != "":
-		err = benchSim(*scale, *seed, *procs, *bsim)
 	case *badvise != "":
 		err = benchAdvise(*scale, *seed, *badvise)
 	case *timeline != "":
@@ -544,7 +541,7 @@ func run(cfg sweepCfg) (err error) {
 		}
 	}
 	if !ran {
-		return obs.Usagef("nothing selected: use -all, -table N, -figure N, -ablation NAME, -json FILE, -benchsim FILE, -advise FILE or -timeline FILE")
+		return obs.Usagef("nothing selected: use -all, -table N, -figure N, -ablation NAME, -json FILE, -advise FILE or -timeline FILE")
 	}
 	return nil
 }

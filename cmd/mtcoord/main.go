@@ -11,7 +11,6 @@
 //
 //	mtcoord -addr :9090                          # coordinate until SIGTERM
 //	mtcoord -addr :9090 -store-dir /var/mtcoord  # with crash recovery
-//	mtcoord -bench BENCH_cluster.json            # in-process scaling bench
 //
 // Workers join with `mtserve -coord http://coordinator:9090`; membership
 // is registration plus heartbeats (/cluster/v1/register, /cluster/v1/
@@ -64,12 +63,6 @@ func run(args []string) int {
 
 		debugAddr   = fs.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 		noTelemetry = fs.Bool("no-telemetry", false, "disable distributed tracing and job-progress streams (histograms stay on)")
-
-		bench        = fs.String("bench", "", "run the in-process cluster scaling benchmark, write the JSON report here, and exit")
-		benchWorkers = fs.Int("bench-workers", 4, "bench: maximum worker count (measures 1..max in doubling steps)")
-		scale        = fs.Float64("scale", 0.25, "bench: workload scale")
-		seed         = fs.Int64("seed", 1994, "bench: workload seed")
-		minCell      = fs.Duration("mincell", 250*time.Millisecond, "bench: per-cell service-time floor modeling full-scale cells")
 	)
 	if err := fs.Parse(args); err != nil {
 		return obs.CodeUsage
@@ -90,20 +83,6 @@ func run(args []string) int {
 			return obs.Fail(log, err, fs.Usage)
 		}
 		defer stop()
-	}
-
-	if *bench != "" {
-		cfg := benchConfig{
-			maxWorkers: *benchWorkers,
-			scale:      *scale,
-			seed:       *seed,
-			minCell:    *minCell,
-			out:        *bench,
-		}
-		if err := runBench(log, cfg); err != nil {
-			return obs.Fail(log, err, fs.Usage)
-		}
-		return obs.CodeOK
 	}
 
 	return coordMain(log, *addr, opts, *storeDir)

@@ -7,7 +7,6 @@
 //	mtserve -addr :8080                      # serve until SIGTERM/SIGINT
 //	mtserve -addr :8080 -workers 8 -cache 8192
 //	mtserve -addr :8080 -store-dir /var/mtsim # durable results
-//	mtserve -loadgen -clients 64 -bench BENCH_serve.json
 //
 // Endpoints: the nine public routes of DESIGN.md §10 (POST /v1/simulate,
 // /v1/sweep, /v1/advise; GET /v1/jobs/{id}, /v1/jobs/{id}/events,
@@ -78,13 +77,6 @@ func run(args []string) int {
 		name      = fs.String("name", "", "cluster worker ID (default derived from the listen address)")
 		advertise = fs.String("advertise", "", "base URL the coordinator should reach this worker at (default http://<listen addr>)")
 		beat      = fs.Duration("heartbeat", 500*time.Millisecond, "cluster heartbeat interval")
-
-		loadgen = fs.Bool("loadgen", false, "run the self-benchmark against an in-process server and exit")
-		clients = fs.Int("clients", 64, "loadgen: concurrent clients")
-		rounds  = fs.Int("rounds", 4, "loadgen: passes each client makes over the cell list")
-		scale   = fs.Float64("scale", 0.25, "loadgen: workload scale")
-		seed    = fs.Int64("seed", 1994, "loadgen: workload seed")
-		bench   = fs.String("bench", "", "loadgen: write the JSON report here (e.g. BENCH_serve.json)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return obs.CodeUsage
@@ -108,22 +100,6 @@ func run(args []string) int {
 			return obs.Fail(log, err, fs.Usage)
 		}
 		defer stop()
-	}
-
-	if *loadgen {
-		cfg := loadgenConfig{
-			clients:  *clients,
-			rounds:   *rounds,
-			scale:    *scale,
-			seed:     *seed,
-			bench:    *bench,
-			storeDir: *storeDir,
-			opts:     opts,
-		}
-		if err := runLoadgen(log, cfg); err != nil {
-			return obs.Fail(log, err, fs.Usage)
-		}
-		return obs.CodeOK
 	}
 
 	cc := coordConfig{url: *coord, name: *name, advertise: *advertise, interval: *beat}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -535,6 +537,55 @@ func TestWorkStealingDrainsStraggler(t *testing.T) {
 	snap := tc.coord.Metrics().Snapshot()
 	if snap["coordinator_steals_total"] == 0 {
 		t.Error("no cells were stolen from the straggler")
+	}
+}
+
+// TestClusterKeepsEveryWorkerBusy: the coordinator overlaps its workers.
+// Four single-slot workers each hold their first cell in BeforeCell until
+// all four are inside a cell at once, so a scheduler that kept fewer than
+// four workers busy at some moment would leave the barrier shut until
+// its deadline. The sweep must still finish byte-identical.
+func TestClusterKeepsEveryWorkerBusy(t *testing.T) {
+	const workers = 4
+	apps, algs, procs := loadgen.ClusterDims()
+	cells := loadgen.ClusterMix()
+	want, err := loadgen.GroundTruth(testScale, testSeed, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var arrived, timedOut atomic.Int32
+	allIn := make(chan struct{})
+	tc := startCoordinator(t, testCoordOptions())
+	for i := 0; i < workers; i++ {
+		var first sync.Once
+		tc.addWorker(fmt.Sprintf("w%d", i), serve.Options{Workers: 1, BeforeCell: func() {
+			first.Do(func() {
+				if arrived.Add(1) == workers {
+					close(allIn)
+				}
+			})
+			select {
+			case <-allIn:
+			case <-ctx.Done():
+				timedOut.Add(1)
+			}
+		}})
+	}
+	tc.waitLive(workers)
+
+	params := serve.Params{Scale: testScale, Seed: testSeed}
+	st := sweepTo(t, tc.client(), &serve.SweepRequest{
+		Params: &params, Apps: apps, Algorithms: algs, Procs: procs,
+	})
+	if st.Status != serve.StatusDone {
+		t.Fatalf("sweep ended %s: %s", st.Status, st.Error)
+	}
+	assertResults(t, st, cells, want)
+	if n := timedOut.Load(); n > 0 {
+		t.Errorf("%d cells waited out the deadline: the %d workers were never all inside a cell at once", n, workers)
 	}
 }
 

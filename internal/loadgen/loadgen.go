@@ -1,27 +1,22 @@
-// Package loadgen is the shared core of the self-benchmarks: the cell
-// mix, library ground truth, concurrent driving, latency aggregation and
-// report writing that `mtserve -loadgen` (single-server service bench)
-// and `mtcoord -bench` (cluster scaling bench) have in common. Both
-// benchmarks share one hard rule — the service layer adds transport,
-// never arithmetic — so both verify every response against the same
-// direct library results this package computes.
+// Package loadgen is the shared core of every concurrent-client load on
+// the service: the cell mix, the direct library ground truth every served
+// result is compared against, and a barrier that releases clients
+// together.
+// perfbench drives its request workloads with it; the serve and cluster
+// tests use it to hold the service layer to one rule — it adds
+// transport, never arithmetic.
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// Cell is one named benchmark cell.
+// Cell is one named simulation cell.
 type Cell struct {
 	App   string
 	Alg   string
@@ -42,28 +37,11 @@ func Mix(apps, algs []string, procs []int) []Cell {
 	return cells
 }
 
-// DefaultDims returns the standard benchmark dimensions: two
-// applications across every static placement algorithm at two machine
-// sizes. The sweep-shaped benchmarks submit these dimensions directly;
-// DefaultMix is their cross product.
-func DefaultDims() (apps, algs []string, procs []int) {
-	return []string{"MP3D", "Gauss"}, core.AllAlgorithms(), []int{2, 4}
-}
-
-// DefaultMix is the standard benchmark mix — enough distinct cells that
-// a first pass is miss-heavy and later passes are cache-served.
-func DefaultMix() []Cell {
-	apps, algs, procs := DefaultDims()
-	return Mix(apps, algs, procs)
-}
-
-// ClusterDims returns the cluster-benchmark dimensions: many
-// applications but only the two cheap placement algorithms (LOAD-BAL and
-// RANDOM — no sharing-matrix candidate ranking). The cluster bench
-// models full-scale cells with a per-cell service-time floor; keeping
-// the real marginal CPU per cell small is what makes the floor dominate,
-// so measured scaling reflects the coordinator's pipeline rather than
-// one CI core serializing placement search.
+// ClusterDims returns the cluster tests' dimensions: many applications
+// but only the two cheap placement algorithms (LOAD-BAL and RANDOM — no
+// sharing-matrix candidate ranking), so a multi-worker sweep spends its
+// time in the coordinator's routing, leasing and stealing rather than in
+// placement search.
 func ClusterDims() (apps, algs []string, procs []int) {
 	return []string{"MP3D", "Gauss", "Water", "FFT", "Cholesky", "Barnes-Hut"},
 		[]string{"LOAD-BAL", "RANDOM"},
@@ -76,21 +54,8 @@ func ClusterMix() []Cell {
 	return Mix(apps, algs, procs)
 }
 
-// Apps lists the distinct applications of a mix, in first-seen order.
-func Apps(cells []Cell) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, c := range cells {
-		if !seen[c.App] {
-			seen[c.App] = true
-			out = append(out, c.App)
-		}
-	}
-	return out
-}
-
 // GroundTruth computes every cell directly through the library, sharing
-// one suite, so each benchmarked response has an exact expected value.
+// one suite, so each served response has an exact expected value.
 func GroundTruth(scale float64, seed int64, cells []Cell) (map[Cell]*sim.Result, error) {
 	opts := core.DefaultOptions()
 	opts.Params = workload.Params{Scale: scale, Seed: seed}
@@ -108,8 +73,8 @@ func GroundTruth(scale float64, seed int64, cells []Cell) (map[Cell]*sim.Result,
 
 // Concurrent runs fn(0..n-1) on n goroutines released by a common
 // barrier — so the clients are genuinely concurrent, not staggered by
-// goroutine startup — and returns the elapsed wall-clock.
-func Concurrent(n int, fn func(client int)) time.Duration {
+// goroutine startup — and returns when all have finished.
+func Concurrent(n int, fn func(client int)) {
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for i := 0; i < n; i++ {
@@ -120,90 +85,6 @@ func Concurrent(n int, fn func(client int)) time.Duration {
 			fn(i)
 		}(i)
 	}
-	t0 := time.Now()
 	close(start)
 	wg.Wait()
-	return time.Since(t0)
-}
-
-// InFlight tracks a concurrency high-water mark.
-type InFlight struct {
-	mu       sync.Mutex
-	cur, max int
-}
-
-// Enter marks one request in flight.
-func (f *InFlight) Enter() {
-	f.mu.Lock()
-	f.cur++
-	if f.cur > f.max {
-		f.max = f.cur
-	}
-	f.mu.Unlock()
-}
-
-// Leave marks one request done.
-func (f *InFlight) Leave() {
-	f.mu.Lock()
-	f.cur--
-	f.mu.Unlock()
-}
-
-// Max returns the high-water mark.
-func (f *InFlight) Max() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.max
-}
-
-// Latencies aggregates request latencies across clients.
-type Latencies struct {
-	mu  sync.Mutex
-	all []time.Duration
-}
-
-// Add records one latency sample.
-func (l *Latencies) Add(d time.Duration) {
-	l.mu.Lock()
-	l.all = append(l.all, d)
-	l.mu.Unlock()
-}
-
-// Count returns the number of samples.
-func (l *Latencies) Count() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.all)
-}
-
-// PercentileMs returns the p-quantile (0..1) in milliseconds, 0 when
-// empty. Nearest-rank on the sorted samples, matching the historical
-// loadgen report definition.
-func (l *Latencies) PercentileMs(p float64) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.all) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), l.all...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := int(p * float64(len(sorted)-1))
-	return float64(sorted[i]) / float64(time.Millisecond)
-}
-
-// WriteReport marshals rep with indentation, writes it to path when path
-// is non-empty, and echoes it to w (typically stdout).
-func WriteReport(w io.Writer, path string, rep any) error {
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if path != "" {
-		if err := os.WriteFile(path, out, 0o644); err != nil {
-			return err
-		}
-	}
-	_, err = w.Write(out)
-	return err
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -84,34 +83,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// Quantile returns an upper bound for the p-th quantile (0 < p <= 1):
-// the bucket bound at the nearest-rank position. Values in the overflow
-// bucket report the largest finite bound. Returns 0 when empty.
-func (h *Histogram) Quantile(p float64) int64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(p * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var cum int64
-	for i := 0; i <= histFiniteBuckets; i++ {
-		cum += h.buckets[i].Load()
-		if cum >= rank {
-			if i >= histFiniteBuckets {
-				return histBucketBound(histFiniteBuckets - 1)
-			}
-			return histBucketBound(i)
-		}
-	}
-	return histBucketBound(histFiniteBuckets - 1)
-}
 
 // writeTo renders the histogram in the Prometheus text exposition format:
 // cumulative _bucket series in ascending le order, then _sum and _count.

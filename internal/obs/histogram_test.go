@@ -91,36 +91,6 @@ func TestHistogramInterleavedRender(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantile: nearest-rank over bucket bounds.
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram("q", "q")
-	if h.Quantile(0.5) != 0 {
-		t.Error("empty histogram must report 0")
-	}
-	// 90 fast observations (<=8) and 10 slow (<=1024).
-	for i := 0; i < 90; i++ {
-		h.Observe(7)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(1000)
-	}
-	if got := h.Quantile(0.5); got != 8 {
-		t.Errorf("p50 = %d, want 8", got)
-	}
-	if got := h.Quantile(0.9); got != 8 {
-		t.Errorf("p90 = %d, want 8", got)
-	}
-	if got := h.Quantile(0.99); got != 1024 {
-		t.Errorf("p99 = %d, want 1024", got)
-	}
-	// Overflow observations report the largest finite bound.
-	o := NewHistogram("o", "o")
-	o.Observe(1 << 50)
-	if got := o.Quantile(0.5); got != histBucketBound(histFiniteBuckets-1) {
-		t.Errorf("overflow quantile = %d, want %d", got, histBucketBound(histFiniteBuckets-1))
-	}
-}
-
 // TestHistogramKindClash: a histogram name cannot collide with a scalar
 // metric in either registration order.
 func TestHistogramKindClash(t *testing.T) {

@@ -127,15 +127,6 @@ func (s *MetricSet) Histogram(name, help string) *Histogram {
 	return h
 }
 
-// HistogramByName returns the registered histogram, if any. Benches use
-// this to read server-side distributions without exporting struct fields.
-func (s *MetricSet) HistogramByName(name string) (*Histogram, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.hists[name]
-	return h, ok
-}
-
 // Snapshot returns the current value of every metric, keyed by name.
 func (s *MetricSet) Snapshot() map[string]int64 {
 	s.mu.Lock()

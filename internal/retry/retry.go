@@ -1,6 +1,6 @@
 // Package retry is the backoff core behind serve/client's handling of
-// 429/5xx responses (honoring Retry-After), which experiments -remote,
-// the loadgen and the coordinator's calls to its workers go through.
+// 429/5xx responses (honoring Retry-After), which experiments -remote
+// and the coordinator's calls to its workers go through.
 //
 // The package is deliberately clock-free and randomness-free: Delay
 // takes the attempt number and a caller-supplied jitter unit, and

@@ -1,5 +1,5 @@
 // Package client is the Go client for mtserve's JSON API. It is what
-// cmd/experiments -remote and mtserve -loadgen speak; the types are
+// cmd/experiments -remote and the coordinator speak; the types are
 // shared with the server (package serve), so a decoded result is the
 // same sim.Result the library would have returned — deep-equality
 // between remote and local runs is a test invariant, not an

@@ -158,6 +158,18 @@ func (c *Cache) Get(k Key) *sim.Result {
 	return res
 }
 
+// Peek returns the cached result for k, or nil, without counting a hit or
+// a miss and without promoting the entry. It is a re-check for a caller
+// whose counted Get already missed.
+func (c *Cache) Peek(k Key) *sim.Result {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if idx, ok := c.index[k]; ok {
+		return c.slots[idx].res
+	}
+	return nil
+}
+
 // moveToFront unlinks slot idx and relinks it at the head. Caller holds
 // the lock.
 //

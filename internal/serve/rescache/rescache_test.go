@@ -129,6 +129,28 @@ func TestCacheLRU(t *testing.T) {
 	}
 }
 
+// TestCachePeek: Peek finds an entry without counting a hit or a miss
+// and without promoting it.
+func TestCachePeek(t *testing.T) {
+	c := New(2)
+	r1, r2 := &sim.Result{ExecTime: 1}, &sim.Result{ExecTime: 2}
+	c.Put(key(1), r1)
+	c.Put(key(2), r2)
+	if got := c.Peek(key(1)); got != r1 {
+		t.Fatalf("Peek(1) = %v, want r1", got)
+	}
+	if got := c.Peek(key(3)); got != nil {
+		t.Fatalf("Peek(3) = %v, want nil", got)
+	}
+	c.Put(key(3), &sim.Result{ExecTime: 3}) // evicts key(1): Peek did not promote it
+	if got := c.Peek(key(1)); got != nil {
+		t.Fatal("Peek promoted the entry it read")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want no hits or misses", st)
+	}
+}
+
 // TestCachePutUpdates: re-putting an existing key replaces the value
 // without growing the cache.
 func TestCachePutUpdates(t *testing.T) {

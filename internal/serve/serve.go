@@ -39,15 +39,10 @@ type Options struct {
 	// (0 = no timeout). Enforced via the job's cancel flag, which the
 	// simulator polls, so a stuck cell aborts with a BudgetError.
 	RequestTimeout time.Duration
-	// MinCellTime pads every simulated (non-cached) cell to a minimum
-	// wall-clock service time. Zero in production; the cluster
-	// self-benchmark sets it so shrunken benchmark cells model the
-	// service time of full-scale cells (BENCH_cluster.json records the
-	// value used).
-	MinCellTime time.Duration
 	// BeforeCell, when non-nil, runs at the start of every cell
-	// execution. It is a test and benchmark hook (chaos tests slow one
-	// worker down to manufacture a straggler); nil in production.
+	// execution. It is a test hook (chaos tests slow one worker down to
+	// manufacture a straggler, the overlap test holds each worker at a
+	// barrier); nil in production.
 	BeforeCell func()
 	// ServiceName labels this server's spans on the distributed-trace
 	// timeline (default "mtserve"; clustered workers use their worker ID).
@@ -658,6 +653,10 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 	}
 
 	// Single-flight: concurrent identical misses share one simulation.
+	// A flight leaves s.flights only after its result is in the cache
+	// (landFlight), so a miss that finds no flight re-checks the cache
+	// under the same lock; Peek counts nothing, as Get already counted
+	// this request's miss.
 	s.mu.Lock()
 	if f, ok := s.flights[key]; ok {
 		s.mu.Unlock()
@@ -672,6 +671,11 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 		}
 		return cellResultInternal{key: keyHex, res: f.res}
 	}
+	if res := s.cache.Peek(key); res != nil {
+		s.mu.Unlock()
+		cellSpan.SetNote("cache hit")
+		return cellResultInternal{key: keyHex, cached: true, res: res}
+	}
 	f := &flight{done: make(chan struct{})}
 	s.flights[key] = f
 	s.mu.Unlock()
@@ -680,12 +684,7 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 	// cache) without simulating — this is how a restarted server warm
 	// starts from disk.
 	if res := s.storeGet(key, sctx); res != nil {
-		f.res = res
-		close(f.done)
-		s.mu.Lock()
-		delete(s.flights, key)
-		s.mu.Unlock()
-		s.cache.Put(key, res)
+		s.landFlight(key, f, res, nil)
 		cellSpan.SetNote("store hit")
 		return cellResultInternal{key: keyHex, cached: true, res: res}
 	}
@@ -703,25 +702,29 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 		}
 	}
 	engineSpan.End()
-	if s.opts.MinCellTime > 0 {
-		if rest := s.opts.MinCellTime - time.Since(t0); rest > 0 {
-			time.Sleep(rest)
-		}
-	}
 
+	s.landFlight(key, f, res, err)
+	if err != nil {
+		s.metrics.simFailures.Inc()
+		return cellResultInternal{key: keyHex, err: err}
+	}
+	s.storePut(key, res)
+	return cellResultInternal{key: keyHex, res: res, counters: counters}
+}
+
+// landFlight publishes a flight's outcome to its waiters and releases
+// it. A result enters the cache before the flight leaves s.flights, so
+// an identical miss always finds one or the other and never simulates
+// the cell a second time.
+func (s *Server) landFlight(key rescache.Key, f *flight, res *sim.Result, err error) {
+	if err == nil {
+		s.cache.Put(key, res)
+	}
 	f.res, f.err = res, err
 	close(f.done)
 	s.mu.Lock()
 	delete(s.flights, key)
 	s.mu.Unlock()
-
-	if err != nil {
-		s.metrics.simFailures.Inc()
-		return cellResultInternal{key: keyHex, err: err}
-	}
-	s.cache.Put(key, res)
-	s.storePut(key, res)
-	return cellResultInternal{key: keyHex, res: res, counters: counters}
 }
 
 // simulate runs the cell on the fast engine under the job's guard. When

@@ -10,12 +10,15 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/loadgen"
 	"repro/internal/serve/rescache"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -740,10 +743,94 @@ func TestSingleFlight(t *testing.T) {
 			}
 		}
 	}
-	if runs := s.Metrics().Snapshot()["serve_sim_runs_total"]; runs > 2 {
-		// Timing may let a request hit the filled cache, but single-flight
-		// must stop n identical concurrent misses from n simulations.
-		// (>2 would mean dedup failed; typically this is exactly 1.)
-		t.Errorf("sim runs = %d for %d identical concurrent requests", runs, n)
+	if runs := s.Metrics().Snapshot()["serve_sim_runs_total"]; runs != 1 {
+		// A request either joins the flight, finds the cache the flight
+		// filled, or starts the one flight: identical requests simulate
+		// the cell exactly once, however their timing falls.
+		t.Errorf("sim runs = %d for %d identical concurrent requests, want 1", runs, n)
+	}
+}
+
+// TestConcurrentClientsMatchLibrary: the service adds transport, never
+// arithmetic, under concurrent load. Clients released together walk one
+// cell mix in the same order, so identical misses collide on every cell
+// of the first round. Every reply must equal the direct library result,
+// each distinct cell must be simulated exactly once, every request must
+// count exactly one cache hit or miss, and /healthz and /metrics must
+// agree with the load just applied.
+//
+// The cells are tiny (scale 0.02) so that a simulation lasts about as
+// long as the clients' arrival jitter: across the whole catalog some
+// identical misses then arrive just as a flight lands, the window in
+// which a request could find neither the flight nor its cached result.
+func TestConcurrentClientsMatchLibrary(t *testing.T) {
+	const clients, rounds = 8, 2
+	params := Params{Scale: 0.02, Seed: testParams.Seed}
+	cells := loadgen.Mix(workload.Names(), core.AllAlgorithms(), []int{2, 4})
+	want, err := loadgen.GroundTruth(params.Scale, params.Seed, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(store.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() }) // runs after the server's drain
+	s, ts := newTestServer(t, Options{Workers: clients, Store: st})
+
+	var failed, divergent atomic.Int64
+	loadgen.Concurrent(clients, func(int) {
+		for r := 0; r < rounds; r++ {
+			for _, c := range cells {
+				b, _ := json.Marshal(SimulateRequest{Params: &params, App: c.App, Algorithm: c.Alg, Procs: c.Procs})
+				resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", bytes.NewReader(b))
+				if err != nil {
+					failed.Add(1)
+					continue
+				}
+				var sr SimulateResponse
+				err = json.NewDecoder(resp.Body).Decode(&sr)
+				resp.Body.Close()
+				switch {
+				case err != nil || resp.StatusCode != http.StatusOK:
+					failed.Add(1)
+				case !reflect.DeepEqual(sr.Result, want[c]):
+					divergent.Add(1)
+				}
+			}
+		}
+	})
+	requests := int64(clients * rounds * len(cells))
+	if n := failed.Load(); n > 0 {
+		t.Errorf("%d of %d requests failed", n, requests)
+	}
+	if n := divergent.Load(); n > 0 {
+		t.Errorf("%d of %d replies diverged from the direct library result", n, requests)
+	}
+
+	if runs := s.Metrics().Snapshot()["serve_sim_runs_total"]; runs != int64(len(cells)) {
+		t.Errorf("sim runs = %d for %d distinct cells", runs, len(cells))
+	}
+	if cs := s.CacheStats(); int64(cs.Hits+cs.Misses) != requests {
+		t.Errorf("cache hits %d + misses %d != %d requests", cs.Hits, cs.Misses, requests)
+	}
+	var h HealthResponse
+	getJSON(t, ts.URL+"/healthz", &h)
+	if h.Status != "ok" || h.Jobs.Completed != requests {
+		t.Errorf("/healthz status %q, %d jobs completed; want ok, %d", h.Status, h.Jobs.Completed, requests)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, series := range []string{
+		"serve_http_requests_total", "serve_sim_runs_total",
+		"serve_cache_hits_total", "serve_jobs_completed_total",
+	} {
+		if !strings.Contains(string(metrics), series) {
+			t.Errorf("/metrics missing series %s", series)
+		}
 	}
 }
