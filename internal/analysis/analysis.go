@@ -12,6 +12,8 @@ package analysis
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -25,13 +27,19 @@ type RefCount struct {
 // Total returns reads+writes.
 func (c RefCount) Total() uint64 { return uint64(c.Reads) + uint64(c.Writes) }
 
+// AddrCount is one thread's reference counts for one shared address.
+type AddrCount struct {
+	Addr  uint64
+	Count RefCount
+}
+
 // Profile summarizes one thread's memory footprint.
 type Profile struct {
 	// Thread is the thread ID within the application.
 	Thread int
-	// Shared maps each shared-segment address the thread touched to its
-	// reference counts.
-	Shared map[uint64]RefCount
+	// Shared lists each shared-segment address the thread touched, with
+	// its reference counts, in the order of the thread's first touch.
+	Shared []AddrCount
 	// TotalRefs is the thread's total data reference count.
 	TotalRefs uint64
 	// SharedRefs is the number of references to the shared segment.
@@ -57,30 +65,137 @@ func (p *Profile) RefsPerSharedAddr() float64 {
 
 // ProfileThread computes a thread's footprint profile.
 func ProfileThread(t *trace.Thread) *Profile {
-	p := &Profile{Thread: t.ID, Shared: make(map[uint64]RefCount)}
-	private := make(map[uint64]struct{})
+	return newProfiler().profile(t)
+}
+
+// profiler profiles one thread at a time. Analyze makes one and reuses it
+// for every thread, so its table and list grow only when a thread touches
+// more distinct addresses than every thread before it.
+type profiler struct {
+	// seen maps each address the current thread touched to its index in
+	// shared, or to -1 for a private address.
+	seen addrTable
+	// shared is the current thread's shared addresses in first-touch
+	// order.
+	shared []AddrCount
+}
+
+func newProfiler() *profiler {
+	pf := &profiler{}
+	pf.seen.alloc(minTableSlots)
+	return pf
+}
+
+// profile computes t's profile. Its Shared list is a copy of the reused
+// list, so the profile keeps nothing the next thread overwrites.
+func (pf *profiler) profile(t *trace.Thread) *Profile {
+	pf.seen.reset()
+	pf.shared = pf.shared[:0]
+	p := &Profile{Thread: t.ID, TotalRefs: uint64(t.Refs()), Length: t.Instructions()}
+	pf.count(t, p)
+	p.Shared = slices.Clone(pf.shared)
+	return p
+}
+
+// count tallies t's references into p's shared and private counts and
+// pf.shared: one table probe per reference, and one append per distinct
+// shared address.
+//
+//mtlint:hotpath
+func (pf *profiler) count(t *trace.Thread, p *Profile) {
 	for c := t.Cursor(); ; {
 		e, ok := c.Next()
 		if !ok {
 			break
 		}
-		p.TotalRefs++
-		if trace.IsShared(e.Addr) {
-			p.SharedRefs++
-			rc := p.Shared[e.Addr]
-			if e.Kind == trace.Write {
-				rc.Writes++
-			} else {
-				rc.Reads++
+		if !trace.IsShared(e.Addr) {
+			if _, found := pf.seen.insert(e.Addr, -1); !found {
+				p.PrivateAddrs++
 			}
-			p.Shared[e.Addr] = rc
+			continue
+		}
+		p.SharedRefs++
+		i, found := pf.seen.insert(e.Addr, int32(len(pf.shared)))
+		if !found {
+			pf.shared = append(pf.shared, AddrCount{Addr: e.Addr})
+		}
+		if e.Kind == trace.Write {
+			pf.shared[i].Count.Writes++
 		} else {
-			private[e.Addr] = struct{}{}
+			pf.shared[i].Count.Reads++
 		}
 	}
-	p.PrivateAddrs = len(private)
-	p.Length = t.Instructions()
-	return p
+}
+
+// addrTable maps addresses to int32 values: open addressing with a
+// multiplicative (Fibonacci) hash and linear probing over a power-of-two
+// slot array kept at most half full. It has no delete; reset empties it
+// and keeps its capacity. A slot stores its address plus one, so the zero
+// key marks an empty slot and address 0 is an ordinary key (addresses are
+// at most trace.MaxAddr).
+type addrTable struct {
+	slots []addrSlot
+	used  int
+	shift uint // 64 - log2(len(slots)): a hash's top bits pick the home slot
+}
+
+type addrSlot struct {
+	key uint64
+	val int32
+}
+
+// minTableSlots is a new table's capacity: 512 addresses before the first
+// doubling.
+const minTableSlots = 1024
+
+// fibMul is 2^64 divided by the golden ratio, the Fibonacci hash's
+// multiplier.
+const fibMul = 0x9e3779b97f4a7c15
+
+// alloc gives t an empty slot array of n slots, n a power of two.
+func (t *addrTable) alloc(n int) {
+	t.slots = make([]addrSlot, n)
+	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
+}
+
+// reset empties the table.
+func (t *addrTable) reset() {
+	clear(t.slots)
+	t.used = 0
+}
+
+// insert returns the value stored for addr and true, or stores v for addr
+// and returns v and false.
+//
+//mtlint:hotpath
+func (t *addrTable) insert(addr uint64, v int32) (int32, bool) {
+	key := addr + 1
+	mask := len(t.slots) - 1
+	for i := int(key * fibMul >> t.shift); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.key == key {
+			return s.val, true
+		}
+		if s.key == 0 {
+			s.key, s.val = key, v
+			if t.used++; 2*t.used > len(t.slots) {
+				t.grow()
+			}
+			return v, false
+		}
+	}
+}
+
+// grow doubles the slot array and re-inserts every key.
+func (t *addrTable) grow() {
+	old := t.slots
+	t.alloc(2 * len(old))
+	t.used = 0
+	for _, s := range old {
+		if s.key != 0 {
+			t.insert(s.key-1, s.val)
+		}
+	}
 }
 
 // Set is the full static analysis of one application trace.
@@ -101,11 +216,13 @@ type addrUse struct {
 	count  RefCount
 }
 
-// Analyze profiles every thread of tr.
+// Analyze profiles every thread of tr, reusing one profiler for all of
+// them.
 func Analyze(tr *trace.Trace) *Set {
 	s := &Set{App: tr.App, Profiles: make([]*Profile, tr.NumThreads())}
+	pf := newProfiler()
 	for i, t := range tr.Threads {
-		s.Profiles[i] = ProfileThread(t)
+		s.Profiles[i] = pf.profile(t)
 	}
 	return s
 }
@@ -125,9 +242,8 @@ func (s *Set) invertedIndex() []addrUse {
 		}
 		uses := make([]addrUse, 0, n)
 		for _, p := range s.Profiles {
-			//mtlint:allow determinism -- sortUses orders the list by its unique (address, thread) keys
-			for a, c := range p.Shared {
-				uses = append(uses, addrUse{addr: a, thread: p.Thread, count: c})
+			for _, u := range p.Shared {
+				uses = append(uses, addrUse{addr: u.Addr, thread: p.Thread, count: u.Count})
 			}
 		}
 		s.uses = sortUses(uses)
@@ -137,7 +253,8 @@ func (s *Set) invertedIndex() []addrUse {
 
 // sortUses orders uses by address and then thread. The uses arrive in
 // ascending thread order, so a stable LSD radix sort on the address alone
-// yields that order, whatever order each thread's map produced.
+// yields that order, whatever order each thread first touched its
+// addresses in.
 func sortUses(uses []addrUse) []addrUse {
 	if len(uses) < 2 {
 		return uses

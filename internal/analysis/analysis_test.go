@@ -1,12 +1,16 @@
 package analysis
 
 import (
+	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // buildTrace constructs a trace from a compact description: per thread, a
@@ -48,8 +52,9 @@ func TestProfileThread(t *testing.T) {
 	if p.PrivateAddrs != 2 {
 		t.Errorf("PrivateAddrs = %d, want 2", p.PrivateAddrs)
 	}
-	if got := p.Shared[sh(0)]; got != (RefCount{Reads: 1, Writes: 1}) {
-		t.Errorf("counts for sh(0) = %+v", got)
+	want := []AddrCount{{sh(0), RefCount{Reads: 1, Writes: 1}}, {sh(1), RefCount{Reads: 1}}}
+	if !reflect.DeepEqual(p.Shared, want) {
+		t.Errorf("Shared = %+v, want %+v in first-touch order", p.Shared, want)
 	}
 	if got, want := p.RefsPerSharedAddr(), 1.5; got != want {
 		t.Errorf("RefsPerSharedAddr = %v, want %v", got, want)
@@ -111,13 +116,220 @@ func TestSharingMatrices(t *testing.T) {
 	}
 }
 
+// profileTotals are a profile's fields other than Shared.
+type profileTotals struct {
+	TotalRefs, SharedRefs uint64
+	PrivateAddrs          int
+	Length                uint64
+}
+
+// mapProfile re-profiles t with Go maps: the oracle for ProfileThread.
+func mapProfile(t *trace.Thread) (p profileTotals, counts map[uint64]RefCount) {
+	counts = map[uint64]RefCount{}
+	private := map[uint64]bool{}
+	for i := 0; i < t.Refs(); i++ {
+		e := t.Event(i)
+		p.TotalRefs++
+		if !trace.IsShared(e.Addr) {
+			private[e.Addr] = true
+			continue
+		}
+		p.SharedRefs++
+		c := counts[e.Addr]
+		if e.Kind == trace.Write {
+			c.Writes++
+		} else {
+			c.Reads++
+		}
+		counts[e.Addr] = c
+	}
+	p.PrivateAddrs, p.Length = len(private), t.Instructions()
+	return p, counts
+}
+
+// countsOf returns p's shared counts as a map, and false if an address
+// appears twice in p.Shared.
+func countsOf(p *Profile) (map[uint64]RefCount, bool) {
+	m := make(map[uint64]RefCount, len(p.Shared))
+	for _, u := range p.Shared {
+		m[u.Addr] = u.Count
+	}
+	return m, len(m) == len(p.Shared)
+}
+
+// profileMismatch describes how p differs from the map oracle's profile
+// of t, or returns "" if they agree field by field.
+func profileMismatch(t *trace.Thread, p *Profile) string {
+	want, wantCounts := mapProfile(t)
+	got := profileTotals{p.TotalRefs, p.SharedRefs, p.PrivateAddrs, p.Length}
+	if got != want {
+		return fmt.Sprintf("thread %d: profile %+v, oracle %+v", t.ID, got, want)
+	}
+	counts, unique := countsOf(p)
+	if !unique {
+		return fmt.Sprintf("thread %d: an address appears twice in Shared", t.ID)
+	}
+	if !maps.Equal(counts, wantCounts) {
+		return fmt.Sprintf("thread %d: %d shared counts differ from the oracle's %d", t.ID, len(counts), len(wantCounts))
+	}
+	return ""
+}
+
+// quickTrace is a random trace for testing/quick. Each thread mixes dense
+// runs of words, sparse addresses anywhere up to trace.MaxAddr, the
+// segment boundary, address 0, heavy repetition of a few words, and
+// sometimes more than 1,024 distinct addresses, which makes the profile
+// table grow; some threads are empty.
+type quickTrace struct{ threads [][]trace.Event }
+
+func (quickTrace) Generate(r *rand.Rand, _ int) reflect.Value {
+	word := func() uint64 { return uint64(r.Int63n(int64(trace.MaxAddr/trace.WordSize)+1)) * trace.WordSize }
+	edges := []uint64{0, trace.SharedBase - trace.WordSize, trace.SharedBase, trace.MaxAddr &^ (trace.WordSize - 1)}
+	threads := make([][]trace.Event, 1+r.Intn(4))
+	for i := range threads {
+		var addrs []uint64
+		for seg := r.Intn(5); seg > 0; seg-- {
+			switch r.Intn(5) {
+			case 0: // a dense run: private, shared or across the boundary
+				base := []uint64{0, trace.SharedBase - 64*trace.WordSize, trace.SharedBase}[r.Intn(3)] +
+					uint64(r.Intn(64))*trace.WordSize
+				for n := r.Intn(200); n > 0; n-- {
+					addrs = append(addrs, base+uint64(r.Intn(100))*trace.WordSize)
+				}
+			case 1: // sparse addresses over the whole range
+				for n := r.Intn(50); n > 0; n-- {
+					addrs = append(addrs, word())
+				}
+			case 2: // the edges
+				for n := r.Intn(20); n > 0; n-- {
+					addrs = append(addrs, edges[r.Intn(len(edges))])
+				}
+			case 3: // heavy repetition of a few words
+				few := []uint64{word(), edges[r.Intn(len(edges))], word()}
+				for n := 100 + r.Intn(400); n > 0; n-- {
+					addrs = append(addrs, few[r.Intn(len(few))])
+				}
+			case 4: // over 1,024 distinct addresses: the table doubles twice
+				for n := 1025 + r.Intn(2000); n > 0; n-- {
+					addrs = append(addrs, word())
+				}
+			}
+		}
+		for _, a := range addrs {
+			threads[i] = append(threads[i], trace.Event{Gap: uint32(r.Intn(4)), Kind: trace.Kind(r.Intn(2)), Addr: a})
+		}
+	}
+	return reflect.ValueOf(quickTrace{threads})
+}
+
+// GoString keeps a failing case's report short: quick prints its input
+// with %#v.
+func (q quickTrace) GoString() string {
+	lens := make([]int, len(q.threads))
+	for i, evs := range q.threads {
+		lens[i] = len(evs)
+	}
+	return fmt.Sprintf("quickTrace{refs per thread %v}", lens)
+}
+
+// TestProfileMatchesMapOracle is a property: on random traces, both
+// Analyze (one table reused across threads) and ProfileThread (a fresh
+// table) agree with the map oracle on every field and every count.
+func TestProfileMatchesMapOracle(t *testing.T) {
+	f := func(q quickTrace) bool {
+		tr := buildTrace(t, "quick", q.threads)
+		s := Analyze(tr)
+		for i, th := range tr.Threads {
+			for _, p := range []*Profile{s.Profiles[i], ProfileThread(th)} {
+				if msg := profileMismatch(th, p); msg != "" {
+					t.Log(msg)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCatalogProfilesMatchMapOracle runs the map oracle over every thread
+// of every catalog application.
+func TestCatalogProfilesMatchMapOracle(t *testing.T) {
+	for _, app := range workload.Apps() {
+		tr, err := app.Build(workload.Params{Scale: 0.1, Seed: 1994})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := Analyze(tr)
+		for i, th := range tr.Threads {
+			if msg := profileMismatch(th, s.Profiles[i]); msg != "" {
+				t.Errorf("%s: %s", app.Name, msg)
+			}
+		}
+	}
+}
+
+// pairSharing computes the (a, b) entries of SharedRefs, SharedAddrs,
+// WriteSharedRefs and InvalidatingRefs directly from a's shared list and
+// b's counts, without the inverted index: the oracle for Sharing.
+func pairSharing(a []AddrCount, b map[uint64]RefCount) [4]uint64 {
+	var m [4]uint64
+	for _, u := range a {
+		cb, ok := b[u.Addr]
+		if !ok {
+			continue
+		}
+		r := u.Count.Total() + cb.Total()
+		m[0] += r
+		m[1]++
+		if u.Count.Writes > 0 || cb.Writes > 0 {
+			m[2] += r
+			m[3] += uint64(u.Count.Writes) + uint64(cb.Writes)
+		}
+	}
+	return m
+}
+
+// checkPairOracle compares all four of s's sharing matrices, both halves,
+// with pairSharing for every thread pair, and returns the number of pairs
+// with invalidating references.
+func checkPairOracle(t *testing.T, s *Set) int {
+	t.Helper()
+	d := s.Sharing()
+	counts := make([]map[uint64]RefCount, len(s.Profiles))
+	for i, p := range s.Profiles {
+		counts[i], _ = countsOf(p)
+	}
+	written := 0
+	for a := range s.Profiles {
+		for b := a + 1; b < len(s.Profiles); b++ {
+			want := pairSharing(s.Profiles[a].Shared, counts[b])
+			for _, got := range [][4]uint64{
+				{d.SharedRefs[a][b], d.SharedAddrs[a][b], d.WriteSharedRefs[a][b], d.InvalidatingRefs[a][b]},
+				{d.SharedRefs[b][a], d.SharedAddrs[b][a], d.WriteSharedRefs[b][a], d.InvalidatingRefs[b][a]},
+			} {
+				if got != want {
+					t.Fatalf("%s: matrices at (%d, %d) = %v (refs, addrs, write refs, invalidating), oracle %v", s.App, a, b, got, want)
+				}
+			}
+			if want[3] > 0 {
+				written++
+			}
+		}
+	}
+	return written
+}
+
 // TestSharingMatchesPairOracle cross-checks the inverted-index computation
-// against the direct pairwise intersection on random traces.
+// of all four matrices against the direct pairwise intersection, on
+// random traces and on two catalog applications.
 func TestSharingMatchesPairOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 5; trial++ {
 		n := 3 + rng.Intn(6)
-		tr := trace.New("rand", n)
+		tr := trace.New(fmt.Sprintf("rand%d", trial), n)
 		for i := 0; i < n; i++ {
 			r := trace.NewRecorder(tr, i)
 			for j := 0; j < 200; j++ {
@@ -132,24 +344,28 @@ func TestSharingMatchesPairOracle(t *testing.T) {
 				}
 			}
 		}
-		s := Analyze(tr)
-		d := s.Sharing()
-		for a := 0; a < n; a++ {
-			for b := a + 1; b < n; b++ {
-				if got, want := d.SharedRefs[a][b], s.PairSharedRefs(a, b); got != want {
-					t.Fatalf("trial %d: SharedRefs[%d][%d] = %d, oracle %d", trial, a, b, got, want)
-				}
-			}
+		checkPairOracle(t, Analyze(tr))
+	}
+	for _, name := range []string{"LocusRoute", "FFT"} {
+		app, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := app.Build(workload.Params{Scale: 0.1, Seed: 1994})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if checkPairOracle(t, Analyze(tr)) == 0 {
+			t.Errorf("%s: no thread pair has invalidating references; the write matrices went unchecked", name)
 		}
 	}
 }
 
 // TestInvertedIndexCanonical locks the inverted index's ordering
 // invariant: the list is strictly sorted by address and then thread, so
-// every address's users form one run in ascending thread order,
-// independent of map iteration order. The list is collected in map order
-// and then radix-sorted, a sort mtlint's determinism analyzer cannot see
-// (the loop carries an allow directive), so this is the whole check.
+// every address's users form one run in ascending thread order. The list
+// is collected thread by thread, each thread's addresses in first-touch
+// order, and then radix-sorted; this test guards that sort.
 func TestInvertedIndexCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(1994))
 	n := 6

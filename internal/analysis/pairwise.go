@@ -93,21 +93,3 @@ func (s *Set) Sharing() *SharingData {
 		Lengths:          s.Lengths(),
 	}
 }
-
-// PairSharedRefs returns shared-references(a, b) directly from the
-// profiles, without building the full matrix. Used by tests as an
-// independent oracle for Sharing.
-func (s *Set) PairSharedRefs(a, b int) uint64 {
-	pa, pb := s.Profiles[a], s.Profiles[b]
-	// iterate the smaller footprint
-	if len(pb.Shared) < len(pa.Shared) {
-		pa, pb = pb, pa
-	}
-	var total uint64
-	for addr, ca := range pa.Shared {
-		if cb, ok := pb.Shared[addr]; ok {
-			total += ca.Total() + cb.Total()
-		}
-	}
-	return total
-}

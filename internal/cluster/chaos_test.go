@@ -61,6 +61,7 @@ func TestClusterChaos(t *testing.T) {
 					time.Sleep(2 * time.Millisecond)
 				}
 				tc.addWorker(id, serve.Options{Workers: 1})
+				tc.waitLive(4)
 			},
 			revives: true,
 		},
@@ -88,11 +89,19 @@ func TestClusterChaos(t *testing.T) {
 			opts := testCoordOptions()
 			opts.Store = openTestStore(t, t.TempDir())
 			tc := startCoordinator(t, opts)
-			// Worker 0 is a single-slot straggler: when the disruption
-			// lands it is still mid-cell with a leased tail behind it.
+			// Worker 0 is a single-slot straggler: its cells wait until
+			// the coordinator has declared a worker dead (10 s at most),
+			// so when the disruption lands it is still mid-cell with a
+			// leased tail behind it, and the sweep cannot finish before
+			// the disruption is detected, however fast cells run.
 			tc.addWorker("w0", serve.Options{
-				Workers:    1,
-				BeforeCell: func() { time.Sleep(100 * time.Millisecond) },
+				Workers: 1,
+				BeforeCell: func() {
+					deadline := time.Now().Add(10 * time.Second)
+					for tc.coord.Metrics().Snapshot()["coordinator_worker_deaths_total"] == 0 && time.Now().Before(deadline) {
+						time.Sleep(2 * time.Millisecond)
+					}
+				},
 			})
 			for _, id := range []string{"w1", "w2", "w3"} {
 				tc.addWorker(id, serve.Options{Workers: 1})

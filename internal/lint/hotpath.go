@@ -8,9 +8,11 @@ import (
 
 // Hotpath checks that functions annotated `//mtlint:hotpath` contain no
 // allocating constructs. The fast engine's per-event path (fast.go,
-// eventtree.go, fastcache.go, fastdir.go) must stay allocation-free — the
-// dynamic counterpart is BenchmarkEngineProbeDisabled's AllocsPerRun
-// proof; this is the static half of the same contract.
+// eventtree.go, fastcache.go, fastdir.go) and the static analysis's
+// per-reference profiling loop (internal/analysis/analysis.go) must stay
+// allocation-free — the dynamic counterparts are AllocsPerRun proofs
+// (BenchmarkEngineProbeDisabled's, and internal/lint/selfcheck_test.go's);
+// this is the static half of the same contract.
 //
 // Flagged constructs: make / new, function literals (closures), address-of
 // composite literals, slice and map literals, conversions to interface

@@ -321,15 +321,6 @@ func (c *Client) Health() (*serve.HealthResponse, error) {
 	return &out, nil
 }
 
-// Placements fetches the server's catalog.
-func (c *Client) Placements() (*serve.PlacementsResponse, error) {
-	var out serve.PlacementsResponse
-	if err := c.get("/v1/placements", &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Metrics fetches the raw Prometheus exposition text.
 func (c *Client) Metrics() (string, error) {
 	resp, err := c.httpClient().Get(c.BaseURL + "/metrics")
