@@ -70,8 +70,9 @@ clustercheck:
 # Telemetry tier (DESIGN.md §7): the obs primitives (log-scale histogram
 # goldens, bus fan-out with slow-subscriber drop, bounded
 # span store, Perfetto export), then the end-to-end contracts — SSE job
-# streams deliver the terminal state without polling (with and without
-# telemetry enabled), trace IDs propagate coordinator -> worker across
+# streams deliver the terminal state without polling (also for a job
+# that publishes nothing), a watched sweep's sample events add up to its
+# cells' results, trace IDs propagate coordinator -> worker across
 # lease grants and steals, and a kill-one-worker chaos sweep still
 # exports a single merged Perfetto trace.
 tracecheck:

@@ -164,7 +164,7 @@ func benchAdvise(scale float64, seed int64, path string) error {
 // machinery production sweeps use, so ONLINE virtual algorithm names are
 // exercised end to end (validation, cache keys, job execution).
 func adviseKernelSweep(scale float64, seed int64) ([]adviseKernelReport, error) {
-	srv := serve.NewServer(serve.Options{DisableTelemetry: true})
+	srv := serve.NewServer(serve.Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer func() {
 		ts.Close()

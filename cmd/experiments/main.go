@@ -150,7 +150,6 @@ func main() {
 		maxSteps = flag.Uint64("maxsteps", 0, "abort any single simulation after this many events (livelock watchdog)")
 		remote   = flag.String("remote", "", "run simulations on the mtserve instance at this base URL (e.g. http://127.0.0.1:8080)")
 		badvise  = flag.String("advise", "", "evaluate online adaptive placement (static-vs-online kernel sweep + phased crossover) and save the gated report as JSON")
-		timeline = flag.String("timeline", "", "simulate one representative run and write its Perfetto timeline JSON to this file")
 		progress = flag.Duration("progress", 0, "log a progress heartbeat at this interval (e.g. 10s) while sweeps run")
 		verbose  = flag.Bool("v", false, "verbose diagnostics")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -204,8 +203,6 @@ func main() {
 	switch {
 	case *badvise != "":
 		err = benchAdvise(*scale, *seed, *badvise)
-	case *timeline != "":
-		err = timelineRun(*scale, *seed, *procs, *timeline, log)
 	default:
 		err = run(sweepCfg{
 			all: *all, table: *table, figure: *figure, ablation: *abl, jsonPath: *jsonF,
@@ -541,7 +538,7 @@ func run(cfg sweepCfg) (err error) {
 		}
 	}
 	if !ran {
-		return obs.Usagef("nothing selected: use -all, -table N, -figure N, -ablation NAME, -json FILE, -advise FILE or -timeline FILE")
+		return obs.Usagef("nothing selected: use -all, -table N, -figure N, -ablation NAME, -json FILE or -advise FILE")
 	}
 	return nil
 }

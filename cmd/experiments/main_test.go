@@ -1,15 +1,10 @@
 package main
 
 import (
-	"bytes"
 	"io"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/obs/obstest"
 )
 
 func TestParseProcs(t *testing.T) {
@@ -67,21 +62,5 @@ func TestRunUsageErrors(t *testing.T) {
 	bad.procs = "bogus"
 	if err := run(bad); !obs.IsUsage(err) {
 		t.Errorf("bad procs: err = %v, want usage error", err)
-	}
-}
-
-func TestTimelineRun(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "timeline.json")
-	var logs bytes.Buffer
-	if err := timelineRun(0.25, 1, "2,4", path, obs.NewLogger(&logs, false)); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obstest.CheckTraceEventJSON(t, raw)
-	if !strings.Contains(logs.String(), "wrote timeline") {
-		t.Errorf("no confirmation logged: %q", logs.String())
 	}
 }

@@ -29,16 +29,10 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"log/slog"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/cluster"
@@ -61,8 +55,7 @@ func run(args []string) int {
 
 		storeDir = fs.String("store-dir", "", "durable directory: harvested cell results and accepted sweeps persist across restarts, and resubmitted sweeps warm-start (empty = off)")
 
-		debugAddr   = fs.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off)")
-		noTelemetry = fs.Bool("no-telemetry", false, "disable distributed tracing and job-progress streams (histograms stay on)")
+		debugAddr = fs.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return obs.CodeUsage
@@ -73,7 +66,6 @@ func run(args []string) int {
 		HeartbeatTimeout: *hbeat,
 		PollInterval:     *poll,
 		LeaseChunk:       *chunk,
-		DisableTelemetry: *noTelemetry,
 		Log:              log,
 	}
 
@@ -110,43 +102,8 @@ func coordOn(log *slog.Logger, ln net.Listener, opts cluster.Options, storeDir s
 		return obs.CodeError
 	}
 	opts.Store = st
-
 	coord := cluster.New(opts)
-	hs := &http.Server{Handler: coord.Handler()}
-	log.Info("mtcoord listening", "addr", ln.Addr().String())
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-	defer signal.Stop(sigc)
-
-	// A failed listener drains and closes exactly as a signal does, so
-	// no write-behind record is lost; only the exit code differs.
-	code := obs.CodeOK
-	select {
-	case sig := <-sigc:
-		log.Info("draining on signal", "signal", fmt.Sprint(sig))
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Error(err.Error())
-			code = obs.CodeError
-		}
-	}
-
-	// Drain order mirrors mtserve: retire in-flight jobs first (pollers
-	// see retriable and will resubmit after restart), persist — flush
-	// and seal the result store — then stop listening.
-	coord.Drain()
-	closeDurable()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_ = hs.Shutdown(ctx)
-
-	if code != obs.CodeOK {
-		return code
-	}
-	log.Info("mtcoord exited cleanly")
-	return obs.CodeOK
+	// Draining retires in-flight jobs: pollers see retriable and will
+	// resubmit after a restart.
+	return serve.RunDaemon(log, "mtcoord", ln, coord.Handler(), coord.Drain, closeDurable)
 }

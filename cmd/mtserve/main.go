@@ -20,16 +20,10 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"log/slog"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/cluster"
@@ -69,9 +63,7 @@ func run(args []string) int {
 
 		storeDir = fs.String("store-dir", "", "durable directory: results persist across restarts and warm-start the cache (empty = memory only)")
 
-		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off)")
-		streamWindow = fs.Uint64("stream-window", 100_000, "sampler window (cycles) for live SSE sample events when a stream is attached (0 = no samples)")
-		noTelemetry  = fs.Bool("no-telemetry", false, "disable distributed tracing and job-progress streams (histograms stay on)")
+		debugAddr = fs.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 
 		coord     = fs.String("coord", "", "coordinator base URL to join as a cluster worker (e.g. http://127.0.0.1:9090)")
 		name      = fs.String("name", "", "cluster worker ID (default derived from the listen address)")
@@ -84,14 +76,12 @@ func run(args []string) int {
 	log := obs.NewLogger(os.Stderr, *verbose)
 
 	opts := serve.Options{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		CacheEntries:     *cacheSize,
-		MaxSteps:         *maxSteps,
-		RequestTimeout:   *timeout,
-		StreamWindow:     *streamWindow,
-		DisableTelemetry: *noTelemetry,
-		Log:              log,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		CacheEntries:   *cacheSize,
+		MaxSteps:       *maxSteps,
+		RequestTimeout: *timeout,
+		Log:            log,
 	}
 
 	if *debugAddr != "" {
@@ -145,8 +135,6 @@ func serveOn(log *slog.Logger, ln net.Listener, opts serve.Options, cc coordConf
 	}
 	opts.Store = st
 	srv := serve.NewServer(opts)
-	hs := &http.Server{Handler: srv.Handler()}
-	log.Info("mtserve listening", "addr", ln.Addr().String())
 
 	// Joining a cluster: the agent registers and heartbeats until drain;
 	// all scheduling intelligence stays on the coordinator.
@@ -160,43 +148,14 @@ func serveOn(log *slog.Logger, ln net.Listener, opts serve.Options, cc coordConf
 		log.Info("joined cluster", "coordinator", cc.url, "worker", id, "advertise", self)
 	}
 
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-	defer signal.Stop(sigc)
-
-	// A failed listener drains and closes exactly as a signal does, so
-	// no write-behind record is lost; only the exit code differs.
-	code := obs.CodeOK
-	select {
-	case sig := <-sigc:
-		log.Info("draining on signal", "signal", fmt.Sprint(sig))
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Error(err.Error())
-			code = obs.CodeError
-		}
-	}
-
 	// Drain order: stop heartbeating first (the coordinator reroutes new
-	// leases), finish simulation work (queued jobs become retriable,
-	// /healthz flips to draining), then persist — flush and seal the
-	// result store — and finally stop the listener so clients can
-	// observe their jobs' final state until the very end.
-	if agent != nil {
-		agent.Stop()
+	// leases), then finish simulation work (queued jobs become
+	// retriable, /healthz flips to draining).
+	drain := func() {
+		if agent != nil {
+			agent.Stop()
+		}
+		srv.Drain()
 	}
-	srv.Drain()
-	closeDurable()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_ = hs.Shutdown(ctx)
-
-	if code != obs.CodeOK {
-		return code
-	}
-	log.Info("mtserve exited cleanly")
-	return obs.CodeOK
+	return serve.RunDaemon(log, "mtserve", ln, srv.Handler(), drain, closeDurable)
 }

@@ -71,14 +71,9 @@ func MeasurePairTraffic(tr *trace.Trace, cfg sim.Config) ([][]uint64, *sim.Resul
 	if n == 0 {
 		return nil, nil, fmt.Errorf("advise: trace has no threads")
 	}
-	clusters := make([][]int, n)
-	for i := range clusters {
-		clusters[i] = []int{i}
-	}
-	pl := &placement.Placement{Algorithm: "ONE-THREAD-PER-PROC", Clusters: clusters}
 	cfg.Processors = n
 	cfg.MaxContexts = 0
-	res, err := sim.Run(tr, pl, cfg)
+	res, err := sim.Run(tr, placement.OnePerProcessor(n), cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Agent is the worker-side membership loop: it registers an mtserve
@@ -32,10 +34,13 @@ type Agent struct {
 // StartAgent registers worker `id`, advertised at selfURL, with the
 // coordinator at coordURL and heartbeats every interval (default 500ms).
 // Registration failures are retried forever — a worker that outlives a
-// coordinator restart rejoins by itself.
+// coordinator restart rejoins by itself. A nil log discards messages.
 func StartAgent(coordURL, id, selfURL string, interval time.Duration, log *slog.Logger) *Agent {
 	if interval <= 0 {
 		interval = 500 * time.Millisecond
+	}
+	if log == nil {
+		log = obs.NewLogger(io.Discard, false)
 	}
 	a := &Agent{
 		coordURL: coordURL,
@@ -74,7 +79,7 @@ func (a *Agent) loop() {
 			// know what the coordinator still remembers.
 			registered = false
 		}
-		if err != nil && a.log != nil {
+		if err != nil {
 			a.log.Warn("cluster agent", "worker", a.workerID, "err", err.Error())
 		}
 		select {

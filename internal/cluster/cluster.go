@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -29,9 +30,6 @@ type Options struct {
 	LeaseChunk int
 	// Log receives operational messages; nil discards them.
 	Log *slog.Logger
-	// DisableTelemetry turns off distributed tracing and the job-progress
-	// event bus. Histograms stay on — they are three atomic adds.
-	DisableTelemetry bool
 	// Store, when non-nil, is the coordinator's durable tier and its
 	// crash recovery: every harvested cell result is persisted keyed by
 	// its shard address, and every accepted sweep leaves a job record.
@@ -51,6 +49,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.LeaseChunk <= 0 {
 		o.LeaseChunk = 16
+	}
+	if o.Log == nil {
+		o.Log = obs.NewLogger(io.Discard, false)
 	}
 	return o
 }
@@ -87,8 +88,8 @@ type Coordinator struct {
 	opts    Options
 	metrics *coordMetrics
 	durable *serve.Durable
-	spans   *obs.SpanStore // nil when telemetry is disabled
-	bus     *obs.Bus       // nil when telemetry is disabled
+	spans   *obs.SpanStore
+	bus     *obs.Bus
 
 	mu       sync.Mutex
 	workers  map[string]*worker
@@ -102,18 +103,16 @@ type Coordinator struct {
 // New builds a Coordinator.
 func New(opts Options) *Coordinator {
 	opts = opts.withDefaults()
-	c := &Coordinator{
+	metrics := newCoordMetrics()
+	return &Coordinator{
 		opts:    opts,
-		metrics: newCoordMetrics(),
+		metrics: metrics,
+		durable: serve.NewDurable(metrics.set, "coordinator", opts.Store),
+		spans:   obs.NewSpanStore(obs.DefaultSpanCapacity),
+		bus:     obs.NewBus(metrics.streamDropped),
 		workers: make(map[string]*worker),
 		jobs:    make(map[string]*cjob),
 	}
-	c.durable = serve.NewDurable(c.metrics.set, "coordinator", opts.Store)
-	if !opts.DisableTelemetry {
-		c.spans = obs.NewSpanStore(obs.DefaultSpanCapacity)
-		c.bus = obs.NewBus(c.metrics.streamDropped)
-	}
-	return c
 }
 
 // Metrics exposes the coordinator's metric registry.
@@ -164,9 +163,7 @@ func (c *Coordinator) register(id, url string, now time.Time) (int, error) {
 	c.metrics.workersTotal.Inc()
 	live := c.liveWorkerIDs(now)
 	c.metrics.workersLive.Set(int64(len(live)))
-	if c.opts.Log != nil {
-		c.opts.Log.Info("worker registered", "worker", id, "url", url, "live", len(live))
-	}
+	c.opts.Log.Info("worker registered", "worker", id, "url", url, "live", len(live))
 	return len(live), nil
 }
 
@@ -199,9 +196,7 @@ func (c *Coordinator) markDead(w *worker, cause error) {
 	if !was {
 		c.metrics.workerDeaths.Inc()
 		c.metrics.workersLive.Set(int64(len(c.liveWorkerIDs(time.Now()))))
-		if c.opts.Log != nil {
-			c.opts.Log.Warn("worker declared dead", "worker", w.id, "cause", fmt.Sprint(cause))
-		}
+		c.opts.Log.Warn("worker declared dead", "worker", w.id, "cause", fmt.Sprint(cause))
 	}
 }
 
@@ -250,8 +245,8 @@ type cjob struct {
 	cells    []cellIdent
 
 	// trace is the sweep's distributed-trace context and span its root
-	// span, ended at the terminal state (zero/nil when telemetry is
-	// disabled). Write-once before runJob starts, read-only after.
+	// span, ended at the terminal state (zero/nil for a job rebuilt from
+	// its store record). Write-once before runJob starts, read-only after.
 	trace obs.SpanContext
 	span  *obs.ActiveSpan
 
@@ -384,12 +379,10 @@ func (c *Coordinator) SubmitSweep(req *serve.SweepRequest, parent obs.SpanContex
 	for i, cell := range j.cells {
 		j.results[i] = serve.CellResult{App: cell.app, Algorithm: cell.alg, Procs: cell.procs}
 	}
-	if c.spans != nil {
-		// Root span for the whole distributed sweep; every lease grant,
-		// steal, requeue and worker-side span hangs under it.
-		j.span = c.spans.Start(parent, coordService, "sweep")
-		j.trace = j.span.Context()
-	}
+	// Root span for the whole distributed sweep; every lease grant,
+	// steal, requeue and worker-side span hangs under it.
+	j.span = c.spans.Start(parent, coordService, "sweep")
+	j.trace = j.span.Context()
 	c.jobs[id] = j
 	c.order = append(c.order, id)
 	c.evictLocked()

@@ -62,7 +62,7 @@ func (c *Coordinator) saveJobRecord(j *cjob) {
 			err = errors.New("record dropped by a full store queue")
 		}
 	}
-	if err != nil && c.opts.Log != nil {
+	if err != nil {
 		c.opts.Log.Warn("job record write failed", "job", j.id, "err", err.Error())
 	}
 }
@@ -86,7 +86,7 @@ func (c *Coordinator) flushStore() {
 	if c.opts.Store == nil {
 		return
 	}
-	if err := c.opts.Store.Flush(); err != nil && c.opts.Log != nil {
+	if err := c.opts.Store.Flush(); err != nil {
 		c.opts.Log.Warn("store flush failed", "err", err.Error())
 	}
 }
@@ -129,9 +129,7 @@ func (c *Coordinator) persistCell(j *cjob, ci int) {
 				j.errmsg = err.Error()
 			}
 			j.mu.Unlock()
-			if c.opts.Log != nil {
-				c.opts.Log.Error("store divergence", "job", j.id, "cell", ci, "err", err.Error())
-			}
+			c.opts.Log.Error("store divergence", "job", j.id, "cell", ci, "err", err.Error())
 		}
 		return
 	}
@@ -141,7 +139,7 @@ func (c *Coordinator) persistCell(j *cjob, ci int) {
 	if err != nil {
 		return
 	}
-	if err := st.Put(store.Key(cell.shard), payload); err != nil && c.opts.Log != nil {
+	if err := st.Put(store.Key(cell.shard), payload); err != nil {
 		c.opts.Log.Warn("store put refused", "key", cell.shard.String(), "err", err.Error())
 	}
 }
@@ -189,10 +187,8 @@ func (c *Coordinator) restoreFromStore(j *cjob) {
 		}
 		cr, err := decodeStoredCellResult(cell, payload)
 		if err != nil {
-			if c.opts.Log != nil {
-				c.opts.Log.Warn("store record unusable, re-executing",
-					"job", j.id, "cell", ci, "err", err.Error())
-			}
+			c.opts.Log.Warn("store record unusable, re-executing",
+				"job", j.id, "cell", ci, "err", err.Error())
 			continue
 		}
 		cr.Cached = true // served from the durable tier, not simulated
@@ -201,9 +197,7 @@ func (c *Coordinator) restoreFromStore(j *cjob) {
 		}
 	}
 	if restored > 0 {
-		if c.opts.Log != nil {
-			c.opts.Log.Info("cells restored from store", "job", j.id, "cells", restored)
-		}
+		c.opts.Log.Info("cells restored from store", "job", j.id, "cells", restored)
 	}
 }
 

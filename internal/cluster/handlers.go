@@ -103,13 +103,9 @@ func (c *Coordinator) proxy(key rescache.Key, parent obs.SpanContext, name strin
 		}
 		return live[i] < live[k]
 	})
-	var span *obs.ActiveSpan
-	trace := ""
-	if c.spans != nil {
-		span = c.spans.Start(parent, coordService, name)
-		defer span.End()
-		trace = span.Context().HeaderValue()
-	}
+	span := c.spans.Start(parent, coordService, name)
+	defer span.End()
+	trace := span.Context().HeaderValue()
 	for _, wid := range live {
 		wk := c.workerByID(wid)
 		if wk == nil {
@@ -159,10 +155,7 @@ func (c *Coordinator) LookupJob(id string) (serve.JobRef, bool) {
 // worker's. Worker fetch failures are tolerated — a dead worker's spans
 // are simply absent, the surviving timeline still renders (the chaos
 // contract).
-func (c *Coordinator) Spans(traceID string) ([]obs.Span, error) {
-	if c.spans == nil {
-		return nil, serve.ErrTracingDisabled
-	}
+func (c *Coordinator) Spans(traceID string) []obs.Span {
 	spans := c.spans.Trace(traceID)
 	for _, wid := range c.liveWorkerIDs(time.Now()) {
 		wk := c.workerByID(wid)
@@ -176,7 +169,7 @@ func (c *Coordinator) Spans(traceID string) ([]obs.Span, error) {
 		spans = append(spans, ws...)
 	}
 	obs.SortSpans(spans)
-	return spans, nil
+	return spans
 }
 
 // Health builds the coordinator's health view in mtserve's wire shape:
@@ -211,17 +204,11 @@ func (c *Coordinator) WriteMetrics(w io.Writer) error {
 
 // publishJob emits a job-level state event.
 func (c *Coordinator) publishJob(j *cjob) {
-	if c.bus == nil {
-		return
-	}
 	c.bus.Publish(serve.JobTopic(j.id), "job", serve.JobEventOf(j.snapshot()))
 }
 
 // publishCell emits one harvested cell outcome.
 func (c *Coordinator) publishCell(j *cjob, ci int, workerID, state, key string, cached bool, errmsg string) {
-	if c.bus == nil {
-		return
-	}
 	cell := j.cells[ci]
 	c.bus.Publish(serve.JobTopic(j.id), "cell", serve.CellEvent{
 		Job: j.id, Cell: ci, Worker: workerID,

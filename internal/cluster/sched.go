@@ -31,7 +31,7 @@ type leaseRef struct {
 	cells []int // job cell indices, in lease-local order
 
 	granted time.Time       // grant instant, for the grant-to-harvest histogram
-	span    *obs.ActiveSpan // coordinator-side lease span (nil without telemetry)
+	span    *obs.ActiveSpan // coordinator-side lease span
 }
 
 // leaseDone closes the books on a lease leaving the outstanding set:
@@ -219,13 +219,9 @@ func (c *Coordinator) requeueLease(j *cjob, lr *leaseRef) {
 		c.metrics.cellsRequeued.Add(int64(n))
 		lr.w.metrics.requeues.Add(int64(n))
 		lr.w.metrics.pending.Add(-int64(n))
-		if c.spans != nil && j.trace.Valid() {
-			c.spans.AddEvent(j.trace, coordService, "requeue",
-				fmt.Sprintf("%d cells off %s", n, lr.w.id))
-		}
-		if c.opts.Log != nil {
-			c.opts.Log.Warn("lease requeued", "job", j.id, "lease", lr.id, "worker", lr.w.id, "cells", n)
-		}
+		c.spans.AddEvent(j.trace, coordService, "requeue",
+			fmt.Sprintf("%d cells off %s", n, lr.w.id))
+		c.opts.Log.Warn("lease requeued", "job", j.id, "lease", lr.id, "worker", lr.w.id, "cells", n)
 	}
 }
 
@@ -283,13 +279,10 @@ func (c *Coordinator) grantLease(j *cjob, w *worker, cells []int, leaseSeq *int)
 		cell := j.cells[ci]
 		req.Cells[i] = serve.LeaseCell{App: cell.app, Algorithm: cell.alg, Procs: cell.procs}
 	}
-	var sp *obs.ActiveSpan
-	if c.spans != nil && j.trace.Valid() {
-		// The worker parents its lease span under this one, so the grant
-		// shows as a coordinator interval with the worker's work inside.
-		sp = c.spans.Start(j.trace, coordService, "lease "+w.id)
-		req.Trace = sp.Context().HeaderValue()
-	}
+	// The worker parents its lease span under this one, so the grant
+	// shows as a coordinator interval with the worker's work inside.
+	sp := c.spans.Start(j.trace, coordService, "lease "+w.id)
+	req.Trace = sp.Context().HeaderValue()
 	if _, err := w.client().Lease(req); err != nil {
 		var ae *client.APIError
 		switch {
@@ -392,13 +385,9 @@ func (c *Coordinator) stealForIdle(j *cjob, outstanding []*leaseRef, live []stri
 		c.metrics.cellsStolen.Add(int64(len(moved)))
 		victim.w.metrics.steals.Add(int64(len(moved)))
 		victim.w.metrics.pending.Add(-int64(len(moved)))
-		if c.spans != nil && j.trace.Valid() {
-			c.spans.AddEvent(j.trace, coordService, "steal",
-				fmt.Sprintf("%d cells %s -> %s", len(moved), victim.w.id, wid))
-		}
-		if c.opts.Log != nil {
-			c.opts.Log.Info("cells stolen", "job", j.id, "from", victim.w.id, "to", wid, "cells", len(moved))
-		}
+		c.spans.AddEvent(j.trace, coordService, "steal",
+			fmt.Sprintf("%d cells %s -> %s", len(moved), victim.w.id, wid))
+		c.opts.Log.Info("cells stolen", "job", j.id, "from", victim.w.id, "to", wid, "cells", len(moved))
 		if lr := c.grantLease(j, idle, moved, leaseSeq); lr != nil {
 			outstanding = append(outstanding, lr)
 			busy[wid] += len(moved)
@@ -424,9 +413,7 @@ func (c *Coordinator) finalize(j *cjob) {
 	j.span.SetNote(status)
 	j.settle(status)
 	c.publishJob(j)
-	if c.opts.Log != nil {
-		c.opts.Log.Info("job finished", "job", j.id, "status", status)
-	}
+	c.opts.Log.Info("job finished", "job", j.id, "status", status)
 }
 
 // retireRetriable hands an interrupted job back as retriable during
@@ -445,7 +432,5 @@ func (c *Coordinator) retireRetriable(j *cjob, outstanding []*leaseRef) {
 	c.metrics.pendingCells.Add(-int64(remaining))
 	j.settle(serve.StatusRetriable)
 	c.publishJob(j)
-	if c.opts.Log != nil {
-		c.opts.Log.Info("job retired retriable", "job", j.id, "remaining", remaining)
-	}
+	c.opts.Log.Info("job retired retriable", "job", j.id, "remaining", remaining)
 }

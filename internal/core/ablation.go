@@ -303,17 +303,12 @@ func (s *Suite) WriteRunStudy(apps []string) ([]WriteRunRow, error) {
 			return nil, err
 		}
 		n := tr.NumThreads()
-		clusters := make([][]int, n)
-		for i := range clusters {
-			clusters[i] = []int{i}
-		}
-		pl := &placement.Placement{Algorithm: "ONE-THREAD-PER-PROC", Clusters: clusters}
 		cfg, err := s.Config(app, n, false)
 		if err != nil {
 			return nil, err
 		}
 		cfg.TrackWriteRuns = true
-		res, err := s.simRun(tr, pl, cfg)
+		res, err := s.simRun(tr, placement.OnePerProcessor(n), cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/placement"
 	"repro/internal/resilience"
@@ -60,6 +62,46 @@ func TestRunnerSeesEverySimulation(t *testing.T) {
 	}
 	if dynRuns.Load() != 2 {
 		t.Fatalf("dynamic comparison drove %d DynRunner calls, want 2 (FIFO, LPT)", dynRuns.Load())
+	}
+}
+
+// TestCoherenceMeasurementOnce: concurrent first callers for one app
+// share a single measurement run and its matrix. The runner holds its
+// first call so the other callers arrive while it runs.
+func TestCoherenceMeasurementOnce(t *testing.T) {
+	var runs atomic.Uint64
+	opts := runnerOptions()
+	opts.Params.Scale = 0.1
+	opts.Runner = func(tr *trace.Trace, pl *placement.Placement, cfg sim.Config) (*sim.Result, error) {
+		if runs.Add(1) == 1 {
+			time.Sleep(100 * time.Millisecond)
+		}
+		return sim.Run(tr, pl, cfg)
+	}
+	s := NewSuite(opts)
+
+	const callers = 8
+	matrices := make([][][]uint64, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m, _, err := s.CoherenceMeasurement("MP3D")
+			if err != nil {
+				t.Error(err)
+			}
+			matrices[i] = m
+		}(i)
+	}
+	wg.Wait()
+	if n := runs.Load(); n != 1 {
+		t.Errorf("%d concurrent callers drove %d runner calls, want 1", callers, n)
+	}
+	for i, m := range matrices {
+		if len(m) == 0 || &m[0] != &matrices[0][0] {
+			t.Fatalf("caller %d got a different matrix", i)
+		}
 	}
 }
 

@@ -62,14 +62,18 @@ type Suite struct {
 	traces    map[string]*trace.Trace
 	sets      map[string]*analysis.Set
 	sharing   map[string]*analysis.SharingData
-	coherence map[string]*coherenceEntry
+	coherence map[string]*coherenceCell
 	places    map[placeKey]*placeCell
 	sims      map[simKey]*simCell
 }
 
-type coherenceEntry struct {
+// coherenceCell is a once-guarded coherence measurement, the same
+// discipline as placeCell: concurrent first callers share one run.
+type coherenceCell struct {
+	once   sync.Once
 	matrix [][]uint64
 	result *sim.Result
+	err    error
 }
 
 // placeKey identifies one memoized placement computation. The RANDOM
@@ -140,7 +144,7 @@ func NewSuite(opts Options) *Suite {
 		traces:    make(map[string]*trace.Trace),
 		sets:      make(map[string]*analysis.Set),
 		sharing:   make(map[string]*analysis.SharingData),
-		coherence: make(map[string]*coherenceEntry),
+		coherence: make(map[string]*coherenceCell),
 		places:    make(map[placeKey]*placeCell),
 		sims:      make(map[simKey]*simCell),
 	}
@@ -367,36 +371,32 @@ func (s *Suite) RunAlgorithms(app string, algs []string, procs int, infinite boo
 // cached.
 func (s *Suite) CoherenceMeasurement(app string) ([][]uint64, *sim.Result, error) {
 	s.mu.Lock()
-	if e, ok := s.coherence[app]; ok {
-		s.mu.Unlock()
-		return e.matrix, e.result, nil
+	cell, ok := s.coherence[app]
+	if !ok {
+		cell = &coherenceCell{}
+		s.coherence[app] = cell
 	}
 	s.mu.Unlock()
-
-	tr, err := s.Trace(app)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := tr.NumThreads()
-	clusters := make([][]int, n)
-	for i := range clusters {
-		clusters[i] = []int{i}
-	}
-	pl := &placement.Placement{Algorithm: "ONE-THREAD-PER-PROC", Clusters: clusters}
-	cfg, err := s.Config(app, n, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := s.simRun(tr, pl, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	matrix := res.PairTrafficSym()
-
-	s.mu.Lock()
-	s.coherence[app] = &coherenceEntry{matrix: matrix, result: res}
-	s.mu.Unlock()
-	return matrix, res, nil
+	cell.once.Do(func() {
+		tr, err := s.Trace(app)
+		if err != nil {
+			cell.err = err
+			return
+		}
+		n := tr.NumThreads()
+		cfg, err := s.Config(app, n, false)
+		if err != nil {
+			cell.err = err
+			return
+		}
+		res, err := s.simRun(tr, placement.OnePerProcessor(n), cfg)
+		if err != nil {
+			cell.err = err
+			return
+		}
+		cell.matrix, cell.result = res.PairTrafficSym(), res
+	})
+	return cell.matrix, cell.result, cell.err
 }
 
 // RunCoherencePlacement simulates the dynamic COHERENCE placement (§4.2):

@@ -7,21 +7,16 @@ import (
 )
 
 // ProbeGuard checks that every method call on a value of the
-// observability-probe interface type (internal/obs.Probe) — or on the
-// telemetry pointer types *obs.Bus and *obs.SpanStore, which are nil
-// when telemetry is disabled — is dominated by a nil check on that same
-// expression. The engines' contract is that a disabled probe costs one
-// nil test and nothing else — an unguarded call either panics on the nil
-// fast path or silently makes the probe mandatory. The serving daemons
-// make the same promise for -no-telemetry: bus and span-store fields stay
-// nil, so every call site must carry its own guard. (*obs.ActiveSpan is
-// deliberately not covered: its methods are nil-safe by design.)
+// observability-probe interface type (internal/obs.Probe) is dominated
+// by a nil check on that same expression. The engines' contract is that
+// a disabled probe costs one nil test and nothing else — an unguarded
+// call either panics on the nil fast path or silently makes the probe
+// mandatory.
 //
-// Three guard shapes are recognized, matching the repo's idiom:
+// Two guard shapes are recognized, matching the repo's idiom:
 //
 //	if m.probe != nil { m.probe.CacheHit(...) }     // enclosing guard
 //	if m.probe == nil { return }; m.probe.RunEnd(t) // early-return guard
-//	if s.bus != nil && s.bus.Subscribers(t) > 0 {}  // short-circuit conjunct
 //
 // The receiver is matched syntactically (same rendered expression), and a
 // compound condition guards only when the nil check is a top-level &&
@@ -30,7 +25,7 @@ import (
 // entries before any call is made).
 var ProbeGuard = &Analyzer{
 	Name: "probeguard",
-	Doc:  "calls on obs.Probe, *obs.Bus and *obs.SpanStore values must be nil-guarded",
+	Doc:  "calls on obs.Probe values must be nil-guarded",
 	Run:  runProbeGuard,
 }
 
@@ -56,46 +51,16 @@ func runProbeGuard(pass *Pass) {
 			if !ok || s.Kind() != types.MethodVal {
 				return true
 			}
-			label := guardedObsLabel(s.Recv())
-			if label == "" {
+			if !isProbeInterface(s.Recv()) {
 				return true
 			}
 			recv := types.ExprString(sel.X)
 			if !guarded(recv, call, stack) {
-				pass.Reportf(call.Pos(), "call on %s value %s is not dominated by a %s != nil check", label, recv, recv)
+				pass.Reportf(call.Pos(), "call on obs.Probe value %s is not dominated by a %s != nil check", recv, recv)
 			}
 			return true
 		})
 	}
-}
-
-// guardedObsLabel classifies a method receiver type: the diagnostic label
-// ("obs.Probe", "obs.Bus", "obs.SpanStore") when calls on it must be
-// nil-guarded, "" otherwise.
-func guardedObsLabel(t types.Type) string {
-	if isProbeInterface(t) {
-		return "obs.Probe"
-	}
-	// The telemetry pointer types: nil with -no-telemetry, so a method
-	// call through an unguarded pointer is a latent panic. ActiveSpan is
-	// excluded — its methods are nil-safe so call sites stay terse.
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return ""
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return ""
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || !pathSuffixMatch(obj.Pkg().Path(), probeInterfacePathSuffix) {
-		return ""
-	}
-	switch obj.Name() {
-	case "Bus", "SpanStore":
-		return "obs." + obj.Name()
-	}
-	return ""
 }
 
 // isProbeInterface reports whether t is the named interface Probe from an
@@ -123,13 +88,6 @@ func guarded(recv string, call *ast.CallExpr, stack []ast.Node) bool {
 		switch n := stack[i].(type) {
 		case *ast.IfStmt:
 			if containsNode(n.Body, inner) && condAsserts(n.Cond, recv) {
-				return true
-			}
-		case *ast.BinaryExpr:
-			// Short-circuit guard: in `recv != nil && ... recv.M() ...` the
-			// left conjunct has already established the fact when the right
-			// operand evaluates.
-			if n.Op == token.LAND && containsNode(n.Y, call) && condAsserts(n.X, recv) {
 				return true
 			}
 		case *ast.FuncLit, *ast.FuncDecl:

@@ -29,8 +29,6 @@ func StartDebugServer(addr string, log *slog.Logger) (func(), error) {
 	}
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = srv.Serve(ln) }()
-	if log != nil {
-		log.Info("debug server listening", "addr", ln.Addr().String())
-	}
+	log.Info("debug server listening", "addr", ln.Addr().String())
 	return func() { _ = srv.Close() }, nil
 }

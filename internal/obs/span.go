@@ -198,8 +198,7 @@ func SortSpans(spans []Span) {
 	})
 }
 
-// ActiveSpan is an in-flight span handle. All methods are nil-safe so
-// call sites stay terse when tracing is disabled.
+// ActiveSpan is an in-flight span handle. All methods are nil-safe.
 type ActiveSpan struct {
 	store *SpanStore
 	sp    Span
@@ -207,8 +206,7 @@ type ActiveSpan struct {
 }
 
 // Start opens a child span of parent and returns its handle; End records
-// it. The caller must nil-check the store (the probeguard analyzer
-// enforces this, mirroring obs.Probe call sites).
+// it.
 func (s *SpanStore) Start(parent SpanContext, service, name string) *ActiveSpan {
 	ctx := parent.Child()
 	now := time.Now()

@@ -24,8 +24,16 @@ type Placement struct {
 	Clusters [][]int
 }
 
-// NumProcessors returns the number of clusters.
-func (pl *Placement) NumProcessors() int { return len(pl.Clusters) }
+// OnePerProcessor places each of n threads on its own processor: the
+// paper's dynamic-measurement configuration (§4.2), under which traffic
+// between processor pairs is traffic between thread pairs.
+func OnePerProcessor(n int) *Placement {
+	clusters := make([][]int, n)
+	for i := range clusters {
+		clusters[i] = []int{i}
+	}
+	return &Placement{Algorithm: "ONE-THREAD-PER-PROC", Clusters: clusters}
+}
 
 // NumThreads returns the total number of placed threads.
 func (pl *Placement) NumThreads() int {

@@ -72,8 +72,7 @@ type AdviseResponse struct {
 	// Measured reports that the server ran a measurement simulation (app
 	// and trace_mtt2 sources; false for the pair source).
 	Measured bool `json:"measured,omitempty"`
-	// Trace is the request's distributed-trace ID. Empty when telemetry
-	// is disabled.
+	// Trace is the request's distributed-trace ID.
 	Trace string `json:"trace,omitempty"`
 }
 
@@ -144,12 +143,9 @@ func (r *AdviseRequest) Validate() error {
 // one runs) is a single bounded one-thread-per-processor cell, not a
 // sweep, so it does not flow through the job queue.
 func (s *Server) Advise(req *AdviseRequest, parent obs.SpanContext) (*AdviseResponse, obs.SpanContext, error) {
-	sctx := obs.SpanContext{}
-	if s.spans != nil {
-		span := s.spans.Start(parent, s.opts.ServiceName, "advise "+adviseLabel(req))
-		defer span.End()
-		sctx = span.Context()
-	}
+	span := s.spans.Start(parent, s.opts.ServiceName, "advise "+adviseLabel(req))
+	defer span.End()
+	sctx := span.Context()
 	resp, err := s.advise(req, sctx)
 	if err != nil {
 		return nil, sctx, &Error{Status: http.StatusUnprocessableEntity, Message: err.Error()}
@@ -190,9 +186,7 @@ func (s *Server) advise(req *AdviseRequest, sctx obs.SpanContext) (*AdviseRespon
 		if err != nil {
 			return nil, err
 		}
-		if s.spans != nil && sctx.Valid() {
-			s.spans.AddSpan(sctx, s.opts.ServiceName, "measure "+req.App, measureStart, time.Now())
-		}
+		s.spans.AddSpan(sctx, s.opts.ServiceName, "measure "+req.App, measureStart, time.Now())
 		lengths, measured = advise.Lengths(tr), true
 		if memLat == 0 {
 			cfg, err := suite.Config(req.App, req.Procs, false)
@@ -220,9 +214,7 @@ func (s *Server) advise(req *AdviseRequest, sctx obs.SpanContext) (*AdviseRespon
 		if err != nil {
 			return nil, err
 		}
-		if s.spans != nil && sctx.Valid() {
-			s.spans.AddSpan(sctx, s.opts.ServiceName, "measure trace", measureStart, time.Now())
-		}
+		s.spans.AddSpan(sctx, s.opts.ServiceName, "measure trace", measureStart, time.Now())
 		lengths, measured = advise.Lengths(tr), true
 	default:
 		pair, lengths = req.Pair, req.Lengths

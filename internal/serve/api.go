@@ -184,7 +184,7 @@ type SimulateResponse struct {
 	// no counters — nothing ran).
 	Counters *obs.Counter `json:"counters,omitempty"`
 	// Trace is the request's distributed-trace ID, usable against
-	// GET /v1/trace/{id}. Empty when telemetry is disabled.
+	// GET /v1/trace/{id}.
 	Trace string `json:"trace,omitempty"`
 }
 
@@ -219,7 +219,7 @@ type SweepAccepted struct {
 	// job record was returned instead of a new one.
 	Existing bool `json:"existing,omitempty"`
 	// Trace is the job's distributed-trace ID (the existing job's ID when
-	// Existing). Empty when telemetry is disabled.
+	// Existing).
 	Trace string `json:"trace,omitempty"`
 }
 
@@ -231,7 +231,8 @@ type JobStatus struct {
 	Completed int    `json:"completed"`
 	Error     string `json:"error,omitempty"`
 	// Trace is the job's distributed-trace ID, usable against
-	// GET /v1/trace/{id}. Empty when telemetry is disabled.
+	// GET /v1/trace/{id}. Empty for a coordinator job rebuilt from its
+	// store record.
 	Trace string `json:"trace,omitempty"`
 	// Results carries every cell (in the sweep's deterministic
 	// apps x algorithms x procs order) once the job is done.

@@ -4,12 +4,20 @@ package serve
 // store (internal/store). The store is optional — a nil Options.Store
 // turns every store path into a no-op — and owned by the caller (a
 // daemon opens it with OpenDurable before NewServer and closes it after
-// Drain). OpenDurable and Durable are the parts the coordinator shares.
+// Drain). OpenDurable, RunDaemon and Durable are the parts the
+// coordinator shares.
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
+	"net"
+	"net/http"
+	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"repro/internal/obs"
@@ -95,10 +103,8 @@ func (s *Server) storeGet(key rescache.Key, sctx obs.SpanContext) *sim.Result {
 	}
 	lookupStart := time.Now()
 	res, err := LoadResult(s.opts.Store, key)
-	if s.spans != nil && sctx.Valid() {
-		s.spans.AddSpan(sctx, s.opts.ServiceName, "store lookup", lookupStart, time.Now())
-	}
-	if err != nil && s.opts.Log != nil {
+	s.spans.AddSpan(sctx, s.opts.ServiceName, "store lookup", lookupStart, time.Now())
+	if err != nil {
 		s.opts.Log.Warn("store record unusable, recomputing", "key", key.String(), "err", err.Error())
 	}
 	return res
@@ -111,7 +117,7 @@ func (s *Server) storePut(key rescache.Key, res *sim.Result) {
 	if s.opts.Store == nil || res == nil {
 		return
 	}
-	if err := SaveResult(s.opts.Store, key, res); err != nil && s.opts.Log != nil {
+	if err := SaveResult(s.opts.Store, key, res); err != nil {
 		s.opts.Log.Warn("store put refused", "key", key.String(), "err", err.Error())
 	}
 }
@@ -137,6 +143,49 @@ func OpenDurable(dir string, log *slog.Logger) (*store.Store, func(), error) {
 			log.Warn("result store close", "err", err.Error())
 		}
 	}, nil
+}
+
+// RunDaemon serves h on the bound listener ln until SIGTERM/SIGINT or a
+// listener failure, then shuts the daemon down in one order: drain
+// finishes or hands back the daemon's work, closeDurable flushes and
+// seals its store, and the listener stops last, so clients can observe
+// their jobs' final state until the very end. A failed listener drains
+// and closes exactly as a signal does, so no write-behind record is
+// lost; only the exit code differs. name prefixes the "listening" and
+// "exited cleanly" log lines. It returns the process exit code.
+func RunDaemon(log *slog.Logger, name string, ln net.Listener, h http.Handler, drain, closeDurable func()) int {
+	hs := &http.Server{Handler: h}
+	log.Info(name+" listening", "addr", ln.Addr().String())
+
+	errc := make(chan error, 1)
+	go func() { errc <- hs.Serve(ln) }()
+
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sigc)
+
+	code := obs.CodeOK
+	select {
+	case sig := <-sigc:
+		log.Info("draining on signal", "signal", fmt.Sprint(sig))
+	case err := <-errc:
+		if err != nil && !errors.Is(err, http.ErrServerClosed) {
+			log.Error(err.Error())
+			code = obs.CodeError
+		}
+	}
+
+	drain()
+	closeDurable()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_ = hs.Shutdown(ctx)
+
+	if code != obs.CodeOK {
+		return code
+	}
+	log.Info(name + " exited cleanly")
+	return obs.CodeOK
 }
 
 // Durable is the optional durable tier under either daemon: the result

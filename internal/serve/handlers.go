@@ -42,8 +42,7 @@ type Executor interface {
 	Refusal() error
 	// Simulate runs one cell. parent is the caller's trace context; the
 	// returned context is the request span's, echoed in the Mtsim-Trace
-	// reply header (zero when telemetry is off). ctx ends when the
-	// client goes away.
+	// reply header. ctx ends when the client goes away.
 	Simulate(ctx context.Context, req *SimulateRequest, parent obs.SpanContext) (*SimulateResponse, obs.SpanContext, error)
 	// Advise answers one placement-advisor request, traced like Simulate.
 	Advise(req *AdviseRequest, parent obs.SpanContext) (*AdviseResponse, obs.SpanContext, error)
@@ -51,9 +50,8 @@ type Executor interface {
 	SubmitSweep(req *SweepRequest, parent obs.SpanContext) (*SweepAccepted, error)
 	// LookupJob finds a job by ID.
 	LookupJob(id string) (JobRef, bool)
-	// Spans gathers one trace's spans in SortSpans order (an *Error when
-	// tracing is disabled).
-	Spans(traceID string) ([]obs.Span, error)
+	// Spans gathers one trace's spans in SortSpans order.
+	Spans(traceID string) []obs.Span
 	// Health builds the /healthz view.
 	Health() HealthResponse
 	// WriteMetrics renders the Prometheus text exposition.
@@ -108,7 +106,7 @@ func NewRequestMetrics(set *obs.MetricSet, prefix string) *RequestMetrics {
 // api is the public route set over one Executor.
 type api struct {
 	ex      Executor
-	bus     *obs.Bus // job progress events; nil when telemetry is off
+	bus     *obs.Bus // job progress events
 	metrics *RequestMetrics
 }
 
@@ -213,7 +211,6 @@ func admit[T any](ex Executor, w http.ResponseWriter, r *http.Request, decode fu
 
 // traceFromRequest extracts the caller's trace context from the
 // Mtsim-Trace header, or mints a fresh root when absent or malformed.
-// An executor with telemetry off ignores it.
 func traceFromRequest(r *http.Request) obs.SpanContext {
 	if ctx, ok := obs.ParseTrace(r.Header.Get(obs.TraceHeader)); ok {
 		return ctx

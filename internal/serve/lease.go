@@ -232,15 +232,13 @@ func (s *Server) handleLeaseGrant(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j := newJob(leaseJobPrefix+req.Lease, ResolveParams(req.Params), leaseCells(req))
-	if s.spans != nil {
-		if ctx, ok := obs.ParseTrace(req.Trace); ok {
-			// Join the coordinator's trace; the lease span ends when the
-			// lease job reaches a terminal state. A duplicate grant's span
-			// is never ended, so it is never recorded.
-			j.span = s.spans.Start(ctx, s.opts.ServiceName, "lease "+req.Lease)
-			j.trace = j.span.Context()
-		}
-	}
+	// Join the coordinator's trace; the lease span ends when the lease
+	// job reaches a terminal state. A duplicate grant's span is never
+	// ended, so it is never recorded, and neither is a span under a
+	// missing or malformed trace header (it has no trace ID).
+	ctx, _ := obs.ParseTrace(req.Trace)
+	j.span = s.spans.Start(ctx, s.opts.ServiceName, "lease "+req.Lease)
+	j.trace = j.span.Context()
 
 	reg, existing := s.jobs.add(j)
 	if existing {
@@ -289,10 +287,8 @@ func (s *Server) handleLeaseSteal(w http.ResponseWriter, r *http.Request) {
 	stolen := j.steal(req.Max)
 	s.metrics.cellsStolen.Add(int64(len(stolen)))
 	if len(stolen) > 0 {
-		if s.spans != nil && j.trace.Valid() {
-			s.spans.AddEvent(j.trace, s.opts.ServiceName, "steal",
-				fmt.Sprintf("%d cells reclaimed", len(stolen)))
-		}
+		s.spans.AddEvent(j.trace, s.opts.ServiceName, "steal",
+			fmt.Sprintf("%d cells reclaimed", len(stolen)))
 		s.publishJob(j)
 	}
 	WriteJSON(w, http.StatusOK, StealResponse{Lease: id, Stolen: stolen})

@@ -151,15 +151,13 @@ type job struct {
 	params Params // resolved (never nil) workload params
 	cells  []cellSpec
 
-	// trace is the distributed-trace context this job's spans hang off
-	// (zero when telemetry is disabled). Set once before enqueue, read-only
-	// afterwards.
+	// trace is the distributed-trace context this job's spans hang off.
+	// Set once before enqueue, read-only afterwards.
 	//
 	//mtlint:guard external -- written only by the accepting handler before enqueue publishes the job
 	trace obs.SpanContext
 	// span is the job's root span, ended when the job reaches a terminal
-	// state (nil when telemetry is disabled; End is nil-safe). Set with
-	// trace, under the same write-once contract.
+	// state. Set with trace, under the same write-once contract.
 	//
 	//mtlint:guard external -- written only by the accepting handler before enqueue publishes the job
 	span *obs.ActiveSpan

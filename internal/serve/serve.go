@@ -47,16 +47,6 @@ type Options struct {
 	// ServiceName labels this server's spans on the distributed-trace
 	// timeline (default "mtserve"; clustered workers use their worker ID).
 	ServiceName string
-	// StreamWindow, when positive, attaches an obs.Sampler with this
-	// window width (simulated cycles) to cells whose job has a live SSE
-	// subscriber, streaming per-window samples as "sample" events. Zero
-	// streams job/cell transitions only.
-	StreamWindow uint64
-	// DisableTelemetry turns off the span store and event bus entirely:
-	// no spans recorded, /v1/trace answers 404, SSE streams carry only
-	// the initial snapshot and terminal event. Histograms stay on (three
-	// atomic adds per observation).
-	DisableTelemetry bool
 	// Store, when non-nil, is the durable result tier under the in-memory
 	// cache: cache miss → store probe → simulate, with every fresh result
 	// written back. The caller owns the store's lifecycle (Close after
@@ -85,6 +75,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ServiceName == "" {
 		o.ServiceName = "mtserve"
+	}
+	if o.Log == nil {
+		o.Log = obs.NewLogger(io.Discard, false)
 	}
 	return o
 }
@@ -182,12 +175,8 @@ type Server struct {
 	jobs    *jobRegistry
 	metrics *serverMetrics
 	durable *Durable
-
-	// spans and bus are the telemetry layer; both nil when
-	// Options.DisableTelemetry (every call site nil-guards, enforced by
-	// mtlint's probeguard analyzer).
-	spans *obs.SpanStore
-	bus   *obs.Bus
+	spans   *obs.SpanStore
+	bus     *obs.Bus
 
 	mu       sync.Mutex
 	suites   []*suiteEntry
@@ -218,10 +207,8 @@ func NewServer(opts Options) *Server {
 		flights: make(map[rescache.Key]*flight),
 	}
 	s.durable = NewDurable(s.metrics.set, "serve", opts.Store)
-	if !opts.DisableTelemetry {
-		s.spans = obs.NewSpanStore(obs.DefaultSpanCapacity)
-		s.bus = obs.NewBus(s.metrics.streamDropped)
-	}
+	s.spans = obs.NewSpanStore(obs.DefaultSpanCapacity)
+	s.bus = obs.NewBus(s.metrics.streamDropped)
 	s.guard = &resilience.EngineGuard{}
 	s.metrics.workers.Set(int64(opts.Workers))
 	for i := 0; i < opts.Workers; i++ {
@@ -293,12 +280,10 @@ func (s *Server) Simulate(ctx context.Context, req *SimulateRequest, parent obs.
 	}
 
 	j := newJob("", ResolveParams(req.Params), []cellSpec{cell})
-	if s.spans != nil {
-		// The request span is the job's root; cell spans hang off it. It
-		// ends with the job, which Simulate always waits for.
-		j.span = s.spans.Start(parent, s.opts.ServiceName, "simulate "+cellLabel(cell))
-		j.trace = j.span.Context()
-	}
+	// The request span is the job's root; cell spans hang off it. It
+	// ends with the job, which Simulate always waits for.
+	j.span = s.spans.Start(parent, s.opts.ServiceName, "simulate "+cellLabel(cell))
+	j.trace = j.span.Context()
 	if err := s.enqueue(j); err != nil {
 		return nil, j.trace, err
 	}
@@ -344,12 +329,7 @@ func (s *Server) LookupJob(id string) (JobRef, bool) {
 }
 
 // Spans implements Executor.
-func (s *Server) Spans(traceID string) ([]obs.Span, error) {
-	if s.spans == nil {
-		return nil, ErrTracingDisabled
-	}
-	return s.spans.Trace(traceID), nil
-}
+func (s *Server) Spans(traceID string) []obs.Span { return s.spans.Trace(traceID) }
 
 // WriteMetrics implements Executor: the cache's and the durable tier's
 // own counters are mirrored in first.
@@ -389,9 +369,7 @@ func (s *Server) Drain() {
 	for j, cells := range drained {
 		if n := j.markRetriable(cells, s.metrics.countOutcome); n > 0 {
 			s.publishJob(j)
-			if s.opts.Log != nil {
-				s.opts.Log.Info("drain: job marked retriable", "job", j.id, "cells_not_run", n)
-			}
+			s.opts.Log.Info("drain: job marked retriable", "job", j.id, "cells_not_run", n)
 		}
 	}
 	s.metrics.queueDepth.Set(0)
@@ -473,13 +451,11 @@ func (s *Server) enqueue(j *job) error {
 func (s *Server) SubmitSweep(req *SweepRequest, parent obs.SpanContext) (*SweepAccepted, error) {
 	params := ResolveParams(req.Params)
 	j := newJob(SweepJobID(params, req), params, sweepCells(req))
-	if s.spans != nil {
-		// Root span for the whole sweep, ended when the job reaches a
-		// terminal state. If the sweep turns out to be a duplicate the
-		// fresh span is simply never ended, so it is never recorded.
-		j.span = s.spans.Start(parent, s.opts.ServiceName, "sweep")
-		j.trace = j.span.Context()
-	}
+	// Root span for the whole sweep, ended when the job reaches a
+	// terminal state. If the sweep turns out to be a duplicate the fresh
+	// span is simply never ended, so it is never recorded.
+	j.span = s.spans.Start(parent, s.opts.ServiceName, "sweep")
+	j.trace = j.span.Context()
 	reg, existing := s.jobs.add(j)
 	if existing {
 		reg.mu.Lock()
@@ -526,9 +502,7 @@ func (s *Server) runTask(t task) {
 		return
 	}
 	s.metrics.queueWait.Observe(time.Since(t.enq).Microseconds())
-	if s.spans != nil && t.j.trace.Valid() {
-		s.spans.AddSpan(t.j.trace, s.opts.ServiceName, "queue wait", t.enq, time.Now())
-	}
+	s.spans.AddSpan(t.j.trace, s.opts.ServiceName, "queue wait", t.enq, time.Now())
 	s.mu.Lock()
 	s.inFlight++
 	s.metrics.inFlight.Set(int64(s.inFlight))
@@ -613,17 +587,13 @@ func (s *Server) resolveCell(params Params, c cellSpec) (*trace.Trace, *placemen
 }
 
 // runCell executes one cell: cache lookup, single-flight dedup, guarded
-// simulation, cache fill. When tracing is on, the cell and its cache
-// lookup and engine run each become spans on the job's trace.
+// simulation, cache fill. The cell and its cache lookup and engine run
+// each become spans on the job's trace.
 func (s *Server) runCell(j *job, cell int) cellResultInternal {
 	c := j.cells[cell]
-	var cellSpan *obs.ActiveSpan
-	sctx := obs.SpanContext{}
-	if s.spans != nil && j.trace.Valid() {
-		cellSpan = s.spans.Start(j.trace, s.opts.ServiceName, "cell "+cellLabel(c))
-		defer cellSpan.End()
-		sctx = cellSpan.Context()
-	}
+	cellSpan := s.spans.Start(j.trace, s.opts.ServiceName, "cell "+cellLabel(c))
+	defer cellSpan.End()
+	sctx := cellSpan.Context()
 
 	if s.opts.BeforeCell != nil {
 		s.opts.BeforeCell()
@@ -644,9 +614,7 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 	// mirrors its counters at scrape time.
 	lookupStart := time.Now()
 	res := s.cache.Get(key)
-	if s.spans != nil && sctx.Valid() {
-		s.spans.AddSpan(sctx, s.opts.ServiceName, "cache lookup", lookupStart, time.Now())
-	}
+	s.spans.AddSpan(sctx, s.opts.ServiceName, "cache lookup", lookupStart, time.Now())
 	if res != nil {
 		cellSpan.SetNote("cache hit")
 		return cellResultInternal{key: keyHex, cached: true, res: res}
@@ -663,9 +631,7 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 		s.metrics.sfShared.Inc()
 		waitStart := time.Now()
 		<-f.done
-		if s.spans != nil && sctx.Valid() {
-			s.spans.AddSpan(sctx, s.opts.ServiceName, "singleflight wait", waitStart, time.Now())
-		}
+		s.spans.AddSpan(sctx, s.opts.ServiceName, "singleflight wait", waitStart, time.Now())
 		if f.err != nil {
 			return cellResultInternal{key: keyHex, err: f.err}
 		}
@@ -689,11 +655,8 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 		return cellResultInternal{key: keyHex, cached: true, res: res}
 	}
 
-	var engineSpan *obs.ActiveSpan
-	if s.spans != nil && sctx.Valid() {
-		// The engine run under the server's guard.
-		engineSpan = s.spans.Start(sctx, s.opts.ServiceName, "engine guarded")
-	}
+	// The engine run under the server's guard.
+	engineSpan := s.spans.Start(sctx, s.opts.ServiceName, "engine guarded")
 	t0 := time.Now()
 	res, counters, err := s.simulate(j, c, cell, tr, pl, cfg)
 	if err == nil && res != nil {
@@ -728,10 +691,9 @@ func (s *Server) landFlight(key rescache.Key, f *flight, res *sim.Result, err er
 }
 
 // simulate runs the cell on the fast engine under the job's guard. When
-// the job has a live SSE subscriber and sample streaming is configured, a
-// Sampler rides along and its windows are published as "sample" events
-// after the run (zero cost for unwatched jobs: the probe is nil and the
-// engine skips every hook).
+// the job has a live SSE subscriber, a Sampler rides along and its
+// windows are published as "sample" events after the run (zero cost for
+// unwatched jobs: the probe is nil and the engine skips every hook).
 func (s *Server) simulate(j *job, c cellSpec, cell int, tr *trace.Trace, pl *placement.Placement, cfg sim.Config) (*sim.Result, *obs.Counter, error) {
 	guard := sim.Guard{MaxSteps: s.opts.MaxSteps, Cancel: &j.cancel}
 	var timer *time.Timer
@@ -745,8 +707,8 @@ func (s *Server) simulate(j *job, c cellSpec, cell int, tr *trace.Trace, pl *pla
 		probe = counters
 	}
 	var sampler *obs.Sampler
-	if s.bus != nil && s.opts.StreamWindow > 0 && s.bus.Subscribers(JobTopic(j.id)) > 0 {
-		sampler = obs.NewSampler(s.opts.StreamWindow)
+	if s.bus.Subscribers(JobTopic(j.id)) > 0 {
+		sampler = obs.NewSampler(sampleWindow)
 		probe = obs.Multi(probe, sampler)
 	}
 
@@ -768,7 +730,7 @@ func (s *Server) simulate(j *job, c cellSpec, cell int, tr *trace.Trace, pl *pla
 	if timer != nil {
 		timer.Stop()
 	}
-	if s.bus != nil && sampler != nil && err == nil {
+	if sampler != nil && err == nil {
 		for i, w := range sampler.Samples() {
 			s.bus.Publish(JobTopic(j.id), "sample", SampleEvent{
 				Job: j.id, Cell: cell, Window: uint64(i), Sample: w,

@@ -62,6 +62,10 @@ type SampleEvent struct {
 	Sample obs.Sample `json:"sample"`
 }
 
+// sampleWindow is the width, in simulated cycles, of the windows a cell
+// streams as "sample" events while its job has an SSE subscriber.
+const sampleWindow = 100_000
+
 // TraceSpans is the GET /v1/trace/{id}?format=spans reply; the
 // coordinator uses it to merge worker spans into one timeline.
 type TraceSpans struct {
@@ -89,17 +93,11 @@ func JobEventOf(st JobStatus) JobEvent {
 
 // publishJob emits a job-level state event.
 func (s *Server) publishJob(j *job) {
-	if s.bus == nil {
-		return
-	}
 	s.bus.Publish(JobTopic(j.id), "job", JobEventOf(j.snapshot()))
 }
 
 // publishCell emits one finished cell.
 func (s *Server) publishCell(j *job, cell int, r cellResultInternal) {
-	if s.bus == nil {
-		return
-	}
 	c := j.cells[cell]
 	ev := CellEvent{
 		Job: j.id, Cell: cell, App: c.app, Algorithm: c.algorithm, Procs: c.procs,
@@ -120,10 +118,6 @@ func TerminalStatus(status string) bool {
 	}
 	return false
 }
-
-// ErrTracingDisabled answers GET /v1/trace on a daemon running without
-// telemetry.
-var ErrTracingDisabled = &Error{Status: http.StatusNotFound, Message: "tracing disabled"}
 
 // sseKeepalive is the comment-ping interval holding idle streams open
 // through proxies.
@@ -146,7 +140,7 @@ func writeSSE(w http.ResponseWriter, ev obs.Event) error {
 // handleJobEvents streams a job's progress as server-sent events: a
 // "job" snapshot first, bus events after, and the terminal state
 // delivered off the job's done channel even if the bus dropped
-// everything (or there is no bus).
+// everything.
 func (a *api) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	job, ok := a.ex.LookupJob(id)
@@ -162,12 +156,8 @@ func (a *api) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 	// Subscribe before the snapshot so no transition can fall between
 	// snapshot and stream.
-	var events <-chan obs.Event
-	if a.bus != nil {
-		sub := a.bus.Subscribe(JobTopic(id), sseBuffer)
-		defer sub.Close()
-		events = sub.C()
-	}
+	sub := a.bus.Subscribe(JobTopic(id), sseBuffer)
+	defer sub.Close()
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -182,22 +172,40 @@ func (a *api) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// relay writes one bus event and reports whether the stream is over:
+	// the client is gone, or the event was the job's terminal state.
+	relay := func(ev obs.Event) bool {
+		if err := writeSSE(w, ev); err != nil {
+			return true
+		}
+		fl.Flush()
+		je, ok := ev.Data.(JobEvent)
+		return ok && TerminalStatus(je.Status)
+	}
 	keepalive := time.NewTicker(sseKeepalive)
 	defer keepalive.Stop()
 	for {
 		select {
-		case ev := <-events:
-			if err := writeSSE(w, ev); err != nil {
-				return
-			}
-			fl.Flush()
-			if je, ok := ev.Data.(JobEvent); ok && TerminalStatus(je.Status) {
+		case ev := <-sub.C():
+			if relay(ev) {
 				return
 			}
 		case <-job.Done:
-			_ = writeSSE(w, obs.Event{Kind: "job", Data: JobEventOf(job.Status())})
-			fl.Flush()
-			return
+			// Events published before the job ended (its last cells'
+			// samples and cell events) may still sit in the buffer:
+			// relay them before the final state.
+			for {
+				select {
+				case ev := <-sub.C():
+					if relay(ev) {
+						return
+					}
+				default:
+					_ = writeSSE(w, obs.Event{Kind: "job", Data: JobEventOf(job.Status())})
+					fl.Flush()
+					return
+				}
+			}
 		case <-r.Context().Done():
 			return
 		case <-keepalive.C:
@@ -213,12 +221,9 @@ func (a *api) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 // span list with ?format=spans).
 func (a *api) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	spans, err := a.ex.Spans(id)
-	if err == nil && len(spans) == 0 {
-		err = &Error{Status: http.StatusNotFound, Message: "unknown trace " + id}
-	}
-	if err != nil {
-		WriteError(w, err)
+	spans := a.ex.Spans(id)
+	if len(spans) == 0 {
+		WriteError(w, &Error{Status: http.StatusNotFound, Message: "unknown trace " + id})
 		return
 	}
 	if r.URL.Query().Get("format") == "spans" {

@@ -3,7 +3,9 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -101,18 +103,92 @@ func TestJobEventsSSEDifferential(t *testing.T) {
 	}
 }
 
-// TestJobEventsTerminalWithoutBus: with telemetry disabled there is no
-// bus at all, yet a stream must still open, deliver the snapshot, and
-// end with the terminal state off the job's done channel.
-func TestJobEventsTerminalWithoutBus(t *testing.T) {
-	_, ts := newTestServer(t, Options{
-		Workers:          2,
-		DisableTelemetry: true,
-		BeforeCell:       func() { time.Sleep(10 * time.Millisecond) },
-	})
+// stubExecutor holds one running job, stubJob, that the test finishes
+// directly: nothing it does publishes on the bus. Calls to any other
+// Executor method panic on the nil embedded interface.
+type stubExecutor struct {
+	Executor
+	mu     sync.Mutex
+	status string
+	done   chan struct{}
+}
+
+const stubJob = "sw-stub"
+
+func (e *stubExecutor) LookupJob(id string) (JobRef, bool) {
+	if id != stubJob {
+		return JobRef{}, false
+	}
+	return JobRef{Status: e.snapshot, Done: e.done}, true
+}
+
+func (e *stubExecutor) snapshot() JobStatus {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	st := JobStatus{Job: stubJob, Status: e.status, Cells: 1}
+	if e.status == StatusDone {
+		st.Completed = 1
+	}
+	return st
+}
+
+func (e *stubExecutor) finish() {
+	e.mu.Lock()
+	e.status = StatusDone
+	e.mu.Unlock()
+	close(e.done)
+}
+
+// TestJobEventsTerminalWithoutPublish: a stream whose job ends without
+// a single bus event still delivers the snapshot and then the terminal
+// state, taken off the job's done channel.
+func TestJobEventsTerminalWithoutPublish(t *testing.T) {
+	ex := &stubExecutor{status: StatusRunning, done: make(chan struct{})}
+	ts := httptest.NewServer(NewHandler(ex, obs.NewBus(nil),
+		NewRequestMetrics(obs.NewMetricSet(), "stub"), func(*http.ServeMux) {}))
+	defer ts.Close()
+
+	events, cancel := obstest.OpenSSE(t, ts.URL+"/v1/jobs/"+stubJob+"/events")
+	defer cancel()
+	var got []JobEvent
+	for ev := range events {
+		if ev.Kind != "job" {
+			t.Errorf("unexpected %q event from a job that publishes nothing", ev.Kind)
+			continue
+		}
+		var je JobEvent
+		if err := json.Unmarshal(ev.Data, &je); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, je)
+		if len(got) == 1 {
+			ex.finish() // the stream is attached: end the job silently
+		}
+	}
+	if len(got) != 2 || got[0].Status != StatusRunning || got[1].Status != StatusDone {
+		t.Fatalf("stream carried %+v, want the running snapshot then done", got)
+	}
+	if got[1].Completed != 1 {
+		t.Errorf("terminal event reports %d/1 cells", got[1].Completed)
+	}
+}
+
+// TestJobEventsSamples: a sweep watched from before its cells run
+// streams "sample" events whose windows tile each cell's execution time
+// at sampleWindow cycles, and whose hits and misses, class by class, add
+// up to the cell's result totals. (Sample Refs leave out upgrades, so
+// Refs are not compared.)
+func TestJobEventsSamples(t *testing.T) {
+	gate := make(chan struct{})
+	var release sync.Once
+	open := func() { release.Do(func() { close(gate) }) }
+	_, ts := newTestServer(t, Options{Workers: 2, BeforeCell: func() { <-gate }})
+	t.Cleanup(open) // before the server's drain, which waits for the cells
+
 	req := SweepRequest{
 		Params: &testParams,
-		Apps:   []string{"MP3D"}, Algorithms: []string{"RANDOM"}, Procs: []int{2, 4},
+		Apps:   []string{"MP3D", "Gauss"}, Algorithms: []string{"RANDOM", "LOAD-BAL"},
+		Procs: []int{2, 4},
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/sweep", req)
 	if resp.StatusCode != http.StatusAccepted {
@@ -122,27 +198,65 @@ func TestJobEventsTerminalWithoutBus(t *testing.T) {
 	if err := json.Unmarshal(body, &acc); err != nil {
 		t.Fatal(err)
 	}
-	if acc.Trace != "" {
-		t.Errorf("telemetry disabled but sweep minted trace %q", acc.Trace)
-	}
 
 	events, cancel := obstest.OpenSSE(t, ts.URL+"/v1/jobs/"+acc.Job+"/events")
 	defer cancel()
-	var last JobEvent
+	// The handler subscribes before it writes the snapshot, so every cell
+	// released after the snapshot runs watched.
+	if ev, ok := <-events; !ok || ev.Kind != "job" {
+		t.Fatalf("stream opened with %q, want the job snapshot", ev.Kind)
+	}
+	open()
+	samples := make(map[int][]SampleEvent)
 	for ev := range events {
-		if ev.Kind != "job" {
-			t.Errorf("unexpected %q event with telemetry disabled", ev.Kind)
+		if ev.Kind != "sample" {
 			continue
 		}
-		if err := json.Unmarshal(ev.Data, &last); err != nil {
-			t.Fatal(err)
+		var se SampleEvent
+		if err := json.Unmarshal(ev.Data, &se); err != nil {
+			t.Fatalf("bad sample event %s: %v", ev.Data, err)
 		}
+		if se.Job != acc.Job {
+			t.Fatalf("sample event for %q on stream of %q", se.Job, acc.Job)
+		}
+		samples[se.Cell] = append(samples[se.Cell], se)
 	}
-	if !TerminalStatus(last.Status) {
-		t.Fatalf("stream ended on non-terminal status %q", last.Status)
+
+	st := pollJob(t, ts.URL, acc.Job)
+	if st.Status != StatusDone || len(st.Results) != acc.Cells {
+		t.Fatalf("job ended %s with %d/%d results: %s", st.Status, len(st.Results), acc.Cells, st.Error)
 	}
-	if last.Status != StatusDone {
-		t.Fatalf("terminal status %q: %s", last.Status, last.Error)
+	for i, cr := range st.Results {
+		exec := cr.Result.ExecTime
+		got := samples[i]
+		if want := int(exec/sampleWindow) + 1; len(got) != want {
+			t.Errorf("cell %d (%d cycles): %d sample windows, want %d", i, exec, len(got), want)
+			continue
+		}
+		var hits uint64
+		var misses [obs.NumMissClasses]uint64
+		for w, se := range got {
+			start := uint64(w) * sampleWindow
+			end := min(start+sampleWindow, exec)
+			if se.Window != uint64(w) || se.Sample.Start != start || se.Sample.End != end {
+				t.Errorf("cell %d: window %d is #%d [%d, %d), want [%d, %d)",
+					i, w, se.Window, se.Sample.Start, se.Sample.End, start, end)
+			}
+			hits += se.Sample.Hits
+			for k, m := range se.Sample.Misses {
+				misses[k] += m
+			}
+		}
+		tot := cr.Result.Totals()
+		if hits != tot.Hits {
+			t.Errorf("cell %d: samples count %d hits, result %d", i, hits, tot.Hits)
+		}
+		for k := range misses {
+			if misses[k] != tot.Misses[k] {
+				t.Errorf("cell %d: samples count %d %s misses, result %d",
+					i, misses[k], obs.MissClass(k), tot.Misses[k])
+			}
+		}
 	}
 }
 
@@ -244,12 +358,8 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Errorf("perfetto export has %d span events, raw export %d spans", spans, len(tsp.Spans))
 	}
 
-	// Unknown traces and disabled telemetry both answer 404.
+	// An unknown trace answers 404.
 	if r := getJSON(t, ts.URL+"/v1/trace/0000000000000000", nil); r.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown trace: status %d, want 404", r.StatusCode)
-	}
-	_, off := newTestServer(t, Options{Workers: 1, DisableTelemetry: true})
-	if r := getJSON(t, off.URL+"/v1/trace/"+parent.Trace, nil); r.StatusCode != http.StatusNotFound {
-		t.Errorf("telemetry disabled: trace status %d, want 404", r.StatusCode)
 	}
 }

@@ -268,13 +268,6 @@ func (t *T) Read(r Region, i int) { t.rec.Load(r.Addr(i)) }
 // Write records a store to element i of region r.
 func (t *T) Write(r Region, i int) { t.rec.Store(r.Addr(i)) }
 
-// ReadRange loads elements [from, from+n) in order.
-func (t *T) ReadRange(r Region, from, n int) {
-	for i := 0; i < n; i++ {
-		t.rec.Load(r.Addr(from + i))
-	}
-}
-
 // Compute records n non-memory instructions.
 func (t *T) Compute(n int) { t.rec.Compute(n) }
 
