@@ -27,19 +27,19 @@ loc:
 # guard fails the build.
 lint:
 	$(GO) run ./cmd/mtlint ./...
-	$(GO) run ./cmd/mtlint -census ./internal/serve/... ./internal/store ./internal/retry ./internal/cluster ./internal/obs ./internal/advise
+	$(GO) run ./cmd/mtlint -census ./internal/serve/... ./internal/store ./internal/retry ./internal/cluster ./internal/obs ./internal/advise ./internal/memo
 
-# Race tier: the serving, durability, cluster and telemetry suites under
-# the race detector. -short trims the chaos matrix to one scenario so the
-# tier stays CI-sized; `make verify` still runs everything under -race at
-# full length.
+# Race tier: the serving, durability, cluster and telemetry suites and
+# the memo table under them, under the race detector. -short trims the
+# chaos matrix to one scenario so the tier stays CI-sized; `make verify`
+# still runs everything under -race at full length.
 racecheck:
-	$(GO) test -race -short ./internal/serve/... ./internal/store ./internal/retry ./cmd/mtserve ./internal/cluster ./internal/obs
+	$(GO) test -race -short ./internal/serve/... ./internal/store ./internal/retry ./cmd/mtserve ./internal/cluster ./internal/obs ./internal/memo
 
 verify: faultcheck servecheck clustercheck tracecheck storecheck advisecheck perfcheck benchsmoke
 	$(GO) vet ./...
 	$(GO) run ./cmd/mtlint ./...
-	$(GO) run ./cmd/mtlint -census ./internal/serve/... ./internal/store ./internal/retry ./internal/cluster ./internal/obs ./internal/advise
+	$(GO) run ./cmd/mtlint -census ./internal/serve/... ./internal/store ./internal/retry ./internal/cluster ./internal/obs ./internal/advise ./internal/memo
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) test -race -timeout 30m ./...

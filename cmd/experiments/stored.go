@@ -54,11 +54,7 @@ func (r *storedRunner) run(tr *trace.Trace, pl *placement.Placement, cfg sim.Con
 	var key rescache.Key
 	if inCatalog {
 		key = rescache.KeyOf(r.params.Scale, r.params.Seed, tr.App, core.PlacementKey(pl), cfg)
-		res, err := serve.LoadResult(r.st, key)
-		if err != nil {
-			r.log.Warn("store record unusable, recomputing", "key", key.String(), "err", err.Error())
-		}
-		if res != nil {
+		if res := serve.LoadResult(r.st, key, r.log); res != nil {
 			r.restored.Add(1)
 			return res, nil
 		}
@@ -67,11 +63,8 @@ func (r *storedRunner) run(tr *trace.Trace, pl *placement.Placement, cfg sim.Con
 		return nil, errInterrupted
 	}
 	res, err := r.next(tr, pl, cfg)
-	if err != nil || !inCatalog {
-		return res, err
+	if err == nil && inCatalog {
+		serve.SaveResult(r.st, key, res, r.log)
 	}
-	if err := serve.SaveResult(r.st, key, res); err != nil {
-		r.log.Warn("store put refused", "key", key.String(), "err", err.Error())
-	}
-	return res, nil
+	return res, err
 }

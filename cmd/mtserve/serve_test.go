@@ -57,10 +57,7 @@ func TestServeFailureDrainsStore(t *testing.T) {
 	if _, err := hex.Decode(key[:], []byte(resp.Key)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := serve.LoadResult(st, key)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := serve.LoadResult(st, key, log)
 	if got == nil || !reflect.DeepEqual(got, resp.Result) {
 		t.Errorf("store holds %+v, want the served result", got)
 	}

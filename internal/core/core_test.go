@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/memo"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -46,19 +47,19 @@ func TestSuiteCaching(t *testing.T) {
 }
 
 // TestSharingKeepsNoSet holds Sharing to its memory contract: it caches
-// the sharing data but not the analysis it derived them from, and a later
-// Set still returns the full analysis.
+// the sharing data but not the analysis it derived them from (the sets
+// table sees no call and gains no entry), and a later Set still returns
+// the full analysis. It runs on a suite of its own: Set.Sharing fills a
+// lazily built index inside the Set, so a Set a previous run used no
+// longer deep-equals a fresh analysis.
 func TestSharingKeepsNoSet(t *testing.T) {
-	s := testSuite()
+	s := NewSuite(testSuite().Options())
 	d, err := s.Sharing("Water")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	_, kept := s.sets["Water"]
-	s.mu.Unlock()
-	if kept {
-		t.Error("Sharing cached the analysis.Set")
+	if st := s.sets.Stats(); st != (memo.Stats{}) {
+		t.Errorf("Sharing touched the sets table: %+v", st)
 	}
 	set, err := s.Set("Water")
 	if err != nil {
@@ -73,6 +74,29 @@ func TestSharingKeepsNoSet(t *testing.T) {
 	}
 	if !reflect.DeepEqual(d, set.Sharing()) {
 		t.Error("cached sharing data differ from the Set's")
+	}
+}
+
+// TestSetFillsSharing: Set derives the sharing data from the analysis it
+// builds, so a later Sharing is a hit and Table 2 analyzes each
+// application once.
+func TestSetFillsSharing(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Params = workload.Params{Scale: 0.1, Seed: 1994}
+	s := NewSuite(opts)
+	set, err := s.Set("FFT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := s.Sharing("FFT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.sharing.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("sharing table after Set then Sharing: %+v, want 1 miss (Set's) and 1 hit", st)
+	}
+	if !reflect.DeepEqual(d, set.Sharing()) {
+		t.Error("sharing data differ from the Set's")
 	}
 }
 

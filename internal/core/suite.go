@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"repro/internal/analysis"
+	"repro/internal/memo"
 	"repro/internal/placement"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -52,28 +53,28 @@ func DefaultOptions() Options {
 
 // Suite lazily builds and caches traces, analyses, coherence
 // measurements, placements and simulation results for the application
-// suite. It is safe for concurrent use. Cached values (including the
-// *sim.Result and *placement.Placement returned by RunOne, Place and
-// friends) are shared between callers and must be treated as read-only.
+// suite, each in its own memo.Table: a value is computed once, however
+// many callers ask for it at once, and a computation holds up only the
+// callers of its own key. It is safe for concurrent use. Cached values
+// (including the *sim.Result and *placement.Placement returned by
+// RunOne, Place and friends) are shared between callers and must be
+// treated as read-only. A failed computation is not cached; the next
+// call computes it again.
 type Suite struct {
 	opts Options
 
-	mu        sync.Mutex
-	traces    map[string]*trace.Trace
-	sets      map[string]*analysis.Set
-	sharing   map[string]*analysis.SharingData
-	coherence map[string]*coherenceCell
-	places    map[placeKey]*placeCell
-	sims      map[simKey]*simCell
+	traces    *memo.Table[string, *trace.Trace]
+	sets      *memo.Table[string, *analysis.Set]
+	sharing   *memo.Table[string, *analysis.SharingData]
+	coherence *memo.Table[string, coherence]
+	places    *memo.Table[placeKey, *placement.Placement]
+	sims      *memo.Table[simKey, *sim.Result]
 }
 
-// coherenceCell is a once-guarded coherence measurement, the same
-// discipline as placeCell: concurrent first callers share one run.
-type coherenceCell struct {
-	once   sync.Once
+// coherence is one application's coherence measurement (§4.2).
+type coherence struct {
 	matrix [][]uint64
 	result *sim.Result
-	err    error
 }
 
 // placeKey identifies one memoized placement computation. The RANDOM
@@ -82,15 +83,6 @@ type coherenceCell struct {
 type placeKey struct {
 	app, alg string
 	procs    int
-}
-
-// placeCell is a once-guarded placement computation, so concurrent
-// requests for the same cell compute it exactly once without holding the
-// suite lock across the (potentially expensive) clustering.
-type placeCell struct {
-	once sync.Once
-	pl   *placement.Placement
-	err  error
 }
 
 // simKey identifies one memoized simulation: the application, the exact
@@ -102,13 +94,6 @@ type simKey struct {
 	app       string
 	placement string
 	cfg       sim.Config
-}
-
-// simCell is a once-guarded simulation, the same discipline as placeCell.
-type simCell struct {
-	once sync.Once
-	res  *sim.Result
-	err  error
 }
 
 // PlacementKey encodes a placement exactly (collision-free): the
@@ -141,12 +126,12 @@ func NewSuite(opts Options) *Suite {
 	}
 	return &Suite{
 		opts:      opts,
-		traces:    make(map[string]*trace.Trace),
-		sets:      make(map[string]*analysis.Set),
-		sharing:   make(map[string]*analysis.SharingData),
-		coherence: make(map[string]*coherenceCell),
-		places:    make(map[placeKey]*placeCell),
-		sims:      make(map[simKey]*simCell),
+		traces:    memo.New[string, *trace.Trace](0),
+		sets:      memo.New[string, *analysis.Set](0),
+		sharing:   memo.New[string, *analysis.SharingData](0),
+		coherence: memo.New[string, coherence](0),
+		places:    memo.New[placeKey, *placement.Placement](0),
+		sims:      memo.New[simKey, *sim.Result](0),
 	}
 }
 
@@ -175,72 +160,54 @@ func (s *Suite) dynRun(tr *trace.Trace, cfg sim.Config, policy sim.SchedulePolic
 
 // Trace returns the application's (cached) trace.
 func (s *Suite) Trace(app string) (*trace.Trace, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.traceLocked(app)
-}
-
-func (s *Suite) traceLocked(app string) (*trace.Trace, error) {
-	if tr, ok := s.traces[app]; ok {
-		return tr, nil
-	}
-	a, err := workload.ByName(app)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := a.Build(s.opts.Params)
-	if err != nil {
-		return nil, err
-	}
-	// Warm the lazily computed per-thread totals so the trace is
-	// strictly read-only during concurrent simulation.
-	tr.TotalInstructions()
-	s.traces[app] = tr
-	return tr, nil
-}
-
-// Set returns the application's (cached) static analysis.
-func (s *Suite) Set(app string) (*analysis.Set, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.setLocked(app)
-}
-
-func (s *Suite) setLocked(app string) (*analysis.Set, error) {
-	if set, ok := s.sets[app]; ok {
-		return set, nil
-	}
-	tr, err := s.traceLocked(app)
-	if err != nil {
-		return nil, err
-	}
-	set := analysis.Analyze(tr)
-	s.sets[app] = set
-	return set, nil
-}
-
-// Sharing returns the application's (cached) pairwise sharing data. It
-// derives the data from the cached static analysis when Set has built
-// one, and otherwise from an analysis it does not keep: placement and
-// serving read only the sharing data, and the per-thread profiles are
-// most of an analysis's memory.
-func (s *Suite) Sharing(app string) (*analysis.SharingData, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d, ok := s.sharing[app]; ok {
-		return d, nil
-	}
-	set, ok := s.sets[app]
-	if !ok {
-		tr, err := s.traceLocked(app)
+	tr, _, err := s.traces.Do(app, func() (*trace.Trace, error) {
+		a, err := workload.ByName(app)
 		if err != nil {
 			return nil, err
 		}
-		set = analysis.Analyze(tr)
-	}
-	d := set.Sharing()
-	s.sharing[app] = d
-	return d, nil
+		tr, err := a.Build(s.opts.Params)
+		if err != nil {
+			return nil, err
+		}
+		// Warm the lazily computed per-thread totals so the trace is
+		// strictly read-only during concurrent simulation.
+		tr.TotalInstructions()
+		return tr, nil
+	})
+	return tr, err
+}
+
+// Set returns the application's (cached) static analysis. Building one
+// also derives the sharing data from it, unless Sharing already holds
+// them, so a later Sharing call analyzes nothing.
+func (s *Suite) Set(app string) (*analysis.Set, error) {
+	set, _, err := s.sets.Do(app, func() (*analysis.Set, error) {
+		tr, err := s.Trace(app)
+		if err != nil {
+			return nil, err
+		}
+		set := analysis.Analyze(tr)
+		// Fill the sharing table from this analysis; this compute
+		// cannot fail.
+		s.sharing.Do(app, func() (*analysis.SharingData, error) { return set.Sharing(), nil })
+		return set, nil
+	})
+	return set, err
+}
+
+// Sharing returns the application's (cached) pairwise sharing data. It
+// derives them from an analysis it does not keep: placement and
+// serving read only the sharing data, and the per-thread profiles are
+// most of an analysis's memory.
+func (s *Suite) Sharing(app string) (*analysis.SharingData, error) {
+	d, _, err := s.sharing.Do(app, func() (*analysis.SharingData, error) {
+		tr, err := s.Trace(app)
+		if err != nil {
+			return nil, err
+		}
+		return analysis.Analyze(tr).Sharing(), nil
+	})
+	return d, err
 }
 
 // Config returns the simulator configuration the paper would use for this
@@ -271,28 +238,18 @@ func (s *Suite) randomSeed(app string, procs int) int64 {
 // memoized per (app, algorithm, procs). The returned placement is shared;
 // treat it as read-only.
 func (s *Suite) Place(app, alg string, procs int) (*placement.Placement, error) {
-	key := placeKey{app: app, alg: alg, procs: procs}
-	s.mu.Lock()
-	cell, ok := s.places[key]
-	if !ok {
-		cell = &placeCell{}
-		s.places[key] = cell
-	}
-	s.mu.Unlock()
-	cell.once.Do(func() {
+	pl, _, err := s.places.Do(placeKey{app: app, alg: alg, procs: procs}, func() (*placement.Placement, error) {
 		d, err := s.Sharing(app)
 		if err != nil {
-			cell.err = err
-			return
+			return nil, err
 		}
 		a, err := placement.ByName(alg)
 		if err != nil {
-			cell.err = err
-			return
+			return nil, err
 		}
-		cell.pl, cell.err = a.Place(d, procs, s.randomSeed(app, procs))
+		return a.Place(d, procs, s.randomSeed(app, procs))
 	})
-	return cell.pl, cell.err
+	return pl, err
 }
 
 // RunOne simulates one (application, algorithm, processors) cell.
@@ -318,17 +275,8 @@ func (s *Suite) runPlacement(app string, pl *placement.Placement, procs int, inf
 		return nil, err
 	}
 	key := simKey{app: app, placement: PlacementKey(pl), cfg: cfg}
-	s.mu.Lock()
-	cell, ok := s.sims[key]
-	if !ok {
-		cell = &simCell{}
-		s.sims[key] = cell
-	}
-	s.mu.Unlock()
-	cell.once.Do(func() {
-		cell.res, cell.err = s.simRun(tr, pl, cfg)
-	})
-	return cell.res, cell.err
+	res, _, err := s.sims.Do(key, func() (*sim.Result, error) { return s.simRun(tr, pl, cfg) })
+	return res, err
 }
 
 // AlgResult pairs an algorithm name with its simulation result.
@@ -370,33 +318,23 @@ func (s *Suite) RunAlgorithms(app string, algs []string, procs int, infinite boo
 // processor pairs equals traffic between thread pairs. The result is
 // cached.
 func (s *Suite) CoherenceMeasurement(app string) ([][]uint64, *sim.Result, error) {
-	s.mu.Lock()
-	cell, ok := s.coherence[app]
-	if !ok {
-		cell = &coherenceCell{}
-		s.coherence[app] = cell
-	}
-	s.mu.Unlock()
-	cell.once.Do(func() {
+	c, _, err := s.coherence.Do(app, func() (coherence, error) {
 		tr, err := s.Trace(app)
 		if err != nil {
-			cell.err = err
-			return
+			return coherence{}, err
 		}
 		n := tr.NumThreads()
 		cfg, err := s.Config(app, n, false)
 		if err != nil {
-			cell.err = err
-			return
+			return coherence{}, err
 		}
 		res, err := s.simRun(tr, placement.OnePerProcessor(n), cfg)
 		if err != nil {
-			cell.err = err
-			return
+			return coherence{}, err
 		}
-		cell.matrix, cell.result = res.PairTrafficSym(), res
+		return coherence{matrix: res.PairTrafficSym(), result: res}, nil
 	})
-	return cell.matrix, cell.result, cell.err
+	return c.matrix, c.result, err
 }
 
 // RunCoherencePlacement simulates the dynamic COHERENCE placement (§4.2):

@@ -32,6 +32,10 @@ func TestDeterminismRescacheFixture(t *testing.T) {
 	linttest.Run(t, lint.Determinism, "determinism/internal/serve/rescache")
 }
 
+func TestDeterminismMemoFixture(t *testing.T) {
+	linttest.Run(t, lint.Determinism, "determinism/internal/memo")
+}
+
 func TestDeterminismClusterFixture(t *testing.T) {
 	linttest.Run(t, lint.Determinism, "determinism/internal/cluster")
 }

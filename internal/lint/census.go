@@ -296,17 +296,17 @@ func censusPackage(pkg *Package) []CensusEntry {
 				case *ast.FuncLit:
 					addRoot(byLit[fun])
 				case *ast.Ident:
-					if obj, ok := info.Uses[fun].(*types.Func); ok {
+					if obj := usedFunc(info, fun); obj != nil {
 						addRoot(byObj[obj])
 					}
 				case *ast.SelectorExpr:
-					if obj, ok := info.Uses[fun.Sel].(*types.Func); ok {
+					if obj := usedFunc(info, fun.Sel); obj != nil {
 						addRoot(byObj[obj])
 					}
 				}
 			case *ast.Ident:
-				obj, ok := info.Uses[n].(*types.Func)
-				if !ok {
+				obj := usedFunc(info, n)
+				if obj == nil {
 					return true
 				}
 				callee, ok := byObj[obj]
@@ -589,11 +589,17 @@ func calleeNode(info *types.Info, byObj map[*types.Func]*funcNode, call *ast.Cal
 	default:
 		return nil
 	}
-	obj, ok := info.Uses[id].(*types.Func)
-	if !ok {
-		return nil
+	return byObj[usedFunc(info, id)]
+}
+
+// usedFunc resolves an identifier to the function it uses, or nil. A
+// method used inside a generic type's methods is an instantiated copy;
+// its Origin is the declaration the call graph is keyed by.
+func usedFunc(info *types.Info, id *ast.Ident) *types.Func {
+	if fn, ok := info.Uses[id].(*types.Func); ok {
+		return fn.Origin()
 	}
-	return byObj[obj]
+	return nil
 }
 
 // isDelayedCall reports whether call is the direct operand of a go or

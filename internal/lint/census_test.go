@@ -31,6 +31,7 @@ func TestCensusFixture(t *testing.T) {
 		"Counter.mu":        "sync",
 		"Counter.n":         "mutex(Counter.mu)",
 		"Counter.evictions": "mutex(Counter.mu)", // via inherited lock context
+		"Memo.evictions":    "mutex(Memo.mu)",    // through a generic method call
 		"Bare.hits":         "NOTHING",
 		"Opts.Depth":        "immutable", // withDefaults writes a stack copy
 		"Server.done":       "channel",
@@ -86,9 +87,9 @@ func TestCensusDeterministic(t *testing.T) {
 
 // TestCensusServingTierClean is the acceptance regression for the serving
 // tier: the census over internal/serve (and its durable store and
-// retry core), internal/cluster and internal/obs must
-// report zero unguarded shared fields. A new unguarded field is a
-// build-stopping event, not a dashboard number.
+// retry core), internal/cluster, internal/obs and the memo table under
+// the result cache must report zero unguarded shared fields. A new
+// unguarded field is a build-stopping event, not a dashboard number.
 func TestCensusServingTierClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the serving tier; skipped in -short")
@@ -96,7 +97,7 @@ func TestCensusServingTierClean(t *testing.T) {
 	pkgs, _ := linttest.Load(t,
 		"repro/internal/serve", "repro/internal/serve/rescache", "repro/internal/serve/client",
 		"repro/internal/store", "repro/internal/retry",
-		"repro/internal/cluster", "repro/internal/obs")
+		"repro/internal/cluster", "repro/internal/obs", "repro/internal/memo")
 	entries := lint.CensusReport(pkgs)
 	if len(entries) == 0 {
 		t.Fatal("census reported no shared fields at all in the serving tier; the walk is broken")

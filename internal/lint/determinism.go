@@ -11,10 +11,11 @@ import (
 // inputs produce bit-identical results and byte-identical reports.
 //
 // In the simulation packages (internal/sim, internal/workload,
-// internal/placement, internal/advise) and the serving result cache
-// (internal/serve/rescache) it forbids wall-clock reads (time.Now) and
-// the process-global math/rand source (rand.Intn etc. — rand.New with an
-// explicit rand.NewSource seed is the sanctioned idiom).
+// internal/placement, internal/advise), the cache keys
+// (internal/serve/rescache) and the memo table (internal/memo) it
+// forbids wall-clock reads (time.Now) and the process-global math/rand
+// source (rand.Intn etc. — rand.New with an explicit rand.NewSource seed
+// is the sanctioned idiom).
 //
 // In the presentation packages (internal/report, internal/analysis) it
 // forbids ranging over a map where the iteration order can leak into the
@@ -30,16 +31,17 @@ var Determinism = &Analyzer{
 }
 
 // determinismTimeRandScope lists package-path suffixes where time.Now and
-// the global math/rand source are forbidden. internal/serve/rescache is
-// here because cache keys and eviction order are part of mtserve's
-// reproducibility contract: a wall-clock LRU timestamp or a randomized
-// eviction tiebreak would make a server's cache state — and therefore
-// the Cached flag and hit-rate benchmarks — depend on when it ran.
+// the global math/rand source are forbidden. internal/serve/rescache and
+// internal/memo are here because cache keys and eviction order are part
+// of mtserve's reproducibility contract: a clock-derived key, a
+// wall-clock LRU timestamp or a randomized eviction tiebreak in the memo
+// table would make a server's cache state — and therefore the Cached
+// flag and hit-rate benchmarks — depend on when it ran.
 // internal/advise is here because its online policies run inside the
 // engines' cycle-exact loop: the differential harness replays the same
 // policy on both engines and requires identical decisions, which a wall
 // clock or an unseeded random tiebreak would break.
-var determinismTimeRandScope = []string{"internal/sim", "internal/workload", "internal/placement", "internal/serve/rescache", "internal/advise"}
+var determinismTimeRandScope = []string{"internal/sim", "internal/workload", "internal/placement", "internal/serve/rescache", "internal/memo", "internal/advise"}
 
 // determinismMapOrderScope lists package-path suffixes where map iteration
 // must not feed output or order-sensitive accumulation. internal/cluster

@@ -37,6 +37,35 @@ func (c *Counter) bumpLocked() {
 	c.evictions++
 }
 
+// Memo is Counter as a generic type. Inside a generic method, a call of
+// another method resolves to an instantiated copy of it; the census must
+// follow it to the declaration, or evictions would look reachable from
+// no root at all and go unreported.
+type Memo[K comparable, V any] struct {
+	mu        sync.Mutex
+	m         map[K]V
+	evictions int
+}
+
+func (c *Memo[K, V]) Get(k K) V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.bumpLocked()
+	return c.m[k]
+}
+
+func (c *Memo[K, V]) Evictions() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.bumpLocked()
+	return c.evictions
+}
+
+// bumpLocked mutates evictions; caller holds mu.
+func (c *Memo[K, V]) bumpLocked() {
+	c.evictions++
+}
+
 // Bare.hits is written and read from two exported roots with no guard at
 // all: the census's one hard error.
 type Bare struct {

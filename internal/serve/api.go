@@ -7,9 +7,9 @@
 // On a Server every simulation flows through a bounded job queue drained
 // by a worker pool; a full queue answers 429 with Retry-After
 // (backpressure, never unbounded buffering). Results are memoized in a
-// content-addressed LRU (internal/serve/rescache) keyed exactly the way
-// core.Suite memoizes locally, so repeated and overlapping sweeps are
-// served from cache. Every cell runs on the fast engine through a
+// bounded memo.Table under content addresses (internal/serve/rescache)
+// keyed exactly the way core.Suite memoizes locally, so repeated and
+// overlapping sweeps are served from cache. Every cell runs on the fast engine through a
 // resilience.EngineGuard, which applies the per-cell watchdog.
 package serve
 

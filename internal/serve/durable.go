@@ -67,58 +67,35 @@ func decodeStoredCell(keyHex string, payload []byte, dst any) error {
 }
 
 // LoadResult reads the simulation result stored under a cell's content
-// address. A miss is (nil, nil). A record that is present but unusable —
-// decode failure, version skew, key mismatch — is (nil, err), which
-// callers treat as a miss after logging: the store's own CRC layer has
-// already quarantined anything physically corrupt. mtserve and
-// experiments -store-dir read cells through this one envelope, so a
-// directory either of them filled serves the other.
-func LoadResult(st *store.Store, key rescache.Key) (*sim.Result, error) {
+// address, or nil on a miss. A record that is present but unusable —
+// decode failure, version skew, key mismatch — is logged and read as a
+// miss, so the caller recomputes: the store's own CRC layer has already
+// quarantined anything physically corrupt. mtserve and experiments
+// -store-dir read and write cells through this one pair, so a directory
+// either of them filled serves the other.
+func LoadResult(st *store.Store, key rescache.Key, log *slog.Logger) *sim.Result {
 	payload, ok := st.Get(store.Key(key))
 	if !ok {
-		return nil, nil
+		return nil
 	}
 	var res sim.Result
 	if err := decodeStoredCell(key.String(), payload, &res); err != nil {
-		return nil, err
+		log.Warn("store record unusable, recomputing", "key", key.String(), "err", err.Error())
+		return nil
 	}
-	return &res, nil
+	return &res
 }
 
 // SaveResult queues res under its cell's content address in the
-// store's write-behind queue.
-func SaveResult(st *store.Store, key rescache.Key, res *sim.Result) error {
+// store's write-behind queue. A refused write is logged, never
+// returned: the store is a cache of deterministic computations.
+func SaveResult(st *store.Store, key rescache.Key, res *sim.Result, log *slog.Logger) {
 	payload, err := encodeStoredCell(key.String(), res)
+	if err == nil {
+		err = st.Put(store.Key(key), payload)
+	}
 	if err != nil {
-		return err
-	}
-	return st.Put(store.Key(key), payload)
-}
-
-// storeGet probes the durable tier for a cell result. Any damage is a
-// miss, never an error: the caller recomputes.
-func (s *Server) storeGet(key rescache.Key, sctx obs.SpanContext) *sim.Result {
-	if s.opts.Store == nil {
-		return nil
-	}
-	lookupStart := time.Now()
-	res, err := LoadResult(s.opts.Store, key)
-	s.spans.AddSpan(sctx, s.opts.ServiceName, "store lookup", lookupStart, time.Now())
-	if err != nil {
-		s.opts.Log.Warn("store record unusable, recomputing", "key", key.String(), "err", err.Error())
-	}
-	return res
-}
-
-// storePut writes one fresh result behind the in-memory cache. Write
-// failures are counted by the store and logged, never surfaced to the
-// request — the store is a cache of deterministic computations.
-func (s *Server) storePut(key rescache.Key, res *sim.Result) {
-	if s.opts.Store == nil || res == nil {
-		return
-	}
-	if err := SaveResult(s.opts.Store, key, res); err != nil {
-		s.opts.Log.Warn("store put refused", "key", key.String(), "err", err.Error())
+		log.Warn("store put refused", "key", key.String(), "err", err.Error())
 	}
 }
 

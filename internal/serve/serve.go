@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/advise"
 	"repro/internal/core"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/resilience"
@@ -82,27 +83,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// suiteEntry is one cached core.Suite, keyed by workload params. The
-// server uses suites only to resolve cells — traces, sharing data,
-// placements, per-app configs — never Suite.RunOne, so a suite's memory
-// stays bounded by the workload, not by the request history (results
-// live in the server's own LRU instead).
-type suiteEntry struct {
-	params Params
-	suite  *core.Suite
-	used   uint64 // LRU tick
-}
-
 // maxSuites bounds distinct workload-param sets kept resident.
 const maxSuites = 4
-
-// flight deduplicates concurrent misses on the same cell key: the first
-// worker simulates, later workers wait and share the result.
-type flight struct {
-	done chan struct{}
-	res  *sim.Result
-	err  error
-}
 
 // serverMetrics is every /metrics series, registered once at startup so
 // the exposition is complete (all series present, zero-valued) from the
@@ -168,9 +150,18 @@ func newServerMetrics() *serverMetrics {
 // every cell through an engine guard (the per-cell watchdog). Create
 // with NewServer, serve via Handler, stop with Drain.
 type Server struct {
-	opts    Options
-	queue   *taskQueue
-	cache   *rescache.Cache
+	opts  Options
+	queue *taskQueue
+	// results is the content-addressed result cache: one entry per
+	// cell key, bounded to Options.CacheEntries, computed once however
+	// many identical requests miss at the same time (single-flight).
+	results *memo.Table[rescache.Key, *sim.Result]
+	// suites holds one core.Suite per workload params, bounded to
+	// maxSuites. The server uses suites only to resolve cells —
+	// traces, sharing data, placements, per-app configs — never
+	// Suite.RunOne, so a suite's memory stays bounded by the workload,
+	// not by the request history (results live in results).
+	suites  *memo.Table[Params, *core.Suite]
 	guard   *resilience.EngineGuard
 	jobs    *jobRegistry
 	metrics *serverMetrics
@@ -179,9 +170,6 @@ type Server struct {
 	bus     *obs.Bus
 
 	mu       sync.Mutex
-	suites   []*suiteEntry
-	suiteUse uint64
-	flights  map[rescache.Key]*flight
 	inFlight int
 	draining bool
 
@@ -201,10 +189,10 @@ func NewServer(opts Options) *Server {
 	s := &Server{
 		opts:    opts,
 		queue:   newTaskQueue(opts.QueueDepth),
-		cache:   rescache.New(opts.CacheEntries),
+		results: memo.New[rescache.Key, *sim.Result](opts.CacheEntries),
+		suites:  memo.New[Params, *core.Suite](maxSuites),
 		jobs:    newJobRegistry(),
 		metrics: newServerMetrics(),
-		flights: make(map[rescache.Key]*flight),
 	}
 	s.durable = NewDurable(s.metrics.set, "serve", opts.Store)
 	s.spans = obs.NewSpanStore(obs.DefaultSpanCapacity)
@@ -226,7 +214,7 @@ func (s *Server) Guard() *resilience.EngineGuard { return s.guard }
 func (s *Server) Metrics() *obs.MetricSet { return s.metrics.set }
 
 // CacheStats returns the result cache counters.
-func (s *Server) CacheStats() rescache.Stats { return s.cache.Stats() }
+func (s *Server) CacheStats() rescache.Stats { return s.results.Stats() }
 
 // Draining reports whether Drain has begun.
 func (s *Server) Draining() bool {
@@ -331,13 +319,14 @@ func (s *Server) LookupJob(id string) (JobRef, bool) {
 // Spans implements Executor.
 func (s *Server) Spans(traceID string) []obs.Span { return s.spans.Trace(traceID) }
 
-// WriteMetrics implements Executor: the cache's and the durable tier's
-// own counters are mirrored in first.
+// WriteMetrics implements Executor: the result cache's and the durable
+// tier's own counters are mirrored in first.
 func (s *Server) WriteMetrics(w io.Writer) error {
-	cs := s.cache.Stats()
+	cs := s.results.Stats()
 	s.metrics.cacheHits.Set(int64(cs.Hits))
 	s.metrics.cacheMisses.Set(int64(cs.Misses))
 	s.metrics.cacheEvicts.Set(int64(cs.Evictions))
+	s.metrics.sfShared.Set(int64(cs.Shared))
 	s.durable.SyncMetrics()
 	_, err := s.metrics.set.WriteTo(w)
 	return err
@@ -378,30 +367,12 @@ func (s *Server) Drain() {
 
 // suiteFor returns the (cached) suite for these params.
 func (s *Server) suiteFor(p Params) *core.Suite {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.suiteUse++
-	for _, e := range s.suites {
-		if e.params == p {
-			e.used = s.suiteUse
-			return e.suite
-		}
-	}
-	opts := core.DefaultOptions()
-	opts.Params = workload.Params{Scale: p.Scale, Seed: p.Seed}
-	e := &suiteEntry{params: p, suite: core.NewSuite(opts), used: s.suiteUse}
-	if len(s.suites) >= maxSuites {
-		oldest := 0
-		for i, se := range s.suites {
-			if se.used < s.suites[oldest].used {
-				oldest = i
-			}
-		}
-		s.suites[oldest] = s.suites[len(s.suites)-1]
-		s.suites = s.suites[:len(s.suites)-1]
-	}
-	s.suites = append(s.suites, e)
-	return e.suite
+	suite, _, _ := s.suites.Do(p, func() (*core.Suite, error) {
+		opts := core.DefaultOptions()
+		opts.Params = workload.Params{Scale: p.Scale, Seed: p.Seed}
+		return core.NewSuite(opts), nil
+	})
+	return suite
 }
 
 // ResolveParams fills nil request params with the library defaults.
@@ -586,9 +557,14 @@ func (s *Server) resolveCell(params Params, c cellSpec) (*trace.Trace, *placemen
 	return tr, pl, cfg, nil
 }
 
-// runCell executes one cell: cache lookup, single-flight dedup, guarded
-// simulation, cache fill. The cell and its cache lookup and engine run
-// each become spans on the job's trace.
+// runCell executes one cell through the result cache: a resident
+// result is a hit; the first miss on a key probes the store and then
+// runs the guarded engine, while identical misses wait for its outcome
+// (single-flight); a fresh result is written behind to the store once
+// the cache has published it. The cell, its cache lookup, store lookup,
+// single-flight wait and engine run each become spans on the job's
+// trace. The cache counts hits, misses, shared waits and evictions
+// authoritatively; /metrics mirrors them at scrape time.
 func (s *Server) runCell(j *job, cell int) cellResultInternal {
 	c := j.cells[cell]
 	cellSpan := s.spans.Start(j.trace, s.opts.ServiceName, "cell "+cellLabel(c))
@@ -610,84 +586,56 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 		<-s.cellGate
 	}
 
-	// The cache counts hits/misses/evictions authoritatively; /metrics
-	// mirrors its counters at scrape time.
+	var (
+		stored   bool
+		counters *obs.Counter
+	)
 	lookupStart := time.Now()
-	res := s.cache.Get(key)
-	s.spans.AddSpan(sctx, s.opts.ServiceName, "cache lookup", lookupStart, time.Now())
-	if res != nil {
-		cellSpan.SetNote("cache hit")
-		return cellResultInternal{key: keyHex, cached: true, res: res}
-	}
-
-	// Single-flight: concurrent identical misses share one simulation.
-	// A flight leaves s.flights only after its result is in the cache
-	// (landFlight), so a miss that finds no flight re-checks the cache
-	// under the same lock; Peek counts nothing, as Get already counted
-	// this request's miss.
-	s.mu.Lock()
-	if f, ok := s.flights[key]; ok {
-		s.mu.Unlock()
-		s.metrics.sfShared.Inc()
-		waitStart := time.Now()
-		<-f.done
-		s.spans.AddSpan(sctx, s.opts.ServiceName, "singleflight wait", waitStart, time.Now())
-		if f.err != nil {
-			return cellResultInternal{key: keyHex, err: f.err}
+	res, how, err := s.results.Do(key, func() (*sim.Result, error) {
+		s.spans.AddSpan(sctx, s.opts.ServiceName, "cache lookup", lookupStart, time.Now())
+		// Durable tier: a store hit is served without simulating —
+		// this is how a restarted server warm starts from disk.
+		if s.opts.Store != nil {
+			t0 := time.Now()
+			res := LoadResult(s.opts.Store, key, s.opts.Log)
+			s.spans.AddSpan(sctx, s.opts.ServiceName, "store lookup", t0, time.Now())
+			if res != nil {
+				stored = true
+				return res, nil
+			}
 		}
-		return cellResultInternal{key: keyHex, res: f.res}
-	}
-	if res := s.cache.Peek(key); res != nil {
-		s.mu.Unlock()
-		cellSpan.SetNote("cache hit")
-		return cellResultInternal{key: keyHex, cached: true, res: res}
-	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
-	s.mu.Unlock()
-
-	// Durable tier: a store hit is served (and promoted into the memory
-	// cache) without simulating — this is how a restarted server warm
-	// starts from disk.
-	if res := s.storeGet(key, sctx); res != nil {
-		s.landFlight(key, f, res, nil)
-		cellSpan.SetNote("store hit")
-		return cellResultInternal{key: keyHex, cached: true, res: res}
-	}
-
-	// The engine run under the server's guard.
-	engineSpan := s.spans.Start(sctx, s.opts.ServiceName, "engine guarded")
-	t0 := time.Now()
-	res, counters, err := s.simulate(j, c, cell, tr, pl, cfg)
-	if err == nil && res != nil {
+		engineSpan := s.spans.Start(sctx, s.opts.ServiceName, "engine guarded")
+		defer engineSpan.End()
+		t0 := time.Now()
+		res, ctr, err := s.simulate(j, c, cell, tr, pl, cfg)
+		if err != nil {
+			return nil, err
+		}
 		if sec := time.Since(t0).Seconds(); sec > 0 {
 			s.metrics.engineRate.Observe(int64(float64(res.ExecTime) / sec))
 		}
-	}
-	engineSpan.End()
-
-	s.landFlight(key, f, res, err)
-	if err != nil {
+		counters = ctr
+		return res, nil
+	})
+	switch {
+	case how == memo.Hit:
+		s.spans.AddSpan(sctx, s.opts.ServiceName, "cache lookup", lookupStart, time.Now())
+		cellSpan.SetNote("cache hit")
+		return cellResultInternal{key: keyHex, cached: true, res: res}
+	case how == memo.Shared:
+		s.spans.AddSpan(sctx, s.opts.ServiceName, "singleflight wait", lookupStart, time.Now())
+		return cellResultInternal{key: keyHex, res: res, err: err}
+	case err != nil:
 		s.metrics.simFailures.Inc()
 		return cellResultInternal{key: keyHex, err: err}
+	case stored:
+		cellSpan.SetNote("store hit")
+		return cellResultInternal{key: keyHex, cached: true, res: res}
 	}
-	s.storePut(key, res)
+	if s.opts.Store != nil {
+		SaveResult(s.opts.Store, key, res, s.opts.Log)
+	}
 	return cellResultInternal{key: keyHex, res: res, counters: counters}
-}
-
-// landFlight publishes a flight's outcome to its waiters and releases
-// it. A result enters the cache before the flight leaves s.flights, so
-// an identical miss always finds one or the other and never simulates
-// the cell a second time.
-func (s *Server) landFlight(key rescache.Key, f *flight, res *sim.Result, err error) {
-	if err == nil {
-		s.cache.Put(key, res)
-	}
-	f.res, f.err = res, err
-	close(f.done)
-	s.mu.Lock()
-	delete(s.flights, key)
-	s.mu.Unlock()
 }
 
 // simulate runs the cell on the fast engine under the job's guard. When
@@ -750,7 +698,7 @@ func (s *Server) Health() HealthResponse {
 	inFlight := s.inFlight
 	s.mu.Unlock()
 
-	cs := s.cache.Stats()
+	cs := s.results.Stats()
 	h := HealthResponse{
 		Status:        "ok",
 		Workers:       s.opts.Workers,
