@@ -92,9 +92,10 @@ faultcheck:
 	$(GO) test ./cmd/experiments -run 'TestKillAndResume|TestStoreServesNothingAcrossScales|TestStoreSharedWithServer|TestRunStepBudget'
 
 # Durability tier (DESIGN.md §15 "Durable results"): the MTS1 store
-# suite (format goldens, recovery, quarantine, compaction, write-behind,
-# the directory lock), the retry/backoff core, the store fault matrix
-# (every corrupting class x offset detected, zero silent), the kill -9
+# suite (format goldens, recovery, quarantine, rotation, write-through
+# puts, sealed segments never rewritten, the directory lock), the
+# retry/backoff core, the store fault matrix (every corrupting class x
+# offset detected, zero silent), the kill -9
 # tests against real subprocess daemons — mtserve's warm restart, and on
 # mtserve and mtcoord alike a sweep killed midway whose resubmission
 # streams to done with every stored cell restored — and the

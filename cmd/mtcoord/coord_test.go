@@ -80,7 +80,7 @@ func TestServeFailureDrainsStore(t *testing.T) {
 	if _, ok := st.Get(store.Key(rescache.SumStrings("mtcoord-job-v1", acc.Job))); !ok {
 		t.Errorf("store holds no job record for %s", acc.Job)
 	}
-	if n := st.Len(); n != 2 {
+	if n := st.Stats().Entries; n != 2 {
 		t.Errorf("store holds %d records, want the job record and its cell", n)
 	}
 }

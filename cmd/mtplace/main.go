@@ -6,14 +6,20 @@
 //	mtplace -algs                 # list algorithms
 //	mtplace -app Water -alg SHARE-REFS -procs 4
 //	mtplace -app FFT -procs 8     # all algorithms, with load statistics
+//
+// The paper's algorithms place through core.Suite, as experiments and
+// mtserve place theirs, so one cell gets one map everywhere: -seed is
+// the workload generation seed, and RANDOM takes the Suite's per-cell
+// seed. -ext adds KL-SHARE, placed from the Suite's sharing data.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/report"
@@ -27,17 +33,17 @@ func main() {
 		alg      = flag.String("alg", "", "algorithm (default: all)")
 		procs    = flag.Int("procs", 4, "number of processors")
 		scale    = flag.Float64("scale", 1.0, "workload scale factor")
-		seed     = flag.Int64("seed", 1994, "generation / RANDOM seed")
+		seed     = flag.Int64("seed", 1994, "workload generation seed (RANDOM takes the Suite's per-cell seed)")
 		show     = flag.Bool("map", false, "print the full thread->processor map")
 		ext      = flag.Bool("ext", false, "include extension algorithms (KL-SHARE)")
 	)
 	flag.Parse()
-	if err := run(*listAlgs, *app, *alg, *procs, *scale, *seed, *show, *ext); err != nil {
+	if err := run(os.Stdout, *listAlgs, *app, *alg, *procs, *scale, *seed, *show, *ext); err != nil {
 		os.Exit(obs.Fail(obs.NewLogger(os.Stderr, false), err, flag.Usage))
 	}
 }
 
-func run(listAlgs bool, app, alg string, procs int, scale float64, seed int64, show, ext bool) error {
+func run(out io.Writer, listAlgs bool, app, alg string, procs int, scale float64, seed int64, show, ext bool) error {
 	if listAlgs {
 		t := &report.Table{
 			Title:   "Placement algorithms (paper §2)",
@@ -50,42 +56,51 @@ func run(listAlgs bool, app, alg string, procs int, scale float64, seed int64, s
 			}
 			t.AddRow(a.Name, sb)
 		}
-		return t.Render(os.Stdout)
+		return t.Render(out)
 	}
 	if app == "" {
 		return obs.Usagef("need -app (or -algs)")
 	}
-	a, err := workload.ByName(app)
+	opts := core.DefaultOptions()
+	opts.Params = workload.Params{Scale: scale, Seed: seed}
+	suite := core.NewSuite(opts)
+	d, err := suite.Sharing(app)
 	if err != nil {
 		return err
 	}
-	tr, err := a.Build(workload.Params{Scale: scale, Seed: seed})
-	if err != nil {
-		return err
-	}
-	d := analysis.Analyze(tr).Sharing()
 
-	algs := placement.All()
-	if ext {
-		algs = append(algs, placement.Extensions()...)
-	}
+	names := placement.Names()
 	if alg != "" {
-		one, err := placement.ByName(alg)
-		if err != nil {
+		if _, err := placement.ByName(alg); err != nil {
 			return err
 		}
-		algs = []placement.Algorithm{one}
+		names = []string{alg}
+	}
+	var pls []*placement.Placement
+	for _, name := range names {
+		pl, err := suite.Place(app, name, procs)
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		pls = append(pls, pl)
+	}
+	if ext && alg == "" {
+		// The Suite places the paper's algorithms only; an extension
+		// takes its sharing data and no seed.
+		for _, pa := range placement.Extensions() {
+			pl, err := pa.Place(d, procs, 0)
+			if err != nil {
+				return fmt.Errorf("%s: %w", pa.Name, err)
+			}
+			pls = append(pls, pl)
+		}
 	}
 
 	t := &report.Table{
 		Title:   fmt.Sprintf("Placements for %s on %d processors", app, procs),
 		Columns: []string{"Algorithm", "Thread-balanced", "Load imbalance", "Max load", "Min load"},
 	}
-	for _, pa := range algs {
-		pl, err := pa.Place(d, procs, seed)
-		if err != nil {
-			return fmt.Errorf("%s: %w", pa.Name, err)
-		}
+	for _, pl := range pls {
 		loads := pl.Loads(d.Lengths)
 		min, max := loads[0], loads[0]
 		for _, l := range loads {
@@ -100,11 +115,11 @@ func run(listAlgs bool, app, alg string, procs int, scale float64, seed int64, s
 		if pl.ThreadBalanced() {
 			tb = "yes"
 		}
-		t.AddRow(pa.Name, tb, report.Pct(pl.LoadImbalance(d.Lengths), 1),
+		t.AddRow(pl.Algorithm, tb, report.Pct(pl.LoadImbalance(d.Lengths), 1),
 			fmt.Sprint(max), fmt.Sprint(min))
 		if show {
-			fmt.Printf("%s\n", pl)
+			fmt.Fprintf(out, "%s\n", pl)
 		}
 	}
-	return t.Render(os.Stdout)
+	return t.Render(out)
 }

@@ -85,15 +85,15 @@ func newClient(base string) *client.Client {
 	return cl
 }
 
-// waitStored waits until the daemon has put n results in its store and
-// its write-behind flusher has written them all (/healthz
-// pending_writes 0), so a SIGKILL cannot lose them.
+// waitStored waits until the daemon has put n results in its store. A
+// put is in its segment file when it returns, so a SIGKILL after this
+// cannot lose them.
 func waitStored(t *testing.T, cl *client.Client, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		h, err := cl.Health()
-		if err == nil && h.Store != nil && h.Store.Puts >= uint64(n) && h.Store.PendingWrites == 0 {
+		if err == nil && h.Store != nil && h.Store.Puts >= uint64(n) {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -142,7 +142,7 @@ func TestKillDashNineWarmRestart(t *testing.T) {
 	}
 	dir := t.TempDir()
 
-	// Life 1: complete sweep A, let the write-behind flusher land it.
+	// Life 1: complete sweep A and see its results stored.
 	d1 := startDaemon(t, dir)
 	cl := newClient(d1.base)
 	acc, err := cl.Sweep(restartSweep(7))

@@ -8,6 +8,12 @@
 //	mtsim -app LocusRoute -alg LOAD-BAL -procs 8
 //	mtsim -app Water -alg SHARE-REFS -procs 4 -infinite
 //
+// The cell resolves through core.Suite, as experiments and mtserve
+// resolve theirs, so one cell gives one answer everywhere: -seed is the
+// workload generation seed, and RANDOM takes the Suite's per-cell seed.
+// -assoc, -contexts and -writeruns then override the cell's
+// configuration.
+//
 // Telemetry (see DESIGN.md §7):
 //
 //	mtsim -app MP3D -alg LOAD-BAL -timeline run.json    # Perfetto timeline
@@ -22,9 +28,8 @@ import (
 	"log/slog"
 	"os"
 
-	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/placement"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -57,7 +62,7 @@ func main() {
 	flag.StringVar(&o.alg, "alg", "LOAD-BAL", "placement algorithm (see mtplace -algs)")
 	flag.IntVar(&o.procs, "procs", 4, "number of processors")
 	flag.Float64Var(&o.scale, "scale", 1.0, "workload scale factor")
-	flag.Int64Var(&o.seed, "seed", 1994, "generation / RANDOM seed")
+	flag.Int64Var(&o.seed, "seed", 1994, "workload generation seed (RANDOM takes the Suite's per-cell seed)")
 	flag.BoolVar(&o.infinite, "infinite", false, "use the 8 MB 'infinite' cache of §4.3")
 	flag.BoolVar(&o.perProc, "per-proc", false, "print per-processor statistics")
 	flag.IntVar(&o.assoc, "assoc", 1, "cache set associativity (1 = the paper's direct-mapped)")
@@ -85,23 +90,21 @@ func run(o options, out io.Writer, log *slog.Logger) error {
 	if (o.sample != "" || o.sparkline != "") && o.sampleWindow == 0 {
 		return obs.Usagef("-sample-window must be positive")
 	}
-	a, err := workload.ByName(o.app)
-	if err != nil {
-		return err
-	}
-	tr, err := a.Build(workload.Params{Scale: o.scale, Seed: o.seed})
+	opts := core.DefaultOptions()
+	opts.Params = workload.Params{Scale: o.scale, Seed: o.seed}
+	suite := core.NewSuite(opts)
+	tr, err := suite.Trace(o.app)
 	if err != nil {
 		return err
 	}
 	log.Debug("trace built", "app", o.app, "threads", tr.NumThreads())
-	cfg := sim.DefaultConfig(o.procs)
-	cfg.CacheSize = a.CacheSize
+	cfg, err := suite.Config(o.app, o.procs, o.infinite)
+	if err != nil {
+		return err
+	}
 	cfg.Associativity = o.assoc
 	cfg.MaxContexts = o.contexts
 	cfg.TrackWriteRuns = o.wruns
-	if o.infinite {
-		cfg.CacheSize = sim.InfiniteCacheSize
-	}
 
 	// Telemetry consumers, combined into one probe; nil when no telemetry
 	// flag is set, so the plain path stays probe-free.
@@ -138,11 +141,7 @@ func run(o options, out io.Writer, log *slog.Logger) error {
 		}
 		alg = res.Algorithm
 	} else {
-		pa, err := placement.ByName(alg)
-		if err != nil {
-			return err
-		}
-		pl, err := pa.Place(analysis.Analyze(tr).Sharing(), o.procs, o.seed)
+		pl, err := suite.Place(o.app, alg, o.procs)
 		if err != nil {
 			return err
 		}

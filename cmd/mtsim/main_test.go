@@ -3,14 +3,17 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/obstest"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // testRun invokes run with discarded output and a buffer-backed logger.
@@ -62,6 +65,27 @@ func TestRunModes(t *testing.T) {
 		t.Error("bad dynamic policy accepted")
 	} else if !obs.IsUsage(err) {
 		t.Errorf("bad dynamic policy is not a usage error: %v", err)
+	}
+}
+
+// TestRandomCellMatchesSuite: mtsim resolves a cell through core.Suite,
+// so its RANDOM execution time is the one experiments and mtserve report
+// for the same app, processors, scale and seed.
+func TestRandomCellMatchesSuite(t *testing.T) {
+	o := base()
+	o.app, o.alg, o.seed = "Gauss", "RANDOM", 1994
+	var out, logs bytes.Buffer
+	if err := run(o, &out, obs.NewLogger(&logs, false)); err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.Params = workload.Params{Scale: o.scale, Seed: o.seed}
+	res, err := core.NewSuite(opts).RunOne(o.app, o.alg, o.procs, o.infinite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("execution time: %d cycles\n", res.ExecTime); !strings.Contains(out.String(), want) {
+		t.Fatalf("mtsim printed:\n%s\nwant the Suite's %q", out.String(), want)
 	}
 }
 

@@ -198,7 +198,8 @@ func (t *addrTable) grow() {
 	}
 }
 
-// Set is the full static analysis of one application trace.
+// Set is the full static analysis of one application trace. It is
+// immutable once Analyze returns, so concurrent readers may share one.
 type Set struct {
 	// App is the application name.
 	App string
@@ -206,7 +207,7 @@ type Set struct {
 	Profiles []*Profile
 
 	// inverted index: every (shared address, thread) count, sorted by
-	// address and then thread; built lazily
+	// address and then thread; built by Analyze
 	uses []addrUse
 }
 
@@ -217,38 +218,36 @@ type addrUse struct {
 }
 
 // Analyze profiles every thread of tr, reusing one profiler for all of
-// them.
+// them, and builds the set's inverted index.
 func Analyze(tr *trace.Trace) *Set {
 	s := &Set{App: tr.App, Profiles: make([]*Profile, tr.NumThreads())}
 	pf := newProfiler()
 	for i, t := range tr.Threads {
 		s.Profiles[i] = pf.profile(t)
 	}
+	s.uses = s.invertedIndex()
 	return s
 }
 
 // NumThreads returns the number of threads analyzed.
 func (s *Set) NumThreads() int { return len(s.Profiles) }
 
-// invertedIndex returns the shared-address -> users index, built on first
-// use: one list of every profile's shared-address counts, sorted by
+// invertedIndex builds the shared-address -> users index from the
+// profiles: one list of every profile's shared-address counts, sorted by
 // address and then thread, so each address's users form one run in
 // ascending thread order.
 func (s *Set) invertedIndex() []addrUse {
-	if s.uses == nil {
-		n := 0
-		for _, p := range s.Profiles {
-			n += len(p.Shared)
-		}
-		uses := make([]addrUse, 0, n)
-		for _, p := range s.Profiles {
-			for _, u := range p.Shared {
-				uses = append(uses, addrUse{addr: u.Addr, thread: p.Thread, count: u.Count})
-			}
-		}
-		s.uses = sortUses(uses)
+	n := 0
+	for _, p := range s.Profiles {
+		n += len(p.Shared)
 	}
-	return s.uses
+	uses := make([]addrUse, 0, n)
+	for _, p := range s.Profiles {
+		for _, u := range p.Shared {
+			uses = append(uses, addrUse{addr: u.Addr, thread: p.Thread, count: u.Count})
+		}
+	}
+	return sortUses(uses)
 }
 
 // sortUses orders uses by address and then thread. The uses arrive in

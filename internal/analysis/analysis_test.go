@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -386,6 +387,43 @@ func TestInvertedIndexCanonical(t *testing.T) {
 		if a.addr > b.addr || (a.addr == b.addr && a.thread >= b.thread) {
 			t.Fatalf("index not in (address, thread) order: (%#x, %d) then (%#x, %d)",
 				a.addr, a.thread, b.addr, b.thread)
+		}
+	}
+}
+
+// TestSetConcurrentReaders: a Set is immutable once Analyze returns, so
+// the methods that read its inverted index may run on one shared Set from
+// several goroutines (core.Suite hands one Set to every caller) and agree.
+// Run under -race, a lazily built index fails this test.
+func TestSetConcurrentReaders(t *testing.T) {
+	app, err := workload.ByName("FFT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := app.Build(workload.Params{Scale: 0.1, Seed: 1994})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Analyze(tr)
+	type reading struct {
+		sharing *SharingData
+		fs      FalseSharingReport
+		ch      Characteristics
+	}
+	const readers = 4
+	got := make([]reading, readers)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = reading{s.Sharing(), s.FalseSharing(64), s.Characteristics(nil)}
+		}()
+	}
+	wg.Wait()
+	for g := 1; g < readers; g++ {
+		if !reflect.DeepEqual(got[g], got[0]) {
+			t.Fatalf("reader %d disagrees with reader 0", g)
 		}
 	}
 }

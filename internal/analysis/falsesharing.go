@@ -46,7 +46,7 @@ func (s *Set) FalseSharing(lineSize int) FalseSharingReport {
 	for 1<<shift < lineSize {
 		shift++
 	}
-	uses := s.invertedIndex()
+	uses := s.uses
 	for lo := 0; lo < len(uses); {
 		hi := runEnd(uses, lo, shift)
 		var refs uint64

@@ -54,7 +54,7 @@ func (s *Set) Sharing() *SharingData {
 	addrs, addrsF := newMatrix(n)
 	wrefs, wrefsF := newMatrix(n)
 	invs, invsF := newMatrix(n)
-	uses := s.invertedIndex()
+	uses := s.uses
 	for lo := 0; lo < len(uses); {
 		hi := runEnd(uses, lo, 0)
 		run := uses[lo:hi]

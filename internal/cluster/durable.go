@@ -8,16 +8,16 @@ package cluster
 //     after a drain or a kill -9 — answers "retriable" for it, so a
 //     polling client resubmits the identical content-addressed sweep,
 //     the same recovery path a graceful drain uses.
-//   - Harvested cell results persist keyed by their shard address, and
-//     the store is flushed after every harvest pass that recorded one,
-//     so every cell of a job a client sees as done is on disk. A
-//     resubmitted sweep restores those cells before any lease goes out.
+//   - Harvested cell results persist keyed by their shard address. Each
+//     is in its segment file when the store's Put returns, and the store
+//     is fsynced after every harvest pass that recorded one, so every
+//     cell of a job a client sees as done is on disk. A resubmitted
+//     sweep restores those cells before any lease goes out.
 //   - A stored cell is the divergence tripwire: a re-execution whose
 //     result key disagrees with the stored record fails the job loudly.
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"repro/internal/serve"
@@ -41,26 +41,20 @@ func jobRecordKey(id string) store.Key {
 	return store.Key(rescache.SumStrings("mtcoord-job-v1", id))
 }
 
-// saveJobRecord puts j's job record and flushes it to disk. A failed or
-// dropped record is logged, never fatal: the sweep runs either way, and
-// only its crash recovery is lost.
+// saveJobRecord puts j's job record and fsyncs it to disk. A failed
+// write is logged, never fatal: the sweep runs either way, and only its
+// crash recovery is lost.
 func (c *Coordinator) saveJobRecord(j *cjob) {
 	st := c.opts.Store
 	if st == nil {
 		return
 	}
-	key := jobRecordKey(j.id)
 	payload, err := json.Marshal(jobRecord{V: jobRecordVersion, Job: j.id, Cells: len(j.cells)})
 	if err == nil {
-		err = st.Put(key, payload)
+		err = st.Put(jobRecordKey(j.id), payload)
 	}
 	if err == nil {
 		err = st.Flush()
-	}
-	if err == nil {
-		if _, ok := st.Get(key); !ok {
-			err = errors.New("record dropped by a full store queue")
-		}
 	}
 	if err != nil {
 		c.opts.Log.Warn("job record write failed", "job", j.id, "err", err.Error())
@@ -80,7 +74,7 @@ func (c *Coordinator) hasJobRecord(id string) bool {
 	return json.Unmarshal(payload, &rec) == nil && rec.V == jobRecordVersion && rec.Job == id
 }
 
-// flushStore puts every queued cell result on disk. Failures are the
+// flushStore fsyncs every cell result put so far. Failures are the
 // store's to count.
 func (c *Coordinator) flushStore() {
 	if c.opts.Store == nil {
@@ -105,7 +99,7 @@ type storedCellResult struct {
 	Cell serve.CellResult `json:"cell"`
 }
 
-// persistCell writes one harvested result behind the job's accounting,
+// persistCell writes one harvested result after the job's accounting,
 // and is the divergence tripwire: when the cell's shard address already
 // holds a result with a different result key, two executions of the
 // cell disagreed — the one corruption class resubmission cannot absorb

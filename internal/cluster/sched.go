@@ -65,8 +65,9 @@ func (c *Coordinator) runJob(j *cjob) {
 		var harvested bool
 		outstanding, harvested = c.harvest(j, outstanding, now)
 		if harvested {
-			// Before finalize can show the job done, every harvested
-			// cell is on disk.
+			// Every harvested cell is already in its segment file;
+			// before finalize can show the job done, fsync them
+			// against power loss.
 			c.flushStore()
 		}
 		if j.finished() {

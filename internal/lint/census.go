@@ -17,8 +17,10 @@ import (
 //
 // Concurrency roots per package:
 //   - every `go` statement (the spawned body runs on its own goroutine);
-//   - every exported function or method (callers on arbitrary goroutines
-//     — the serving tier's API surface is inherently concurrent);
+//   - every exported function or method, counted as two roots (callers
+//     on arbitrary goroutines, any number of them at once — the serving
+//     tier's API surface is inherently concurrent, so a field reached
+//     through one exported method alone is still shared);
 //   - every function referenced as a value (an HTTP handler registered
 //     with mux.HandleFunc runs on the server's connection goroutines).
 //
@@ -281,6 +283,8 @@ func censusPackage(pkg *Package) []CensusEntry {
 				}
 				if n.Name.IsExported() {
 					if fn := byObj[infoDef(info, n.Name)]; fn != nil {
+						// Two goroutines may be inside it at once.
+						addRoot(fn)
 						addRoot(fn)
 					}
 				}

@@ -58,13 +58,11 @@ var determinismTimeRandScope = []string{"internal/sim", "internal/workload", "in
 // either. (obs legitimately reads wall clocks for spans and latency
 // histograms, so it too stays out of the time/rand scope.)
 // internal/store is here because the durable result store keeps its
-// record index in a map while its on-disk artifacts are part of the
-// byte-determinism contract: compaction rewrites segments and recovery
-// rebuilds the index, and if either walked the index in map order, two
-// stores holding identical records could seal byte-different segment
-// files — breaking the warm-restart differential (byte-identical
-// artifacts across lives). (The store legitimately reads wall clocks for
-// flush pacing, so it does not join the time/rand scope.)
+// record index and segment table in maps while its recovery must be
+// reproducible: Open rebuilds the index first-wins over segments taken
+// in id order, never in map order, so every open of one directory
+// indexes the same record for a key, and nothing the store writes to
+// disk or hands a caller may depend on map iteration.
 var determinismMapOrderScope = []string{"internal/report", "internal/analysis", "internal/cluster", "internal/obs", "internal/store"}
 
 // seededRandConstructors are the math/rand functions that do not touch the

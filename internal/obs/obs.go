@@ -206,6 +206,9 @@ func (m multi) Migrate(t uint64, thread, from, to int) {
 // Counter is the cheapest possible probe: one counter per event kind.
 // It doubles as the overhead floor for probe-on benchmarking and as the
 // consistency oracle in tests (its counts must match Result totals).
+// Like Sampler, a Counter is single-owner. Not safe for concurrent use.
+//
+//mtlint:guard external -- single-owner: fed by the one goroutine running the engine, read after the run
 type Counter struct {
 	Runs          uint64
 	ThreadRuns    uint64

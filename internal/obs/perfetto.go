@@ -54,6 +54,8 @@ type traceEvent struct {
 }
 
 // traceFile is the JSON Object Format of the trace-event spec.
+//
+//mtlint:guard external -- a local value: built and encoded by the one call that exports it
 type traceFile struct {
 	TraceEvents []traceEvent   `json:"traceEvents"`
 	OtherData   map[string]any `json:"otherData,omitempty"`

@@ -96,6 +96,8 @@ func ParseTrace(s string) (SpanContext, bool) {
 
 // Span is one completed operation. StartUs is wall-clock Unix
 // microseconds; DurUs is 0 for instant events.
+//
+//mtlint:guard external -- a value: an ActiveSpan's goroutine owns its copy until End hands one to SpanStore under its lock
 type Span struct {
 	Trace   string `json:"trace"`
 	ID      string `json:"id"`

@@ -86,9 +86,10 @@ func LoadResult(st *store.Store, key rescache.Key, log *slog.Logger) *sim.Result
 	return &res
 }
 
-// SaveResult queues res under its cell's content address in the
-// store's write-behind queue. A refused write is logged, never
-// returned: the store is a cache of deterministic computations.
+// SaveResult writes res under its cell's content address, through to
+// the store's live segment file before it returns. A refused write is
+// logged, never returned: the store is a cache of deterministic
+// computations.
 func SaveResult(st *store.Store, key rescache.Key, res *sim.Result, log *slog.Logger) {
 	payload, err := encodeStoredCell(key.String(), res)
 	if err == nil {
@@ -101,8 +102,8 @@ func SaveResult(st *store.Store, key rescache.Key, res *sim.Result, log *slog.Lo
 
 // OpenDurable opens a daemon's durable directory: the result store in
 // dir. An empty dir opens no store and returns a nil store. The
-// returned closer runs after Drain: it closes the store, which flushes
-// and seals every result.
+// returned closer runs after Drain: it closes the store, which seals
+// its live segment.
 func OpenDurable(dir string, log *slog.Logger) (*store.Store, func(), error) {
 	if dir == "" {
 		return nil, func() {}, nil
@@ -124,12 +125,12 @@ func OpenDurable(dir string, log *slog.Logger) (*store.Store, func(), error) {
 
 // RunDaemon serves h on the bound listener ln until SIGTERM/SIGINT or a
 // listener failure, then shuts the daemon down in one order: drain
-// finishes or hands back the daemon's work, closeDurable flushes and
-// seals its store, and the listener stops last, so clients can observe
-// their jobs' final state until the very end. A failed listener drains
-// and closes exactly as a signal does, so no write-behind record is
-// lost; only the exit code differs. name prefixes the "listening" and
-// "exited cleanly" log lines. It returns the process exit code.
+// finishes or hands back the daemon's work, closeDurable seals its
+// store, and the listener stops last, so clients can observe their
+// jobs' final state until the very end. A failed listener drains and
+// closes exactly as a signal does, so the store is left sealed; only
+// the exit code differs. name prefixes the "listening" and "exited
+// cleanly" log lines. It returns the process exit code.
 func RunDaemon(log *slog.Logger, name string, ln net.Listener, h http.Handler, drain, closeDurable func()) int {
 	hs := &http.Server{Handler: h}
 	log.Info(name+" listening", "addr", ln.Addr().String())
@@ -204,7 +205,6 @@ func (d *Durable) Health() *StoreHealth {
 		Hits:           ss.Hits,
 		Misses:         ss.Misses,
 		Puts:           ss.Puts,
-		PendingWrites:  ss.PendingWrites,
 		Quarantined:    ss.Quarantined,
 		HitRate:        ss.HitRate(),
 	}

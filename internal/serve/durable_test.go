@@ -61,7 +61,7 @@ func TestStoreTierWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st2.Close() })
-	if st2.Len() == 0 {
+	if st2.Stats().Entries == 0 {
 		t.Fatal("store empty after restart; nothing persisted")
 	}
 	s2, ts2 := newTestServer(t, Options{Workers: 2, Store: st2})

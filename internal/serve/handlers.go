@@ -130,6 +130,8 @@ func NewHandler(ex Executor, bus *obs.Bus, m *RequestMetrics, private func(mux *
 }
 
 // statusRecorder captures the response status for metrics.
+//
+//mtlint:guard external -- one per request: net/http runs the request's handler chain on one goroutine
 type statusRecorder struct {
 	http.ResponseWriter
 	status int

@@ -560,11 +560,12 @@ func (s *Server) resolveCell(params Params, c cellSpec) (*trace.Trace, *placemen
 // runCell executes one cell through the result cache: a resident
 // result is a hit; the first miss on a key probes the store and then
 // runs the guarded engine, while identical misses wait for its outcome
-// (single-flight); a fresh result is written behind to the store once
-// the cache has published it. The cell, its cache lookup, store lookup,
-// single-flight wait and engine run each become spans on the job's
-// trace. The cache counts hits, misses, shared waits and evictions
-// authoritatively; /metrics mirrors them at scrape time.
+// (single-flight); a fresh result is written through to the store once
+// the cache has published it, before the cell reports. The cell, its
+// cache lookup, store lookup, single-flight wait and engine run each
+// become spans on the job's trace. The cache counts hits, misses,
+// shared waits and evictions authoritatively; /metrics mirrors them at
+// scrape time.
 func (s *Server) runCell(j *job, cell int) cellResultInternal {
 	c := j.cells[cell]
 	cellSpan := s.spans.Start(j.trace, s.opts.ServiceName, "cell "+cellLabel(c))

@@ -66,7 +66,7 @@ var ErrTruncated = fmt.Errorf("truncated segment: %w", io.ErrUnexpectedEOF)
 // plumbing errors with errors.As, and get the byte offset at which the
 // damage was detected. The store never propagates a CorruptError to a
 // Get caller — damaged segments are quarantined and the lookup becomes a
-// miss — but recovery, compaction and the fault-matrix tests see it.
+// miss — but recovery and the fault-matrix tests see it.
 type CorruptError struct {
 	// Path names the segment file ("" when scanning a bare stream).
 	Path string
@@ -143,6 +143,8 @@ type entry struct {
 }
 
 // countingReader tracks the stream offset for error reporting.
+//
+//mtlint:guard external -- one per scan: scanSegment makes it and reads through it on its caller's goroutine
 type countingReader struct {
 	r   io.Reader
 	off int64

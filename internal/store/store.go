@@ -6,16 +6,13 @@
 // disk instead of redoing sweeps it already proved correct.
 //
 // On disk the store is a directory of MTS1 segments (see format.go).
-// Writes are write-behind: Put enqueues into a bounded in-memory queue
-// and a flusher goroutine appends batches to the live segment; once the
-// live segment crosses the size threshold it is sealed — footer, fsync,
-// atomic rename from .open to .mts — and a fresh one started. Background
-// compaction merges many sealed segments into one, itself crash-safe:
-// the compacted segment is fully written and synced under a temporary
-// name before any old segment is unlinked, so a crash at any instant
-// leaves either the olds, or the olds plus a duplicate-keyed new segment
-// (deduplicated first-wins at the next Open — identical bytes either
-// way, because keys are content addresses).
+// Writes go through: Put appends the record's frame to the live segment
+// and indexes it before it returns. Once the live segment crosses the
+// size threshold the Put that crossed it seals it — footer, fsync,
+// atomic rename from .open to .mts — and starts a fresh one. A sealed
+// segment is never written again: a record never changes (equal key
+// means equal bytes) and nothing deletes one, so there is nothing to
+// rewrite.
 //
 // Robustness contract: the store never panics on damaged input and never
 // serves a damaged byte. Every record is CRC-verified on every read, not
@@ -56,25 +53,11 @@ type Options struct {
 	// SegmentBytes seals the live segment once it grows past this many
 	// bytes. Default 4 MiB.
 	SegmentBytes int64
-	// QueueDepth bounds the write-behind queue (records, not bytes).
-	// When the queue is full Put drops the record and counts it — the
-	// store is a cache, so dropping under pressure is always safe.
-	// Default 1024.
-	QueueDepth int
-	// CompactAfter triggers background compaction once more than this
-	// many sealed segments exist. Default 8.
-	CompactAfter int
 }
 
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 1024
-	}
-	if o.CompactAfter <= 0 {
-		o.CompactAfter = 8
 	}
 	return o
 }
@@ -86,16 +69,13 @@ func (o Options) withDefaults() Options {
 type Stats struct {
 	Entries        int    `json:"entries"`
 	SealedSegments int    `json:"sealed_segments"`
-	PendingWrites  int    `json:"pending_writes"`
 	Hits           uint64 `json:"hits"`
 	Misses         uint64 `json:"misses"`
 	Puts           uint64 `json:"puts"`
 	DupPuts        uint64 `json:"dup_puts"`
-	Dropped        uint64 `json:"dropped"`
 	WriteErrors    uint64 `json:"write_errors"`
 	Quarantined    uint64 `json:"quarantined"`
 	TruncatedTails uint64 `json:"truncated_tails"`
-	Compactions    uint64 `json:"compactions"`
 }
 
 // HitRate returns hits / lookups, or 0 before any lookup.
@@ -115,16 +95,10 @@ type ref struct {
 	e   entry
 }
 
-// pendingRec is one queued write-behind record.
-type pendingRec struct {
-	key     Key
-	payload []byte
-}
-
 // Store is the durable result store. Safe for concurrent use. All
-// mutable state is guarded by mu; the flusher goroutine and every API
-// caller go through the same lock, so reads never observe a
-// half-applied write and the census has a single guard to prove.
+// mutable state is guarded by mu and every API call goes through it, so
+// reads never observe a half-applied write and the census has a single
+// guard to prove.
 type Store struct {
 	opts Options
 	dir  string
@@ -137,7 +111,7 @@ type Store struct {
 	index map[Key]ref
 	// segs holds the open sealed-segment files, keyed by segment id.
 	segs map[int64]*os.File
-	// active is the live .open segment the flusher appends to.
+	// active is the live .open segment Put appends to.
 	active     *os.File
 	activeID   int64
 	activeSize int64
@@ -146,27 +120,15 @@ type Store struct {
 	activeRecs    uint64
 	activePayload uint64
 	nextID        int64
-	// pending is the bounded write-behind queue; pendingIdx indexes it
-	// by key so Get sees queued records and Put dedupes against them.
-	pending    []pendingRec
-	pendingIdx map[Key]int
-	closed     bool
+	closed        bool
 
 	hits           uint64
 	misses         uint64
 	puts           uint64
 	dupPuts        uint64
-	dropped        uint64
 	writeErrors    uint64
 	quarantined    uint64
 	truncatedTails uint64
-	compactions    uint64
-
-	// wake nudges the flusher (buffered, never blocks); stop asks it to
-	// exit; done closes when it has.
-	wake chan struct{}
-	stop chan struct{}
-	done chan struct{}
 }
 
 func segName(id int64) string  { return fmt.Sprintf("seg-%08d.mts", id) }
@@ -208,21 +170,17 @@ func Open(opts Options) (*Store, error) {
 	}
 
 	s := &Store{
-		opts:       opts,
-		dir:        opts.Dir,
-		lock:       lock,
-		index:      make(map[Key]ref),
-		segs:       make(map[int64]*os.File),
-		pendingIdx: make(map[Key]int),
-		wake:       make(chan struct{}, 1),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
+		opts:  opts,
+		dir:   opts.Dir,
+		lock:  lock,
+		index: make(map[Key]ref),
+		segs:  make(map[int64]*os.File),
 	}
-	// Recovery runs under mu even though the flusher has not started and
-	// the store is not yet published: the lock is uncontended, and it
-	// keeps the guard invariant uniform — every write to the index,
-	// segment table and live-segment state happens with mu held, with no
-	// pre-publication special case for the shared-state census to excuse.
+	// Recovery runs under mu even though the store is not yet published:
+	// the lock is uncontended, and it keeps the guard invariant uniform —
+	// every write to the index, segment table and live-segment state
+	// happens with mu held, with no pre-publication special case for the
+	// shared-state census to excuse.
 	s.mu.Lock()
 	err = s.recover()
 	if err == nil {
@@ -235,7 +193,6 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.mu.Unlock()
-	go s.flusher()
 	return s, nil
 }
 
@@ -254,10 +211,10 @@ func lockDir(dir string) (*os.File, error) {
 	return f, nil
 }
 
-// recover rebuilds the index from disk: delete compaction leftovers,
-// scan sealed segments (quarantining any anomaly), then recover live
-// segments (truncating torn tails, quarantining interior damage) and
-// seal the survivors. Caller (Open) holds mu.
+// recover rebuilds the index from disk: delete the *.compact leftovers
+// of older versions, scan sealed segments (quarantining any anomaly),
+// then recover live segments (truncating torn tails, quarantining
+// interior damage) and seal the survivors. Caller (Open) holds mu.
 func (s *Store) recover() error {
 	names, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -268,8 +225,9 @@ func (s *Store) recover() error {
 		name := de.Name()
 		switch {
 		case strings.HasSuffix(name, ".compact"):
-			// A compaction that never completed its rename: the olds are
-			// all still present, so the partial output is garbage.
+			// Older versions of the store merged sealed segments under
+			// this temporary name; one that never reached its rename left
+			// every input in place, so the partial output is garbage.
 			os.Remove(filepath.Join(s.dir, name))
 		default:
 			if id, ok := parseSeg(name, ".mts"); ok {
@@ -378,9 +336,10 @@ func (s *Store) recoverLive(id int64) error {
 
 // adopt merges one scanned segment's entries into the index,
 // first-wins: when the same content address appears in more than one
-// segment (possible only after a crash between a compaction rename and
-// its unlinks) the earlier segment keeps the record — the bytes are
-// identical by content addressing, so either choice is correct.
+// segment (a directory an older version of the store merged, crashing
+// between the merged segment's rename and the unlinks of its inputs)
+// the earlier segment keeps the record — the bytes are identical by
+// content addressing, so either choice is correct.
 func (s *Store) adopt(id int64, entries []entry) {
 	for _, e := range entries {
 		if _, ok := s.index[e.key]; !ok {
@@ -459,10 +418,6 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 	if s.closed {
 		return nil, false
 	}
-	if i, ok := s.pendingIdx[k]; ok {
-		s.hits++
-		return append([]byte(nil), s.pending[i].payload...), true
-	}
 	r, ok := s.index[k]
 	if !ok {
 		s.misses++
@@ -485,16 +440,11 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 	return payload, true
 }
 
-// Len returns the number of stored records (indexed + queued).
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index) + len(s.pending)
-}
-
 // fileFor resolves a segment id to its open file. Caller holds mu.
+// activeID still names the segment just sealed when no fresh live
+// segment could be started, so the sealed table is the fallback.
 func (s *Store) fileFor(id int64) *os.File {
-	if id == s.activeID {
+	if id == s.activeID && s.active != nil {
 		return s.active
 	}
 	return s.segs[id]
@@ -526,10 +476,14 @@ func (s *Store) quarantineSegLocked(id int64) {
 	}
 }
 
-// Put enqueues payload under k for write-behind persistence. Duplicate
-// keys are dropped (content addressing: equal key means equal bytes);
-// when the bounded queue is full the record is dropped and counted —
-// never blocks the serving path. The payload is copied.
+// Put writes payload under k through to the live segment and indexes
+// it before it returns, so the record is in its segment file (not yet
+// fsynced) and visible to Get. A duplicate key is dropped and counted
+// (content addressing: equal key means equal bytes). The Put that takes
+// the live segment past SegmentBytes also seals it. A failed write
+// quarantines the live segment, since it may now end in a partial frame
+// that later appends would bury mid-segment; the error is counted and
+// returned.
 func (s *Store) Put(k Key, payload []byte) error {
 	if len(payload) > maxPayload {
 		return fmt.Errorf("store: payload %d bytes exceeds limit %d", len(payload), maxPayload)
@@ -543,263 +497,74 @@ func (s *Store) Put(k Key, payload []byte) error {
 		s.dupPuts++
 		return nil
 	}
-	if _, ok := s.pendingIdx[k]; ok {
-		s.dupPuts++
-		return nil
+	if s.active == nil {
+		if err := s.openActive(); err != nil {
+			s.writeErrors++
+			return err
+		}
 	}
-	if len(s.pending) >= s.opts.QueueDepth {
-		s.dropped++
-		return nil
+	frame := appendRecordFrame(nil, k, payload)
+	if _, err := s.active.Write(frame); err != nil {
+		s.writeErrors++
+		s.quarantineSegLocked(s.activeID)
+		return fmt.Errorf("store: %w", err)
 	}
-	s.pending = append(s.pending, pendingRec{key: k, payload: append([]byte(nil), payload...)})
-	s.pendingIdx[k] = len(s.pending) - 1
+	s.index[k] = ref{seg: s.activeID, e: entry{
+		key:        k,
+		off:        s.activeSize,
+		frameLen:   int64(len(frame)),
+		payloadLen: len(payload),
+	}}
+	s.activeSize += int64(len(frame))
+	s.activeRecs++
+	s.activePayload += uint64(len(payload))
 	s.puts++
-	select {
-	case s.wake <- struct{}{}:
-	default:
+	if s.activeSize >= s.opts.SegmentBytes {
+		return s.sealActiveLocked()
 	}
 	return nil
 }
 
-// flusher is the write-behind goroutine: it drains the pending queue
-// into the live segment, seals segments past the size threshold, and
-// compacts when sealed segments pile up.
-func (s *Store) flusher() {
-	defer close(s.done)
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-s.wake:
-			s.mu.Lock()
-			s.flushLocked()
-			s.maybeCompactLocked()
-			s.mu.Unlock()
-		}
-	}
-}
-
-// flushLocked appends every pending record to the live segment and
-// indexes it, sealing and rotating the segment whenever it crosses the
-// size threshold. Write failures abandon the live segment (quarantined,
-// records re-dropped) rather than risking a glued-torn-frame file.
-// Caller holds mu.
-func (s *Store) flushLocked() {
-	for len(s.pending) > 0 {
-		if s.active == nil {
-			if err := s.openActive(); err != nil {
-				s.writeErrors++
-				s.dropped += uint64(len(s.pending))
-				s.pending = nil
-				s.pendingIdx = make(map[Key]int)
-				return
-			}
-		}
-		batch := s.pending
-		s.pending = nil
-		s.pendingIdx = make(map[Key]int)
-		var buf []byte
-		var recs, payload uint64
-		var entries []entry
-		off := s.activeSize
-		for _, p := range batch {
-			start := len(buf)
-			buf = appendRecordFrame(buf, p.key, p.payload)
-			entries = append(entries, entry{
-				key:        p.key,
-				off:        off + int64(start),
-				frameLen:   int64(len(buf) - start),
-				payloadLen: len(p.payload),
-			})
-			recs++
-			payload += uint64(len(p.payload))
-		}
-		if _, err := s.active.Write(buf); err != nil {
-			// The file may now hold a partial frame; appending more would
-			// bury a torn frame mid-segment. Quarantine and start fresh.
-			s.writeErrors++
-			s.dropped += recs
-			s.quarantineSegLocked(s.activeID)
-			return
-		}
-		s.activeSize += int64(len(buf))
-		s.activeRecs += recs
-		s.activePayload += payload
-		for _, e := range entries {
-			if _, ok := s.index[e.key]; !ok {
-				s.index[e.key] = ref{seg: s.activeID, e: e}
-			}
-		}
-		if s.activeSize >= s.opts.SegmentBytes {
-			s.sealActiveLocked()
-		}
-	}
-}
-
 // sealActiveLocked seals the live segment — footer, fsync, atomic rename
-// to .mts — and starts a fresh one. Caller holds mu.
-func (s *Store) sealActiveLocked() {
-	if s.active == nil {
-		return
-	}
-	if s.activeRecs == 0 {
+// to .mts — and starts a fresh one. A failure quarantines the live
+// segment, is counted, and is returned. Caller holds mu.
+func (s *Store) sealActiveLocked() error {
+	if s.active == nil || s.activeRecs == 0 {
 		// Nothing in it; keep appending rather than sealing an empty file.
-		return
-	}
-	foot := appendSealFrame(nil, s.activeRecs, s.activePayload)
-	if _, err := s.active.Write(foot); err != nil {
-		s.writeErrors++
-		s.quarantineSegLocked(s.activeID)
-		return
-	}
-	if err := s.active.Sync(); err != nil {
-		s.writeErrors++
-		s.quarantineSegLocked(s.activeID)
-		return
+		return nil
 	}
 	id := s.activeID
-	if err := os.Rename(filepath.Join(s.dir, openName(id)), filepath.Join(s.dir, segName(id))); err != nil {
+	_, err := s.active.Write(appendSealFrame(nil, s.activeRecs, s.activePayload))
+	if err == nil {
+		err = s.active.Sync()
+	}
+	if err == nil {
+		err = os.Rename(filepath.Join(s.dir, openName(id)), filepath.Join(s.dir, segName(id)))
+	}
+	if err != nil {
 		s.writeErrors++
 		s.quarantineSegLocked(id)
-		return
+		return fmt.Errorf("store: sealing segment %d: %w", id, err)
 	}
 	syncDir(s.dir)
 	s.segs[id] = s.active
 	s.active = nil
 	if err := s.openActive(); err != nil {
+		// The seal stands; the next Put retries the fresh segment.
 		s.writeErrors++
 	}
+	return nil
 }
 
-// maybeCompactLocked merges all sealed segments into one once more than
-// CompactAfter of them exist. Crash-safe by construction: the merged
-// segment is fully written and fsynced under a .compact temporary name,
-// atomically renamed to a fresh .mts id, and only then are the old
-// segments unlinked. A crash before the rename leaves the olds intact
-// plus a garbage temporary (deleted at next Open); a crash after the
-// rename but before the unlinks leaves duplicate keys, deduplicated
-// first-wins at next Open. Caller holds mu.
-func (s *Store) maybeCompactLocked() {
-	if len(s.segs) <= s.opts.CompactAfter {
-		return
-	}
-	// Deterministic output: records sorted by content address, never map
-	// order.
-	type item struct {
-		key Key
-		r   ref
-	}
-	var items []item
-	for k, r := range s.index {
-		if r.seg != s.activeID {
-			items = append(items, item{key: k, r: r})
-		}
-	}
-	sort.Slice(items, func(i, j int) bool {
-		return string(items[i].key[:]) < string(items[j].key[:])
-	})
-
-	id := s.nextID
-	s.nextID++
-	tmpPath := filepath.Join(s.dir, segName(id)+".compact")
-	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		s.writeErrors++
-		return
-	}
-	abort := func() {
-		tmp.Close()
-		os.Remove(tmpPath)
-	}
-	buf := append([]byte(nil), magic[:]...)
-	var written int64 // bytes already drained to tmp
-	var entries []entry
-	var recs, payload uint64
-	for _, it := range items {
-		f := s.segs[it.r.seg]
-		if f == nil {
-			continue
-		}
-		pl, err := readRecordPayload(f, it.r.e)
-		if err != nil {
-			// A sealed segment went bad after its Open-time scan:
-			// quarantine it, drop its records from this compaction (and
-			// the index), and keep going — compaction must not abort on
-			// damage it exists to clean up.
-			s.quarantineSegLocked(it.r.seg)
-			continue
-		}
-		start := written + int64(len(buf))
-		buf = appendRecordFrame(buf, it.key, pl)
-		entries = append(entries, entry{
-			key:        it.key,
-			off:        start,
-			frameLen:   written + int64(len(buf)) - start,
-			payloadLen: len(pl),
-		})
-		recs++
-		payload += uint64(len(pl))
-		if len(buf) >= 1<<20 {
-			if _, err := tmp.Write(buf); err != nil {
-				s.writeErrors++
-				abort()
-				return
-			}
-			written += int64(len(buf))
-			buf = buf[:0]
-		}
-	}
-	buf = appendSealFrame(buf, recs, payload)
-	if _, err := tmp.Write(buf); err != nil {
-		s.writeErrors++
-		abort()
-		return
-	}
-	if err := tmp.Sync(); err != nil {
-		s.writeErrors++
-		abort()
-		return
-	}
-	final := filepath.Join(s.dir, segName(id))
-	if err := os.Rename(tmpPath, final); err != nil {
-		s.writeErrors++
-		abort()
-		return
-	}
-	syncDir(s.dir)
-	// Point of no return: the compacted segment is durable. Swap the
-	// index over, then retire the olds.
-	oldIDs := make([]int64, 0, len(s.segs))
-	for oid := range s.segs {
-		oldIDs = append(oldIDs, oid)
-	}
-	sort.Slice(oldIDs, func(i, j int) bool { return oldIDs[i] < oldIDs[j] })
-	s.segs[id] = tmp
-	for _, e := range entries {
-		s.index[e.key] = ref{seg: id, e: e}
-	}
-	for _, oid := range oldIDs {
-		if f := s.segs[oid]; f != nil {
-			f.Close()
-		}
-		delete(s.segs, oid)
-		os.Remove(filepath.Join(s.dir, segName(oid)))
-	}
-	syncDir(s.dir)
-	s.compactions++
-}
-
-// Flush synchronously drains the write-behind queue and fsyncs the live
-// segment, so everything Put before the call survives a crash after it.
-// The graceful-drain path (SIGTERM) calls this before exit.
+// Flush fsyncs the live segment, so everything Put before the call
+// survives a power loss after it. Put alone already survives a killed
+// process: its record is in the segment file when it returns.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	s.flushLocked()
-	s.maybeCompactLocked()
 	if s.active != nil {
 		if err := s.active.Sync(); err != nil {
 			s.writeErrors++
@@ -809,44 +574,20 @@ func (s *Store) Flush() error {
 	return nil
 }
 
-// Compact forces a compaction pass regardless of the sealed-segment
-// threshold (seals the live segment first so everything participates).
-// Exposed for tests and operational tooling.
-func (s *Store) Compact() {
+// Close seals the live segment and closes every file. After a clean
+// Close the directory holds only sealed, footer-protected segments, so
+// the next Open recovers with zero truncation or quarantine. A failed
+// seal is returned. Idempotent.
+func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return
-	}
-	s.flushLocked()
-	s.sealActiveLocked()
-	saved := s.opts.CompactAfter
-	s.opts.CompactAfter = 0
-	s.maybeCompactLocked()
-	s.opts.CompactAfter = saved
-}
-
-// Close drains the queue, seals the live segment and closes every file.
-// After a clean Close the directory holds only sealed, footer-protected
-// segments, so the next Open recovers with zero truncation or
-// quarantine. Idempotent.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
-	close(s.stop)
-	s.mu.Unlock()
-	<-s.done
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flushLocked()
-	s.sealActiveLocked()
+	err := s.sealActiveLocked()
 	if s.active != nil {
-		// Seal declined (empty segment): remove the empty .open file.
+		// Empty: just started by the seal, or never written. Remove it.
 		s.active.Close()
 		os.Remove(filepath.Join(s.dir, openName(s.activeID)))
 		s.active = nil
@@ -856,7 +597,7 @@ func (s *Store) Close() error {
 	}
 	s.segs = make(map[int64]*os.File)
 	s.index = make(map[Key]ref)
-	return s.lock.Close()
+	return errors.Join(err, s.lock.Close())
 }
 
 // Stats snapshots the store counters.
@@ -864,18 +605,15 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Entries:        len(s.index) + len(s.pending),
+		Entries:        len(s.index),
 		SealedSegments: len(s.segs),
-		PendingWrites:  len(s.pending),
 		Hits:           s.hits,
 		Misses:         s.misses,
 		Puts:           s.puts,
 		DupPuts:        s.dupPuts,
-		Dropped:        s.dropped,
 		WriteErrors:    s.writeErrors,
 		Quarantined:    s.quarantined,
 		TruncatedTails: s.truncatedTails,
-		Compactions:    s.compactions,
 	}
 }
 

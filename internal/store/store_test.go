@@ -68,7 +68,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Queued records must be visible before the flusher persists them.
+	// Records must be visible as soon as Put returns, before any Flush.
 	for i := 0; i < 50; i++ {
 		wantGet(t, s, i)
 	}
@@ -265,31 +265,18 @@ func TestRuntimeDamageNeverServed(t *testing.T) {
 	}
 }
 
-func TestSegmentRotationAndCompaction(t *testing.T) {
+func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir, SegmentBytes: 256, CompactAfter: 64})
+	s := mustOpen(t, Options{Dir: dir, SegmentBytes: 256})
 	const n = 40
 	for i := 0; i < n; i++ {
-		s.Put(testKey(i), testPayload(i))
-		if i%5 == 4 {
-			if err := s.Flush(); err != nil {
-				t.Fatal(err)
-			}
+		if err := s.Put(testKey(i), testPayload(i)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.SealedSegments < 2 {
-		t.Fatalf("SealedSegments = %d, want >= 2 (rotation)", st.SealedSegments)
-	}
-	s.Compact()
 	st := s.Stats()
-	if st.SealedSegments != 1 {
-		t.Fatalf("after Compact: SealedSegments = %d, want 1", st.SealedSegments)
-	}
-	if st.Compactions != 1 {
-		t.Fatalf("Compactions = %d, want 1", st.Compactions)
+	if st.SealedSegments < 2 {
+		t.Fatalf("SealedSegments = %d, want >= 2 (rotation)", st.SealedSegments)
 	}
 	if st.Entries != n {
 		t.Fatalf("Entries = %d, want %d", st.Entries, n)
@@ -304,20 +291,94 @@ func TestSegmentRotationAndCompaction(t *testing.T) {
 	}
 }
 
-func TestAutoCompactionTriggers(t *testing.T) {
+// TestPutWritesThrough: a record is in the live segment file when Put
+// returns. With no Flush and no Close, the .open file read back from
+// disk already holds every record put.
+func TestPutWritesThrough(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir, SegmentBytes: 128, CompactAfter: 3})
-	for i := 0; i < 60; i++ {
-		s.Put(testKey(i), testPayload(i))
-		s.Flush()
+	s := mustOpen(t, Options{Dir: dir})
+	const n = 7
+	for i := 0; i < n; i++ {
+		if err := s.Put(testKey(i), testPayload(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	s.Flush()
-	if st := s.Stats(); st.Compactions == 0 {
-		t.Fatalf("auto compaction never triggered: %+v", st)
+	f, err := os.Open(filepath.Join(dir, openName(0)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 60; i++ {
-		wantGet(t, s, i)
+	defer f.Close()
+	if got, err := Verify(f, false); err != nil || got != n {
+		t.Fatalf("live segment on disk: Verify = %d records, %v; want %d, nil", got, err, n)
 	}
+}
+
+// TestSealedSegmentsNeverRewritten: once sealed, a segment's bytes stay
+// as they were while later puts cross several more seals.
+func TestSealedSegmentsNeverRewritten(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, Options{Dir: dir, SegmentBytes: 256})
+	i := 0
+	for s.Stats().SealedSegments == 0 {
+		if err := s.Put(testKey(i), testPayload(i)); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	first := filepath.Join(dir, segName(0))
+	before, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s.Stats().SealedSegments < 5 {
+		if err := s.Put(testKey(i), testPayload(i)); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("sealed segment %s changed after later seals (%d -> %d bytes)", first, len(before), len(after))
+	}
+	if n, err := Verify(bytes.NewReader(after), true); err != nil || n == 0 {
+		t.Fatalf("first sealed segment: Verify = %d, %v", n, err)
+	}
+}
+
+// TestSealSurvivesFailedRotation: when the fresh live segment after a
+// seal cannot be created, the sealed segment's records stay readable,
+// and the next Put starts a live segment of its own.
+func TestSealSurvivesFailedRotation(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, Options{Dir: dir, SegmentBytes: 256})
+	// The store's next live segment name is taken, so the rotation after
+	// the first seal fails.
+	if err := os.WriteFile(filepath.Join(dir, openName(1)), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for s.Stats().SealedSegments == 0 {
+		if err := s.Put(testKey(i), testPayload(i)); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	if st := s.Stats(); st.WriteErrors != 1 {
+		t.Fatalf("WriteErrors = %d, want 1 (the failed rotation)", st.WriteErrors)
+	}
+	for j := 0; j < i; j++ {
+		wantGet(t, s, j)
+	}
+	if err := s.Put(testKey(i), testPayload(i)); err != nil {
+		t.Fatal(err)
+	}
+	wantGet(t, s, i)
 }
 
 func TestCompactionCrashLeftoversRecovered(t *testing.T) {
@@ -352,34 +413,6 @@ func TestCompactionCrashLeftoversRecovered(t *testing.T) {
 	wantGet(t, s2, 1)
 	wantGet(t, s2, 2)
 	wantGet(t, s2, 3)
-}
-
-func TestQueueBoundDropsNeverBlocks(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir, QueueDepth: 4})
-	// Stall the flusher by holding its lock, then overfill the queue.
-	s.mu.Lock()
-	var dropped uint64
-	for i := 0; i < 20; i++ {
-		if len(s.pending) >= s.opts.QueueDepth {
-			dropped++
-		}
-		if len(s.pending) < s.opts.QueueDepth {
-			s.pending = append(s.pending, pendingRec{key: testKey(i), payload: testPayload(i)})
-			s.pendingIdx[testKey(i)] = len(s.pending) - 1
-		}
-	}
-	s.mu.Unlock()
-	// Exercise the real Put bound too.
-	for i := 100; i < 120; i++ {
-		if err := s.Put(testKey(i), testPayload(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := s.Stats(); st.Dropped == 0 && st.PendingWrites > s.opts.QueueDepth {
-		t.Fatalf("queue exceeded bound without dropping: %+v", st)
-	}
-	s.Flush()
 }
 
 func TestPutGetAfterClose(t *testing.T) {
