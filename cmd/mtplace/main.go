@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -70,11 +71,19 @@ func run(out io.Writer, listAlgs bool, app, alg string, procs int, scale float64
 	}
 
 	names := placement.Names()
+	var exts []placement.Algorithm
+	if ext {
+		exts = placement.Extensions()
+	}
 	if alg != "" {
-		if _, err := placement.ByName(alg); err != nil {
+		isAlg := func(a placement.Algorithm) bool { return a.Name == alg }
+		if _, err := placement.ByName(alg); err == nil {
+			names, exts = []string{alg}, nil
+		} else if i := slices.IndexFunc(exts, isAlg); i >= 0 {
+			names, exts = nil, exts[i:i+1]
+		} else {
 			return err
 		}
-		names = []string{alg}
 	}
 	var pls []*placement.Placement
 	for _, name := range names {
@@ -84,16 +93,14 @@ func run(out io.Writer, listAlgs bool, app, alg string, procs int, scale float64
 		}
 		pls = append(pls, pl)
 	}
-	if ext && alg == "" {
-		// The Suite places the paper's algorithms only; an extension
-		// takes its sharing data and no seed.
-		for _, pa := range placement.Extensions() {
-			pl, err := pa.Place(d, procs, 0)
-			if err != nil {
-				return fmt.Errorf("%s: %w", pa.Name, err)
-			}
-			pls = append(pls, pl)
+	// The Suite places the paper's algorithms only; an extension takes
+	// its sharing data and no seed.
+	for _, pa := range exts {
+		pl, err := pa.Place(d, procs, 0)
+		if err != nil {
+			return fmt.Errorf("%s: %w", pa.Name, err)
 		}
+		pls = append(pls, pl)
 	}
 
 	t := &report.Table{

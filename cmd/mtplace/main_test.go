@@ -29,6 +29,15 @@ func TestRunModes(t *testing.T) {
 	if err := run(io.Discard, false, "Grav", "", 4, 0.25, 1, false, true); err != nil {
 		t.Errorf("all algorithms + extensions: %v", err)
 	}
+	var out bytes.Buffer
+	if err := run(&out, false, "Grav", "KL-SHARE", 4, 0.25, 1, false, true); err != nil {
+		t.Errorf("one extension algorithm: %v", err)
+	} else if rows := strings.Count(out.String(), "\n"); rows != 4 || !strings.Contains(out.String(), "\nKL-SHARE ") {
+		t.Errorf("-ext -alg KL-SHARE printed %d lines, want the KL-SHARE row alone:\n%s", rows, &out)
+	}
+	if err := run(io.Discard, false, "Grav", "KL-SHARE", 4, 0.25, 1, false, false); err == nil {
+		t.Error("extension algorithm accepted without -ext")
+	}
 }
 
 // TestRandomMapMatchesSuite: mtplace resolves a cell through core.Suite,

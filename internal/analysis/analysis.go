@@ -12,8 +12,10 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/trace"
 )
@@ -236,34 +238,58 @@ func (s *Set) NumThreads() int { return len(s.Profiles) }
 // profiles: one list of every profile's shared-address counts, sorted by
 // address and then thread, so each address's users form one run in
 // ascending thread order.
+//
+// The list is radix-sorted, one pass per byte of the address range, and
+// the passes alternate between the list and a scratch array of its size
+// that Analyze calls reuse. The profiles are collected into whichever of
+// the two makes the last pass land in the list, so each call allocates
+// the list alone.
 func (s *Set) invertedIndex() []addrUse {
 	n := 0
+	lo, hi := uint64(math.MaxUint64), uint64(0)
 	for _, p := range s.Profiles {
 		n += len(p.Shared)
-	}
-	uses := make([]addrUse, 0, n)
-	for _, p := range s.Profiles {
 		for _, u := range p.Shared {
-			uses = append(uses, addrUse{addr: u.Addr, thread: p.Thread, count: u.Count})
+			lo, hi = min(lo, u.Addr), max(hi, u.Addr)
 		}
 	}
-	return sortUses(uses)
+	uses := make([]addrUse, n)
+	passes := 0
+	if n > 1 {
+		passes = (bits.Len64(hi-lo) + 7) / 8
+	}
+	sp := useScratch.Get().(*[]addrUse)
+	defer useScratch.Put(sp)
+	if cap(*sp) < n {
+		*sp = make([]addrUse, n)
+	}
+	scratch := (*sp)[:n]
+	fill, other := uses, scratch
+	if passes%2 == 1 {
+		fill, other = scratch, uses
+	}
+	i := 0
+	for _, p := range s.Profiles {
+		for _, u := range p.Shared {
+			fill[i] = addrUse{addr: u.Addr, thread: p.Thread, count: u.Count}
+			i++
+		}
+	}
+	radixSort(fill, other, lo, passes)
+	return uses
 }
 
-// sortUses orders uses by address and then thread. The uses arrive in
-// ascending thread order, so a stable LSD radix sort on the address alone
-// yields that order, whatever order each thread first touched its
+// useScratch holds the radix sort's scratch array between Analyze calls.
+var useScratch = sync.Pool{New: func() any { return new([]addrUse) }}
+
+// radixSort orders uses by address, stably, in passes LSD radix passes
+// over the bytes of addr-lo, moving the list between uses and buf (of
+// equal length); an odd pass count leaves the result in buf. The uses
+// arrive in ascending thread order, so the stable sort yields address
+// and then thread order, whatever order each thread first touched its
 // addresses in.
-func sortUses(uses []addrUse) []addrUse {
-	if len(uses) < 2 {
-		return uses
-	}
-	lo, hi := uses[0].addr, uses[0].addr
-	for _, u := range uses {
-		lo, hi = min(lo, u.addr), max(hi, u.addr)
-	}
-	buf := make([]addrUse, len(uses))
-	for shift := uint(0); shift < 64 && (hi-lo)>>shift != 0; shift += 8 {
+func radixSort(uses, buf []addrUse, lo uint64, passes int) {
+	for shift := uint(0); shift < uint(8*passes); shift += 8 {
 		var count [256]int
 		for _, u := range uses {
 			count[byte((u.addr-lo)>>shift)]++
@@ -280,7 +306,6 @@ func sortUses(uses []addrUse) []addrUse {
 		}
 		uses, buf = buf, uses
 	}
-	return uses
 }
 
 // runEnd returns the end of the run of uses sharing uses[lo]'s address

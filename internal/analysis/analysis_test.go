@@ -366,27 +366,31 @@ func TestSharingMatchesPairOracle(t *testing.T) {
 // invariant: the list is strictly sorted by address and then thread, so
 // every address's users form one run in ascending thread order. The list
 // is collected thread by thread, each thread's addresses in first-touch
-// order, and then radix-sorted; this test guards that sort.
+// order, and then radix-sorted, one pass per byte of the address range;
+// the address spans give zero to three passes, so the sort ends in the
+// list from either of its two arrays.
 func TestInvertedIndexCanonical(t *testing.T) {
-	rng := rand.New(rand.NewSource(1994))
-	n := 6
-	tr := trace.New("inv", n)
-	for i := 0; i < n; i++ {
-		r := trace.NewRecorder(tr, i)
-		for j := 0; j < 300; j++ {
-			r.Load(sh(rng.Intn(40)))
+	for _, words := range []int{1, 20, 40, 1 << 14} {
+		rng := rand.New(rand.NewSource(1994))
+		n := 6
+		tr := trace.New("inv", n)
+		for i := 0; i < n; i++ {
+			r := trace.NewRecorder(tr, i)
+			for j := 0; j < 300; j++ {
+				r.Load(sh(rng.Intn(words)))
+			}
 		}
-	}
-	s := Analyze(tr)
-	idx := s.invertedIndex()
-	if len(idx) == 0 {
-		t.Fatal("empty inverted index")
-	}
-	for i := 1; i < len(idx); i++ {
-		a, b := idx[i-1], idx[i]
-		if a.addr > b.addr || (a.addr == b.addr && a.thread >= b.thread) {
-			t.Fatalf("index not in (address, thread) order: (%#x, %d) then (%#x, %d)",
-				a.addr, a.thread, b.addr, b.thread)
+		s := Analyze(tr)
+		idx := s.uses
+		if len(idx) == 0 {
+			t.Fatalf("%d-word span: empty inverted index", words)
+		}
+		for i := 1; i < len(idx); i++ {
+			a, b := idx[i-1], idx[i]
+			if a.addr > b.addr || (a.addr == b.addr && a.thread >= b.thread) {
+				t.Fatalf("%d-word span: index not in (address, thread) order: (%#x, %d) then (%#x, %d)",
+					words, a.addr, a.thread, b.addr, b.thread)
+			}
 		}
 	}
 }

@@ -165,14 +165,9 @@ func (s *Suite) Trace(app string) (*trace.Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr, err := a.Build(s.opts.Params)
-		if err != nil {
-			return nil, err
-		}
-		// Warm the lazily computed per-thread totals so the trace is
-		// strictly read-only during concurrent simulation.
-		tr.TotalInstructions()
-		return tr, nil
+		// Build returns a sealed trace: read-only, totals included, so
+		// concurrent simulations may share it.
+		return a.Build(s.opts.Params)
 	})
 	return tr, err
 }

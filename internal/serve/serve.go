@@ -560,7 +560,8 @@ func (s *Server) resolveCell(params Params, c cellSpec) (*trace.Trace, *placemen
 // runCell executes one cell through the result cache: a resident
 // result is a hit; the first miss on a key probes the store and then
 // runs the guarded engine, while identical misses wait for its outcome
-// (single-flight); a fresh result is written through to the store once
+// (single-flight) and run the cell themselves if another client's
+// cancel aborted it; a fresh result is written through to the store once
 // the cache has published it, before the cell reports. The cell, its
 // cache lookup, store lookup, single-flight wait and engine run each
 // become spans on the job's trace. The cache counts hits, misses,
@@ -592,7 +593,7 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 		counters *obs.Counter
 	)
 	lookupStart := time.Now()
-	res, how, err := s.results.Do(key, func() (*sim.Result, error) {
+	compute := func() (*sim.Result, error) {
 		s.spans.AddSpan(sctx, s.opts.ServiceName, "cache lookup", lookupStart, time.Now())
 		// Durable tier: a store hit is served without simulating —
 		// this is how a restarted server warm starts from disk.
@@ -617,7 +618,15 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 		}
 		counters = ctr
 		return res, nil
-	})
+	}
+	res, how, err := s.results.Do(key, compute)
+	// A shared compute runs under the guard of the job that started it,
+	// so that job's client leaving cancels it for every waiter. A waiter
+	// whose own job is live runs the cell again: the table forgets a
+	// failed compute once its waiters have it.
+	for how == memo.Shared && canceledRun(err) && !j.cancel.Load() {
+		res, how, err = s.results.Do(key, compute)
+	}
 	switch {
 	case how == memo.Hit:
 		s.spans.AddSpan(sctx, s.opts.ServiceName, "cache lookup", lookupStart, time.Now())
@@ -637,6 +646,13 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 		SaveResult(s.opts.Store, key, res, s.opts.Log)
 	}
 	return cellResultInternal{key: keyHex, res: res, counters: counters}
+}
+
+// canceledRun reports whether err is a run that its guard's cancel flag
+// stopped.
+func canceledRun(err error) bool {
+	var be *sim.BudgetError
+	return errors.As(err, &be) && be.Canceled
 }
 
 // simulate runs the cell on the fast engine under the job's guard. When

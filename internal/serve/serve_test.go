@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -748,6 +749,91 @@ func TestSingleFlight(t *testing.T) {
 		// filled, or starts the one flight: identical requests simulate
 		// the cell exactly once, however their timing falls.
 		t.Errorf("sim runs = %d for %d identical concurrent requests, want 1", runs, n)
+	}
+}
+
+// TestSharedSimulationOutlivesFirstClient: a request waiting on another
+// request's simulation of the same cell gets the result although the
+// other client leaves. The shared run goes under the first job's guard,
+// so that client's cancel aborts it; the waiter, whose own client is
+// still connected, must run the cell again instead of answering 504.
+func TestSharedSimulationOutlivesFirstClient(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 2})
+	s.cellStarted = make(chan string, 2)
+	s.cellGate = make(chan struct{}, 2)
+	// Gauss at scale 1 simulates for a few hundred milliseconds, far
+	// longer than B takes to join A's run and A's client to leave.
+	params := Params{Scale: 1, Seed: testParams.Seed}
+	body, err := json.Marshal(SimulateRequest{Params: &params, App: "Gauss", Algorithm: "LOAD-BAL", Procs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type reply struct {
+		status int
+		body   []byte
+		err    error
+	}
+	send := func(ctx context.Context, out chan<- reply) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/simulate", bytes.NewReader(body))
+		if err != nil {
+			out <- reply{err: err}
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			out <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		out <- reply{status: resp.StatusCode, body: b, err: err}
+	}
+	waitFor := func(what string, cond func(rescache.Stats) bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond(s.CacheStats()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v", what, s.CacheStats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	a, b := make(chan reply, 1), make(chan reply, 1)
+	go send(ctxA, a)
+	<-s.cellStarted
+	s.cellGate <- struct{}{}
+	waitFor("A's run", func(st rescache.Stats) bool { return st.Misses == 1 })
+	go send(context.Background(), b)
+	<-s.cellStarted
+	s.cellGate <- struct{}{}
+	waitFor("B to wait on A's run", func(st rescache.Stats) bool { return st.Shared == 1 })
+	cancelA()
+
+	if r := <-a; r.err == nil {
+		t.Errorf("A's canceled request answered %d %s", r.status, r.body)
+	}
+	r := <-b
+	if r.err != nil || r.status != http.StatusOK {
+		t.Fatalf("B answered %d %s (%v), want 200", r.status, r.body, r.err)
+	}
+	var sr SimulateResponse
+	if err := json.Unmarshal(r.body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.Params = workload.Params{Scale: params.Scale, Seed: params.Seed}
+	want, err := core.NewSuite(opts).RunOne("Gauss", "LOAD-BAL", 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sr.Result, want) {
+		t.Error("B's result differs from the library's")
+	}
+	if runs := s.Metrics().Snapshot()["serve_sim_runs_total"]; runs != 2 {
+		t.Errorf("sim runs = %d, want 2: A's aborted run and B's own", runs)
 	}
 }
 

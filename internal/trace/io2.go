@@ -78,12 +78,13 @@ func (tr *Trace) writeMTT2To(w io.Writer) (int64, error) {
 	var total uint64
 	for i, t := range tr.Threads {
 		payload = binary.AppendUvarint(payload[:0], uint64(i))
-		payload = binary.AppendUvarint(payload, uint64(len(t.events)))
+		events := t.sealed()
+		payload = binary.AppendUvarint(payload, uint64(len(events)))
 		var prev uint64
-		for _, wrd := range t.events {
+		for _, wrd := range events {
 			payload, prev = appendEvent(payload, wrd, prev)
 		}
-		total += uint64(len(t.events))
+		total += uint64(len(events))
 		if err := writeSection(sectionThread, payload); err != nil {
 			return n, err
 		}
@@ -230,7 +231,6 @@ func readMTT2(cr *countingReader) (*Trace, error) {
 			return nil, corruptf(formatMTT2, c.off(), sname, "thread has no references")
 		}
 		t := tr.Threads[i]
-		t.events = make([]uint64, 0, min(nrefs, uint64(len(s.payload))))
 		var prev uint64
 		for j := uint64(0); j < nrefs; j++ {
 			gk, ok := c.uvarint()
@@ -273,6 +273,7 @@ func readMTT2(cr *countingReader) (*Trace, error) {
 		return nil, corruptf(formatMTT2, ec.off(), "end",
 			"end section records %d threads / %d refs, stream carried %d / %d", gotThreads, gotRefs, nthreads, total)
 	}
+	tr.seal()
 	return tr, nil
 }
 

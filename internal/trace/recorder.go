@@ -7,7 +7,8 @@ import "fmt"
 // between references and splits gaps that exceed the packed-event range.
 //
 // A Recorder is not safe for concurrent use; each simulated thread owns its
-// own Recorder.
+// own Recorder. Recorders of different threads may run at once, but no
+// thread of the trace may be read meanwhile: a read seals them all.
 type Recorder struct {
 	t   *Thread
 	gap uint64
@@ -57,6 +58,10 @@ func (r *Recorder) ref(k Kind, addr uint64) {
 	r.t.append(Pack(Event{Gap: uint32(r.gap), Kind: k, Addr: addr}))
 	r.gap = 0
 }
+
+// Refs returns how many references the recorder's thread holds. It does
+// not seal the trace, so recording may go on.
+func (r *Recorder) Refs() int { return len(r.t.events) + r.t.staged() }
 
 // PendingGap returns computation recorded since the last reference that has
 // not yet been attached to an event. A trace whose threads end with a

@@ -17,6 +17,8 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // SharedBase is the first address of the shared data segment. Every address
@@ -116,48 +118,38 @@ type Thread struct {
 	// ID is the thread's index within its application, dense from 0.
 	ID int
 
+	// tr is the trace whose seal makes this thread's staged events
+	// readable (seal.go).
+	tr *Trace
+	// events are the sealed events: a slice of the trace's slab, with
+	// cap == len.
 	events []uint64
+	// head and tail bound the chunks events were staged in since the
+	// last seal, chunks counts them, and room is the free slots in tail.
+	head, tail   *chunk
+	chunks, room int
 
-	// cached totals, computed lazily
+	// totals of the sealed events, kept by seal
 	instr uint64
 	reads uint64
 }
 
-// NewThread returns an empty thread with the given ID.
-func NewThread(id int) *Thread { return &Thread{ID: id} }
-
 // Refs returns the number of memory references in the thread.
-func (t *Thread) Refs() int { return len(t.events) }
+func (t *Thread) Refs() int { return len(t.sealed()) }
 
 // Event returns the i'th reference.
-func (t *Thread) Event(i int) Event { return Unpack(t.events[i]) }
-
-// append adds a packed event. Used by the Recorder and the binary reader.
-func (t *Thread) append(w uint64) {
-	t.events = append(t.events, w)
-	t.instr = 0 // invalidate cache
-}
+func (t *Thread) Event(i int) Event { return Unpack(t.sealed()[i]) }
 
 // Instructions returns the thread's dynamic length in instructions: every
 // reference counts as one instruction plus its preceding gap.
 func (t *Thread) Instructions() uint64 {
-	if t.instr == 0 && len(t.events) > 0 {
-		var n, r uint64
-		for _, w := range t.events {
-			n += uint64(w>>gapShift) + 1
-			if w&kindBit == 0 {
-				r++
-			}
-		}
-		t.instr = n
-		t.reads = r
-	}
+	t.sealed()
 	return t.instr
 }
 
 // Reads returns the number of load references.
 func (t *Thread) Reads() uint64 {
-	t.Instructions()
+	t.sealed()
 	return t.reads
 }
 
@@ -165,28 +157,29 @@ func (t *Thread) Reads() uint64 {
 func (t *Thread) Writes() uint64 { return uint64(t.Refs()) - t.Reads() }
 
 // Cursor returns a sequential reader positioned at the first reference.
-func (t *Thread) Cursor() *Cursor { return &Cursor{t: t} }
+func (t *Thread) Cursor() *Cursor { return &Cursor{ev: t.sealed()} }
 
-// Cursor iterates a thread's references in order. The zero Cursor is not
-// valid; obtain one from Thread.Cursor.
+// Cursor iterates, in order, the references a thread held when the
+// cursor was made. The zero Cursor is an empty stream; obtain one from
+// Thread.Cursor.
 type Cursor struct {
-	t   *Thread
+	ev  []uint64
 	pos int
 }
 
 // Next returns the next reference and true, or a zero Event and false when
 // the stream is exhausted.
 func (c *Cursor) Next() (Event, bool) {
-	if c.pos >= len(c.t.events) {
+	if c.pos >= len(c.ev) {
 		return Event{}, false
 	}
-	e := Unpack(c.t.events[c.pos])
+	e := Unpack(c.ev[c.pos])
 	c.pos++
 	return e, true
 }
 
 // Remaining returns how many references have not yet been returned by Next.
-func (c *Cursor) Remaining() int { return len(c.t.events) - c.pos }
+func (c *Cursor) Remaining() int { return len(c.ev) - c.pos }
 
 // Reset rewinds the cursor to the beginning of the thread.
 func (c *Cursor) Reset() { c.pos = 0 }
@@ -197,13 +190,20 @@ type Trace struct {
 	App string
 	// Threads holds every thread, indexed by Thread.ID.
 	Threads []*Thread
+
+	// mu serializes seals; staged is set while some thread holds staged
+	// events (seal.go).
+	mu     sync.Mutex
+	staged atomic.Bool
 }
 
 // New returns an empty trace for the named application with n threads.
 func New(app string, n int) *Trace {
 	tr := &Trace{App: app, Threads: make([]*Thread, n)}
-	for i := range tr.Threads {
-		tr.Threads[i] = NewThread(i)
+	ts := make([]Thread, n)
+	for i := range ts {
+		ts[i] = Thread{ID: i, tr: tr}
+		tr.Threads[i] = &ts[i]
 	}
 	return tr
 }
@@ -243,13 +243,13 @@ func (tr *Trace) Validate() error {
 		if t.ID != i {
 			return fmt.Errorf("trace: thread at index %d has ID %d", i, t.ID)
 		}
-		if t.Refs() == 0 {
+		ev := t.sealed()
+		if len(ev) == 0 {
 			return fmt.Errorf("trace: thread %d has no references", i)
 		}
-		for j := 0; j < t.Refs(); j++ {
-			e := t.Event(j)
-			if e.Addr%WordSize != 0 {
-				return fmt.Errorf("trace: thread %d event %d: address %#x not word-aligned", i, j, e.Addr)
+		for j, w := range ev {
+			if a := w & addrMask; a%WordSize != 0 {
+				return fmt.Errorf("trace: thread %d event %d: address %#x not word-aligned", i, j, a)
 			}
 		}
 	}
@@ -269,7 +269,7 @@ func (tr *Trace) ThreadLengths() []uint64 {
 // ascending order. Intended for tests and diagnostics.
 func (t *Thread) SortedAddrs() []uint64 {
 	seen := make(map[uint64]struct{})
-	for _, w := range t.events {
+	for _, w := range t.sealed() {
 		seen[w&addrMask] = struct{}{}
 	}
 	out := make([]uint64, 0, len(seen))

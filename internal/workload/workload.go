@@ -20,6 +20,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/trace"
 )
@@ -84,6 +85,8 @@ func (a App) Build(p Params) (*trace.Trace, error) {
 	a.build(b)
 	b.finishAll()
 	tr := b.tr
+	// Validate is the trace's first reader, so it seals the recorded
+	// events into the trace's one exact-size slab.
 	if err := tr.Validate(); err != nil {
 		return nil, fmt.Errorf("workload: %s generated an invalid trace: %w", a.Name, err)
 	}
@@ -187,11 +190,14 @@ func newBuilder(a App, p Params) *builder {
 		b.threads[t] = &T{
 			ID:   t,
 			rec:  trace.NewRecorder(b.tr, t),
-			seed: p.Seed ^ int64(t)*-0x61C8864680B583EB,
+			seed: threadSeed(p.Seed, t),
 		}
 	}
 	return b
 }
+
+// threadSeed derives thread t's stream seed from the build's seed.
+func threadSeed(seed int64, t int) int64 { return seed ^ int64(t)*-0x61C8864680B583EB }
 
 // N scales an iteration count, never below 1.
 func (b *builder) N(n int) int {
@@ -243,11 +249,16 @@ func (b *builder) EachThread(f func(t *T)) {
 }
 
 // finishAll flushes each thread's trailing computation by touching its
-// private scratch word, ensuring no recorded work is dropped.
+// private scratch word, ensuring no recorded work is dropped, and hands
+// the threads' generators back for the next build.
 func (b *builder) finishAll() {
 	for t, th := range b.threads {
-		if th.rec.PendingGap() > 0 || b.tr.Threads[t].Refs() == 0 {
+		if th.rec.PendingGap() > 0 || th.rec.Refs() == 0 {
 			th.rec.Load(uint64(t+1) * privateStride)
+		}
+		if th.rng != nil {
+			streams.Put(th.rng)
+			th.rng = nil
 		}
 	}
 }
@@ -259,7 +270,7 @@ type T struct {
 	ID   int
 	rec  *trace.Recorder
 	seed int64
-	rng  *rand.Rand // seeded on the first draw; most kernels never draw
+	rng  *stream // seeded on the first draw; most kernels never draw
 }
 
 // Read records a load of element i of region r.
@@ -281,7 +292,22 @@ func (t *T) Float64() float64 { return t.stream().Float64() }
 // stream returns the thread's private stream, seeding it on first use.
 func (t *T) stream() *rand.Rand {
 	if t.rng == nil {
-		t.rng = rand.New(rand.NewSource(t.seed))
+		t.rng = streams.Get().(*stream)
+		t.rng.Seed(t.seed)
 	}
-	return t.rng
+	return t.rng.Rand
 }
+
+// stream is a thread's generator: rand.Rand's methods over the source.
+type stream struct {
+	*rand.Rand
+	src source
+}
+
+// streams keeps generators for reuse across builds: a source's register
+// is 4.9 KB, and every build seeds one per thread that draws.
+var streams = sync.Pool{New: func() any {
+	s := new(stream)
+	s.Rand = rand.New(&s.src)
+	return s
+}}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/analysis"
@@ -305,5 +306,45 @@ func TestGrainString(t *testing.T) {
 func TestReverseBits(t *testing.T) {
 	if reverseBits(1, 3) != 4 || reverseBits(6, 3) != 3 || reverseBits(0, 5) != 0 {
 		t.Error("reverseBits wrong")
+	}
+}
+
+// raceEnabled is set when the tests run under the race detector.
+var raceEnabled bool
+
+// TestBuildAllocatesTraceOnce: a build allocates its trace's events
+// once, in the sealed slab, instead of regrowing a slice per thread. The
+// bound is 1.5x the event bytes of the trace returned, for every catalog
+// app at scale 0.25; a build that doubles its event slices as it records
+// allocates about 3.4x. A warm-up build fills the staging and generator
+// pools, and the smallest of three builds is measured, so a collection
+// that empties a pool cannot fail the test.
+func TestBuildAllocatesTraceOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of what is put back, so a build's bytes measure the detector")
+	}
+	p := Params{Scale: 0.25, Seed: 1994}
+	build := func(a App) uint64 {
+		tr, err := a.Build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return 8 * tr.TotalRefs()
+	}
+	for _, a := range Apps() {
+		events := build(a)
+		best := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			build(a)
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		if ratio := float64(best) / float64(events); ratio > 1.5 {
+			t.Errorf("%s: a build allocates %d bytes, %.2fx its %d event bytes; want at most 1.5x", a.Name, best, ratio, events)
+		} else {
+			t.Logf("%s: %.2fx of %d event bytes", a.Name, ratio, events)
+		}
 	}
 }
