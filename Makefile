@@ -56,12 +56,14 @@ servecheck:
 	$(GO) test ./cmd/experiments -run 'TestRemote'
 
 # Cluster tier (DESIGN.md §11): build mtcoord, run the coordinator's
-# differential suite (cluster sweep vs direct library), the worker-overlap
-# test (four single-slot workers must all be inside a cell at once),
-# the chaos matrix (kill / partition / restart a worker mid-sweep with
-# zero lost or duplicated cells), the shard-key goldens, and the
-# experiments-level artifact byte-identity test against a coordinator
-# with four workers including a kill-one-worker pass.
+# differential suite (cluster sweep vs direct library), the dispatch
+# tests (four single-slot workers must all be inside a cell at once; no
+# cell may start with another waiting in its worker's queue; a worker's
+# refusal fails or moves the cell by its status), the chaos matrix
+# (kill / partition / restart a worker mid-sweep with zero lost or
+# duplicated cells), the shard-key goldens, and the experiments-level
+# artifact byte-identity test against a coordinator with four workers
+# including a kill-one-worker pass.
 clustercheck:
 	$(GO) build -o /dev/null ./cmd/mtcoord
 	$(GO) test ./internal/cluster ./internal/loadgen
@@ -72,9 +74,9 @@ clustercheck:
 # span store, Perfetto export), then the end-to-end contracts — SSE job
 # streams deliver the terminal state without polling (also for a job
 # that publishes nothing), a watched sweep's sample events add up to its
-# cells' results, trace IDs propagate coordinator -> worker across
-# lease grants and steals, and a kill-one-worker chaos sweep still
-# exports a single merged Perfetto trace.
+# cells' results, trace IDs propagate coordinator -> worker on every
+# dispatched cell, and a kill-one-worker chaos sweep still exports a
+# single merged Perfetto trace.
 tracecheck:
 	$(GO) test ./internal/obs
 	$(GO) test ./internal/serve -run 'TestJobEvents|TestTraceEndpoint'

@@ -25,11 +25,7 @@ type experimentCluster struct {
 
 func startExperimentCluster(t *testing.T, n int) *experimentCluster {
 	t.Helper()
-	coord := cluster.New(cluster.Options{
-		HeartbeatTimeout: 500 * time.Millisecond,
-		PollInterval:     2 * time.Millisecond,
-		LeaseChunk:       4,
-	})
+	coord := cluster.New(cluster.Options{HeartbeatTimeout: 500 * time.Millisecond})
 	ec := &experimentCluster{coord: coord, coordTS: httptest.NewServer(coord.Handler())}
 	for i := 0; i < n; i++ {
 		srv := serve.NewServer(serve.Options{Workers: 2})
@@ -38,7 +34,7 @@ func startExperimentCluster(t *testing.T, n int) *experimentCluster {
 		ec.servers = append(ec.servers, ts)
 		ec.agents = append(ec.agents, cluster.StartAgent(
 			ec.coordTS.URL, []string{"w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7"}[i],
-			ts.URL, 50*time.Millisecond, nil))
+			ts.URL, 2, 50*time.Millisecond, nil))
 	}
 	t.Cleanup(func() {
 		for i := range ec.workers {

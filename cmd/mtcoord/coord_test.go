@@ -38,7 +38,7 @@ func TestServeFailureDrainsStore(t *testing.T) {
 	ts := httptest.NewServer(worker.Handler())
 	defer ts.Close()
 	defer worker.Drain()
-	agent := cluster.StartAgent(base, "w0", ts.URL, 20*time.Millisecond, nil)
+	agent := cluster.StartAgent(base, "w0", ts.URL, 1, 20*time.Millisecond, nil)
 	defer agent.Stop()
 
 	cl := client.New(base)
@@ -76,7 +76,7 @@ func TestServeFailureDrainsStore(t *testing.T) {
 	}
 	defer st.Close()
 	// The job record (at the address internal/cluster/durable.go gives
-	// it) and the one harvested cell.
+	// it) and the one recorded cell.
 	if _, ok := st.Get(store.Key(rescache.SumStrings("mtcoord-job-v1", acc.Job))); !ok {
 		t.Errorf("store holds no job record for %s", acc.Job)
 	}

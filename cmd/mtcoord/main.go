@@ -1,11 +1,12 @@
 // Command mtcoord is the cluster coordinator: it serves mtserve's public
 // JSON API — the same nine-route handler set, DESIGN.md §10 — but
-// executes the work across N registered mtserve workers. Cells are
-// routed by rescache content address (rendezvous hashing for cache
-// affinity), granted as leases, harvested incrementally, stolen back
-// from stragglers for idle workers, and requeued when a worker dies —
-// every rebalancing is byte-identical by construction because the
-// simulator is deterministic.
+// executes the work across N registered mtserve workers. Each sweep cell
+// is one POST /v1/simulate to the first live worker, in the cell's
+// rendezvous order (hashing on its content address, for cache affinity),
+// that has a free slot; a worker holds at most its pool size of cells,
+// and a cell whose worker dies goes to the next candidate — every
+// rebalancing is byte-identical by construction because the simulator is
+// deterministic.
 //
 // Usage:
 //
@@ -13,19 +14,20 @@
 //	mtcoord -addr :9090 -store-dir /var/mtcoord  # with crash recovery
 //
 // Workers join with `mtserve -coord http://coordinator:9090`; membership
-// is registration plus heartbeats (/cluster/v1/register, /cluster/v1/
-// heartbeat), and heartbeat silence past -heartbeat-timeout requeues the
-// silent worker's in-flight cells elsewhere.
+// is registration (with the worker's pool size) plus heartbeats
+// (/cluster/v1/register, /cluster/v1/heartbeat), and heartbeat silence
+// past -heartbeat-timeout cancels the silent worker's in-flight calls
+// and sends their cells elsewhere.
 //
 // Shutdown is graceful and mirrors mtserve: in-flight sweeps are handed
 // back as retriable; their content-addressed job IDs make resubmission
 // to a restarted coordinator idempotent.
 //
-// With -store-dir every harvested cell result and a small record of
+// With -store-dir every recorded cell result and a small record of
 // every accepted sweep live in that one directory. A
 // coordinator restarted on it — after a drain or a kill -9 — answers
 // "retriable" for each sweep it had accepted, and a resubmission restores
-// the stored cells before it leases out the rest.
+// the stored cells before it sends the rest to workers.
 package main
 
 import (
@@ -49,11 +51,9 @@ func run(args []string) int {
 	var (
 		addr    = fs.String("addr", "127.0.0.1:9090", "listen address")
 		hbeat   = fs.Duration("heartbeat-timeout", 2*time.Second, "declare a worker dead after this much heartbeat silence")
-		poll    = fs.Duration("poll", 10*time.Millisecond, "lease harvest/steal scheduling interval")
-		chunk   = fs.Int("chunk", 16, "max cells per lease")
 		verbose = fs.Bool("v", false, "verbose logging")
 
-		storeDir = fs.String("store-dir", "", "durable directory: harvested cell results and accepted sweeps persist across restarts, and resubmitted sweeps warm-start (empty = off)")
+		storeDir = fs.String("store-dir", "", "durable directory: recorded cell results and accepted sweeps persist across restarts, and resubmitted sweeps warm-start (empty = off)")
 
 		debugAddr = fs.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 	)
@@ -64,8 +64,6 @@ func run(args []string) int {
 
 	opts := cluster.Options{
 		HeartbeatTimeout: *hbeat,
-		PollInterval:     *poll,
-		LeaseChunk:       *chunk,
 		Log:              log,
 	}
 

@@ -76,7 +76,7 @@ func joinWorker(t *testing.T, base string, beforeCell func()) (stop func()) {
 	t.Helper()
 	srv := serve.NewServer(serve.Options{Workers: 2, BeforeCell: beforeCell})
 	ts := httptest.NewServer(srv.Handler())
-	agent := cluster.StartAgent(base, "w0", ts.URL, 20*time.Millisecond, nil)
+	agent := cluster.StartAgent(base, "w0", ts.URL, 2, 20*time.Millisecond, nil)
 	stop = func() {
 		agent.Stop()
 		srv.Drain()
@@ -131,7 +131,7 @@ func artifact(t *testing.T, st *serve.JobStatus) []byte {
 
 // TestKillDashNineMidSweepResubmit: a client learns a sweep's outcome
 // across a coordinator kill -9 from the job stream alone. Life 1
-// finishes sweep A — done means harvested and flushed — and dies
+// finishes sweep A — done means recorded and flushed — and dies
 // mid-way through a larger sweep B that contains A's cells. In life 2,
 // on the same -store-dir and with a fresh worker, the client resubmits
 // B and follows GET /v1/jobs/{id}/events to a terminal "done"; B's

@@ -10,8 +10,8 @@
 //
 // Endpoints: the nine public routes of DESIGN.md §10 (POST /v1/simulate,
 // /v1/sweep, /v1/advise; GET /v1/jobs/{id}, /v1/jobs/{id}/events,
-// /v1/trace/{id}, /v1/placements, /healthz, /metrics), plus the
-// cluster-internal lease routes under /internal/v1.
+// /v1/trace/{id}, /v1/placements, /healthz, /metrics). A coordinator
+// sends a clustered worker its sweep cells through POST /v1/simulate.
 //
 // Shutdown is graceful: SIGTERM stops accepting work, in-flight cells
 // finish, queued jobs are handed back as retriable (their
@@ -136,20 +136,21 @@ func serveOn(log *slog.Logger, ln net.Listener, opts serve.Options, cc coordConf
 	opts.Store = st
 	srv := serve.NewServer(opts)
 
-	// Joining a cluster: the agent registers and heartbeats until drain;
-	// all scheduling intelligence stays on the coordinator.
+	// Joining a cluster: the agent registers with the pool size and
+	// heartbeats until drain; all scheduling intelligence stays on the
+	// coordinator.
 	var agent *cluster.Agent
 	if cc.url != "" {
 		self := cc.advertise
 		if self == "" {
 			self = "http://" + ln.Addr().String()
 		}
-		agent = cluster.StartAgent(cc.url, id, self, cc.interval, log)
+		agent = cluster.StartAgent(cc.url, id, self, srv.Health().Workers, cc.interval, log)
 		log.Info("joined cluster", "coordinator", cc.url, "worker", id, "advertise", self)
 	}
 
-	// Drain order: stop heartbeating first (the coordinator reroutes new
-	// leases), then finish simulation work (queued jobs become
+	// Drain order: stop heartbeating first (the coordinator routes new
+	// cells elsewhere), then finish simulation work (queued jobs become
 	// retriable, /healthz flips to draining).
 	drain := func() {
 		if agent != nil {

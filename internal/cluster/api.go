@@ -1,15 +1,16 @@
 // Package cluster is the distributed sweep layer: a coordinator daemon
 // (cmd/mtcoord) that serves mtserve's public API — the coordinator is a
 // serve.Executor under serve's handler set (handlers.go) — but executes
-// sweeps across N registered mtserve workers. Cells are routed by rescache
-// content address (shard.go), granted to workers as leases (the
-// worker-side protocol in internal/serve/lease.go), harvested
-// incrementally, stolen back from stragglers for idle workers, and
-// requeued when a worker dies mid-lease. Because the simulator is
+// sweeps across N registered mtserve workers. Each sweep cell is one
+// POST /v1/simulate, the worker's public route, sent to the first live
+// worker in the cell's rendezvous order (shard.go) that has a free slot;
+// a worker holds at most its pool size of the coordinator's cells, so no
+// cell waits in a straggler's queue (sched.go). A cell whose worker dies
+// — a transport error or heartbeat silence, which cancels the worker's
+// calls — goes to the next candidate. Because the simulator is
 // deterministic and cell execution idempotent, every rebalancing —
-// steal, requeue, duplicate execution after a partition — yields
-// byte-identical results; the chaos test suite holds the cluster to
-// exactly that.
+// requeue, duplicate execution after a partition — yields byte-identical
+// results; the chaos test suite holds the cluster to exactly that.
 package cluster
 
 import (
@@ -30,10 +31,13 @@ const (
 	MaxWorkerID = serve.MaxNameLen
 	// MaxWorkerURL caps a worker's advertised base URL.
 	MaxWorkerURL = 256
-	// MaxWorkers caps cluster membership; registrations beyond it are
-	// refused (a runaway registration loop must not grow the registry
-	// without bound).
+	// MaxWorkers caps cluster membership; a registration that finds the
+	// registry full is refused unless a dead worker with nothing in
+	// flight can be forgotten (a runaway registration loop must not grow
+	// the registry without bound).
 	MaxWorkers = 256
+	// MaxWorkerSlots caps a worker's reported pool size.
+	MaxWorkerSlots = 4096
 )
 
 // RegisterRequest is the POST /cluster/v1/register body: a worker
@@ -44,6 +48,9 @@ type RegisterRequest struct {
 	Worker string `json:"worker"`
 	// URL is the worker's advertised base URL, e.g. "http://10.0.0.7:8080".
 	URL string `json:"url"`
+	// Slots is the worker's simulation pool size: the most sweep cells
+	// the coordinator keeps in flight on it.
+	Slots int `json:"slots"`
 }
 
 // RegisterResponse acknowledges a registration.
@@ -55,7 +62,8 @@ type RegisterResponse struct {
 
 // HeartbeatRequest is the POST /cluster/v1/heartbeat body. A worker that
 // stops heartbeating for longer than the coordinator's timeout is
-// declared dead and its in-flight cells are requeued.
+// declared dead: its in-flight calls are canceled and their cells go to
+// other workers.
 type HeartbeatRequest struct {
 	Worker string `json:"worker"`
 }
@@ -102,6 +110,9 @@ func (r *RegisterRequest) Validate() error {
 	}
 	if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
 		return fmt.Errorf("worker url %q must be absolute http(s)", r.URL)
+	}
+	if r.Slots < 1 || r.Slots > MaxWorkerSlots {
+		return fmt.Errorf("worker slots %d out of range [1, %d]", r.Slots, MaxWorkerSlots)
 	}
 	return nil
 }

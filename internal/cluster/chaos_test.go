@@ -9,14 +9,14 @@ import (
 )
 
 // Chaos suite: a worker is killed, partitioned, or restarted while it
-// holds leased cells mid-sweep. In every scenario the sweep must finish
+// holds a cell mid-sweep. In every scenario the sweep must finish
 // with zero lost and zero duplicated cells and results byte-identical to
 // the direct library run — the determinism of the simulator is what
 // makes requeue-and-rerun (and the duplicate work a partition causes)
 // semantically free.
 
 // TestClusterChaos is the table: each scenario disrupts worker 0 (made a
-// straggler so it reliably holds in-flight leases) after the sweep is
+// straggler so it reliably holds a cell in flight) after the sweep is
 // underway, then requires a clean, byte-identical finish.
 func TestClusterChaos(t *testing.T) {
 	scenarios := []struct {
@@ -29,8 +29,8 @@ func TestClusterChaos(t *testing.T) {
 	}{
 		{
 			// Crash: the worker process is gone — connections refused,
-			// heartbeats silent. The first transport error marks it dead
-			// and requeues its lease.
+			// heartbeats silent. Heartbeat silence or the first transport
+			// error marks it dead and requeues its cell.
 			name:    "kill-worker",
 			disrupt: func(t *testing.T, tc *testCluster) { tc.workers[0].kill() },
 		},
@@ -91,9 +91,9 @@ func TestClusterChaos(t *testing.T) {
 			tc := startCoordinator(t, opts)
 			// Worker 0 is a single-slot straggler: its cells wait until
 			// the coordinator has declared a worker dead (10 s at most),
-			// so when the disruption lands it is still mid-cell with a
-			// leased tail behind it, and the sweep cannot finish before
-			// the disruption is detected, however fast cells run.
+			// so when the disruption lands it is still mid-cell, and the
+			// sweep cannot finish before the disruption is detected,
+			// however fast cells run.
 			tc.addWorker("w0", serve.Options{
 				Workers: 1,
 				BeforeCell: func() {
@@ -162,10 +162,10 @@ func TestClusterChaos(t *testing.T) {
 				t.Errorf("%s recorded no worker death", sc.name)
 			}
 
-			live := tc.coord.liveWorkerIDs(time.Now())
+			live := tc.coord.liveWorkers()
 			hasW0 := false
-			for _, id := range live {
-				hasW0 = hasW0 || id == "w0"
+			for _, w := range live {
+				hasW0 = hasW0 || w.id == "w0"
 			}
 			if sc.revives && !hasW0 {
 				t.Errorf("restarted worker w0 not live again (live: %v)", live)

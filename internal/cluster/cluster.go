@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -19,36 +21,24 @@ import (
 // Options configures a Coordinator.
 type Options struct {
 	// HeartbeatTimeout declares a worker dead after this much heartbeat
-	// silence (default 2s). Dead workers' in-flight cells are requeued.
+	// silence (default 2s). Death cancels the worker's in-flight calls,
+	// and their cells go to other workers.
 	HeartbeatTimeout time.Duration
-	// PollInterval paces the per-job scheduling loop: lease harvesting,
-	// granting, death sweeps and steals (default 10ms).
-	PollInterval time.Duration
-	// LeaseChunk bounds the cells granted per lease (default 16). Smaller
-	// chunks give stealing finer granularity; larger ones amortize
-	// round-trips.
-	LeaseChunk int
 	// Log receives operational messages; nil discards them.
 	Log *slog.Logger
 	// Store, when non-nil, is the coordinator's durable tier and its
-	// crash recovery: every harvested cell result is persisted keyed by
+	// crash recovery: every recorded cell result is persisted keyed by
 	// its shard address, and every accepted sweep leaves a job record.
 	// A restarted coordinator answers "retriable" for each recorded
 	// sweep, and a resubmitted sweep restores stored cells without
-	// leasing them out — the cluster warm-starts from disk. The caller
-	// owns the store's lifecycle (Close after Drain).
+	// sending them to a worker — the cluster warm-starts from disk. The
+	// caller owns the store's lifecycle (Close after Drain).
 	Store *store.Store
 }
 
 func (o Options) withDefaults() Options {
 	if o.HeartbeatTimeout <= 0 {
 		o.HeartbeatTimeout = 2 * time.Second
-	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = 10 * time.Millisecond
-	}
-	if o.LeaseChunk <= 0 {
-		o.LeaseChunk = 16
 	}
 	if o.Log == nil {
 		o.Log = obs.NewLogger(io.Discard, false)
@@ -61,25 +51,49 @@ type worker struct {
 	id      string
 	metrics workerMetrics
 
-	mu       sync.Mutex
-	url      string
-	cl       *client.Client
+	mu  sync.Mutex
+	url string
+	cl  *client.Client
+	// slots is the worker's pool size, from its registration: the most
+	// sweep cells the coordinator keeps in flight on it. inflight counts
+	// them.
+	slots    int
+	inflight int
 	lastBeat time.Time
-	dead     bool
+	// silence fires HeartbeatTimeout after the last sign of life and
+	// declares the worker dead unless it has heartbeat since.
+	silence *time.Timer
+	dead    bool
+	// ctx bounds every call to the worker's current incarnation; death,
+	// a new address and drain cancel it.
+	ctx    context.Context
+	cancel context.CancelFunc
 }
 
-// alive reports whether the worker is routable: not transport-dead and
-// heartbeating within the timeout.
-func (w *worker) alive(now time.Time, timeout time.Duration) bool {
+// alive reports whether the worker is routable.
+func (w *worker) alive() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return !w.dead && now.Sub(w.lastBeat) <= timeout
+	return !w.dead
 }
 
-func (w *worker) client() *client.Client {
+// client returns the worker's client and the context calls to it run
+// under.
+func (w *worker) client() (*client.Client, context.Context) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.cl
+	return w.cl, w.ctx
+}
+
+// take claims one of the worker's slots, if it is alive and has one free.
+func (w *worker) take() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.dead || w.inflight >= w.slots {
+		return false
+	}
+	w.inflight++
+	return true
 }
 
 // Coordinator shards sweeps across registered mtserve workers. Create
@@ -91,11 +105,18 @@ type Coordinator struct {
 	spans   *obs.SpanStore
 	bus     *obs.Bus
 
+	// ctx is the parent of every worker's call context; Drain cancels it.
+	ctx    context.Context
+	cancel context.CancelFunc
+
 	mu       sync.Mutex
 	workers  map[string]*worker
 	jobs     map[string]*cjob
 	order    []string // job insertion order, for eviction
 	draining bool
+	// wake is closed, and replaced, whenever a sweep waiting for a free
+	// slot may proceed (notify).
+	wake chan struct{}
 
 	wg sync.WaitGroup
 }
@@ -104,14 +125,18 @@ type Coordinator struct {
 func New(opts Options) *Coordinator {
 	opts = opts.withDefaults()
 	metrics := newCoordMetrics()
+	ctx, cancel := context.WithCancel(context.Background())
 	return &Coordinator{
 		opts:    opts,
 		metrics: metrics,
 		durable: serve.NewDurable(metrics.set, "coordinator", opts.Store),
 		spans:   obs.NewSpanStore(obs.DefaultSpanCapacity),
 		bus:     obs.NewBus(metrics.streamDropped),
+		ctx:     ctx,
+		cancel:  cancel,
 		workers: make(map[string]*worker),
 		jobs:    make(map[string]*cjob),
+		wake:    make(chan struct{}),
 	}
 }
 
@@ -125,46 +150,108 @@ func (c *Coordinator) Draining() bool {
 	return c.draining
 }
 
-// Drain refuses new work, hands in-flight jobs back as retriable (their
-// content-addressed IDs make resubmission to a restarted coordinator
-// idempotent) and waits for the schedulers to exit.
+// Drain refuses new work, cancels every call in flight, hands in-flight
+// jobs back as retriable (their content-addressed IDs make resubmission
+// to a restarted coordinator idempotent) and waits for the schedulers
+// to exit.
 func (c *Coordinator) Drain() {
 	c.mu.Lock()
 	c.draining = true
 	c.mu.Unlock()
+	c.cancel()
+	c.notify()
 	c.wg.Wait()
 }
 
-// register adds or refreshes a worker. Re-registration with a new URL
-// replaces the client (a restarted worker on a new port); either way the
-// worker is revived and its heartbeat clock reset.
-func (c *Coordinator) register(id, url string, now time.Time) (int, error) {
+// notify wakes every sweep waiting for a free slot: a slot freed, a cell
+// went back to pending or was recorded, a worker joined or revived, or
+// drain began.
+func (c *Coordinator) notify() {
+	c.mu.Lock()
+	close(c.wake)
+	c.wake = make(chan struct{})
+	c.mu.Unlock()
+}
+
+// woken returns the channel the next notify closes.
+func (c *Coordinator) woken() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.wake
+}
+
+// errSilent is the recorded cause of a heartbeat-timeout death.
+var errSilent = errors.New("heartbeat timeout")
+
+// register adds or refreshes a worker with its pool size. Registration
+// with a new URL starts a new incarnation (a restarted worker on a new
+// port): calls to the old address are canceled. Either way the worker
+// is revived and its heartbeat clock reset. A full registry forgets its
+// dead workers that have nothing in flight before it refuses anyone.
+func (c *Coordinator) register(id, url string, slots int, now time.Time) (int, error) {
 	c.mu.Lock()
 	w, ok := c.workers[id]
 	if !ok {
+		if len(c.workers) >= MaxWorkers {
+			c.forgetDeadLocked()
+		}
 		if len(c.workers) >= MaxWorkers {
 			c.mu.Unlock()
 			return 0, &serve.Error{Status: http.StatusTooManyRequests, Message: fmt.Sprintf("cluster is full (%d workers)", MaxWorkers)}
 		}
 		w = &worker{id: id, metrics: c.metrics.forWorker(id)}
+		w.silence = time.AfterFunc(c.opts.HeartbeatTimeout, func() { c.checkSilence(w) })
 		c.workers[id] = w
 	}
 	c.mu.Unlock()
 
 	w.mu.Lock()
-	if w.cl == nil || w.url != url {
-		w.url = url
-		w.cl = client.New(url)
+	renew := w.url != url
+	if renew {
+		w.url, w.cl = url, client.New(url)
 	}
-	w.lastBeat = now
-	w.dead = false
+	w.slots = slots
+	c.beatLocked(w, now, renew)
 	w.mu.Unlock()
 
 	c.metrics.workersTotal.Inc()
-	live := c.liveWorkerIDs(now)
-	c.metrics.workersLive.Set(int64(len(live)))
-	c.opts.Log.Info("worker registered", "worker", id, "url", url, "live", len(live))
-	return len(live), nil
+	live := len(c.liveWorkers())
+	c.metrics.workersLive.Set(int64(live))
+	c.opts.Log.Info("worker registered", "worker", id, "url", url, "slots", slots, "live", live)
+	c.notify()
+	return live, nil
+}
+
+// forgetDeadLocked drops every dead worker with nothing in flight, and
+// its per-worker /metrics series, so dead IDs cannot fill the registry
+// (caller holds c.mu). A forgotten worker that heartbeats again gets a
+// 404 and re-registers.
+func (c *Coordinator) forgetDeadLocked() {
+	for id, w := range c.workers {
+		w.mu.Lock()
+		idle := w.dead && w.inflight == 0
+		w.mu.Unlock()
+		if idle {
+			w.silence.Stop()
+			w.metrics.drop(c.metrics.set)
+			delete(c.workers, id)
+		}
+	}
+}
+
+// beatLocked records a sign of life: the heartbeat clock and the silence
+// timer restart, and a dead worker, or a new incarnation (renew), gets a
+// fresh call context (caller holds w.mu).
+func (c *Coordinator) beatLocked(w *worker, now time.Time, renew bool) {
+	w.lastBeat = now
+	w.silence.Reset(c.opts.HeartbeatTimeout)
+	if w.dead || renew {
+		if w.cancel != nil {
+			w.cancel()
+		}
+		w.dead = false
+		w.ctx, w.cancel = context.WithCancel(c.ctx)
+	}
 }
 
 // heartbeat refreshes a worker's liveness; unknown workers error so the
@@ -177,55 +264,70 @@ func (c *Coordinator) heartbeat(id string, now time.Time) error {
 		return &serve.Error{Status: http.StatusNotFound, Message: "unknown worker " + id}
 	}
 	w.mu.Lock()
-	w.lastBeat = now
-	w.dead = false
+	revived := w.dead
+	c.beatLocked(w, now, false)
 	w.mu.Unlock()
 	c.metrics.heartbeats.Inc()
-	c.metrics.workersLive.Set(int64(len(c.liveWorkerIDs(now))))
+	if revived {
+		c.metrics.workersLive.Set(int64(len(c.liveWorkers())))
+		c.notify()
+	}
 	return nil
 }
 
-// markDead declares a worker unroutable after a transport failure (the
-// heartbeat-timeout path flows through alive() instead). A later
-// heartbeat or re-registration revives it.
+// checkSilence runs when w's silence timer fires: w is declared dead
+// unless a heartbeat raced the timer.
+func (c *Coordinator) checkSilence(w *worker) {
+	w.mu.Lock()
+	silent := time.Since(w.lastBeat) >= c.opts.HeartbeatTimeout
+	w.mu.Unlock()
+	if silent {
+		c.markDead(w, errSilent)
+	}
+}
+
+// markDead declares a worker unroutable, after a transport failure or
+// heartbeat silence, and cancels its in-flight calls: their cells go
+// back to pending. A later heartbeat or re-registration revives it.
 func (c *Coordinator) markDead(w *worker, cause error) {
 	w.mu.Lock()
 	was := w.dead
 	w.dead = true
+	w.cancel()
 	w.mu.Unlock()
 	if !was {
 		c.metrics.workerDeaths.Inc()
-		c.metrics.workersLive.Set(int64(len(c.liveWorkerIDs(time.Now()))))
+		c.metrics.workersLive.Set(int64(len(c.liveWorkers())))
 		c.opts.Log.Warn("worker declared dead", "worker", w.id, "cause", fmt.Sprint(cause))
 	}
 }
 
-// liveWorkerIDs snapshots the currently routable workers, sorted (the
-// deterministic membership view every scheduling decision uses).
-func (c *Coordinator) liveWorkerIDs(now time.Time) []string {
+// liveWorkers snapshots the currently routable workers, sorted by ID
+// (the deterministic membership view).
+func (c *Coordinator) liveWorkers() []*worker {
 	c.mu.Lock()
-	ids := make([]string, 0, len(c.workers))
-	for id, w := range c.workers {
-		if w.alive(now, c.opts.HeartbeatTimeout) {
-			ids = append(ids, id)
+	ws := make([]*worker, 0, len(c.workers))
+	for _, w := range c.workers {
+		if w.alive() {
+			ws = append(ws, w)
 		}
 	}
 	c.mu.Unlock()
-	sort.Strings(ids)
-	return ids
+	sort.Slice(ws, func(i, k int) bool { return ws[i].id < ws[k].id })
+	return ws
 }
 
-// workerByID returns a registered worker.
-func (c *Coordinator) workerByID(id string) *worker {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.workers[id]
+// candidates returns the live workers in key's rendezvous order.
+func (c *Coordinator) candidates(key rescache.Key) []*worker {
+	ws := c.liveWorkers()
+	rendezvousOrder(key, ws)
+	return ws
 }
 
 // Cluster-side cell lifecycle.
 const (
-	cPending uint8 = iota // waiting for a lease
-	cLeased               // granted to a worker, result outstanding
+	cPending uint8 = iota // waiting for a free slot
+	cRunning              // sent to a worker, reply outstanding
 	cDone
 	cFailed
 )
@@ -253,7 +355,6 @@ type cjob struct {
 	mu        sync.Mutex
 	status    string
 	states    []uint8
-	leaseOf   []string // current owning lease ID per cell ("" when pending)
 	results   []serve.CellResult
 	completed int
 	failed    int
@@ -313,7 +414,7 @@ func (j *cjob) resultOf(ci int) serve.CellResult {
 	return j.results[ci]
 }
 
-// pendingIndices returns the cells waiting for a lease.
+// pendingIndices returns the cells waiting for a free slot.
 func (j *cjob) pendingIndices() []int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -342,7 +443,7 @@ func (c *Coordinator) SubmitSweep(req *serve.SweepRequest, parent obs.SpanContex
 	if err := c.Refusal(); err != nil {
 		return nil, err
 	}
-	if len(c.liveWorkerIDs(time.Now())) == 0 {
+	if len(c.liveWorkers()) == 0 {
 		return nil, errNoWorkers
 	}
 	params := serve.ResolveParams(req.Params)
@@ -374,13 +475,12 @@ func (c *Coordinator) SubmitSweep(req *serve.SweepRequest, parent obs.SpanContex
 		}
 	}
 	j.states = make([]uint8, len(j.cells))
-	j.leaseOf = make([]string, len(j.cells))
 	j.results = make([]serve.CellResult, len(j.cells))
 	for i, cell := range j.cells {
 		j.results[i] = serve.CellResult{App: cell.app, Algorithm: cell.alg, Procs: cell.procs}
 	}
-	// Root span for the whole distributed sweep; every lease grant,
-	// steal, requeue and worker-side span hangs under it.
+	// Root span for the whole distributed sweep; every dispatched cell,
+	// requeue and worker-side span hangs under it.
 	j.span = c.spans.Start(parent, coordService, "sweep")
 	j.trace = j.span.Context()
 	c.jobs[id] = j

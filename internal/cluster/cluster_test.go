@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -67,11 +68,7 @@ type testCluster struct {
 
 // testCoordOptions are fast-paced defaults for tests.
 func testCoordOptions() Options {
-	return Options{
-		HeartbeatTimeout: 300 * time.Millisecond,
-		PollInterval:     2 * time.Millisecond,
-		LeaseChunk:       4,
-	}
+	return Options{HeartbeatTimeout: 300 * time.Millisecond}
 }
 
 func startCoordinator(t *testing.T, opts Options) *testCluster {
@@ -102,7 +99,7 @@ func (tc *testCluster) addWorker(id string, wopts serve.Options) *testWorker {
 		id:  id,
 		srv: srv,
 		ts:  ts,
-		agent: StartAgent(tc.ts.URL, id, ts.URL,
+		agent: StartAgent(tc.ts.URL, id, ts.URL, srv.Health().Workers,
 			50*time.Millisecond, nil),
 	}
 	tc.workers = append(tc.workers, w)
@@ -114,7 +111,7 @@ func (tc *testCluster) waitLive(n int) {
 	tc.t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if len(tc.coord.liveWorkerIDs(time.Now())) >= n {
+		if len(tc.coord.liveWorkers()) >= n {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -244,7 +241,7 @@ func TestClusterSweepMatchesLocal(t *testing.T) {
 	})
 }
 
-// TestClusterSweepOnline: ONLINE/… cells lease out like static ones. The
+// TestClusterSweepOnline: ONLINE/… cells dispatch like static ones. The
 // sweep ends done, deep-equals the same sweep on a single mtserve, and
 // declares no worker dead.
 func TestClusterSweepOnline(t *testing.T) {
@@ -286,39 +283,57 @@ func TestClusterSweepOnline(t *testing.T) {
 	}
 }
 
-// TestClusterLeaseRefusalFailsCells: a worker that answers a lease grant
-// with a non-retriable 400 is alive (it answered). The coordinator fails
-// the refused cells with the worker's message, so the sweep ends failed,
-// and never declares the worker dead.
-func TestClusterLeaseRefusalFailsCells(t *testing.T) {
-	const refusal = "lease refused by this worker"
-	tc := startCoordinator(t, testCoordOptions())
-	srv := serve.NewServer(serve.Options{Workers: 1})
-	h := srv.Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && r.URL.Path == "/internal/v1/lease" {
-			serve.WriteError(w, &serve.Error{Status: http.StatusBadRequest, Message: refusal})
-			return
-		}
-		h.ServeHTTP(w, r)
-	}))
-	tc.workers = append(tc.workers, &testWorker{id: "w0", srv: srv, ts: ts,
-		agent: StartAgent(tc.ts.URL, "w0", ts.URL, 50*time.Millisecond, nil)})
-	tc.waitLive(1)
+// TestClusterWorkerRefusalFailsCells: a worker's answer to a cell is
+// mapped by its status. A non-retriable one (400, 422, or a 504
+// step-budget abort) comes from a live worker — it answered — so the
+// coordinator fails the cell with the worker's message, the sweep ends
+// failed, and no worker is declared dead. A 429 or 503 sends the cell to
+// the next candidate, so a second, healthy worker finishes the sweep
+// byte-identical, and again no worker dies.
+func TestClusterWorkerRefusalFailsCells(t *testing.T) {
+	const refusal = "cell refused by this worker"
+	want, cells := groundTruth(t)
+	for _, status := range []int{http.StatusBadRequest, http.StatusUnprocessableEntity, http.StatusGatewayTimeout,
+		http.StatusTooManyRequests, http.StatusServiceUnavailable} {
+		t.Run(strconv.Itoa(status), func(t *testing.T) {
+			tc := startCoordinator(t, testCoordOptions())
+			srv := serve.NewServer(serve.Options{Workers: 1})
+			h := srv.Handler()
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodPost && r.URL.Path == "/v1/simulate" {
+					serve.WriteError(w, &serve.Error{Status: status, Message: refusal, Retriable: status >= 500 || status == 429})
+					return
+				}
+				h.ServeHTTP(w, r)
+			}))
+			tc.workers = append(tc.workers, &testWorker{id: "refuser", srv: srv, ts: ts,
+				agent: StartAgent(tc.ts.URL, "refuser", ts.URL, 1, 50*time.Millisecond, nil)})
+			retriable := status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable
+			if retriable {
+				tc.addWorker("healthy", serve.Options{Workers: 1})
+			}
+			tc.waitLive(len(tc.workers))
 
-	apps, algs, procs := testDims()
-	st := sweepTo(t, tc.client(), &serve.SweepRequest{
-		Params: &serve.Params{Scale: testScale, Seed: testSeed},
-		Apps:   apps, Algorithms: algs, Procs: procs,
-	})
-	if st.Status != serve.StatusFailed || !strings.Contains(st.Error, refusal) {
-		t.Fatalf("sweep ended %s (%q), want failed with the worker's message %q", st.Status, st.Error, refusal)
-	}
-	if deaths := tc.coord.Metrics().Snapshot()["coordinator_worker_deaths_total"]; deaths != 0 {
-		t.Errorf("refusing worker declared dead %d times", deaths)
-	}
-	if live := tc.coord.liveWorkerIDs(time.Now()); len(live) != 1 {
-		t.Errorf("live workers %v after the refusals, want [w0]", live)
+			apps, algs, procs := testDims()
+			st := sweepTo(t, tc.client(), &serve.SweepRequest{
+				Params: &serve.Params{Scale: testScale, Seed: testSeed},
+				Apps:   apps, Algorithms: algs, Procs: procs,
+			})
+			if retriable {
+				if st.Status != serve.StatusDone {
+					t.Fatalf("sweep ended %s (%q), want done on the healthy worker", st.Status, st.Error)
+				}
+				assertResults(t, st, cells, want)
+			} else if st.Status != serve.StatusFailed || !strings.Contains(st.Error, refusal) {
+				t.Fatalf("sweep ended %s (%q), want failed with the worker's message %q", st.Status, st.Error, refusal)
+			}
+			if deaths := tc.coord.Metrics().Snapshot()["coordinator_worker_deaths_total"]; deaths != 0 {
+				t.Errorf("a worker was declared dead %d times", deaths)
+			}
+			if live := tc.coord.liveWorkers(); len(live) != len(tc.workers) {
+				t.Errorf("%d live workers after the refusals, want %d", len(live), len(tc.workers))
+			}
+		})
 	}
 }
 
@@ -496,11 +511,12 @@ func TestClusterRefusesWithoutWorkers(t *testing.T) {
 	}
 }
 
-// TestWorkStealingDrainsStraggler: with one worker slowed to a crawl,
-// idle workers steal its tail; the sweep still finishes byte-identical
-// and the steal counters move. The 24-cell cluster mix guarantees the
-// straggler's rendezvous share exceeds the steal threshold.
-func TestWorkStealingDrainsStraggler(t *testing.T) {
+// TestClusterNoCellWaitsInQueue: the coordinator never queues a cell
+// behind a busy worker. Four single-slot workers, one a straggler, run
+// the cluster mix; every cell, when it starts, must find its worker's
+// queue empty — a cell waiting there could be running on an idle worker
+// instead — and the sweep must still finish byte-identical.
+func TestClusterNoCellWaitsInQueue(t *testing.T) {
 	apps, algs, procs := loadgen.ClusterDims()
 	cells := loadgen.ClusterMix()
 	want, err := loadgen.GroundTruth(testScale, testSeed, cells)
@@ -509,34 +525,31 @@ func TestWorkStealingDrainsStraggler(t *testing.T) {
 	}
 
 	tc := startCoordinator(t, testCoordOptions())
-	tc.addWorker("slow", serve.Options{
-		Workers:    1,
-		BeforeCell: func() { time.Sleep(150 * time.Millisecond) },
-	})
-	tc.addWorker("fast0", serve.Options{Workers: 2})
-	tc.addWorker("fast1", serve.Options{Workers: 2})
-	tc.waitLive(3)
+	var queued atomic.Int32
+	for i, id := range []string{"slow", "w1", "w2", "w3"} {
+		var self atomic.Pointer[serve.Server]
+		w := tc.addWorker(id, serve.Options{Workers: 1, BeforeCell: func() {
+			if self.Load().Health().QueueDepth != 0 {
+				queued.Add(1)
+			}
+			if i == 0 {
+				time.Sleep(100 * time.Millisecond)
+			}
+		}})
+		self.Store(w.srv)
+	}
+	tc.waitLive(4)
 
-	cl := tc.client()
 	params := serve.Params{Scale: testScale, Seed: testSeed}
-	acc, err := cl.Sweep(&serve.SweepRequest{
+	st := sweepTo(t, tc.client(), &serve.SweepRequest{
 		Params: &params, Apps: apps, Algorithms: algs, Procs: procs,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := cl.WaitJob(acc.Job, 5*time.Millisecond, 60*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if st.Status != serve.StatusDone {
 		t.Fatalf("sweep ended %s: %s", st.Status, st.Error)
 	}
 	assertResults(t, st, cells, want)
-
-	snap := tc.coord.Metrics().Snapshot()
-	if snap["coordinator_steals_total"] == 0 {
-		t.Error("no cells were stolen from the straggler")
+	if n := queued.Load(); n > 0 {
+		t.Errorf("%d cells started with another cell waiting in their worker's queue", n)
 	}
 }
 
@@ -615,9 +628,9 @@ func TestClusterHealthAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, series := range []string{
-		"coordinator_workers_live", "coordinator_leases_granted_total",
+		"coordinator_workers_live", "coordinator_requeues_total",
 		"coordinator_cells_completed_total", "coordinator_worker_pending_cells_w0",
-		"coordinator_worker_steals_total_w1",
+		"coordinator_worker_requeues_total_w1",
 	} {
 		if !strings.Contains(metrics, series) {
 			t.Errorf("/metrics missing series %s", series)
@@ -638,14 +651,16 @@ func TestRegisterValidation(t *testing.T) {
 		{"empty url", RegisterRequest{Worker: "w"}},
 		{"relative url", RegisterRequest{Worker: "w", URL: "/no-host"}},
 		{"bad scheme", RegisterRequest{Worker: "w", URL: "ftp://x"}},
-		{"long url", RegisterRequest{Worker: "w", URL: "http://" + strings.Repeat("h", MaxWorkerURL)}},
+		{"long url", RegisterRequest{Worker: "w", URL: "http://" + strings.Repeat("h", MaxWorkerURL), Slots: 1}},
+		{"no slots", RegisterRequest{Worker: "w", URL: "http://x"}},
+		{"too many slots", RegisterRequest{Worker: "w", URL: "http://x", Slots: MaxWorkerSlots + 1}},
 	}
 	for _, c := range cases {
 		if err := c.req.Validate(); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
-	if err := (&RegisterRequest{Worker: "w-1.a_B", URL: "http://127.0.0.1:1"}).Validate(); err != nil {
+	if err := (&RegisterRequest{Worker: "w-1.a_B", URL: "http://127.0.0.1:1", Slots: MaxWorkerSlots}).Validate(); err != nil {
 		t.Errorf("valid registration rejected: %v", err)
 	}
 }
@@ -696,16 +711,16 @@ retry:
 }
 
 // TestCoordinatorStoreRecovery: a coordinator killed mid-sweep leaves
-// its job record and every harvested cell on disk. A coordinator
+// its job record and every recorded cell on disk. A coordinator
 // started on that directory answers retriable for the sweep; the
-// resubmission restores the harvested cells, leases out only the rest,
-// and completes byte-identical.
+// resubmission restores the recorded cells, sends only the rest to a
+// worker, and completes byte-identical.
 func TestCoordinatorStoreRecovery(t *testing.T) {
 	want, cells := groundTruth(t)
 	dir := t.TempDir()
 
 	// First incarnation: a slow worker, so the sweep is still running
-	// when the first cells are harvested.
+	// when the first cells are recorded.
 	opts := testCoordOptions()
 	st1 := openTestStore(t, dir)
 	opts.Store = st1
@@ -722,7 +737,7 @@ func TestCoordinatorStoreRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait for a harvested cell on disk next to the job record.
+	// Wait for a recorded cell on disk next to the job record.
 	deadline := time.Now().Add(20 * time.Second)
 	for {
 		st, ok := tc.coord.Job(acc.Job)
@@ -754,8 +769,8 @@ func TestCoordinatorStoreRecovery(t *testing.T) {
 
 	// The client-side recovery: poll sees retriable, resubmits the
 	// identical sweep, and the rerun completes byte-identical.
-	var leased atomic.Int64
-	tc2.addWorker("w0", serve.Options{Workers: 2, BeforeCell: func() { leased.Add(1) }})
+	var ran atomic.Int64
+	tc2.addWorker("w0", serve.Options{Workers: 2, BeforeCell: func() { ran.Add(1) }})
 	tc2.waitLive(1)
 	st2 := runSweep(t, tc2.client())
 	if st2.Job != acc.Job {
@@ -764,17 +779,17 @@ func TestCoordinatorStoreRecovery(t *testing.T) {
 	assertResults(t, st2, cells, want)
 	fromStore := tc2.coord.metrics.cellsFromStore.Value()
 	if fromStore < 1 {
-		t.Error("no harvested cell survived the crash")
+		t.Error("no recorded cell survived the crash")
 	}
-	if got := leased.Load() + fromStore; got != int64(len(cells)) {
-		t.Errorf("leased %d + cells_from_store %d = %d, want the sweep's %d cells",
-			leased.Load(), fromStore, got, len(cells))
+	if got := ran.Load() + fromStore; got != int64(len(cells)) {
+		t.Errorf("ran %d + cells_from_store %d = %d, want the sweep's %d cells",
+			ran.Load(), fromStore, got, len(cells))
 	}
 }
 
 // TestCoordinatorDoneSweepOnDisk: every cell of a sweep a client has
 // seen as done is on disk at that moment. A crash image taken right
-// then restores the whole resubmitted sweep with zero leases.
+// then restores the whole resubmitted sweep without running a cell.
 func TestCoordinatorDoneSweepOnDisk(t *testing.T) {
 	want, cells := groundTruth(t)
 	dir := t.TempDir()
@@ -793,19 +808,20 @@ func TestCoordinatorDoneSweepOnDisk(t *testing.T) {
 	if st, ok := tc2.coord.Job(first.Job); !ok || st.Status != serve.StatusRetriable {
 		t.Fatalf("finished sweep after restart: %+v (known %v), want retriable", st, ok)
 	}
-	tc2.addWorker("w0", serve.Options{Workers: 2})
+	var ran atomic.Int64
+	tc2.addWorker("w0", serve.Options{Workers: 2, BeforeCell: func() { ran.Add(1) }})
 	tc2.waitLive(1)
 	second := runSweep(t, tc2.client())
 	assertResults(t, second, cells, want)
 	if got := tc2.coord.metrics.cellsFromStore.Value(); got != int64(len(cells)) {
 		t.Errorf("cells_from_store = %d, want %d", got, len(cells))
 	}
-	if got := tc2.coord.metrics.leasesGranted.Value(); got != 0 {
-		t.Errorf("restored sweep granted %d leases, want 0", got)
+	if got := ran.Load(); got != 0 {
+		t.Errorf("restored sweep ran %d cells on the worker, want 0", got)
 	}
 }
 
-// TestStoreDivergenceDetected: a harvested cell whose result key
+// TestStoreDivergenceDetected: a recorded cell whose result key
 // disagrees with the result stored under its shard address fails the
 // job with a divergence error and leaves the stored record as it was; a
 // matching key passes.
@@ -819,7 +835,7 @@ func TestStoreDivergenceDetected(t *testing.T) {
 	}
 	st := openTestStore(t, t.TempDir())
 	coord := New(Options{Store: st})
-	harvested := func(resultKey string) *cjob {
+	recorded := func(resultKey string) *cjob {
 		return &cjob{
 			id:        "sw-x",
 			cells:     []cellIdent{cell},
@@ -831,13 +847,13 @@ func TestStoreDivergenceDetected(t *testing.T) {
 	}
 
 	for _, key := range []string{"key-A", "key-A"} {
-		j := harvested(key)
+		j := recorded(key)
 		coord.persistCell(j, 0)
 		if j.errmsg != "" {
 			t.Fatalf("matching execution rejected: %s", j.errmsg)
 		}
 	}
-	diverged := harvested("key-B")
+	diverged := recorded("key-B")
 	coord.persistCell(diverged, 0)
 	if !strings.Contains(diverged.errmsg, "divergence") {
 		t.Fatalf("diverging re-execution accepted: errmsg %q", diverged.errmsg)
@@ -850,7 +866,75 @@ func TestStoreDivergenceDetected(t *testing.T) {
 	if !ok {
 		t.Fatal("stored record vanished")
 	}
-	if prev, err := decodeStoredCellResult(cell, payload); err != nil || prev.Key != "key-A" {
+	if prev, err := decodeStoredCell(cell, payload); err != nil || prev.Key != "key-A" {
 		t.Errorf("stored record now %q (%v), want the first execution's key-A", prev.Key, err)
+	}
+}
+
+// TestAgentStopsWhenCoordinatorHangs: a coordinator that accepts the
+// connection but never answers must not hold up a worker's shutdown —
+// Stop cancels the agent's request in flight.
+func TestAgentStopsWhenCoordinatorHangs(t *testing.T) {
+	release := make(chan struct{})
+	arrived := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer ts.Close()
+	defer close(release)
+
+	agent := StartAgent(ts.URL, "w0", "http://127.0.0.1:1", 1, 10*time.Millisecond, nil)
+	<-arrived
+	stopped := make(chan struct{})
+	go func() {
+		agent.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Agent.Stop still blocked 5s after the coordinator stopped answering")
+	}
+}
+
+// TestDeadWorkersDoNotFillCluster: a full registry of dead workers with
+// nothing in flight must not lock a new worker out; the coordinator
+// forgets the dead ones, and their per-worker /metrics series with
+// them. Only MaxWorkers live workers fill the cluster.
+func TestDeadWorkersDoNotFillCluster(t *testing.T) {
+	coord := New(Options{HeartbeatTimeout: time.Hour})
+	defer coord.Drain()
+	now := time.Now()
+	for i := 0; i < MaxWorkers; i++ {
+		if _, err := coord.register(fmt.Sprintf("old%d", i), "http://127.0.0.1:1", 1, now); err != nil {
+			t.Fatalf("registration %d: %v", i, err)
+		}
+	}
+	if _, err := coord.register("one-too-many", "http://127.0.0.1:1", 1, now); err == nil {
+		t.Fatal("registration beyond MaxWorkers live workers accepted")
+	}
+	for _, w := range coord.liveWorkers() {
+		coord.markDead(w, errors.New("gone"))
+	}
+	live, err := coord.register("fresh", "http://127.0.0.1:2", 1, now)
+	if err != nil {
+		t.Fatalf("fresh worker refused by a registry of dead workers: %v", err)
+	}
+	if live != 1 {
+		t.Errorf("%d live workers after the fresh registration, want 1", live)
+	}
+	snap := coord.Metrics().Snapshot()
+	if _, ok := snap["coordinator_worker_pending_cells_old0"]; ok {
+		t.Error("forgotten worker's series still exported")
+	}
+	if _, ok := snap["coordinator_worker_pending_cells_fresh"]; !ok {
+		t.Error("fresh worker has no per-worker series")
 	}
 }

@@ -8,11 +8,12 @@ package cluster
 //     after a drain or a kill -9 — answers "retriable" for it, so a
 //     polling client resubmits the identical content-addressed sweep,
 //     the same recovery path a graceful drain uses.
-//   - Harvested cell results persist keyed by their shard address. Each
+//   - Recorded cell results persist keyed by their shard address, in
+//     serve's stored-cell envelope with the CellResult as payload. Each
 //     is in its segment file when the store's Put returns, and the store
-//     is fsynced after every harvest pass that recorded one, so every
-//     cell of a job a client sees as done is on disk. A resubmitted
-//     sweep restores those cells before any lease goes out.
+//     is fsynced before a job shows done, so every cell of a job a
+//     client sees as done is on disk. A resubmitted sweep restores those
+//     cells before any goes to a worker.
 //   - A stored cell is the divergence tripwire: a re-execution whose
 //     result key disagrees with the stored record fails the job loudly.
 
@@ -85,21 +86,7 @@ func (c *Coordinator) flushStore() {
 	}
 }
 
-// storedCellResultVersion versions the coordinator's store envelope. A
-// version mismatch is a miss (re-execute), never an error.
-const storedCellResultVersion = 1
-
-// storedCellResult is the JSON envelope of one harvested cell in the
-// durable store, keyed by the cell's shard address. Key repeats the
-// address inside the payload so a record can never be restored under
-// the wrong cell identity.
-type storedCellResult struct {
-	V    int              `json:"v"`
-	Key  string           `json:"key"`
-	Cell serve.CellResult `json:"cell"`
-}
-
-// persistCell writes one harvested result after the job's accounting,
+// persistCell writes one recorded result after the job's accounting,
 // and is the divergence tripwire: when the cell's shard address already
 // holds a result with a different result key, two executions of the
 // cell disagreed — the one corruption class resubmission cannot absorb
@@ -115,7 +102,7 @@ func (c *Coordinator) persistCell(j *cjob, ci int) {
 	cell := j.cells[ci]
 	if payload, ok := st.Get(store.Key(cell.shard)); ok {
 		// The store never overwrites a record; only check it.
-		if prev, err := decodeStoredCellResult(cell, payload); err == nil && prev.Key != cr.Key {
+		if prev, err := decodeStoredCell(cell, payload); err == nil && prev.Key != cr.Key {
 			err := fmt.Errorf("divergence: cell %s/%s/p%d re-executed to key %s, store holds %s",
 				cell.app, cell.alg, cell.procs, cr.Key, prev.Key)
 			j.mu.Lock()
@@ -127,9 +114,7 @@ func (c *Coordinator) persistCell(j *cjob, ci int) {
 		}
 		return
 	}
-	payload, err := json.Marshal(storedCellResult{
-		V: storedCellResultVersion, Key: cell.shard.String(), Cell: cr,
-	})
+	payload, err := serve.EncodeStoredCell(cell.shard.String(), cr)
 	if err != nil {
 		return
 	}
@@ -138,22 +123,16 @@ func (c *Coordinator) persistCell(j *cjob, ci int) {
 	}
 }
 
-// decodeStoredCellResult unwraps a store payload for cell, verifying
-// version, address identity and cell coordinates. Any mismatch means
-// the record is unusable for this cell — a miss, not corruption (the
-// store's CRC layer already quarantined anything physically damaged).
-func decodeStoredCellResult(cell cellIdent, payload []byte) (serve.CellResult, error) {
-	var sc storedCellResult
-	if err := json.Unmarshal(payload, &sc); err != nil {
+// decodeStoredCell unwraps a store payload for cell through serve's
+// envelope (version and address identity) and checks the cell
+// coordinates. Any mismatch means the record is unusable for this cell —
+// a miss, not corruption (the store's CRC layer already quarantined
+// anything physically damaged).
+func decodeStoredCell(cell cellIdent, payload []byte) (serve.CellResult, error) {
+	var cr serve.CellResult
+	if err := serve.DecodeStoredCell(cell.shard.String(), payload, &cr); err != nil {
 		return serve.CellResult{}, err
 	}
-	if sc.V != storedCellResultVersion {
-		return serve.CellResult{}, fmt.Errorf("stored cell version %d, want %d", sc.V, storedCellResultVersion)
-	}
-	if sc.Key != cell.shard.String() {
-		return serve.CellResult{}, fmt.Errorf("stored cell key %s under address %s", sc.Key, cell.shard.String())
-	}
-	cr := sc.Cell
 	if cr.App != cell.app || cr.Algorithm != cell.alg || cr.Procs != cell.procs {
 		return serve.CellResult{}, fmt.Errorf("stored cell is %s/%s/p%d, want %s/%s/p%d",
 			cr.App, cr.Algorithm, cr.Procs, cell.app, cell.alg, cell.procs)
@@ -165,7 +144,7 @@ func decodeStoredCellResult(cell cellIdent, payload []byte) (serve.CellResult, e
 }
 
 // restoreFromStore completes every cell of a fresh job whose result is
-// already on disk, before any lease goes out. Restored cells follow the
+// already on disk, before any goes to a worker. Restored cells follow the
 // recordDone contract: idempotent accounting and a published cell event
 // (worker "store").
 func (c *Coordinator) restoreFromStore(j *cjob) {
@@ -179,7 +158,7 @@ func (c *Coordinator) restoreFromStore(j *cjob) {
 		if !ok {
 			continue
 		}
-		cr, err := decodeStoredCellResult(cell, payload)
+		cr, err := decodeStoredCell(cell, payload)
 		if err != nil {
 			c.opts.Log.Warn("store record unusable, re-executing",
 				"job", j.id, "cell", ci, "err", err.Error())

@@ -2,15 +2,16 @@ package cluster
 
 import (
 	"encoding/json"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/serve"
 	"repro/internal/store"
 )
 
-// TestClusterStoreRestoresResubmittedSweep: a sweep harvested in one
+// TestClusterStoreRestoresResubmittedSweep: a sweep recorded in one
 // coordinator life is restored entirely from the durable store in the
-// next — no cell leases to a worker, every result byte-identical.
+// next — no cell goes to a worker, every result byte-identical.
 func TestClusterStoreRestoresResubmittedSweep(t *testing.T) {
 	dir := t.TempDir()
 	want, cells := groundTruth(t)
@@ -36,7 +37,7 @@ func TestClusterStoreRestoresResubmittedSweep(t *testing.T) {
 	}
 
 	// Second life: fresh coordinator and a fresh worker whose caches are
-	// cold, same store directory. The worker must never be leased a cell.
+	// cold, same store directory. The worker must never run a cell.
 	st2, err := store.Open(store.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +46,8 @@ func TestClusterStoreRestoresResubmittedSweep(t *testing.T) {
 	opts2 := testCoordOptions()
 	opts2.Store = st2
 	tc2 := startCoordinator(t, opts2)
-	tc2.addWorker("w1", serve.Options{Workers: 2})
+	var ran atomic.Int64
+	tc2.addWorker("w1", serve.Options{Workers: 2, BeforeCell: func() { ran.Add(1) }})
 	tc2.waitLive(1)
 	second := runSweep(t, tc2.client())
 	assertResults(t, second, cells, want)
@@ -58,13 +60,15 @@ func TestClusterStoreRestoresResubmittedSweep(t *testing.T) {
 	if got := tc2.coord.metrics.cellsFromStore.Value(); got != int64(len(cells)) {
 		t.Errorf("cells_from_store = %d, want %d", got, len(cells))
 	}
-	if got := tc2.coord.metrics.leasesGranted.Value(); got != 0 {
-		t.Errorf("second life granted %d leases; want 0 (fully restored)", got)
+	if got := ran.Load(); got != 0 {
+		t.Errorf("second life ran %d cells on the worker; want 0 (fully restored)", got)
 	}
 }
 
-// TestStoredCellResultEnvelope: the coordinator's store envelope rejects
-// version skew, key drift, and identity mismatches as misses.
+// TestStoredCellResultEnvelope: the coordinator's cell records travel in
+// serve's stored-cell envelope, and a record that is skewed in version,
+// filed under another address, of another cell, or malformed reads as a
+// miss.
 func TestStoredCellResultEnvelope(t *testing.T) {
 	want, cells := groundTruth(t)
 	c := cells[0]
@@ -76,11 +80,11 @@ func TestStoredCellResultEnvelope(t *testing.T) {
 		Key: shard.String(), Result: want[c],
 	}
 
-	payload, err := json.Marshal(storedCellResult{V: storedCellResultVersion, Key: shard.String(), Cell: cr})
+	payload, err := serve.EncodeStoredCell(shard.String(), cr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeStoredCellResult(cell, payload)
+	got, err := decodeStoredCell(cell, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,14 +94,23 @@ func TestStoredCellResultEnvelope(t *testing.T) {
 
 	bad := cell
 	bad.procs = c.Procs + 1
-	if _, err := decodeStoredCellResult(bad, payload); err == nil {
+	if _, err := decodeStoredCell(bad, payload); err == nil {
 		t.Fatal("identity mismatch accepted")
 	}
-	skewed, _ := json.Marshal(storedCellResult{V: storedCellResultVersion + 1, Key: shard.String(), Cell: cr})
-	if _, err := decodeStoredCellResult(cell, skewed); err == nil {
+	var env map[string]json.RawMessage
+	if err := json.Unmarshal(payload, &env); err != nil {
+		t.Fatal(err)
+	}
+	env["v"] = json.RawMessage("2")
+	skewed, _ := json.Marshal(env)
+	if _, err := decodeStoredCell(cell, skewed); err == nil {
 		t.Fatal("version skew accepted")
 	}
-	if _, err := decodeStoredCellResult(cell, []byte("{nope")); err == nil {
+	other, _ := serve.EncodeStoredCell(CellShardKey(params, c.App, c.Alg, c.Procs, true).String(), cr)
+	if _, err := decodeStoredCell(cell, other); err == nil {
+		t.Fatal("record filed under another address accepted")
+	}
+	if _, err := decodeStoredCell(cell, []byte("{nope")); err == nil {
 		t.Fatal("malformed payload accepted")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/serve"
+	"repro/internal/serve/rescache"
 )
 
 // TestShardKeyGolden pins the exact SHA-256 shard keys (and the
@@ -91,4 +92,18 @@ func TestRendezvousGolden(t *testing.T) {
 	if pickWorker(key, nil) != "" {
 		t.Error("empty membership must route nowhere")
 	}
+}
+
+// pickWorker is the rendezvous winner among ids: the worker a cell tries
+// first ("" for none).
+func pickWorker(key rescache.Key, ids []string) string {
+	ws := make([]*worker, len(ids))
+	for i, id := range ids {
+		ws[i] = &worker{id: id}
+	}
+	rendezvousOrder(key, ws)
+	if len(ws) == 0 {
+		return ""
+	}
+	return ws[0].id
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -18,11 +17,11 @@ import (
 // (serve.NewHandler) runs over it unchanged, so a client pointed at a
 // coordinator cannot tell the difference except for Role in /healthz.
 // Simulate and advise are proxied to the rendezvous-preferred worker,
-// sweeps are lease-dispatched (sched.go), and the trace endpoint is the
-// cluster-wide merge point: Spans joins the coordinator's own spans with
-// every live worker's, which is how a whole sweep — coordinator
-// scheduling plus each worker's queueing and engine runs — lands on a
-// single Perfetto timeline.
+// sweeps run one proxied simulate per cell (sched.go), and the trace
+// endpoint is the cluster-wide merge point: Spans joins the
+// coordinator's own spans with every live worker's, which is how a whole
+// sweep — coordinator dispatch plus each worker's queueing and engine
+// runs — lands on a single Perfetto timeline.
 
 // coordService is the coordinator's service label in spans.
 const coordService = "mtcoord"
@@ -66,8 +65,8 @@ func (c *Coordinator) Simulate(_ context.Context, req *serve.SimulateRequest, pa
 	}
 	key := CellShardKey(serve.ResolveParams(req.Params), req.App, alg, procs, req.Infinite)
 	var resp *serve.SimulateResponse
-	sc, err := c.proxy(key, parent, "proxy simulate", func(cl *client.Client, trace string) (err error) {
-		resp, err = cl.SimulateTrace(req, trace)
+	sc, err := c.proxy(key, parent, "proxy simulate", func(ctx context.Context, cl *client.Client, trace string) (err error) {
+		resp, err = cl.SimulateTrace(ctx, req, trace)
 		return err
 	})
 	return resp, sc, err
@@ -79,8 +78,8 @@ func (c *Coordinator) Simulate(_ context.Context, req *serve.SimulateRequest, pa
 func (c *Coordinator) Advise(req *serve.AdviseRequest, parent obs.SpanContext) (*serve.AdviseResponse, obs.SpanContext, error) {
 	key := CellShardKey(serve.ResolveParams(req.Params), req.App, "ADVISE", req.Procs, false)
 	var resp *serve.AdviseResponse
-	sc, err := c.proxy(key, parent, "proxy advise", func(cl *client.Client, trace string) (err error) {
-		resp, err = cl.AdviseTrace(req, trace)
+	sc, err := c.proxy(key, parent, "proxy advise", func(ctx context.Context, cl *client.Client, trace string) (err error) {
+		resp, err = cl.AdviseTrace(ctx, req, trace)
 		return err
 	})
 	return resp, sc, err
@@ -90,30 +89,21 @@ func (c *Coordinator) Advise(req *serve.AdviseRequest, parent obs.SpanContext) (
 // order for key, inside a coordinator span (name) that the worker's
 // spans nest under via the forwarded trace header. A worker's answer —
 // a reply or an API error — is final; a transport failure marks the
-// worker dead and fails over to the next candidate.
-func (c *Coordinator) proxy(key rescache.Key, parent obs.SpanContext, name string, call func(cl *client.Client, trace string) error) (obs.SpanContext, error) {
-	live := c.liveWorkerIDs(time.Now())
-	if len(live) == 0 {
+// worker dead and fails over to the next candidate. Each call runs
+// under the worker's context, so the worker's death or drain cancels it.
+func (c *Coordinator) proxy(key rescache.Key, parent obs.SpanContext, name string, call func(ctx context.Context, cl *client.Client, trace string) error) (obs.SpanContext, error) {
+	cands := c.candidates(key)
+	if len(cands) == 0 {
 		return obs.SpanContext{}, errNoWorkers
 	}
-	sort.Slice(live, func(i, k int) bool {
-		si, sk := rendezvousScore(key, live[i]), rendezvousScore(key, live[k])
-		if si != sk {
-			return si > sk
-		}
-		return live[i] < live[k]
-	})
 	span := c.spans.Start(parent, coordService, name)
 	defer span.End()
 	trace := span.Context().HeaderValue()
-	for _, wid := range live {
-		wk := c.workerByID(wid)
-		if wk == nil {
-			continue
-		}
-		err := call(wk.client(), trace)
+	for _, wk := range cands {
+		cl, ctx := wk.client()
+		err := call(ctx, cl, trace)
 		if err == nil {
-			span.SetNote("worker " + wid)
+			span.SetNote("worker " + wk.id)
 			return span.Context(), nil
 		}
 		var ae *client.APIError
@@ -121,7 +111,9 @@ func (c *Coordinator) proxy(key rescache.Key, parent obs.SpanContext, name strin
 			// The worker answered; mirror its verdict to the caller.
 			return span.Context(), &serve.Error{Status: ae.Status, Message: ae.Message, Retriable: ae.Retriable}
 		}
-		c.markDead(wk, err)
+		if ctx.Err() == nil {
+			c.markDead(wk, err)
+		}
 	}
 	return span.Context(), errAllFailed
 }
@@ -157,12 +149,9 @@ func (c *Coordinator) LookupJob(id string) (serve.JobRef, bool) {
 // contract).
 func (c *Coordinator) Spans(traceID string) []obs.Span {
 	spans := c.spans.Trace(traceID)
-	for _, wid := range c.liveWorkerIDs(time.Now()) {
-		wk := c.workerByID(wid)
-		if wk == nil {
-			continue
-		}
-		ws, err := wk.client().Spans(traceID)
+	for _, wk := range c.liveWorkers() {
+		cl, _ := wk.client()
+		ws, err := cl.Spans(traceID)
 		if err != nil {
 			continue
 		}
@@ -179,7 +168,7 @@ func (c *Coordinator) Health() serve.HealthResponse {
 	h := serve.HealthResponse{
 		Status:     "ok",
 		Role:       "coordinator",
-		Workers:    len(c.liveWorkerIDs(time.Now())),
+		Workers:    len(c.liveWorkers()),
 		QueueDepth: int(c.metrics.pendingCells.Value()),
 		Jobs: serve.JobsHealth{
 			Accepted:  c.metrics.jobsAccepted.Value(),
@@ -207,7 +196,7 @@ func (c *Coordinator) publishJob(j *cjob) {
 	c.bus.Publish(serve.JobTopic(j.id), "job", serve.JobEventOf(j.snapshot()))
 }
 
-// publishCell emits one harvested cell outcome.
+// publishCell emits one recorded cell outcome.
 func (c *Coordinator) publishCell(j *cjob, ci int, workerID, state, key string, cached bool, errmsg string) {
 	cell := j.cells[ci]
 	c.bus.Publish(serve.JobTopic(j.id), "cell", serve.CellEvent{
@@ -229,7 +218,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, &serve.Error{Status: http.StatusBadRequest, Message: err.Error()})
 		return
 	}
-	live, err := c.register(req.Worker, req.URL, time.Now())
+	live, err := c.register(req.Worker, req.URL, req.Slots, time.Now())
 	if err != nil {
 		serve.WriteError(w, err)
 		return

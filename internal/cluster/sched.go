@@ -3,44 +3,29 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"net/http"
+	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
 )
 
-// The per-job scheduler. Every accepted sweep gets one goroutine running
-// the harvest → death-sweep → grant → steal loop until all cells are
-// accounted for. All rebalancing is safe by construction: a worker never
-// runs a cell the coordinator stole back (the worker-side steal only
-// takes pending cells), re-execution after a death is byte-identical
-// (deterministic simulator), and result recording is idempotent (first
-// report wins, any second report carries the same bytes).
+// The per-job scheduler. Every accepted sweep gets one goroutine that
+// keeps every free worker slot busy with its pending cells: each cell is
+// one POST /v1/simulate to the first live worker, in the cell's
+// rendezvous order, that has a free slot, and the result comes back in
+// the reply. A worker never holds more of the coordinator's cells than
+// its pool size, so no cell waits in a straggler's queue while another
+// worker idles. Every rebalancing is safe by construction: re-execution
+// after a death is byte-identical (deterministic simulator), and result
+// recording is idempotent (first report wins, any second report carries
+// the same bytes).
 
-// stealMin is the fewest pending cells a lease must hold before an idle
-// worker steals from it: never steal a lone tail cell that is about to
-// run anyway.
-const stealMin = 2
-
-// leaseRef is the coordinator's record of one outstanding lease.
-type leaseRef struct {
-	id    string
-	w     *worker
-	cells []int // job cell indices, in lease-local order
-
-	granted time.Time       // grant instant, for the grant-to-harvest histogram
-	span    *obs.ActiveSpan // coordinator-side lease span
-}
-
-// leaseDone closes the books on a lease leaving the outstanding set:
-// the grant-to-final-harvest latency lands in the histogram and the
-// lease span ends.
-func (c *Coordinator) leaseDone(lr *leaseRef) {
-	c.metrics.leaseHarvest.ObserveSince(lr.granted)
-	lr.span.End()
-}
+// refusalBackoff is the least time a worker's slot stays taken after it
+// refused a cell with a 429 or 503, so the refused cell moves on to the
+// next candidate instead of straight back to the refusing worker.
+const refusalBackoff = 10 * time.Millisecond
 
 // runJob drives one sweep to a terminal state.
 func (c *Coordinator) runJob(j *cjob) {
@@ -51,133 +36,134 @@ func (c *Coordinator) runJob(j *cjob) {
 	c.publishJob(j)
 
 	// Warm start: cells whose results already sit in the durable store
-	// complete right here; only the remainder is leased out.
+	// complete right here; only the remainder goes to workers.
 	c.restoreFromStore(j)
 
-	var outstanding []*leaseRef
-	leaseSeq := 0
+	var calls sync.WaitGroup
 	for {
-		if c.Draining() {
-			c.retireRetriable(j, outstanding)
-			return
+		// Take the wake channel before looking: any change after this
+		// point closes it, so none is missed.
+		wake := c.woken()
+		if j.finished() || c.Draining() {
+			break
 		}
-		now := time.Now()
-		var harvested bool
-		outstanding, harvested = c.harvest(j, outstanding, now)
-		if harvested {
-			// Every harvested cell is already in its segment file;
-			// before finalize can show the job done, fsync them
-			// against power loss.
-			c.flushStore()
+		for _, ci := range j.pendingIndices() {
+			w := c.acquire(j, ci)
+			if w == nil {
+				break // every live worker is full
+			}
+			calls.Add(1)
+			go func() {
+				defer calls.Done()
+				c.runCell(j, ci, w)
+			}()
 		}
-		if j.finished() {
-			c.finalize(j)
-			return
-		}
-		if live := c.liveWorkerIDs(now); len(live) > 0 {
-			outstanding = c.grantPending(j, outstanding, live, &leaseSeq)
-			outstanding = c.stealForIdle(j, outstanding, live, now, &leaseSeq)
-		}
-		time.Sleep(c.opts.PollInterval)
+		<-wake
 	}
+	calls.Wait()
+	if !j.finished() {
+		c.retireRetriable(j)
+		return
+	}
+	// Every recorded cell is already in its segment file; before
+	// finalize can show the job done, fsync them against power loss.
+	c.flushStore()
+	c.finalize(j)
 }
 
-// harvest polls every outstanding lease, records finished cells, requeues
-// the leases of dead workers, and drops completed leases. It returns the
-// leases still live, and whether it recorded a done cell.
-func (c *Coordinator) harvest(j *cjob, outstanding []*leaseRef, now time.Time) ([]*leaseRef, bool) {
-	kept := outstanding[:0]
-	harvested := false
-	for _, lr := range outstanding {
-		if !lr.w.alive(now, c.opts.HeartbeatTimeout) {
-			// Heartbeat silence or an earlier transport failure: the worker
-			// may well still be computing (a partition, not a crash), but
-			// its results are unreachable — requeue and let determinism
-			// absorb the duplicate execution.
-			c.markDead(lr.w, errors.New("heartbeat timeout"))
-			c.requeueLease(j, lr)
-			c.leaseDone(lr)
-			continue
-		}
-		st, err := lr.w.client().LeaseStatus(lr.id)
-		if err != nil {
-			var ae *client.APIError
-			if errors.As(err, &ae) {
-				// The worker answered, so it is alive — but it does not
-				// know the lease (a restart lost its registry). Requeue.
-				c.requeueLease(j, lr)
-			} else {
-				c.markDead(lr.w, err)
-				c.requeueLease(j, lr)
-			}
-			c.leaseDone(lr)
-			continue
-		}
-		for li, cs := range st.CellState {
-			if li >= len(lr.cells) {
-				break
-			}
-			ci := lr.cells[li]
-			if !j.ownedBy(ci, lr.id) {
-				continue // stolen: another lease owns this cell now
-			}
-			switch cs.State {
-			case "done":
-				harvested = c.recordDone(j, lr, ci, cs) || harvested
-			case "failed":
-				c.recordFailed(j, lr, ci, cs)
-			}
-		}
-		switch st.Status {
-		case serve.StatusDone, serve.StatusFailed, serve.StatusRetriable, serve.StatusCanceled:
-			// Terminal on the worker: anything this lease still owns (cells
-			// the worker drained) goes back to pending.
-			c.requeueLease(j, lr)
-			c.leaseDone(lr)
-		default:
-			kept = append(kept, lr)
+// acquire takes a slot for cell ci on the first live worker in the
+// cell's rendezvous order that has one free, and marks the cell
+// running. It returns nil when every live worker is full.
+func (c *Coordinator) acquire(j *cjob, ci int) *worker {
+	for _, w := range c.candidates(j.cells[ci].shard) {
+		if w.take() {
+			w.metrics.pending.Add(1)
+			j.mu.Lock()
+			j.states[ci] = cRunning
+			j.mu.Unlock()
+			return w
 		}
 	}
-	return kept, harvested
+	return nil
 }
 
-// ownedBy reports whether cell ci is currently leased under leaseID.
-func (j *cjob) ownedBy(ci int, leaseID string) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.states[ci] == cLeased && j.leaseOf[ci] == leaseID
+// release frees one of w's slots.
+func (c *Coordinator) release(w *worker) {
+	w.mu.Lock()
+	w.inflight--
+	w.mu.Unlock()
+	w.metrics.pending.Add(-1)
+}
+
+// runCell sends cell ci to w, which holds a slot for it, as one
+// /v1/simulate call, and books the reply:
+//
+//   - a result is recorded;
+//   - a 429 or 503 sends the cell back to pending, and w's slot stays
+//     taken for the refusal's backoff, so the cell goes to the next
+//     candidate;
+//   - any other answer (400, 422, a 504 step-budget abort) fails the
+//     cell with the worker's message: the worker is alive, it answered;
+//   - a transport error declares w dead and sends the cell back to
+//     pending. An error on a call whose context was already canceled —
+//     w declared dead by heartbeat silence, replaced by a new
+//     incarnation, or the coordinator draining — declares nothing new.
+func (c *Coordinator) runCell(j *cjob, ci int, w *worker) {
+	cell := j.cells[ci]
+	cl, ctx := w.client()
+	// The worker parents its simulate span under this one, so the call
+	// shows as a coordinator interval with the worker's work inside.
+	sp := c.spans.Start(j.trace, coordService, fmt.Sprintf("cell %s/%s/p%d", cell.app, cell.alg, cell.procs))
+	sp.SetNote("worker " + w.id)
+	resp, err := cl.SimulateTrace(ctx, &serve.SimulateRequest{
+		Params: &j.params, App: cell.app, Algorithm: cell.alg, Procs: cell.procs, Infinite: j.infinite,
+	}, sp.Context().HeaderValue())
+	sp.End()
+
+	var ae *client.APIError
+	switch {
+	case err == nil:
+		c.recordDone(j, ci, w, resp)
+		c.release(w)
+	case errors.As(err, &ae) && (ae.Status == http.StatusTooManyRequests || ae.Status == http.StatusServiceUnavailable):
+		c.requeue(j, ci, w)
+		time.AfterFunc(max(ae.RetryAfter, refusalBackoff), func() {
+			c.release(w)
+			c.notify()
+		})
+	case ae != nil:
+		c.failCell(j, ci, w.id, "", ae.Message)
+		c.release(w)
+	default:
+		if ctx.Err() == nil {
+			c.markDead(w, err)
+		}
+		if !c.Draining() {
+			c.requeue(j, ci, w)
+		}
+		c.release(w)
+	}
+	c.notify()
 }
 
 // recordDone stores one finished cell. Idempotent: only the first report
 // mutates the job (any later duplicate carries identical bytes anyway).
-// Reports whether this call completed the cell.
-func (c *Coordinator) recordDone(j *cjob, lr *leaseRef, ci int, cs serve.LeaseCellStatus) bool {
+func (c *Coordinator) recordDone(j *cjob, ci int, w *worker, resp *serve.SimulateResponse) {
 	j.mu.Lock()
 	if j.states[ci] == cDone || j.states[ci] == cFailed {
 		j.mu.Unlock()
-		return false
+		return
 	}
 	j.states[ci] = cDone
-	j.leaseOf[ci] = ""
 	r := &j.results[ci]
-	r.Key, r.Cached, r.Result = cs.Key, cs.Cached, cs.Result
+	r.Key, r.Cached, r.Result = resp.Key, resp.Cached, resp.Result
 	j.completed++
 	j.mu.Unlock()
 
 	c.metrics.cellsCompleted.Inc()
 	c.metrics.pendingCells.Add(-1)
-	lr.w.metrics.pending.Add(-1)
-	c.publishCell(j, ci, lr.w.id, "done", cs.Key, cs.Cached, "")
+	c.publishCell(j, ci, w.id, "done", resp.Key, resp.Cached, "")
 	c.persistCell(j, ci)
-	return true
-}
-
-// recordFailed stores one failed cell (a simulation error on a healthy
-// worker — deterministic, so requeueing would just fail again).
-func (c *Coordinator) recordFailed(j *cjob, lr *leaseRef, ci int, cs serve.LeaseCellStatus) {
-	if c.failCell(j, ci, lr.w.id, cs.Key, cs.Error) {
-		lr.w.metrics.pending.Add(-1)
-	}
 }
 
 // failCell marks one cell failed with the worker's message. Idempotent
@@ -189,7 +175,6 @@ func (c *Coordinator) failCell(j *cjob, ci int, wid, key, msg string) bool {
 		return false
 	}
 	j.states[ci] = cFailed
-	j.leaseOf[ci] = ""
 	j.results[ci].Key = key
 	j.failed++
 	if j.errmsg == "" {
@@ -204,197 +189,17 @@ func (c *Coordinator) failCell(j *cjob, ci int, wid, key, msg string) bool {
 	return true
 }
 
-// requeueLease returns every cell a lease still owns to pending.
-func (c *Coordinator) requeueLease(j *cjob, lr *leaseRef) {
-	n := 0
+// requeue returns cell ci, which w did not run, to pending.
+func (c *Coordinator) requeue(j *cjob, ci int, w *worker) {
 	j.mu.Lock()
-	for _, ci := range lr.cells {
-		if j.states[ci] == cLeased && j.leaseOf[ci] == lr.id {
-			j.states[ci] = cPending
-			j.leaseOf[ci] = ""
-			n++
-		}
-	}
+	j.states[ci] = cPending
 	j.mu.Unlock()
-	if n > 0 {
-		c.metrics.cellsRequeued.Add(int64(n))
-		lr.w.metrics.requeues.Add(int64(n))
-		lr.w.metrics.pending.Add(-int64(n))
-		c.spans.AddEvent(j.trace, coordService, "requeue",
-			fmt.Sprintf("%d cells off %s", n, lr.w.id))
-		c.opts.Log.Warn("lease requeued", "job", j.id, "lease", lr.id, "worker", lr.w.id, "cells", n)
-	}
-}
-
-// grantPending routes every pending cell to its rendezvous-preferred live
-// worker and grants leases in LeaseChunk batches.
-func (c *Coordinator) grantPending(j *cjob, outstanding []*leaseRef, live []string, leaseSeq *int) []*leaseRef {
-	pending := j.pendingIndices()
-	if len(pending) == 0 {
-		return outstanding
-	}
-	byWorker := make(map[string][]int)
-	for _, ci := range pending {
-		wid := pickWorker(j.cells[ci].shard, live)
-		byWorker[wid] = append(byWorker[wid], ci)
-	}
-	wids := make([]string, 0, len(byWorker))
-	for wid := range byWorker {
-		wids = append(wids, wid)
-	}
-	sort.Strings(wids)
-	for _, wid := range wids {
-		w := c.workerByID(wid)
-		if w == nil {
-			continue
-		}
-		cells := byWorker[wid]
-		for len(cells) > 0 {
-			n := min(c.opts.LeaseChunk, len(cells))
-			lr := c.grantLease(j, w, cells[:n], leaseSeq)
-			if lr == nil {
-				break // refused or dead; the rest stays pending for next tick
-			}
-			cells = cells[n:]
-			outstanding = append(outstanding, lr)
-		}
-	}
-	return outstanding
-}
-
-// grantLease grants one lease of the given job cells to a worker and
-// marks them leased. Returns nil if the worker refused (queue pressure —
-// retried next tick; any other refusal fails the cells, since the worker
-// that answered is alive and would refuse them again) or failed at the
-// transport (declared dead).
-func (c *Coordinator) grantLease(j *cjob, w *worker, cells []int, leaseSeq *int) *leaseRef {
-	*leaseSeq++
-	leaseID := fmt.Sprintf("%s-%d", j.id, *leaseSeq)
-	req := &serve.LeaseRequest{
-		Lease:    leaseID,
-		Params:   &j.params,
-		Infinite: j.infinite,
-		Cells:    make([]serve.LeaseCell, len(cells)),
-	}
-	for i, ci := range cells {
-		cell := j.cells[ci]
-		req.Cells[i] = serve.LeaseCell{App: cell.app, Algorithm: cell.alg, Procs: cell.procs}
-	}
-	// The worker parents its lease span under this one, so the grant
-	// shows as a coordinator interval with the worker's work inside.
-	sp := c.spans.Start(j.trace, coordService, "lease "+w.id)
-	req.Trace = sp.Context().HeaderValue()
-	if _, err := w.client().Lease(req); err != nil {
-		var ae *client.APIError
-		switch {
-		case !errors.As(err, &ae):
-			c.markDead(w, err)
-		case !ae.Retriable:
-			// The worker answered, so it is alive: it refuses these cells.
-			for _, ci := range cells {
-				c.failCell(j, ci, w.id, "", ae.Message)
-			}
-		} // a retriable refusal (queue full, draining) backs off one tick
-		return nil
-	}
-	granted := append([]int(nil), cells...)
-	j.mu.Lock()
-	for _, ci := range granted {
-		j.states[ci] = cLeased
-		j.leaseOf[ci] = leaseID
-	}
-	j.mu.Unlock()
-	c.metrics.leasesGranted.Inc()
-	w.metrics.pending.Add(int64(len(granted)))
-	return &leaseRef{id: leaseID, w: w, cells: granted, granted: time.Now(), span: sp}
-}
-
-// owned counts the cells a lease still owns.
-func (j *cjob) owned(lr *leaseRef) int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	n := 0
-	for _, ci := range lr.cells {
-		if j.states[ci] == cLeased && j.leaseOf[ci] == lr.id {
-			n++
-		}
-	}
-	return n
-}
-
-// stealForIdle lets every idle live worker take half of the biggest
-// straggler lease's remaining tail. The stolen cells are granted straight
-// to the idle worker — rendezvous routing would hand them right back to
-// the straggler.
-func (c *Coordinator) stealForIdle(j *cjob, outstanding []*leaseRef, live []string, now time.Time, leaseSeq *int) []*leaseRef {
-	busy := make(map[string]int)
-	for _, lr := range outstanding {
-		busy[lr.w.id] += j.owned(lr)
-	}
-	for _, wid := range live {
-		if busy[wid] > 0 {
-			continue
-		}
-		idle := c.workerByID(wid)
-		if idle == nil {
-			continue
-		}
-		// Victim: the live lease with the most remaining cells, ties toward
-		// the smaller lease ID for determinism.
-		var victim *leaseRef
-		vRem := 0
-		for _, lr := range outstanding {
-			if lr.w.id == wid || !lr.w.alive(now, c.opts.HeartbeatTimeout) {
-				continue
-			}
-			r := j.owned(lr)
-			if r < stealMin {
-				continue
-			}
-			if r > vRem || (r == vRem && victim != nil && lr.id < victim.id) {
-				victim, vRem = lr, r
-			}
-		}
-		if victim == nil {
-			continue
-		}
-		resp, err := victim.w.client().Steal(victim.id, (vRem+1)/2)
-		if err != nil {
-			var ae *client.APIError
-			if !errors.As(err, &ae) {
-				c.markDead(victim.w, err)
-			}
-			continue // harvest handles requeueing on the next tick
-		}
-		moved := make([]int, 0, len(resp.Stolen))
-		j.mu.Lock()
-		for _, si := range resp.Stolen {
-			if si < 0 || si >= len(victim.cells) {
-				continue
-			}
-			ci := victim.cells[si]
-			if j.states[ci] == cLeased && j.leaseOf[ci] == victim.id {
-				j.states[ci] = cPending
-				j.leaseOf[ci] = ""
-				moved = append(moved, ci)
-			}
-		}
-		j.mu.Unlock()
-		if len(moved) == 0 {
-			continue
-		}
-		c.metrics.cellsStolen.Add(int64(len(moved)))
-		victim.w.metrics.steals.Add(int64(len(moved)))
-		victim.w.metrics.pending.Add(-int64(len(moved)))
-		c.spans.AddEvent(j.trace, coordService, "steal",
-			fmt.Sprintf("%d cells %s -> %s", len(moved), victim.w.id, wid))
-		c.opts.Log.Info("cells stolen", "job", j.id, "from", victim.w.id, "to", wid, "cells", len(moved))
-		if lr := c.grantLease(j, idle, moved, leaseSeq); lr != nil {
-			outstanding = append(outstanding, lr)
-			busy[wid] += len(moved)
-		}
-	}
-	return outstanding
+	c.metrics.cellsRequeued.Inc()
+	w.metrics.requeues.Inc()
+	cell := j.cells[ci]
+	c.spans.AddEvent(j.trace, coordService, "requeue",
+		fmt.Sprintf("%s/%s/p%d off %s", cell.app, cell.alg, cell.procs, w.id))
+	c.opts.Log.Warn("cell requeued", "job", j.id, "cell", ci, "worker", w.id)
 }
 
 // finalize moves a fully accounted job to done or failed, counting the
@@ -420,12 +225,7 @@ func (c *Coordinator) finalize(j *cjob) {
 // retireRetriable hands an interrupted job back as retriable during
 // drain. Its content-addressed ID makes resubmission idempotent, and its
 // job record makes a restarted coordinator report it retriable too.
-func (c *Coordinator) retireRetriable(j *cjob, outstanding []*leaseRef) {
-	for _, lr := range outstanding {
-		if n := j.owned(lr); n > 0 {
-			lr.w.metrics.pending.Add(-int64(n))
-		}
-	}
+func (c *Coordinator) retireRetriable(j *cjob) {
 	j.mu.Lock()
 	remaining := len(j.cells) - j.completed - j.failed
 	j.mu.Unlock()

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 
 	"repro/internal/serve"
 	"repro/internal/serve/rescache"
@@ -21,9 +22,11 @@ import (
 //     rendezvous hashing leaves every other cell's preference intact
 //     (a mod-N ring would reshuffle almost everything).
 //
-// Work-stealing then corrects any imbalance the hash leaves behind, so
-// the shard key is a cache-locality preference, never a correctness
-// constraint — any worker computes the bit-identical result.
+// A cell takes a slot on the first worker in its rendezvous order that
+// has one free, so under load cells spill down their order instead of
+// queueing behind a busy worker: the shard key is a cache-locality
+// preference, never a correctness constraint — any worker computes the
+// bit-identical result.
 
 // shardKeyVersion is the domain-separation label folded into every shard
 // key. Bumping it reshuffles every cell's placement across the cluster,
@@ -53,22 +56,23 @@ func CellShardKey(params serve.Params, app, algorithm string, procs int, infinit
 }
 
 // rendezvousScore ranks one (cell, worker) pair. The highest score among
-// live workers wins the cell.
+// live workers is the cell's first choice.
 func rendezvousScore(key rescache.Key, workerID string) uint64 {
 	sum := rescache.SumStrings("mtcoord-rendezvous-v1", key.String(), workerID)
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// pickWorker returns the rendezvous winner for key among workers (any
-// order; ties break toward the lexicographically smaller ID so the
-// choice is deterministic). Empty input returns "".
-func pickWorker(key rescache.Key, workers []string) string {
-	best, bestScore := "", uint64(0)
-	for _, w := range workers {
-		s := rendezvousScore(key, w)
-		if best == "" || s > bestScore || (s == bestScore && w < best) {
-			best, bestScore = w, s
+// rendezvousOrder sorts workers into key's rendezvous order: highest
+// score first, ties toward the lexicographically smaller ID, so the
+// order never depends on how the membership snapshot was ordered. A
+// proxied request tries workers in this order; a sweep cell takes a
+// slot on the first that has one free.
+func rendezvousOrder(key rescache.Key, ws []*worker) {
+	sort.Slice(ws, func(i, k int) bool {
+		si, sk := rendezvousScore(key, ws[i].id), rendezvousScore(key, ws[k].id)
+		if si != sk {
+			return si > sk
 		}
-	}
-	return best
+		return ws[i].id < ws[k].id
+	})
 }

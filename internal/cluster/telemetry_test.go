@@ -34,16 +34,16 @@ func fetchTraceSpans(t *testing.T, base, trace string) serve.TraceSpans {
 // ---- tests ---------------------------------------------------------------
 
 // TestClusterTracePropagation: one sweep through a coordinator and three
-// workers (one straggler, so stealing fires) must land on a single trace:
-// every span — coordinator scheduling, worker queueing, engine runs —
-// carries the trace ID the sweep was accepted with, worker lease spans
-// parent under the coordinator's lease spans, and the steal shows up as
-// an instant event on the same timeline.
+// workers (one a straggler) must land on a single trace: every span —
+// coordinator dispatch, worker queueing, engine runs — carries the trace
+// ID the sweep was accepted with, there is one coordinator "cell" span
+// per cell, and each worker's simulate span parents under the
+// coordinator's span for the call that carried it.
 func TestClusterTracePropagation(t *testing.T) {
 	tc := startCoordinator(t, testCoordOptions())
 	tc.addWorker("slow", serve.Options{
 		Workers:    1,
-		BeforeCell: func() { time.Sleep(150 * time.Millisecond) },
+		BeforeCell: func() { time.Sleep(50 * time.Millisecond) },
 	})
 	tc.addWorker("fast0", serve.Options{Workers: 2})
 	tc.addWorker("fast1", serve.Options{Workers: 2})
@@ -68,26 +68,21 @@ func TestClusterTracePropagation(t *testing.T) {
 	if st.Status != serve.StatusDone {
 		t.Fatalf("sweep ended %s: %s", st.Status, st.Error)
 	}
-	if tc.coord.Metrics().Snapshot()["coordinator_steals_total"] == 0 {
-		t.Fatal("no cells were stolen from the straggler; the scenario did not exercise stealing")
-	}
 
 	tsp := fetchTraceSpans(t, tc.ts.URL, acc.Trace)
 	services := map[string]bool{}
-	coordLeaseSpans := map[string]bool{} // span ID -> is a coordinator lease span
-	var workerLease, engineRuns, steals int
+	coordCellSpans := map[string]bool{} // span IDs of coordinator cell calls
+	var workerSimulate, engineRuns int
 	for _, sp := range tsp.Spans {
 		if sp.Trace != acc.Trace {
 			t.Fatalf("span %s/%q carries trace %q, want %q", sp.Service, sp.Name, sp.Trace, acc.Trace)
 		}
 		services[sp.Service] = true
 		switch {
-		case sp.Service == coordService && strings.HasPrefix(sp.Name, "lease "):
-			coordLeaseSpans[sp.ID] = true
-		case sp.Service == coordService && sp.Name == "steal":
-			steals++
-		case sp.Service != coordService && strings.HasPrefix(sp.Name, "lease "):
-			workerLease++
+		case sp.Service == coordService && strings.HasPrefix(sp.Name, "cell "):
+			coordCellSpans[sp.ID] = true
+		case sp.Service != coordService && strings.HasPrefix(sp.Name, "simulate "):
+			workerSimulate++
 		case strings.HasPrefix(sp.Name, "engine "):
 			engineRuns++
 		}
@@ -104,23 +99,23 @@ func TestClusterTracePropagation(t *testing.T) {
 	if workerCount < 2 {
 		t.Errorf("merged trace covers %d workers, want >= 2 (services: %v)", workerCount, services)
 	}
-	if steals == 0 {
-		t.Error("stealing fired but recorded no steal span")
+	if len(coordCellSpans) != acc.Cells {
+		t.Errorf("%d coordinator cell spans for %d cells", len(coordCellSpans), acc.Cells)
 	}
 	if engineRuns == 0 {
 		t.Error("no engine spans from any worker in the merged trace")
 	}
-	// Cross-tier parenting: at least one worker lease span must cite a
-	// coordinator lease span as its parent — the header actually rode the
-	// lease grant.
+	// Cross-tier parenting: every worker simulate span must cite a
+	// coordinator cell span as its parent — the header rode each call.
 	linked := 0
 	for _, sp := range tsp.Spans {
-		if sp.Service != coordService && strings.HasPrefix(sp.Name, "lease ") && coordLeaseSpans[sp.Parent] {
+		if sp.Service != coordService && strings.HasPrefix(sp.Name, "simulate ") && coordCellSpans[sp.Parent] {
 			linked++
 		}
 	}
-	if workerLease == 0 || linked == 0 {
-		t.Errorf("%d worker lease spans, %d parented under coordinator lease spans — trace context did not propagate", workerLease, linked)
+	if workerSimulate != acc.Cells || linked != workerSimulate {
+		t.Errorf("%d worker simulate spans for %d cells, %d parented under coordinator cell spans — trace context did not propagate",
+			workerSimulate, acc.Cells, linked)
 	}
 }
 
@@ -131,8 +126,8 @@ func TestClusterTracePropagation(t *testing.T) {
 // every surviving worker — the dead worker's spans are simply absent.
 func TestClusterTraceChaos(t *testing.T) {
 	tc := startCoordinator(t, testCoordOptions())
-	// w0 is a single-slot straggler so it reliably holds leased cells
-	// when the kill lands.
+	// w0 is a single-slot straggler so it reliably holds a cell when the
+	// kill lands.
 	tc.addWorker("w0", serve.Options{
 		Workers:    1,
 		BeforeCell: func() { time.Sleep(100 * time.Millisecond) },

@@ -46,7 +46,7 @@ var determinismTimeRandScope = []string{"internal/sim", "internal/workload", "in
 // determinismMapOrderScope lists package-path suffixes where map iteration
 // must not feed output or order-sensitive accumulation. internal/cluster
 // is here because the coordinator keeps its worker registry and job
-// tables in maps while its observable behaviour — lease grant order,
+// tables in maps while its observable behaviour — cell dispatch order,
 // rendezvous candidate order, /metrics series, worker-ID lists in health
 // and error output — must not depend on Go's randomized map iteration.
 // (The coordinator legitimately reads the wall clock for heartbeat

@@ -40,7 +40,7 @@ func Mix(apps, algs []string, procs []int) []Cell {
 // ClusterDims returns the cluster tests' dimensions: many applications
 // but only the two cheap placement algorithms (LOAD-BAL and RANDOM — no
 // sharing-matrix candidate ranking), so a multi-worker sweep spends its
-// time in the coordinator's routing, leasing and stealing rather than in
+// time in the coordinator's routing and dispatch rather than in
 // placement search.
 func ClusterDims() (apps, algs []string, procs []int) {
 	return []string{"MP3D", "Gauss", "Water", "FFT", "Cholesky", "Barnes-Hut"},

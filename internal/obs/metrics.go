@@ -108,6 +108,16 @@ func (s *MetricSet) register(name, help string, kind MetricKind) *Metric {
 	return m
 }
 
+// Remove unregisters the named scalar metrics: later scrapes and
+// snapshots omit them, and registering a name again starts from zero.
+func (s *MetricSet) Remove(names ...string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, name := range names {
+		delete(s.byName, name)
+	}
+}
+
 // Histogram registers (or returns the existing) histogram with this name.
 // Like register, re-registering with a different kind or help panics.
 func (s *MetricSet) Histogram(name, help string) *Histogram {

@@ -14,8 +14,8 @@ import (
 
 // Distributed tracing for the serving tiers. A SpanContext (trace ID +
 // span ID + parent) is minted per request in mtserve/mtcoord, propagated
-// through the Mtsim-Trace HTTP header across the coordinator's
-// proxy/lease/harvest/steal paths, and every tier records its spans into
+// through the Mtsim-Trace HTTP header on every call the coordinator
+// proxies or dispatches, and every tier records its spans into
 // a bounded in-process SpanStore. GET /v1/trace/{id} merges the stores
 // and renders Perfetto trace-event JSON, so one sweep's coordinator
 // scheduling, per-worker queueing, cache lookups, and engine runs land

@@ -76,7 +76,7 @@ func TestWritePerfetto(t *testing.T) {
 		// Overlaps the first w0 span: must land on a second track.
 		{Trace: tr, ID: "c000000000000000", Parent: "a000000000000000", Service: "w0", Name: "cell lu", StartUs: base.UnixMicro() + 200, DurUs: 2000},
 		// Instant event.
-		{Trace: tr, ID: "d000000000000000", Parent: "a000000000000000", Service: "mtcoord", Name: "steal", StartUs: base.UnixMicro() + 300},
+		{Trace: tr, ID: "d000000000000000", Parent: "a000000000000000", Service: "mtcoord", Name: "requeue", StartUs: base.UnixMicro() + 300},
 	}
 
 	var b1, b2 strings.Builder
@@ -135,7 +135,7 @@ func TestSpanStoreAddSpanAndEvent(t *testing.T) {
 	root := NewTrace()
 	t0 := time.Now()
 	s.AddSpan(root, "w0", "queue wait", t0, t0.Add(3*time.Millisecond))
-	s.AddEvent(root, "mtcoord", "steal", "4 cells w0 -> w1")
+	s.AddEvent(root, "mtcoord", "requeue", "MP3D/RANDOM/p4 off w0")
 	spans := s.Trace(root.Trace)
 	if len(spans) != 2 {
 		t.Fatalf("stored %d spans, want 2", len(spans))
@@ -149,9 +149,9 @@ func TestSpanStoreAddSpanAndEvent(t *testing.T) {
 			if sp.DurUs != 3000 {
 				t.Errorf("queue wait dur = %d, want 3000", sp.DurUs)
 			}
-		case "steal":
+		case "requeue":
 			if sp.DurUs != 0 || sp.Note == "" {
-				t.Errorf("steal event = %+v, want instant with note", sp)
+				t.Errorf("requeue event = %+v, want instant with note", sp)
 			}
 		}
 	}

@@ -8,6 +8,7 @@ package client
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -94,17 +95,19 @@ func retriableStatus(status int) bool {
 // post sends one JSON request and decodes the 2xx reply into out,
 // retrying retriable rejections as Policy allows.
 func (c *Client) post(path string, in, out any) error {
-	return c.postTrace(path, in, out, "")
+	return c.postTrace(context.Background(), path, in, out, "")
 }
 
-// postTrace is post with an optional Mtsim-Trace header value ("" sends
-// no header) so proxies can propagate a distributed-trace context.
+// postTrace is post bound to ctx, with an optional Mtsim-Trace header
+// value ("" sends no header) so proxies can propagate a
+// distributed-trace context. Canceling ctx aborts the call, retries
+// included.
 // Transient failures retry through the shared backoff core: exponential
 // delays floored by the server's Retry-After, bounded by the policy's
 // attempt budget and the client's RetryBudget; the final error reports
 // how many attempts were spent and wraps the last failure (errors.As
 // still reaches the *APIError).
-func (c *Client) postTrace(path string, in, out any, trace string) error {
+func (c *Client) postTrace(ctx context.Context, path string, in, out any, trace string) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
@@ -112,8 +115,8 @@ func (c *Client) postTrace(path string, in, out any, trace string) error {
 	pol := c.policy()
 	start := time.Now()
 	for attempt := 1; ; attempt++ {
-		err := c.roundTrip(http.MethodPost, path, body, out, trace)
-		if err == nil || !IsRetriable(err) {
+		err := c.roundTrip(ctx, http.MethodPost, path, body, out, trace)
+		if err == nil || !IsRetriable(err) || ctx.Err() != nil {
 			return err
 		}
 		if attempt >= pol.Attempts() {
@@ -155,15 +158,15 @@ func (c *Client) policy() retry.Policy {
 }
 
 func (c *Client) get(path string, out any) error {
-	return c.roundTrip(http.MethodGet, path, nil, out, "")
+	return c.roundTrip(context.Background(), http.MethodGet, path, nil, out, "")
 }
 
-func (c *Client) roundTrip(method, path string, body []byte, out any, trace string) error {
+func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte, out any, trace string) error {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequest(method, c.BaseURL+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
 	if err != nil {
 		return err
 	}
@@ -202,16 +205,17 @@ func (c *Client) roundTrip(method, path string, body []byte, out any, trace stri
 
 // Simulate runs one cell synchronously.
 func (c *Client) Simulate(req *serve.SimulateRequest) (*serve.SimulateResponse, error) {
-	return c.SimulateTrace(req, "")
+	return c.SimulateTrace(context.Background(), req, "")
 }
 
-// SimulateTrace is Simulate joining an existing distributed trace: trace
-// is a Mtsim-Trace header value ("" sends no header). The coordinator's
-// proxy path uses it so a proxied cell's worker spans land in the
-// caller's trace.
-func (c *Client) SimulateTrace(req *serve.SimulateRequest, trace string) (*serve.SimulateResponse, error) {
+// SimulateTrace is Simulate bound to ctx and joining an existing
+// distributed trace: trace is a Mtsim-Trace header value ("" sends no
+// header). The coordinator sends every proxied and every sweep cell
+// through it, so the cell's worker spans land in the caller's trace and
+// declaring the worker dead cancels the call.
+func (c *Client) SimulateTrace(ctx context.Context, req *serve.SimulateRequest, trace string) (*serve.SimulateResponse, error) {
 	var out serve.SimulateResponse
-	if err := c.postTrace("/v1/simulate", req, &out, trace); err != nil {
+	if err := c.postTrace(ctx, "/v1/simulate", req, &out, trace); err != nil {
 		return nil, err
 	}
 	if out.Result == nil {
@@ -225,14 +229,14 @@ func (c *Client) SimulateTrace(req *serve.SimulateRequest, trace string) (*serve
 // observed MTT2 trace, or live pair matrix) with predicted savings over
 // the caller's current placement.
 func (c *Client) Advise(req *serve.AdviseRequest) (*serve.AdviseResponse, error) {
-	return c.AdviseTrace(req, "")
+	return c.AdviseTrace(context.Background(), req, "")
 }
 
-// AdviseTrace is Advise joining an existing distributed trace (the
-// coordinator's proxy path, like SimulateTrace).
-func (c *Client) AdviseTrace(req *serve.AdviseRequest, trace string) (*serve.AdviseResponse, error) {
+// AdviseTrace is Advise bound to ctx and joining an existing distributed
+// trace (the coordinator's proxy path, like SimulateTrace).
+func (c *Client) AdviseTrace(ctx context.Context, req *serve.AdviseRequest, trace string) (*serve.AdviseResponse, error) {
 	var out serve.AdviseResponse
-	if err := c.postTrace("/v1/advise", req, &out, trace); err != nil {
+	if err := c.postTrace(ctx, "/v1/advise", req, &out, trace); err != nil {
 		return nil, err
 	}
 	if out.Placement == nil {
@@ -333,35 +337,6 @@ func (c *Client) Metrics() (string, error) {
 	}
 	b, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	return string(b), err
-}
-
-// Lease grants (or idempotently re-acknowledges) a lease on a worker.
-// This is the cluster-internal protocol a coordinator speaks; ordinary
-// clients never call it.
-func (c *Client) Lease(req *serve.LeaseRequest) (*serve.LeaseStatus, error) {
-	var out serve.LeaseStatus
-	if err := c.post("/internal/v1/lease", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// LeaseStatus polls a lease's per-cell states and results.
-func (c *Client) LeaseStatus(id string) (*serve.LeaseStatus, error) {
-	var out serve.LeaseStatus
-	if err := c.get("/internal/v1/lease/"+id, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Steal reclaims up to max not-yet-started cells from a lease.
-func (c *Client) Steal(id string, max int) (*serve.StealResponse, error) {
-	var out serve.StealResponse
-	if err := c.post("/internal/v1/lease/"+id+"/steal", &serve.StealRequest{Max: max}, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }
 
 // SimulateCell is the convenience the remote runner uses: it ships an

@@ -4,8 +4,8 @@ package serve
 // store (internal/store). The store is optional — a nil Options.Store
 // turns every store path into a no-op — and owned by the caller (a
 // daemon opens it with OpenDurable before NewServer and closes it after
-// Drain). OpenDurable, RunDaemon and Durable are the parts the
-// coordinator shares.
+// Drain). The stored-cell envelope, OpenDurable, RunDaemon and Durable
+// are the parts the coordinator shares.
 
 import (
 	"context"
@@ -32,7 +32,7 @@ import (
 const storedCellVersion = 1
 
 // storedCell is the JSON envelope of one result in the durable store,
-// keyed by the cell's rescache content address. Key repeats the
+// keyed by the cell's content address. Key repeats the
 // address inside the payload so a record can never be served under the
 // wrong identity even if an index pointed at the wrong bytes.
 type storedCell struct {
@@ -41,8 +41,11 @@ type storedCell struct {
 	Result json.RawMessage `json:"result"`
 }
 
-// encodeStoredCell wraps an already-marshaled result for the store.
-func encodeStoredCell(keyHex string, result any) ([]byte, error) {
+// EncodeStoredCell wraps result, marshaled, in the store envelope for
+// the record at address keyHex. mtserve stores a cell's sim.Result under
+// its result key; the coordinator stores a sweep's CellResult under its
+// shard key.
+func EncodeStoredCell(keyHex string, result any) ([]byte, error) {
 	raw, err := json.Marshal(result)
 	if err != nil {
 		return nil, err
@@ -50,9 +53,9 @@ func encodeStoredCell(keyHex string, result any) ([]byte, error) {
 	return json.Marshal(storedCell{V: storedCellVersion, Key: keyHex, Result: raw})
 }
 
-// decodeStoredCell unwraps a store payload, verifying version and key
+// DecodeStoredCell unwraps a store payload, verifying version and key
 // identity. dst receives the inner result.
-func decodeStoredCell(keyHex string, payload []byte, dst any) error {
+func DecodeStoredCell(keyHex string, payload []byte, dst any) error {
 	var sc storedCell
 	if err := json.Unmarshal(payload, &sc); err != nil {
 		return err
@@ -79,7 +82,7 @@ func LoadResult(st *store.Store, key rescache.Key, log *slog.Logger) *sim.Result
 		return nil
 	}
 	var res sim.Result
-	if err := decodeStoredCell(key.String(), payload, &res); err != nil {
+	if err := DecodeStoredCell(key.String(), payload, &res); err != nil {
 		log.Warn("store record unusable, recomputing", "key", key.String(), "err", err.Error())
 		return nil
 	}
@@ -91,7 +94,7 @@ func LoadResult(st *store.Store, key rescache.Key, log *slog.Logger) *sim.Result
 // logged, never returned: the store is a cache of deterministic
 // computations.
 func SaveResult(st *store.Store, key rescache.Key, res *sim.Result, log *slog.Logger) {
-	payload, err := encodeStoredCell(key.String(), res)
+	payload, err := EncodeStoredCell(key.String(), res)
 	if err == nil {
 		err = st.Put(store.Key(key), payload)
 	}

@@ -95,22 +95,22 @@ func TestStoreTierWarmRestart(t *testing.T) {
 // TestStoredCellEnvelopeRejectsMismatches: version skew and key
 // mismatch are both misses (recompute), surfaced as decode errors.
 func TestStoredCellEnvelopeRejectsMismatches(t *testing.T) {
-	payload, err := encodeStoredCell("aabb", map[string]int{"x": 1})
+	payload, err := EncodeStoredCell("aabb", map[string]int{"x": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var dst map[string]int
-	if err := decodeStoredCell("aabb", payload, &dst); err != nil || dst["x"] != 1 {
+	if err := DecodeStoredCell("aabb", payload, &dst); err != nil || dst["x"] != 1 {
 		t.Fatalf("round trip: %v, %v", dst, err)
 	}
-	if err := decodeStoredCell("ccdd", payload, &dst); err == nil {
+	if err := DecodeStoredCell("ccdd", payload, &dst); err == nil {
 		t.Fatal("key mismatch accepted")
 	}
 	skewed, _ := json.Marshal(storedCell{V: storedCellVersion + 1, Key: "aabb"})
-	if err := decodeStoredCell("aabb", skewed, &dst); err == nil {
+	if err := DecodeStoredCell("aabb", skewed, &dst); err == nil {
 		t.Fatal("version skew accepted")
 	}
-	if err := decodeStoredCell("aabb", []byte("{garbage"), &dst); err == nil {
+	if err := DecodeStoredCell("aabb", []byte("{garbage"), &dst); err == nil {
 		t.Fatal("malformed payload accepted")
 	}
 }

@@ -123,57 +123,3 @@ func FuzzDecodeAdviseRequest(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeLeaseRequest extends the same total-robustness invariant to
-// the cluster-internal lease protocol: the grant and steal decoders face
-// a coordinator over the network, so they are held to exactly the bar of
-// the public decoders — validated or rejected, bounded either way.
-func FuzzDecodeLeaseRequest(f *testing.F) {
-	seeds := []string{
-		// Valid grants and steals.
-		`{"lease":"sw-1-0","cells":[{"app":"MP3D","algorithm":"LATENCY","procs":4}]}`,
-		`{"lease":"L.2","params":{"scale":0.25,"seed":1994},"engine":"reference","infinite":true,` +
-			`"cells":[{"app":"Gauss","algorithm":"RANDOM","procs":2},{"app":"FFT","algorithm":"IDEAL","procs":8}]}`,
-		`{"max":1}`,
-		`{"max":16}`,
-		// Shapes the decoders must reject gracefully.
-		``,
-		`null`,
-		`{}`,
-		`[]`,
-		`{"lease":"x"`,
-		`{"lease":"x","cells":[]}`,
-		`{"lease":"has space","cells":[{"app":"MP3D","algorithm":"LATENCY","procs":4}]}`,
-		`{"lease":"x","cells":[{"app":"NoSuchApp","algorithm":"LATENCY","procs":4}]}`,
-		`{"lease":"x","cells":[{"app":"MP3D","algorithm":"LATENCY","procs":-1}]}`,
-		`{"lease":"x","engine":"warp","cells":[{"app":"MP3D","algorithm":"LATENCY","procs":4}]}`,
-		`{"lease":"` + strings.Repeat("L", 4096) + `","cells":[{"app":"MP3D","algorithm":"LATENCY","procs":4}]}`,
-		`{"max":0}`,
-		`{"max":-5}`,
-		`{"max":1e9}`,
-		`{"max":1}{"trailing":true}`,
-	}
-	for _, s := range seeds {
-		f.Add(s)
-	}
-
-	f.Fuzz(func(t *testing.T, body string) {
-		if req, err := DecodeLeaseRequest(strings.NewReader(body)); err == nil {
-			if verr := req.Validate(); verr != nil {
-				t.Fatalf("decoded lease fails its own Validate: %v", verr)
-			}
-			if len(req.Lease) > MaxLeaseID || len(req.Cells) > MaxSweepCells {
-				t.Fatalf("validated lease exceeds bounds: id=%d cells=%d",
-					len(req.Lease), len(req.Cells))
-			}
-		}
-		if req, err := DecodeStealRequest(strings.NewReader(body)); err == nil {
-			if verr := req.Validate(); verr != nil {
-				t.Fatalf("decoded steal fails its own Validate: %v", verr)
-			}
-			if req.Max < 1 || req.Max > MaxSweepCells {
-				t.Fatalf("validated steal max %d out of bounds", req.Max)
-			}
-		}
-	})
-}

@@ -16,7 +16,7 @@ import (
 
 // The public API, written once and served by both daemons: a worker
 // (*Server, its own queue and worker pool) and the cluster coordinator
-// (rendezvous proxy and lease dispatch). See DESIGN.md §10.
+// (rendezvous proxy and per-cell sweep dispatch). See DESIGN.md §10.
 //
 //	POST /v1/simulate         one cell, synchronous
 //	POST /v1/sweep            a cell cross-product, asynchronous (202 + job ID)
@@ -111,8 +111,8 @@ type api struct {
 }
 
 // NewHandler serves the public API over ex, plus the daemon's private
-// routes (registered by private on the same mux), all behind request
-// instrumentation. Routing uses Go 1.22 method patterns.
+// routes (registered by private on the same mux; nil for none), all
+// behind request instrumentation. Routing uses Go 1.22 method patterns.
 func NewHandler(ex Executor, bus *obs.Bus, m *RequestMetrics, private func(mux *http.ServeMux)) http.Handler {
 	a := &api{ex: ex, bus: bus, metrics: m}
 	mux := http.NewServeMux()
@@ -125,7 +125,9 @@ func NewHandler(ex Executor, bus *obs.Bus, m *RequestMetrics, private func(mux *
 	mux.HandleFunc("GET /v1/placements", handlePlacements)
 	mux.HandleFunc("GET /healthz", a.handleHealth)
 	mux.HandleFunc("GET /metrics", a.handleMetrics)
-	private(mux)
+	if private != nil {
+		private(mux)
+	}
 	return a.instrument(mux)
 }
 

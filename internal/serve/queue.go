@@ -118,34 +118,21 @@ func (q *taskQueue) Close() []task {
 }
 
 // Per-cell lifecycle states. A cell is pending until a worker picks it
-// up, then running, then done or failed. Stolen and drained are the two
-// ways a cell leaves a job without running: a steal hands it back to the
-// coordinator that leased it, a drain hands the whole job back to the
-// client as retriable. Either way the cell never produces a result here
-// and is safe to re-run elsewhere (simulations are deterministic and
-// idempotent).
+// up, then running, then done or failed. Drained is the one way a cell
+// leaves a job without running: a drain hands the whole job back to the
+// client as retriable, and the cell is safe to re-run elsewhere
+// (simulations are deterministic and idempotent).
 const (
 	cellPending uint8 = iota
 	cellRunning
 	cellDone
 	cellFailed
-	cellStolen
 	cellDrained
 )
 
-// cellStateNames maps cell states to their wire labels (LeaseStatus).
-var cellStateNames = [...]string{
-	cellPending: "pending",
-	cellRunning: "running",
-	cellDone:    "done",
-	cellFailed:  "failed",
-	cellStolen:  "stolen",
-	cellDrained: "drained",
-}
-
-// job tracks one accepted request — a sweep, a coordinator lease, or a
-// single synchronous cell modeled as a one-cell job so every simulation
-// flows through the same queue, accounting and drain path.
+// job tracks one accepted request — a sweep, or a single synchronous
+// cell modeled as a one-cell job so every simulation flows through the
+// same queue, accounting and drain path.
 type job struct {
 	id     string
 	params Params // resolved (never nil) workload params
@@ -171,7 +158,6 @@ type job struct {
 	states    []uint8 // per-cell lifecycle, indexed like cells
 	pending   int     // cells not yet finished (completed+failed accounting)
 	completed int
-	stolen    int
 	results   []cellResultInternal
 	err       error
 
@@ -203,19 +189,14 @@ func newJob(id string, params Params, cells []cellSpec) *job {
 }
 
 // begin transitions queued → running when the first cell begins and
-// claims cell for execution. It reports false when the cell was stolen
-// (or drained) while it sat in the queue — the worker must skip it.
-func (j *job) begin(cell int) bool {
+// marks cell running.
+func (j *job) begin(cell int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.states[cell] != cellPending {
-		return false
-	}
 	j.states[cell] = cellRunning
 	if j.status == StatusQueued {
 		j.status = StatusRunning
 	}
-	return true
 }
 
 // finishCell records one cell's outcome; the last cell settles the job,
@@ -265,71 +246,26 @@ func (j *job) live() bool {
 // closes done, in that order, so anything a client observes after the
 // status — a poll, the simulate reply woken by done — finds the complete
 // trace. The caller holds j.mu and calls it once: from whichever of the
-// three terminal paths (finishCell, steal, drain) takes the job's last
-// pending cell.
+// two terminal paths (finishCell, drain) takes the job's last pending
+// cell.
 func (j *job) settleLocked(status string) {
 	j.span.End()
 	j.status = status
 	close(j.done)
 }
 
-// steal reclaims up to max not-yet-started cells, preferring the tail of
-// the cell list (the classic steal-from-the-back discipline: the owner
-// drains its lease front-to-back, thieves take from the opposite end).
-// Stolen cells never run here; the caller re-grants them elsewhere.
-// Returns the stolen cell indices in ascending order.
-func (j *job) steal(max int) []int {
-	if max <= 0 {
-		return nil
-	}
-	j.mu.Lock()
-	var stolen []int
-	for i := len(j.cells) - 1; i >= 0 && len(stolen) < max; i-- {
-		if j.states[i] == cellPending {
-			j.states[i] = cellStolen
-			j.stolen++
-			j.pending--
-			stolen = append(stolen, i)
-		}
-	}
-	if j.pending == 0 && len(stolen) > 0 {
-		status := j.status
-		if j.live() {
-			status = StatusDone
-			if j.err != nil {
-				status = StatusFailed
-			}
-		}
-		j.settleLocked(status)
-	}
-	j.mu.Unlock()
-	// Reverse into ascending order (collected back-to-front).
-	for l, r := 0, len(stolen)-1; l < r; l, r = l+1, r-1 {
-		stolen[l], stolen[r] = stolen[r], stolen[l]
-	}
-	return stolen
-}
-
 // markRetriable finalizes a job whose queued cells were drained before
 // running: the client should resubmit (same content-addressed ID) after
-// the restart. cells lists the drained queue entries; only those still
-// pending count (a stolen cell already left the job's accounting). count
-// is called with the retriable status before it is stored. Returns how
-// many cells this drain actually took out of the job.
-func (j *job) markRetriable(cells []int, count func(status string)) int {
+// the restart. cells lists the job's drained queue entries, all still
+// pending. count is called with the retriable status before it is
+// stored.
+func (j *job) markRetriable(cells []int, count func(status string)) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	drained := 0
 	for _, c := range cells {
-		if j.states[c] == cellPending {
-			j.states[c] = cellDrained
-			j.pending--
-			drained++
-		}
+		j.states[c] = cellDrained
 	}
-	if drained == 0 {
-		return 0
-	}
+	j.pending -= len(cells)
 	if j.live() {
 		count(StatusRetriable)
 		j.status = StatusRetriable
@@ -337,7 +273,6 @@ func (j *job) markRetriable(cells []int, count func(status string)) int {
 	if j.pending == 0 {
 		j.settleLocked(j.status)
 	} // else the last in-flight cell settles it, in finishCell
-	return drained
 }
 
 // snapshot returns the job's wire status. Results are attached only for

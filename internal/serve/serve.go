@@ -105,8 +105,6 @@ type serverMetrics struct {
 	jobsRetriable *obs.Metric
 	jobsCanceled  *obs.Metric
 	sfShared      *obs.Metric
-	leasesGranted *obs.Metric
-	cellsStolen   *obs.Metric
 	queueDepth    *obs.Metric
 	inFlight      *obs.Metric
 	workers       *obs.Metric
@@ -133,8 +131,6 @@ func newServerMetrics() *serverMetrics {
 		jobsRetriable: s.Counter("serve_jobs_retriable_total", "jobs drained before completion (resubmit after restart)"),
 		jobsCanceled:  s.Counter("serve_jobs_canceled_total", "jobs canceled by their client"),
 		sfShared:      s.Counter("serve_singleflight_shared_total", "cell computations shared between concurrent identical requests"),
-		leasesGranted: s.Counter("serve_leases_granted_total", "coordinator leases accepted into the queue"),
-		cellsStolen:   s.Counter("serve_lease_cells_stolen_total", "lease cells reclaimed by the coordinator before running"),
 		queueDepth:    s.Gauge("serve_queue_depth", "tasks waiting in the queue"),
 		inFlight:      s.Gauge("serve_inflight_cells", "cells currently simulating"),
 		workers:       s.Gauge("serve_workers", "worker pool size"),
@@ -224,14 +220,10 @@ func (s *Server) Draining() bool {
 }
 
 // Handler returns the server's HTTP API: the public routes (handlers.go)
-// over this server's queue and worker pool, plus the cluster-internal
-// lease protocol (lease.go) — harmless without a coordinator.
+// over this server's queue and worker pool. A coordinator dispatches
+// sweep cells to it through POST /v1/simulate like any other client.
 func (s *Server) Handler() http.Handler {
-	return NewHandler(s, s.bus, s.metrics.http, func(mux *http.ServeMux) {
-		mux.HandleFunc("POST /internal/v1/lease", s.handleLeaseGrant)
-		mux.HandleFunc("GET /internal/v1/lease/{id}", s.handleLeaseStatus)
-		mux.HandleFunc("POST /internal/v1/lease/{id}/steal", s.handleLeaseSteal)
-	})
+	return NewHandler(s, s.bus, s.metrics.http, nil)
 }
 
 // Refusal implements Executor.
@@ -348,18 +340,15 @@ func (s *Server) Drain() {
 	s.mu.Unlock()
 
 	rest := s.queue.Close()
-	// Collect drained cells per job, then finalize each job once. Only
-	// cells still pending count — a cell stolen back by a coordinator
-	// already left this job's accounting.
+	// Collect drained cells per job, then finalize each job once.
 	drained := make(map[*job][]int)
 	for _, t := range rest {
 		drained[t.j] = append(drained[t.j], t.cell)
 	}
 	for j, cells := range drained {
-		if n := j.markRetriable(cells, s.metrics.countOutcome); n > 0 {
-			s.publishJob(j)
-			s.opts.Log.Info("drain: job marked retriable", "job", j.id, "cells_not_run", n)
-		}
+		j.markRetriable(cells, s.metrics.countOutcome)
+		s.publishJob(j)
+		s.opts.Log.Info("drain: job marked retriable", "job", j.id, "cells_not_run", len(cells))
 	}
 	s.metrics.queueDepth.Set(0)
 	s.wg.Wait()
@@ -466,12 +455,9 @@ func (s *Server) worker() {
 }
 
 // runTask executes one cell of one job and records the outcome; the last
-// cell finalizes the job and its metrics. A cell stolen while it sat in
-// the queue is skipped — its thief runs it elsewhere.
+// cell finalizes the job and its metrics.
 func (s *Server) runTask(t task) {
-	if !t.j.begin(t.cell) {
-		return
-	}
+	t.j.begin(t.cell)
 	s.metrics.queueWait.Observe(time.Since(t.enq).Microseconds())
 	s.spans.AddSpan(t.j.trace, s.opts.ServiceName, "queue wait", t.enq, time.Now())
 	s.mu.Lock()

@@ -101,10 +101,10 @@ func (s *Server) publishCell(j *job, cell int, r cellResultInternal) {
 	c := j.cells[cell]
 	ev := CellEvent{
 		Job: j.id, Cell: cell, App: c.app, Algorithm: c.algorithm, Procs: c.procs,
-		State: cellStateNames[cellDone], Key: r.key, Cached: r.cached,
+		State: "done", Key: r.key, Cached: r.cached,
 	}
 	if r.err != nil {
-		ev.State = cellStateNames[cellFailed]
+		ev.State = "failed"
 		ev.Error = r.err.Error()
 	}
 	s.bus.Publish(JobTopic(j.id), "cell", ev)
