@@ -7,7 +7,9 @@
 // a worker holds at most its pool size of the coordinator's cells, so no
 // cell waits in a straggler's queue (sched.go). A cell whose worker dies
 // — a transport error or heartbeat silence, which cancels the worker's
-// calls — goes to the next candidate. Because the simulator is
+// calls — goes to the next candidate. A sweep is serve's job
+// (serve.Job, in a serve.JobRegistry): the coordinator only dispatches
+// its cells and keeps its store records. Because the simulator is
 // deterministic and cell execution idempotent, every rebalancing —
 // requeue, duplicate execution after a partition — yields byte-identical
 // results; the chaos test suite holds the cluster to exactly that.

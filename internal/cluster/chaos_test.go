@@ -120,7 +120,7 @@ func TestClusterChaos(t *testing.T) {
 			// Disrupt only once the sweep is demonstrably in flight.
 			deadline := time.Now().Add(20 * time.Second)
 			for {
-				st, ok := tc.coord.Job(acc.Job)
+				st, ok := tc.job(acc.Job)
 				if ok && st.Completed >= 1 {
 					break
 				}

@@ -109,10 +109,10 @@ type Coordinator struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
+	jobs *serve.JobRegistry
+
 	mu       sync.Mutex
 	workers  map[string]*worker
-	jobs     map[string]*cjob
-	order    []string // job insertion order, for eviction
 	draining bool
 	// wake is closed, and replaced, whenever a sweep waiting for a free
 	// slot may proceed (notify).
@@ -134,8 +134,8 @@ func New(opts Options) *Coordinator {
 		bus:     obs.NewBus(metrics.streamDropped),
 		ctx:     ctx,
 		cancel:  cancel,
+		jobs:    serve.NewJobRegistry(),
 		workers: make(map[string]*worker),
-		jobs:    make(map[string]*cjob),
 		wake:    make(chan struct{}),
 	}
 }
@@ -324,218 +324,57 @@ func (c *Coordinator) candidates(key rescache.Key) []*worker {
 	return ws
 }
 
-// Cluster-side cell lifecycle.
-const (
-	cPending uint8 = iota // waiting for a free slot
-	cRunning              // sent to a worker, reply outstanding
-	cDone
-	cFailed
-)
-
-// cellIdent names one sweep cell and its routing address.
+// cellIdent is one sweep cell: the request that runs it on a worker,
+// and its routing address.
 type cellIdent struct {
-	app, alg string
-	procs    int
-	shard    rescache.Key
+	*serve.SimulateRequest
+	shard rescache.Key
 }
 
-// cjob is one accepted sweep on the coordinator.
-type cjob struct {
-	id       string
-	params   serve.Params
-	infinite bool
-	cells    []cellIdent
+// label names the cell in spans, logs and errors.
+func (c cellIdent) label() string { return fmt.Sprintf("%s/%s/p%d", c.App, c.Algorithm, c.Procs) }
 
-	// trace is the sweep's distributed-trace context and span its root
-	// span, ended at the terminal state (zero/nil for a job rebuilt from
-	// its store record). Write-once before runJob starts, read-only after.
-	trace obs.SpanContext
-	span  *obs.ActiveSpan
-
-	mu        sync.Mutex
-	status    string
-	states    []uint8
-	results   []serve.CellResult
-	completed int
-	failed    int
-	errmsg    string
-
-	done chan struct{} // closed by settle, at the terminal state
-}
-
-// settle moves the job to its terminal status, once (finalize or
-// retireRetriable). The caller has already counted the outcome; the
-// root span ends before the status is stored and done closes, so a
-// client that observes the terminal state finds both /healthz and the
-// trace complete.
-func (j *cjob) settle(status string) {
-	j.span.End()
-	j.mu.Lock()
-	j.status = status
-	j.mu.Unlock()
-	close(j.done)
-}
-
-func retriableJob(id string) *cjob {
-	j := &cjob{id: id, status: serve.StatusRetriable, done: make(chan struct{})}
-	close(j.done)
-	return j
-}
-
-func (j *cjob) terminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return serve.TerminalStatus(j.status)
-}
-
-// snapshot renders the job's wire status, with results attached once
-// done (same polling contract as mtserve).
-func (j *cjob) snapshot() serve.JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := serve.JobStatus{
-		Job:       j.id,
-		Status:    j.status,
-		Cells:     len(j.cells),
-		Completed: j.completed,
-		Error:     j.errmsg,
-		Trace:     j.trace.Trace,
+// cellsOf lists a sweep job's cells, in cell order.
+func cellsOf(j *serve.Job) []cellIdent {
+	reqs := j.Requests()
+	cells := make([]cellIdent, len(reqs))
+	for i, r := range reqs {
+		cells[i] = cellIdent{r, shardOf(r)}
 	}
-	if j.status == serve.StatusDone {
-		st.Results = append([]serve.CellResult(nil), j.results...)
-	}
-	return st
-}
-
-// resultOf snapshots one cell's recorded result.
-func (j *cjob) resultOf(ci int) serve.CellResult {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.results[ci]
-}
-
-// pendingIndices returns the cells waiting for a free slot.
-func (j *cjob) pendingIndices() []int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var out []int
-	for i, s := range j.states {
-		if s == cPending {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// finished reports whether every cell is accounted for.
-func (j *cjob) finished() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.completed+j.failed == len(j.cells)
+	return cells
 }
 
 // SubmitSweep accepts a sweep for distributed execution, joining the
-// caller's distributed trace. An identical sweep already known is
-// returned as-is with Existing set; a retriable record (drain, restart
-// or eviction) is replaced by a fresh run — resubmission is how clients
-// recover.
+// caller's distributed trace. An identical sweep already registered is
+// returned as-is with Existing set, with or without live workers; the
+// registry replaces a retriable record (drain, restart or eviction)
+// with a fresh run — resubmission is how clients recover — and only a
+// fresh run needs a live worker.
 func (c *Coordinator) SubmitSweep(req *serve.SweepRequest, parent obs.SpanContext) (*serve.SweepAccepted, error) {
 	if err := c.Refusal(); err != nil {
 		return nil, err
 	}
-	if len(c.liveWorkers()) == 0 {
-		return nil, errNoWorkers
-	}
-	params := serve.ResolveParams(req.Params)
-	id := serve.SweepJobID(params, req)
-
-	c.mu.Lock()
-	if prev, ok := c.jobs[id]; ok {
-		if st := prev.snapshot(); st.Status != serve.StatusRetriable {
-			c.mu.Unlock()
-			return accepted(st, true), nil
-		}
-		delete(c.jobs, id) // forget the stale record, rerun below
-	}
-	j := &cjob{
-		id:       id,
-		params:   params,
-		infinite: req.Infinite,
-		status:   serve.StatusQueued,
-		done:     make(chan struct{}),
-	}
-	for _, app := range req.Apps {
-		for _, alg := range req.Algorithms {
-			for _, p := range req.Procs {
-				j.cells = append(j.cells, cellIdent{
-					app: app, alg: alg, procs: p,
-					shard: CellShardKey(params, app, alg, p, req.Infinite),
-				})
-			}
-		}
-	}
-	j.states = make([]uint8, len(j.cells))
-	j.results = make([]serve.CellResult, len(j.cells))
-	for i, cell := range j.cells {
-		j.results[i] = serve.CellResult{App: cell.app, Algorithm: cell.alg, Procs: cell.procs}
-	}
 	// Root span for the whole distributed sweep; every dispatched cell,
 	// requeue and worker-side span hangs under it.
-	j.span = c.spans.Start(parent, coordService, "sweep")
-	j.trace = j.span.Context()
-	c.jobs[id] = j
-	c.order = append(c.order, id)
-	c.evictLocked()
-	c.mu.Unlock()
-
-	c.metrics.jobsAccepted.Inc()
-	c.metrics.cellsTotal.Add(int64(len(j.cells)))
-	c.metrics.pendingCells.Add(int64(len(j.cells)))
-	c.saveJobRecord(j)
-	c.publishJob(j)
+	j := serve.NewSweepJob(req, c.spans.Start(parent, coordService, "sweep"))
+	if len(c.liveWorkers()) == 0 {
+		// A refused retriable sweep keeps its record.
+		if reg, ok := c.jobs.Get(j.ID()); ok && reg.Status() != serve.StatusRetriable {
+			return reg.Accepted(true), nil
+		}
+		return nil, errNoWorkers
+	}
+	reg, existing := c.jobs.Add(j)
+	if existing {
+		return reg.Accepted(true), nil
+	}
+	cells := int64(req.Cells())
+	c.metrics.jobs.Accept()
+	c.metrics.cellsTotal.Add(cells)
+	c.metrics.pendingCells.Add(cells)
+	c.saveJobRecord(j.ID(), req.Cells())
+	j.Publish(c.bus)
 	c.wg.Add(1)
 	go c.runJob(j)
-	return accepted(j.snapshot(), false), nil
-}
-
-// accepted is the POST /v1/sweep reply for a job record.
-func accepted(st serve.JobStatus, existing bool) *serve.SweepAccepted {
-	return &serve.SweepAccepted{Job: st.Job, Status: st.Status, Cells: st.Cells, Existing: existing, Trace: st.Trace}
-}
-
-// Job returns a job's status by ID.
-func (c *Coordinator) Job(id string) (serve.JobStatus, bool) {
-	ref, ok := c.LookupJob(id)
-	if !ok {
-		return serve.JobStatus{}, false
-	}
-	return ref.Status(), true
-}
-
-// evictLocked bounds retained terminal jobs (caller holds c.mu).
-func (c *Coordinator) evictLocked() {
-	const maxTerminal = 256
-	terminal := 0
-	for _, id := range c.order {
-		if j, ok := c.jobs[id]; ok && j.terminal() {
-			terminal++
-		}
-	}
-	if terminal <= maxTerminal {
-		return
-	}
-	keep := c.order[:0]
-	for _, id := range c.order {
-		j, ok := c.jobs[id]
-		if !ok {
-			continue
-		}
-		if terminal > maxTerminal && j.terminal() {
-			delete(c.jobs, id)
-			terminal--
-			continue
-		}
-		keep = append(keep, id)
-	}
-	c.order = keep
+	return j.Accepted(false), nil
 }

@@ -132,6 +132,15 @@ func startCluster(t *testing.T, n int, wopts serve.Options) *testCluster {
 	return tc
 }
 
+// job returns a sweep job's status by ID.
+func (tc *testCluster) job(id string) (serve.JobStatus, bool) {
+	j, ok := tc.coord.LookupJob(id)
+	if !ok {
+		return serve.JobStatus{}, false
+	}
+	return j.Snapshot(), true
+}
+
 func (tc *testCluster) client() *client.Client {
 	cl := client.New(tc.ts.URL)
 	cl.Policy = retry.Policy{MaxAttempts: 65, BaseDelay: 10 * time.Millisecond}
@@ -511,6 +520,60 @@ func TestClusterRefusesWithoutWorkers(t *testing.T) {
 	}
 }
 
+// TestClusterKnownSweepWithoutWorkers: resubmitting a known sweep is a
+// lookup even with no live worker — only a new or retriable sweep needs
+// one — so a finished sweep answers done, flagged existing, after its
+// only worker died. A retriable sweep is refused and keeps its record.
+func TestClusterKnownSweepWithoutWorkers(t *testing.T) {
+	dir := t.TempDir()
+	opts := testCoordOptions()
+	opts.Store = openTestStore(t, dir)
+	tc := startCoordinator(t, opts)
+	tc.addWorker("w0", serve.Options{Workers: 1})
+	tc.waitLive(1)
+	params := serve.Params{Scale: testScale, Seed: testSeed}
+	req := &serve.SweepRequest{Params: &params, Apps: []string{"MP3D"}, Algorithms: []string{"RANDOM"}, Procs: []int{2}}
+	st := sweepTo(t, tc.client(), req)
+	if st.Status != serve.StatusDone {
+		t.Fatalf("sweep ended %s: %s", st.Status, st.Error)
+	}
+	tc.workers[0].kill()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(tc.coord.liveWorkers()) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("coordinator never declared the killed worker dead")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	acc, err := client.New(tc.ts.URL).Sweep(req)
+	if err != nil {
+		t.Fatalf("known sweep refused with no live worker: %v", err)
+	}
+	if acc.Job != st.Job || !acc.Existing || acc.Status != serve.StatusDone {
+		t.Errorf("resubmission answered %+v, want job %s existing and done", acc, st.Job)
+	}
+
+	// A coordinator restarted on the store, with no worker, answers the
+	// sweep retriable from its job record; a resubmission is refused and
+	// the record stands, counted once.
+	opts2 := testCoordOptions()
+	opts2.Store = openTestStore(t, crashCopy(t, dir))
+	tc2 := startCoordinator(t, opts2)
+	for i := 0; i < 2; i++ {
+		if got, ok := tc2.job(st.Job); !ok || got.Status != serve.StatusRetriable {
+			t.Fatalf("restarted sweep (check %d): %+v (known %v), want retriable", i, got, ok)
+		}
+		if i == 0 {
+			if _, err := client.New(tc2.ts.URL).Sweep(req); !client.IsRetriable(err) {
+				t.Fatalf("retriable sweep with no live worker answered %v, want a retriable refusal", err)
+			}
+		}
+	}
+	if n := tc2.coord.Health().Jobs.Retriable; n != 1 {
+		t.Errorf("jobs retriable = %d, want 1", n)
+	}
+}
+
 // TestClusterNoCellWaitsInQueue: the coordinator never queues a cell
 // behind a busy worker. Four single-slot workers, one a straggler, run
 // the cluster mix; every cell, when it starts, must find its worker's
@@ -740,7 +803,7 @@ func TestCoordinatorStoreRecovery(t *testing.T) {
 	// Wait for a recorded cell on disk next to the job record.
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		st, ok := tc.coord.Job(acc.Job)
+		st, ok := tc.job(acc.Job)
 		ss := st1.Stats()
 		if ok && st.Completed >= 1 && ss.Entries >= 2 {
 			break
@@ -751,7 +814,7 @@ func TestCoordinatorStoreRecovery(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	crashed := crashCopy(t, dir)
-	if st, _ := tc.coord.Job(acc.Job); st.Status == serve.StatusDone {
+	if st, _ := tc.job(acc.Job); st.Status == serve.StatusDone {
 		t.Fatal("sweep finished before the simulated crash")
 	}
 
@@ -759,7 +822,7 @@ func TestCoordinatorStoreRecovery(t *testing.T) {
 	opts2 := testCoordOptions()
 	opts2.Store = openTestStore(t, crashed)
 	tc2 := startCoordinator(t, opts2)
-	st, ok := tc2.coord.Job(acc.Job)
+	st, ok := tc2.job(acc.Job)
 	if !ok {
 		t.Fatal("restarted coordinator forgot the interrupted job")
 	}
@@ -805,7 +868,7 @@ func TestCoordinatorDoneSweepOnDisk(t *testing.T) {
 	opts2 := testCoordOptions()
 	opts2.Store = openTestStore(t, crashed)
 	tc2 := startCoordinator(t, opts2)
-	if st, ok := tc2.coord.Job(first.Job); !ok || st.Status != serve.StatusRetriable {
+	if st, ok := tc2.job(first.Job); !ok || st.Status != serve.StatusRetriable {
 		t.Fatalf("finished sweep after restart: %+v (known %v), want retriable", st, ok)
 	}
 	var ran atomic.Int64
@@ -829,37 +892,31 @@ func TestStoreDivergenceDetected(t *testing.T) {
 	want, cells := groundTruth(t)
 	c0 := cells[0]
 	params := serve.Params{Scale: testScale, Seed: testSeed}
-	cell := cellIdent{
-		app: c0.App, alg: c0.Alg, procs: c0.Procs,
-		shard: CellShardKey(params, c0.App, c0.Alg, c0.Procs, false),
-	}
+	req := &serve.SweepRequest{Params: &params, Apps: []string{c0.App}, Algorithms: []string{c0.Alg}, Procs: []int{c0.Procs}}
+	cell := cellsOf(serve.NewSweepJob(req, nil))[0]
 	st := openTestStore(t, t.TempDir())
 	coord := New(Options{Store: st})
-	recorded := func(resultKey string) *cjob {
-		return &cjob{
-			id:        "sw-x",
-			cells:     []cellIdent{cell},
-			states:    []uint8{cDone},
-			results:   []serve.CellResult{{App: c0.App, Algorithm: c0.Alg, Procs: c0.Procs, Key: resultKey, Result: want[c0]}},
-			completed: 1,
-			done:      make(chan struct{}),
-		}
+	recorded := func(resultKey string) (*serve.Job, serve.CellOutcome) {
+		j := serve.NewSweepJob(req, nil)
+		o := serve.CellOutcome{Key: resultKey, Result: want[c0]}
+		j.Finish(0, o)
+		return j, o
 	}
 
 	for _, key := range []string{"key-A", "key-A"} {
-		j := recorded(key)
-		coord.persistCell(j, 0)
-		if j.errmsg != "" {
-			t.Fatalf("matching execution rejected: %s", j.errmsg)
+		j, o := recorded(key)
+		coord.persistCell(j, cell, o)
+		if e := j.Snapshot().Error; e != "" {
+			t.Fatalf("matching execution rejected: %s", e)
 		}
 	}
-	diverged := recorded("key-B")
-	coord.persistCell(diverged, 0)
-	if !strings.Contains(diverged.errmsg, "divergence") {
-		t.Fatalf("diverging re-execution accepted: errmsg %q", diverged.errmsg)
+	diverged, o := recorded("key-B")
+	coord.persistCell(diverged, cell, o)
+	if e := diverged.Snapshot().Error; !strings.Contains(e, "divergence") {
+		t.Fatalf("diverging re-execution accepted: error %q", e)
 	}
-	coord.finalize(diverged)
-	if s := diverged.snapshot(); s.Status != serve.StatusFailed {
+	diverged.Settle(coord.metrics.jobs)
+	if s := diverged.Snapshot(); s.Status != serve.StatusFailed {
 		t.Errorf("diverged job ended %s, want failed", s.Status)
 	}
 	payload, ok := st.Get(store.Key(cell.shard))

@@ -42,23 +42,23 @@ func jobRecordKey(id string) store.Key {
 	return store.Key(rescache.SumStrings("mtcoord-job-v1", id))
 }
 
-// saveJobRecord puts j's job record and fsyncs it to disk. A failed
-// write is logged, never fatal: the sweep runs either way, and only its
-// crash recovery is lost.
-func (c *Coordinator) saveJobRecord(j *cjob) {
+// saveJobRecord puts the job record of sweep id and fsyncs it to disk.
+// A failed write is logged, never fatal: the sweep runs either way, and
+// only its crash recovery is lost.
+func (c *Coordinator) saveJobRecord(id string, cells int) {
 	st := c.opts.Store
 	if st == nil {
 		return
 	}
-	payload, err := json.Marshal(jobRecord{V: jobRecordVersion, Job: j.id, Cells: len(j.cells)})
+	payload, err := json.Marshal(jobRecord{V: jobRecordVersion, Job: id, Cells: cells})
 	if err == nil {
-		err = st.Put(jobRecordKey(j.id), payload)
+		err = st.Put(jobRecordKey(id), payload)
 	}
 	if err == nil {
 		err = st.Flush()
 	}
 	if err != nil {
-		c.opts.Log.Warn("job record write failed", "job", j.id, "err", err.Error())
+		c.opts.Log.Warn("job record write failed", "job", id, "err", err.Error())
 	}
 }
 
@@ -93,27 +93,21 @@ func (c *Coordinator) flushStore() {
 // — so the job fails loudly and the stored record stands. Store
 // failures are the store's to count; the coordinator never blocks a job
 // on persistence (re-execution is always correct).
-func (c *Coordinator) persistCell(j *cjob, ci int) {
+func (c *Coordinator) persistCell(j *serve.Job, cell cellIdent, o serve.CellOutcome) {
 	st := c.opts.Store
-	cr := j.resultOf(ci)
-	if st == nil || cr.Result == nil {
+	if st == nil || o.Result == nil {
 		return
 	}
-	cell := j.cells[ci]
 	if payload, ok := st.Get(store.Key(cell.shard)); ok {
 		// The store never overwrites a record; only check it.
-		if prev, err := decodeStoredCell(cell, payload); err == nil && prev.Key != cr.Key {
-			err := fmt.Errorf("divergence: cell %s/%s/p%d re-executed to key %s, store holds %s",
-				cell.app, cell.alg, cell.procs, cr.Key, prev.Key)
-			j.mu.Lock()
-			if j.errmsg == "" {
-				j.errmsg = err.Error()
-			}
-			j.mu.Unlock()
-			c.opts.Log.Error("store divergence", "job", j.id, "cell", ci, "err", err.Error())
+		if prev, err := decodeStoredCell(cell, payload); err == nil && prev.Key != o.Key {
+			err := fmt.Errorf("divergence: cell %s re-executed to key %s, store holds %s", cell.label(), o.Key, prev.Key)
+			j.Fail(err)
+			c.opts.Log.Error("store divergence", "job", j.ID(), "cell", cell.label(), "err", err.Error())
 		}
 		return
 	}
+	cr := serve.CellResult{App: cell.App, Algorithm: cell.Algorithm, Procs: cell.Procs, Key: o.Key, Cached: o.Cached, Result: o.Result}
 	payload, err := serve.EncodeStoredCell(cell.shard.String(), cr)
 	if err != nil {
 		return
@@ -133,9 +127,9 @@ func decodeStoredCell(cell cellIdent, payload []byte) (serve.CellResult, error) 
 	if err := serve.DecodeStoredCell(cell.shard.String(), payload, &cr); err != nil {
 		return serve.CellResult{}, err
 	}
-	if cr.App != cell.app || cr.Algorithm != cell.alg || cr.Procs != cell.procs {
-		return serve.CellResult{}, fmt.Errorf("stored cell is %s/%s/p%d, want %s/%s/p%d",
-			cr.App, cr.Algorithm, cr.Procs, cell.app, cell.alg, cell.procs)
+	if cr.App != cell.App || cr.Algorithm != cell.Algorithm || cr.Procs != cell.Procs {
+		return serve.CellResult{}, fmt.Errorf("stored cell is %s/%s/p%d, want %s",
+			cr.App, cr.Algorithm, cr.Procs, cell.label())
 	}
 	if cr.Result == nil {
 		return serve.CellResult{}, fmt.Errorf("stored cell has no result")
@@ -144,16 +138,14 @@ func decodeStoredCell(cell cellIdent, payload []byte) (serve.CellResult, error) 
 }
 
 // restoreFromStore completes every cell of a fresh job whose result is
-// already on disk, before any goes to a worker. Restored cells follow the
-// recordDone contract: idempotent accounting and a published cell event
-// (worker "store").
-func (c *Coordinator) restoreFromStore(j *cjob) {
+// already on disk, before any goes to a worker. Restored cells are
+// recorded like a worker's reply, from worker "store".
+func (c *Coordinator) restoreFromStore(j *serve.Job, cells []cellIdent) {
 	if c.opts.Store == nil {
 		return
 	}
 	restored := 0
-	for ci := range j.cells {
-		cell := j.cells[ci]
+	for ci, cell := range cells {
 		payload, ok := c.opts.Store.Get(store.Key(cell.shard))
 		if !ok {
 			continue
@@ -161,35 +153,16 @@ func (c *Coordinator) restoreFromStore(j *cjob) {
 		cr, err := decodeStoredCell(cell, payload)
 		if err != nil {
 			c.opts.Log.Warn("store record unusable, re-executing",
-				"job", j.id, "cell", ci, "err", err.Error())
+				"job", j.ID(), "cell", ci, "err", err.Error())
 			continue
 		}
-		cr.Cached = true // served from the durable tier, not simulated
-		if c.recordRestored(j, ci, cr) {
+		// Cached: served from the durable tier, not simulated.
+		if c.record(j, ci, "store", serve.CellOutcome{Key: cr.Key, Cached: true, Result: cr.Result}) {
+			c.metrics.cellsFromStore.Inc()
 			restored++
 		}
 	}
 	if restored > 0 {
-		c.opts.Log.Info("cells restored from store", "job", j.id, "cells", restored)
+		c.opts.Log.Info("cells restored from store", "job", j.ID(), "cells", restored)
 	}
-}
-
-// recordRestored books one store-restored cell, mirroring recordDone's
-// idempotent accounting. Reports whether this call completed the cell.
-func (c *Coordinator) recordRestored(j *cjob, ci int, cr serve.CellResult) bool {
-	j.mu.Lock()
-	if j.states[ci] != cPending {
-		j.mu.Unlock()
-		return false
-	}
-	j.states[ci] = cDone
-	j.results[ci] = cr
-	j.completed++
-	j.mu.Unlock()
-
-	c.metrics.cellsCompleted.Inc()
-	c.metrics.cellsFromStore.Inc()
-	c.metrics.pendingCells.Add(-1)
-	c.publishCell(j, ci, "store", "done", cr.Key, true, "")
-	return true
 }

@@ -74,7 +74,7 @@ func TestStoredCellResultEnvelope(t *testing.T) {
 	c := cells[0]
 	params := serve.Params{Scale: testScale, Seed: testSeed}
 	shard := CellShardKey(params, c.App, c.Alg, c.Procs, false)
-	cell := cellIdent{shard: shard, app: c.App, alg: c.Alg, procs: c.Procs}
+	cell := cellIdent{&serve.SimulateRequest{App: c.App, Algorithm: c.Alg, Procs: c.Procs}, shard}
 	cr := serve.CellResult{
 		App: c.App, Algorithm: c.Alg, Procs: c.Procs,
 		Key: shard.String(), Result: want[c],
@@ -92,8 +92,7 @@ func TestStoredCellResultEnvelope(t *testing.T) {
 		t.Fatalf("round trip lost the cell: %+v", got)
 	}
 
-	bad := cell
-	bad.procs = c.Procs + 1
+	bad := cellIdent{&serve.SimulateRequest{App: c.App, Algorithm: c.Alg, Procs: c.Procs + 1}, shard}
 	if _, err := decodeStoredCell(bad, payload); err == nil {
 		t.Fatal("identity mismatch accepted")
 	}

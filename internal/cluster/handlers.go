@@ -54,18 +54,8 @@ func (c *Coordinator) Refusal() error {
 // Simulate proxies a single cell to the rendezvous-preferred worker, so
 // repeated identical cells hit that worker's result cache.
 func (c *Coordinator) Simulate(_ context.Context, req *serve.SimulateRequest, parent obs.SpanContext) (*serve.SimulateResponse, obs.SpanContext, error) {
-	// Request-level cell identity, mirroring the sweep shard key.
-	alg := req.Algorithm
-	if req.Placement != nil {
-		alg = req.Placement.Algorithm
-	}
-	procs := req.Procs
-	if req.Config != nil && req.Config.Processors > 0 {
-		procs = req.Config.Processors
-	}
-	key := CellShardKey(serve.ResolveParams(req.Params), req.App, alg, procs, req.Infinite)
 	var resp *serve.SimulateResponse
-	sc, err := c.proxy(key, parent, "proxy simulate", func(ctx context.Context, cl *client.Client, trace string) (err error) {
+	sc, err := c.proxy(shardOf(req), parent, "proxy simulate", func(ctx context.Context, cl *client.Client, trace string) (err error) {
 		resp, err = cl.SimulateTrace(ctx, req, trace)
 		return err
 	})
@@ -122,25 +112,11 @@ func (c *Coordinator) proxy(key rescache.Key, parent obs.SpanContext, name strin
 // longer holds in memory — it restarted, or evicted the finished job —
 // but whose job record is in the store answers "retriable"; the
 // client's resubmission restores the stored cells.
-func (c *Coordinator) LookupJob(id string) (serve.JobRef, bool) {
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	c.mu.Unlock()
-	if !ok {
-		if !c.hasJobRecord(id) {
-			return serve.JobRef{}, false
-		}
-		c.mu.Lock()
-		if j, ok = c.jobs[id]; !ok {
-			j = retriableJob(id)
-			c.jobs[id] = j
-			c.order = append(c.order, id)
-			c.evictLocked()
-			c.metrics.jobsRetriable.Inc()
-		}
-		c.mu.Unlock()
+func (c *Coordinator) LookupJob(id string) (*serve.Job, bool) {
+	if j, ok := c.jobs.Get(id); ok || !c.hasJobRecord(id) {
+		return j, ok
 	}
-	return serve.JobRef{Status: j.snapshot, Done: j.done}, true
+	return c.jobs.AddRetriable(id, c.metrics.jobs), true
 }
 
 // Spans merges the coordinator's spans for one trace with every live
@@ -170,12 +146,7 @@ func (c *Coordinator) Health() serve.HealthResponse {
 		Role:       "coordinator",
 		Workers:    len(c.liveWorkers()),
 		QueueDepth: int(c.metrics.pendingCells.Value()),
-		Jobs: serve.JobsHealth{
-			Accepted:  c.metrics.jobsAccepted.Value(),
-			Completed: c.metrics.jobsCompleted.Value(),
-			Failed:    c.metrics.jobsFailed.Value(),
-			Retriable: c.metrics.jobsRetriable.Value(),
-		},
+		Jobs:       c.metrics.jobs.Health(),
 	}
 	h.Store = c.durable.Health()
 	if c.Draining() {
@@ -189,21 +160,6 @@ func (c *Coordinator) WriteMetrics(w io.Writer) error {
 	c.durable.SyncMetrics()
 	_, err := c.metrics.set.WriteTo(w)
 	return err
-}
-
-// publishJob emits a job-level state event.
-func (c *Coordinator) publishJob(j *cjob) {
-	c.bus.Publish(serve.JobTopic(j.id), "job", serve.JobEventOf(j.snapshot()))
-}
-
-// publishCell emits one recorded cell outcome.
-func (c *Coordinator) publishCell(j *cjob, ci int, workerID, state, key string, cached bool, errmsg string) {
-	cell := j.cells[ci]
-	c.bus.Publish(serve.JobTopic(j.id), "cell", serve.CellEvent{
-		Job: j.id, Cell: ci, Worker: workerID,
-		App: cell.app, Algorithm: cell.alg, Procs: cell.procs,
-		State: state, Key: key, Cached: cached, Error: errmsg,
-	})
 }
 
 // handleRegister adds or refreshes a worker.

@@ -8,8 +8,8 @@ import (
 )
 
 // coordMetrics is every coordinator /metrics series. Cluster-wide series
-// are registered once at startup (the request and durable-tier series
-// under the shared serve names, with the coordinator_ prefix);
+// are registered once at startup (the request, job and durable-tier
+// series under the shared serve names, with the coordinator_ prefix);
 // per-worker series (cells in flight, requeues) are registered at
 // registration time with the sanitized worker ID baked into the name,
 // so a scrape always shows one row per known worker, and dropped when
@@ -17,15 +17,12 @@ import (
 type coordMetrics struct {
 	set  *obs.MetricSet
 	http *serve.RequestMetrics
+	jobs *serve.JobMetrics
 
 	workersLive    *obs.Metric
 	workersTotal   *obs.Metric
 	workerDeaths   *obs.Metric
 	heartbeats     *obs.Metric
-	jobsAccepted   *obs.Metric
-	jobsCompleted  *obs.Metric
-	jobsFailed     *obs.Metric
-	jobsRetriable  *obs.Metric
 	cellsTotal     *obs.Metric
 	cellsCompleted *obs.Metric
 	cellsFailed    *obs.Metric
@@ -40,14 +37,11 @@ func newCoordMetrics() *coordMetrics {
 	return &coordMetrics{
 		set:            s,
 		http:           serve.NewRequestMetrics(s, "coordinator"),
+		jobs:           serve.NewJobMetrics(s, "coordinator"),
 		workersLive:    s.Gauge("coordinator_workers_live", "registered workers currently considered alive"),
 		workersTotal:   s.Counter("coordinator_workers_registered_total", "worker registrations accepted (including re-registrations)"),
 		workerDeaths:   s.Counter("coordinator_worker_deaths_total", "workers declared dead (heartbeat timeout or transport failure)"),
 		heartbeats:     s.Counter("coordinator_heartbeats_total", "heartbeats received"),
-		jobsAccepted:   s.Counter("coordinator_jobs_accepted_total", "sweep jobs accepted"),
-		jobsCompleted:  s.Counter("coordinator_jobs_completed_total", "sweep jobs finished successfully"),
-		jobsFailed:     s.Counter("coordinator_jobs_failed_total", "sweep jobs finished with an error"),
-		jobsRetriable:  s.Counter("coordinator_jobs_retriable_total", "sweep jobs handed back retriable (drain or crash recovery)"),
 		cellsTotal:     s.Counter("coordinator_cells_total", "sweep cells accepted for execution"),
 		cellsCompleted: s.Counter("coordinator_cells_completed_total", "sweep cells completed"),
 		cellsFailed:    s.Counter("coordinator_cells_failed_total", "sweep cells that failed on a healthy worker"),

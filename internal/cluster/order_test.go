@@ -33,7 +33,7 @@ func TestClusterJobCountedBeforeVisible(t *testing.T) {
 				var st serve.JobStatus
 				for {
 					var ok bool
-					st, ok = tc.coord.Job(acc.Job)
+					st, ok = tc.job(acc.Job)
 					if !ok {
 						t.Fatalf("job %s unknown", acc.Job)
 					}

@@ -55,6 +55,20 @@ func CellShardKey(params serve.Params, app, algorithm string, procs int, infinit
 	)
 }
 
+// shardOf is the routing address of the cell a simulate request runs:
+// its request-level identity, the sweep cell's shard key.
+func shardOf(req *serve.SimulateRequest) rescache.Key {
+	alg := req.Algorithm
+	if req.Placement != nil {
+		alg = req.Placement.Algorithm
+	}
+	procs := req.Procs
+	if req.Config != nil && req.Config.Processors > 0 {
+		procs = req.Config.Processors
+	}
+	return CellShardKey(serve.ResolveParams(req.Params), req.App, alg, procs, req.Infinite)
+}
+
 // rendezvousScore ranks one (cell, worker) pair. The highest score among
 // live workers is the cell's first choice.
 func rendezvousScore(key rescache.Key, workerID string) uint64 {

@@ -2,7 +2,8 @@
 // API both daemons serve (handlers.go lists its nine routes; see
 // DESIGN.md §10) and the worker behind cmd/mtserve. The handler set runs
 // over an Executor: a Server here, or the cluster coordinator
-// (internal/cluster) behind cmd/mtcoord.
+// (internal/cluster) behind cmd/mtcoord. Both run sweeps as the one
+// Job type (job.go), in a JobRegistry, counted by JobMetrics.
 //
 // On a Server every simulation flows through a bounded job queue drained
 // by a worker pool; a full queue answers 429 with Retry-After

@@ -48,22 +48,14 @@ type Executor interface {
 	Advise(req *AdviseRequest, parent obs.SpanContext) (*AdviseResponse, obs.SpanContext, error)
 	// SubmitSweep accepts a sweep as an asynchronous job.
 	SubmitSweep(req *SweepRequest, parent obs.SpanContext) (*SweepAccepted, error)
-	// LookupJob finds a job by ID.
-	LookupJob(id string) (JobRef, bool)
+	// LookupJob finds a sweep job by ID.
+	LookupJob(id string) (*Job, bool)
 	// Spans gathers one trace's spans in SortSpans order.
 	Spans(traceID string) []obs.Span
 	// Health builds the /healthz view.
 	Health() HealthResponse
 	// WriteMetrics renders the Prometheus text exposition.
 	WriteMetrics(w io.Writer) error
-}
-
-// JobRef is a job found by LookupJob.
-type JobRef struct {
-	// Status snapshots the job's wire status.
-	Status func() JobStatus
-	// Done is closed once the job is terminal.
-	Done <-chan struct{}
 }
 
 // Error is a request failure together with its reply.
@@ -293,7 +285,7 @@ func (a *api) handleJob(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, unknownJob(id))
 		return
 	}
-	st := job.Status()
+	st := job.Snapshot()
 	if st.Status == StatusRetriable {
 		WriteJSON(w, http.StatusServiceUnavailable, st)
 		return

@@ -93,17 +93,14 @@ type serverMetrics struct {
 	set  *obs.MetricSet
 	http *RequestMetrics
 
+	jobs *JobMetrics
+
 	rejectedFull  *obs.Metric
 	cacheHits     *obs.Metric
 	cacheMisses   *obs.Metric
 	cacheEvicts   *obs.Metric
 	simRuns       *obs.Metric
 	simFailures   *obs.Metric
-	jobsAccepted  *obs.Metric
-	jobsCompleted *obs.Metric
-	jobsFailed    *obs.Metric
-	jobsRetriable *obs.Metric
-	jobsCanceled  *obs.Metric
 	sfShared      *obs.Metric
 	queueDepth    *obs.Metric
 	inFlight      *obs.Metric
@@ -119,17 +116,13 @@ func newServerMetrics() *serverMetrics {
 	return &serverMetrics{
 		set:           s,
 		http:          NewRequestMetrics(s, "serve"),
+		jobs:          NewJobMetrics(s, "serve"),
 		rejectedFull:  s.Counter("serve_rejected_queue_full_total", "requests refused with 429 because the queue was full"),
 		cacheHits:     s.Counter("serve_cache_hits_total", "result cache hits"),
 		cacheMisses:   s.Counter("serve_cache_misses_total", "result cache misses"),
 		cacheEvicts:   s.Counter("serve_cache_evictions_total", "result cache evictions"),
 		simRuns:       s.Counter("serve_sim_runs_total", "simulations executed (cache misses actually run)"),
 		simFailures:   s.Counter("serve_sim_failures_total", "simulations that returned an error"),
-		jobsAccepted:  s.Counter("serve_jobs_accepted_total", "jobs accepted into the queue"),
-		jobsCompleted: s.Counter("serve_jobs_completed_total", "jobs finished successfully"),
-		jobsFailed:    s.Counter("serve_jobs_failed_total", "jobs finished with an error"),
-		jobsRetriable: s.Counter("serve_jobs_retriable_total", "jobs drained before completion (resubmit after restart)"),
-		jobsCanceled:  s.Counter("serve_jobs_canceled_total", "jobs canceled by their client"),
 		sfShared:      s.Counter("serve_singleflight_shared_total", "cell computations shared between concurrent identical requests"),
 		queueDepth:    s.Gauge("serve_queue_depth", "tasks waiting in the queue"),
 		inFlight:      s.Gauge("serve_inflight_cells", "cells currently simulating"),
@@ -159,7 +152,7 @@ type Server struct {
 	// not by the request history (results live in results).
 	suites  *memo.Table[Params, *core.Suite]
 	guard   *resilience.EngineGuard
-	jobs    *jobRegistry
+	jobs    *JobRegistry
 	metrics *serverMetrics
 	durable *Durable
 	spans   *obs.SpanStore
@@ -187,7 +180,7 @@ func NewServer(opts Options) *Server {
 		queue:   newTaskQueue(opts.QueueDepth),
 		results: memo.New[rescache.Key, *sim.Result](opts.CacheEntries),
 		suites:  memo.New[Params, *core.Suite](maxSuites),
-		jobs:    newJobRegistry(),
+		jobs:    NewJobRegistry(),
 		metrics: newServerMetrics(),
 	}
 	s.durable = NewDurable(s.metrics.set, "serve", opts.Store)
@@ -259,11 +252,10 @@ func (s *Server) Simulate(ctx context.Context, req *SimulateRequest, parent obs.
 		cell.procs = req.Procs
 	}
 
-	j := newJob("", ResolveParams(req.Params), []cellSpec{cell})
 	// The request span is the job's root; cell spans hang off it. It
 	// ends with the job, which Simulate always waits for.
-	j.span = s.spans.Start(parent, s.opts.ServiceName, "simulate "+cellLabel(cell))
-	j.trace = j.span.Context()
+	j := newJob("", ResolveParams(req.Params), []cellSpec{cell},
+		s.spans.Start(parent, s.opts.ServiceName, "simulate "+cellLabel(cell)))
 	if err := s.enqueue(j); err != nil {
 		return nil, j.trace, err
 	}
@@ -278,35 +270,29 @@ func (s *Server) Simulate(ctx context.Context, req *SimulateRequest, parent obs.
 		return nil, j.trace, ctx.Err()
 	}
 
-	if j.snapshot().Status == StatusRetriable {
+	if j.Status() == StatusRetriable {
 		return nil, j.trace, &Error{Status: http.StatusServiceUnavailable, Retriable: true,
 			Message: "server drained before the cell ran; retry against the restarted server"}
 	}
 	res := j.results[0]
-	if res.err != nil {
+	if res.Err != nil {
 		var be *sim.BudgetError
-		if errors.As(res.err, &be) {
-			return nil, j.trace, &Error{Status: http.StatusGatewayTimeout, Message: res.err.Error(), Retriable: true}
+		if errors.As(res.Err, &be) {
+			return nil, j.trace, &Error{Status: http.StatusGatewayTimeout, Message: res.Err.Error(), Retriable: true}
 		}
-		return nil, j.trace, &Error{Status: http.StatusUnprocessableEntity, Message: res.err.Error()}
+		return nil, j.trace, &Error{Status: http.StatusUnprocessableEntity, Message: res.Err.Error()}
 	}
 	return &SimulateResponse{
-		Key:      res.key,
-		Cached:   res.cached,
-		Result:   res.res,
+		Key:      res.Key,
+		Cached:   res.Cached,
+		Result:   res.Result,
 		Counters: res.counters,
 		Trace:    j.trace.Trace,
 	}, j.trace, nil
 }
 
 // LookupJob implements Executor.
-func (s *Server) LookupJob(id string) (JobRef, bool) {
-	j, ok := s.jobs.get(id)
-	if !ok {
-		return JobRef{}, false
-	}
-	return JobRef{Status: j.snapshot, Done: j.done}, true
-}
+func (s *Server) LookupJob(id string) (*Job, bool) { return s.jobs.Get(id) }
 
 // Spans implements Executor.
 func (s *Server) Spans(traceID string) []obs.Span { return s.spans.Trace(traceID) }
@@ -324,11 +310,11 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	return err
 }
 
-// Drain refuses new work, lets in-flight cells finish, marks queued
-// cells' jobs retriable, and waits for the workers to exit. An accepted
-// job is never lost: it ends done, failed, canceled — or retriable, and
-// a retriable job's content-addressed ID resubmitted to a restarted
-// server rebuilds the identical results.
+// Drain refuses new work, lets in-flight cells finish, hands queued
+// cells back so that their jobs settle retriable, and waits for the
+// workers to exit. An accepted job is never lost: it ends done, failed,
+// canceled — or retriable, and a retriable job's content-addressed ID
+// resubmitted to a restarted server rebuilds the identical results.
 func (s *Server) Drain() {
 	s.mu.Lock()
 	if s.draining {
@@ -340,15 +326,18 @@ func (s *Server) Drain() {
 	s.mu.Unlock()
 
 	rest := s.queue.Close()
-	// Collect drained cells per job, then finalize each job once.
-	drained := make(map[*job][]int)
+	// Collect drained cells per job, then hand each job's back at once.
+	// A job with a cell still in flight settles when that cell finishes.
+	drained := make(map[*Job][]int)
 	for _, t := range rest {
 		drained[t.j] = append(drained[t.j], t.cell)
 	}
 	for j, cells := range drained {
-		j.markRetriable(cells, s.metrics.countOutcome)
-		s.publishJob(j)
-		s.opts.Log.Info("drain: job marked retriable", "job", j.id, "cells_not_run", len(cells))
+		if j.Drain(cells) {
+			j.Settle(s.metrics.jobs)
+			j.Publish(s.bus)
+		}
+		s.opts.Log.Info("drain: job handed back retriable", "job", j.id, "cells_not_run", len(cells))
 	}
 	s.metrics.queueDepth.Set(0)
 	s.wg.Wait()
@@ -379,7 +368,7 @@ func ResolveParams(p *Params) Params {
 var errServerDraining = &Error{Status: http.StatusServiceUnavailable, Message: "server is draining", Retriable: true}
 
 // enqueue pushes a job's cells onto the queue atomically (all or none).
-func (s *Server) enqueue(j *job) error {
+func (s *Server) enqueue(j *Job) error {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -399,43 +388,25 @@ func (s *Server) enqueue(j *job) error {
 		}
 		return errQueueFull
 	}
-	s.metrics.jobsAccepted.Inc()
+	s.metrics.jobs.Accept()
 	s.metrics.queueDepth.Set(int64(s.queue.Depth()))
 	return nil
 }
 
 // SubmitSweep registers a sweep job by its content-addressed ID and
-// enqueues its cells. An identical sweep already known (live or kept
-// terminal) is returned as-is with Existing set — resubmission is a
-// lookup, which is exactly what a drained client does after a restart.
+// enqueues its cells. An identical sweep already registered is returned
+// as-is with Existing set — resubmission is a lookup — unless it is
+// retriable, which the registry replaces with this fresh run.
 func (s *Server) SubmitSweep(req *SweepRequest, parent obs.SpanContext) (*SweepAccepted, error) {
-	params := ResolveParams(req.Params)
-	j := newJob(SweepJobID(params, req), params, sweepCells(req))
-	// Root span for the whole sweep, ended when the job reaches a
-	// terminal state. If the sweep turns out to be a duplicate the fresh
-	// span is simply never ended, so it is never recorded.
-	j.span = s.spans.Start(parent, s.opts.ServiceName, "sweep")
-	j.trace = j.span.Context()
-	reg, existing := s.jobs.add(j)
-	if existing {
-		reg.mu.Lock()
-		retriable := reg.status == StatusRetriable
-		reg.mu.Unlock()
-		if retriable {
-			// A previously drained job is resubmittable: forget the stale
-			// record and queue the fresh one.
-			s.jobs.remove(reg.id)
-			reg, existing = s.jobs.add(j)
-		}
-	}
+	j := NewSweepJob(req, s.spans.Start(parent, s.opts.ServiceName, "sweep"))
+	reg, existing := s.jobs.Add(j)
 	if !existing {
 		if err := s.enqueue(j); err != nil {
-			s.jobs.remove(j.id)
+			s.jobs.Remove(j)
 			return nil, err
 		}
 	}
-	st := reg.snapshot()
-	return &SweepAccepted{Job: reg.id, Status: st.Status, Cells: st.Cells, Existing: existing, Trace: st.Trace}, nil
+	return reg.Accepted(existing), nil
 }
 
 // errQueueFull is the backpressure signal behind HTTP 429.
@@ -454,10 +425,20 @@ func (s *Server) worker() {
 	}
 }
 
-// runTask executes one cell of one job and records the outcome; the last
-// cell finalizes the job and its metrics.
+// errCanceledBeforeStart fails a cell whose job was canceled — its
+// client left, or an earlier cell hit the request timeout — while the
+// cell waited in the queue.
+var errCanceledBeforeStart = errors.New("job canceled before the cell started")
+
+// runTask executes one cell of one job and records the outcome; the
+// cell that finishes the job settles it. A cell of a canceled job is
+// finished canceled without being resolved or simulated.
 func (s *Server) runTask(t task) {
-	t.j.begin(t.cell)
+	if t.j.cancel.Load() {
+		s.finish(t, CellOutcome{Err: errCanceledBeforeStart})
+		return
+	}
+	t.j.Begin(t.cell)
 	s.metrics.queueWait.Observe(time.Since(t.enq).Microseconds())
 	s.spans.AddSpan(t.j.trace, s.opts.ServiceName, "queue wait", t.enq, time.Now())
 	s.mu.Lock()
@@ -472,26 +453,20 @@ func (s *Server) runTask(t task) {
 	s.metrics.inFlight.Set(int64(s.inFlight))
 	s.mu.Unlock()
 
-	last := t.j.finishCell(t.cell, r, s.metrics.countOutcome)
-	s.publishCell(t.j, t.cell, r)
-	if last {
-		s.publishJob(t.j)
-	}
+	s.finish(t, r)
 }
 
-// countOutcome counts a job's terminal status. Jobs call it as they turn
-// terminal, before the status is stored, so /healthz and /metrics are
-// never behind what a client can observe.
-func (m *serverMetrics) countOutcome(status string) {
-	switch status {
-	case StatusDone:
-		m.jobsCompleted.Inc()
-	case StatusFailed:
-		m.jobsFailed.Inc()
-	case StatusCanceled:
-		m.jobsCanceled.Inc()
-	case StatusRetriable:
-		m.jobsRetriable.Inc()
+// finish records a task's outcome and publishes it. The last cell
+// settles its job before the cell event goes out, so a waiting simulate
+// reply never waits on the publish.
+func (s *Server) finish(t task, r CellOutcome) {
+	_, last := t.j.Finish(t.cell, r)
+	if last {
+		t.j.Settle(s.metrics.jobs)
+	}
+	t.j.PublishCell(s.bus, t.cell, "")
+	if last {
+		t.j.Publish(s.bus)
 	}
 }
 
@@ -553,7 +528,7 @@ func (s *Server) resolveCell(params Params, c cellSpec) (*trace.Trace, *placemen
 // become spans on the job's trace. The cache counts hits, misses,
 // shared waits and evictions authoritatively; /metrics mirrors them at
 // scrape time.
-func (s *Server) runCell(j *job, cell int) cellResultInternal {
+func (s *Server) runCell(j *Job, cell int) CellOutcome {
 	c := j.cells[cell]
 	cellSpan := s.spans.Start(j.trace, s.opts.ServiceName, "cell "+cellLabel(c))
 	defer cellSpan.End()
@@ -564,7 +539,7 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 	}
 	tr, pl, cfg, err := s.resolveCell(j.params, c)
 	if err != nil {
-		return cellResultInternal{err: err}
+		return CellOutcome{Err: err}
 	}
 	key := rescache.KeyOf(j.params.Scale, j.params.Seed, c.app, core.PlacementKey(pl), cfg)
 	keyHex := key.String()
@@ -617,21 +592,21 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 	case how == memo.Hit:
 		s.spans.AddSpan(sctx, s.opts.ServiceName, "cache lookup", lookupStart, time.Now())
 		cellSpan.SetNote("cache hit")
-		return cellResultInternal{key: keyHex, cached: true, res: res}
+		return CellOutcome{Key: keyHex, Cached: true, Result: res}
 	case how == memo.Shared:
 		s.spans.AddSpan(sctx, s.opts.ServiceName, "singleflight wait", lookupStart, time.Now())
-		return cellResultInternal{key: keyHex, res: res, err: err}
+		return CellOutcome{Key: keyHex, Result: res, Err: err}
 	case err != nil:
 		s.metrics.simFailures.Inc()
-		return cellResultInternal{key: keyHex, err: err}
+		return CellOutcome{Key: keyHex, Err: err}
 	case stored:
 		cellSpan.SetNote("store hit")
-		return cellResultInternal{key: keyHex, cached: true, res: res}
+		return CellOutcome{Key: keyHex, Cached: true, Result: res}
 	}
 	if s.opts.Store != nil {
 		SaveResult(s.opts.Store, key, res, s.opts.Log)
 	}
-	return cellResultInternal{key: keyHex, res: res, counters: counters}
+	return CellOutcome{Key: keyHex, Result: res, counters: counters}
 }
 
 // canceledRun reports whether err is a run that its guard's cancel flag
@@ -645,7 +620,7 @@ func canceledRun(err error) bool {
 // the job has a live SSE subscriber, a Sampler rides along and its
 // windows are published as "sample" events after the run (zero cost for
 // unwatched jobs: the probe is nil and the engine skips every hook).
-func (s *Server) simulate(j *job, c cellSpec, cell int, tr *trace.Trace, pl *placement.Placement, cfg sim.Config) (*sim.Result, *obs.Counter, error) {
+func (s *Server) simulate(j *Job, c cellSpec, cell int, tr *trace.Trace, pl *placement.Placement, cfg sim.Config) (*sim.Result, *obs.Counter, error) {
 	guard := sim.Guard{MaxSteps: s.opts.MaxSteps, Cancel: &j.cancel}
 	var timer *time.Timer
 	if s.opts.RequestTimeout > 0 {
@@ -713,13 +688,7 @@ func (s *Server) Health() HealthResponse {
 			Hits: cs.Hits, Misses: cs.Misses, Evictions: cs.Evictions,
 			HitRate: cs.HitRate(),
 		},
-		Jobs: JobsHealth{
-			Accepted:  s.metrics.jobsAccepted.Value(),
-			Completed: s.metrics.jobsCompleted.Value(),
-			Failed:    s.metrics.jobsFailed.Value(),
-			Retriable: s.metrics.jobsRetriable.Value(),
-			Canceled:  s.metrics.jobsCanceled.Value(),
-		},
+		Jobs: s.metrics.jobs.Health(),
 	}
 	h.Store = s.durable.Health()
 	if draining {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,12 +12,14 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/loadgen"
+	"repro/internal/obs"
 	"repro/internal/serve/rescache"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -470,6 +473,125 @@ func TestQueueFullBackpressure(t *testing.T) {
 	var er ErrorResponse
 	if err := json.Unmarshal(body, &er); err != nil || !er.Retriable {
 		t.Errorf("429 body not a retriable error: %s", body)
+	}
+}
+
+// TestRefusedSweepsLeaveNoStaleIDs: a sweep refused with 429 leaves
+// nothing in the job registry. A sweep refused several times, then
+// finished along with 255 others — the registry's bound of finished
+// jobs — leaves every one of the 256 answering, each ID registered once.
+func TestRefusedSweepsLeaveNoStaleIDs(t *testing.T) {
+	s := NewServer(Options{Workers: 1, QueueDepth: 1})
+	s.cellStarted = make(chan string, maxTerminalJobs)
+	s.cellGate = make(chan struct{})
+	defer s.Drain()
+
+	params := Params{Scale: 0.02, Seed: testParams.Seed}
+	var sweeps []*SweepRequest
+	for _, c := range loadgen.Mix(workload.Names(), core.AllAlgorithms(), []int{2, 4})[:maxTerminalJobs] {
+		sweeps = append(sweeps, &SweepRequest{Params: &params, Apps: []string{c.App}, Algorithms: []string{c.Alg}, Procs: []int{c.Procs}})
+	}
+	submit := func(req *SweepRequest) *Job {
+		t.Helper()
+		acc, err := s.SubmitSweep(req, obs.SpanContext{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, ok := s.LookupJob(acc.Job)
+		if !ok {
+			t.Fatalf("accepted job %s unknown", acc.Job)
+		}
+		return j
+	}
+
+	// The first sweep holds the worker, the second fills the queue, and
+	// the third is refused.
+	first := submit(sweeps[0])
+	<-s.cellStarted
+	second := submit(sweeps[1])
+	for i := 0; i < 10; i++ {
+		if _, err := s.SubmitSweep(sweeps[2], obs.SpanContext{}); !errors.Is(err, errQueueFull) {
+			t.Fatalf("refusal %d: %v, want a full queue", i, err)
+		}
+	}
+	close(s.cellGate)
+	<-first.Done()
+	<-second.Done()
+	for _, req := range sweeps[2:] {
+		<-submit(req).Done()
+	}
+
+	for _, req := range sweeps {
+		id := SweepJobID(params, req)
+		if j, ok := s.LookupJob(id); !ok || j.Status() != StatusDone {
+			t.Fatalf("finished sweep %s no longer answers done", id)
+		}
+	}
+	s.jobs.mu.Lock()
+	defer s.jobs.mu.Unlock()
+	seen := map[string]bool{}
+	for _, j := range s.jobs.order {
+		if seen[j.id] {
+			t.Errorf("job %s registered more than once", j.id)
+		}
+		seen[j.id] = true
+	}
+	if len(s.jobs.order) != len(sweeps) || len(s.jobs.byID) != len(sweeps) {
+		t.Errorf("registry holds %d entries for %d jobs, want %d", len(s.jobs.order), len(s.jobs.byID), len(sweeps))
+	}
+}
+
+// TestCanceledQueuedCellNeverRuns: a simulate whose client leaves while
+// its cell waits in the queue is finished canceled when it is dequeued,
+// without being resolved or simulated; its job counts canceled.
+func TestCanceledQueuedCellNeverRuns(t *testing.T) {
+	s := NewServer(Options{Workers: 1})
+	s.cellStarted = make(chan string, 2)
+	s.cellGate = make(chan struct{})
+	defer s.Drain()
+	release := sync.OnceFunc(func() { close(s.cellGate) })
+	defer release()
+
+	run := func(ctx context.Context, alg string, procs int, out chan<- error) {
+		_, _, err := s.Simulate(ctx, &SimulateRequest{Params: &testParams, App: "Gauss", Algorithm: alg, Procs: procs}, obs.SpanContext{})
+		out <- err
+	}
+	held, canceled := make(chan error, 1), make(chan error, 1)
+	go run(context.Background(), "RANDOM", 2, held)
+	<-s.cellStarted // the worker holds the first cell at the gate
+	ctx, cancel := context.WithCancel(context.Background())
+	go run(ctx, "SHARE-REFS", 4, canceled)
+	for s.queue.Depth() != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	s.queue.mu.Lock()
+	queued := s.queue.buf[s.queue.head].j
+	s.queue.mu.Unlock()
+	cancel()
+	for !queued.cancel.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	release()
+
+	if err := <-held; err != nil {
+		t.Fatalf("held cell: %v", err)
+	}
+	if err := <-canceled; !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled simulate answered %v, want context.Canceled", err)
+	}
+	select {
+	case key := <-s.cellStarted:
+		t.Errorf("canceled cell was resolved (key %s)", key)
+	default:
+	}
+	if runs, _ := s.Guard().Stats(); runs != 1 {
+		t.Errorf("guard counted %d engine runs, want 1", runs)
+	}
+	if runs := s.Metrics().Snapshot()["serve_sim_runs_total"]; runs != 1 {
+		t.Errorf("serve_sim_runs_total = %d, want 1", runs)
+	}
+	if h := s.Health().Jobs; h.Accepted != 2 || h.Completed != 1 || h.Canceled != 1 {
+		t.Errorf("job accounting %+v, want 2 accepted, 1 completed, 1 canceled", h)
 	}
 }
 

@@ -91,25 +91,6 @@ func JobEventOf(st JobStatus) JobEvent {
 	return JobEvent{Job: st.Job, Status: st.Status, Cells: st.Cells, Completed: st.Completed, Error: st.Error}
 }
 
-// publishJob emits a job-level state event.
-func (s *Server) publishJob(j *job) {
-	s.bus.Publish(JobTopic(j.id), "job", JobEventOf(j.snapshot()))
-}
-
-// publishCell emits one finished cell.
-func (s *Server) publishCell(j *job, cell int, r cellResultInternal) {
-	c := j.cells[cell]
-	ev := CellEvent{
-		Job: j.id, Cell: cell, App: c.app, Algorithm: c.algorithm, Procs: c.procs,
-		State: "done", Key: r.key, Cached: r.cached,
-	}
-	if r.err != nil {
-		ev.State = "failed"
-		ev.Error = r.err.Error()
-	}
-	s.bus.Publish(JobTopic(j.id), "cell", ev)
-}
-
 // TerminalStatus reports whether a wire job status is final.
 func TerminalStatus(status string) bool {
 	switch status {
@@ -163,7 +144,7 @@ func (a *api) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	st := job.Status()
+	st := job.Snapshot()
 	if err := writeSSE(w, obs.Event{Kind: "job", Data: JobEventOf(st)}); err != nil {
 		return
 	}
@@ -190,7 +171,7 @@ func (a *api) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			if relay(ev) {
 				return
 			}
-		case <-job.Done:
+		case <-job.Done():
 			// Events published before the job ended (its last cells'
 			// samples and cell events) may still sit in the buffer:
 			// relay them before the final state.
@@ -201,7 +182,7 @@ func (a *api) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 						return
 					}
 				default:
-					_ = writeSSE(w, obs.Event{Kind: "job", Data: JobEventOf(job.Status())})
+					_ = writeSSE(w, obs.Event{Kind: "job", Data: JobEventOf(job.Snapshot())})
 					fl.Flush()
 					return
 				}

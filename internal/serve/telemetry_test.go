@@ -103,47 +103,31 @@ func TestJobEventsSSEDifferential(t *testing.T) {
 	}
 }
 
-// stubExecutor holds one running job, stubJob, that the test finishes
-// directly: nothing it does publishes on the bus. Calls to any other
-// Executor method panic on the nil embedded interface.
+// stubExecutor holds one running one-cell job, stubJob, that the test
+// finishes directly: nothing it does publishes on the bus. Calls to any
+// other Executor method panic on the nil embedded interface.
 type stubExecutor struct {
 	Executor
-	mu     sync.Mutex
-	status string
-	done   chan struct{}
+	job *Job
 }
 
 const stubJob = "sw-stub"
 
-func (e *stubExecutor) LookupJob(id string) (JobRef, bool) {
-	if id != stubJob {
-		return JobRef{}, false
-	}
-	return JobRef{Status: e.snapshot, Done: e.done}, true
-}
-
-func (e *stubExecutor) snapshot() JobStatus {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st := JobStatus{Job: stubJob, Status: e.status, Cells: 1}
-	if e.status == StatusDone {
-		st.Completed = 1
-	}
-	return st
+func (e *stubExecutor) LookupJob(id string) (*Job, bool) {
+	return e.job, id == stubJob
 }
 
 func (e *stubExecutor) finish() {
-	e.mu.Lock()
-	e.status = StatusDone
-	e.mu.Unlock()
-	close(e.done)
+	e.job.Finish(0, CellOutcome{})
+	e.job.Settle(NewJobMetrics(obs.NewMetricSet(), "stub"))
 }
 
 // TestJobEventsTerminalWithoutPublish: a stream whose job ends without
 // a single bus event still delivers the snapshot and then the terminal
 // state, taken off the job's done channel.
 func TestJobEventsTerminalWithoutPublish(t *testing.T) {
-	ex := &stubExecutor{status: StatusRunning, done: make(chan struct{})}
+	ex := &stubExecutor{job: newJob(stubJob, testParams, []cellSpec{{app: "MP3D"}}, nil)}
+	ex.job.Begin(0)
 	ts := httptest.NewServer(NewHandler(ex, obs.NewBus(nil),
 		NewRequestMetrics(obs.NewMetricSet(), "stub"), func(*http.ServeMux) {}))
 	defer ts.Close()
